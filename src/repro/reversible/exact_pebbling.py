@@ -55,6 +55,7 @@ from repro.reversible.pebbling import (
     _estimated_gates,
     _greedy_steps,
     _pebble_memo,
+    _resolve_budget,
     bounded_schedule,
     minimum_pebbles,
     validate_schedule,
@@ -221,21 +222,6 @@ def _needed_luts(mapping: LutMapping) -> List[int]:
         if driver in mapping.luts:
             needed.update(mapping.lut_cone(driver))
     return [root for root in mapping.order if root in needed]
-
-
-def _resolve_budget(mapping: LutMapping, max_pebbles) -> int:
-    """Fractional budgets resolve exactly as in ``bounded_schedule``."""
-    if max_pebbles is None:
-        return minimum_pebbles(mapping)
-    if isinstance(max_pebbles, float) and 0 < max_pebbles < 1:
-        return max(
-            minimum_pebbles(mapping),
-            int(round(max_pebbles * mapping.num_luts())),
-        )
-    max_pebbles = int(max_pebbles)
-    if max_pebbles < 1:
-        raise ValueError("max_pebbles must be at least 1")
-    return max_pebbles
 
 
 def _moves_to_steps(
@@ -550,7 +536,11 @@ def exact_schedule(
     ``time_budget`` caps the total SAT effort in seconds; whatever is
     proven by then is returned, degraded gracefully towards the seed.
     """
-    budget = _resolve_budget(mapping, max_pebbles)
+    budget = (
+        minimum_pebbles(mapping)
+        if max_pebbles is None
+        else _resolve_budget(mapping, max_pebbles)
+    )
     deadline = time.monotonic() + time_budget
     if mapping.num_luts() <= MONOLITHIC_LUT_LIMIT:
         return _monolithic_schedule(mapping, budget, deadline)

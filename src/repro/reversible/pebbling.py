@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.aig import lit_node
 from repro.logic.cuts import LutMapping
+from repro.utils.bitops import popcount
 
 __all__ = [
     "COMPUTE",
@@ -279,22 +280,30 @@ class _BoundedScheduler:
     before uncomputing.  Pins protect the fanins of the LUT currently being
     (un)computed from eviction; a budget that cannot accommodate the pinned
     recursion path is infeasible and raises :class:`ValueError`.
+
+    The DAG structure a run reads — every LUT's fanins in recursion order
+    and its fanout LUTs — is computed once per mapping by
+    :func:`_pebble_memo` and shared by all runs.  The run keeps, for every
+    LUT, the number of its fanins that are not pebbled, and the *ready*
+    set of pebbled LUTs whose count is zero; :meth:`_add` and
+    :meth:`_drop`, the only places that change :attr:`live`, update both,
+    so an eviction picks its victim from the ready set without testing the
+    fanins of any pebble.
     """
 
     def __init__(self, mapping: LutMapping, max_pebbles: int):
         if max_pebbles < 1:
             raise ValueError("max_pebbles must be at least 1")
+        memo = _pebble_memo(mapping)
         self.mapping = mapping
         self.budget = max_pebbles
         self.steps: List[PebbleStep] = []
         self.live: Set[int] = set()
         self.pins: Dict[int, int] = {}
-        # Descending-cone-size recursion order: computing the largest
-        # sub-cone first holds the fewest sibling pins while the deepest
-        # recursion is in flight.
-        self._cone_size = {
-            root: len(mapping.lut_cone(root)) for root in mapping.order
-        }
+        self._deps: Dict[int, Tuple[int, ...]] = memo["deps"]
+        self._parents: Dict[int, List[int]] = memo["parents"]
+        self._missing = {root: len(deps) for root, deps in self._deps.items()}
+        self.ready: Set[int] = set()
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -306,33 +315,42 @@ class _BoundedScheduler:
         if not self.pins[node]:
             del self.pins[node]
 
-    def _ordered_deps(self, node: int) -> List[int]:
-        return sorted(
-            self.mapping.dependencies(node),
-            key=lambda dep: (-self._cone_size[dep], dep),
-        )
+    def _add(self, node: int) -> None:
+        """Pebble ``node``; parents whose last missing fanin it was turn ready."""
+        self.live.add(node)
+        if not self._missing[node]:
+            self.ready.add(node)
+        for parent in self._parents[node]:
+            self._missing[parent] -= 1
+            if not self._missing[parent] and parent in self.live:
+                self.ready.add(parent)
+
+    def _drop(self, node: int) -> None:
+        """Unpebble ``node``; its pebbled parents become orphans."""
+        self.live.discard(node)
+        self.ready.discard(node)
+        for parent in self._parents[node]:
+            self._missing[parent] += 1
+            self.ready.discard(parent)
 
     # -- the game -------------------------------------------------------------
 
-    def _evictable(self, node: int) -> bool:
-        return node not in self.pins and all(
-            dep in self.live for dep in self.mapping.dependencies(node)
-        )
-
     def _make_room(self) -> None:
         while len(self.live) >= self.budget:
-            candidates = [node for node in self.live if self._evictable(node)]
-            if not candidates:
+            # Evict the highest-index (deepest) candidate: it is the
+            # furthest from the inputs and therefore the least likely to be
+            # needed as a fanin of upcoming computations.
+            victim = max(
+                (node for node in self.ready if node not in self.pins),
+                default=None,
+            )
+            if victim is None:
                 raise ValueError(
                     f"max_pebbles={self.budget} is too small for this LUT "
                     f"DAG: {len(self.live)} pebbles are pinned or orphaned"
                 )
-            # Evict the highest-index (deepest) candidate: it is the
-            # furthest from the inputs and therefore the least likely to be
-            # needed as a fanin of upcoming computations.
-            victim = max(candidates)
             self.steps.append(PebbleStep(UNCOMPUTE, victim))
-            self.live.discard(victim)
+            self._drop(victim)
 
     def _ensure(self, root: int) -> None:
         """Place a pebble on ``root``, recomputing evicted fanins on demand.
@@ -345,7 +363,7 @@ class _BoundedScheduler:
         if root in self.live:
             return
         # frame: [node, iterator over remaining deps, deps pinned so far]
-        stack = [[root, iter(self._ordered_deps(root)), []]]
+        stack = [[root, iter(self._deps[root]), []]]
         while stack:
             node, deps, pinned = stack[-1]
             for dep in deps:
@@ -353,12 +371,12 @@ class _BoundedScheduler:
                     self._pin(dep)
                     pinned.append(dep)
                     continue
-                stack.append([dep, iter(self._ordered_deps(dep)), []])
+                stack.append([dep, iter(self._deps[dep]), []])
                 break
             else:
                 self._make_room()
                 self.steps.append(PebbleStep(COMPUTE, node))
-                self.live.add(node)
+                self._add(node)
                 for dep in pinned:
                     self._unpin(dep)
                 stack.pop()
@@ -373,12 +391,12 @@ class _BoundedScheduler:
         self._pin(node)
         pinned: List[int] = [node]
         try:
-            for dep in self._ordered_deps(node):
+            for dep in self._deps[node]:
                 self._ensure(dep)
                 self._pin(dep)
                 pinned.append(dep)
             self.steps.append(PebbleStep(UNCOMPUTE, node))
-            self.live.discard(node)
+            self._drop(node)
         finally:
             for dep in pinned:
                 self._unpin(dep)
@@ -404,10 +422,40 @@ _ANCHOR_GROWTH = 1.25
 
 
 def _pebble_memo(mapping: LutMapping) -> Dict:
-    """Per-mapping memo of greedy runs (attached to the mapping object)."""
+    """Per-mapping memo of greedy runs (attached to the mapping object).
+
+    Also holds the LUT DAG structure every greedy run reads: ``"deps"``
+    maps each LUT to its fanin LUTs in recursion order and ``"parents"``
+    to its fanout LUTs.  The recursion order is by descending cone size
+    (then node index): computing the largest sub-cone first holds the
+    fewest sibling pins while the deepest recursion is in flight.  Cone
+    sizes come from one topological pass over big-int bitsets, one bit per
+    LUT.
+    """
     memo = getattr(mapping, "_pebble_memo", None)
     if memo is None:
-        memo = {"greedy": {}, "cost": {}, "block_gates": {}}
+        deps: Dict[int, Tuple[int, ...]] = {}
+        parents: Dict[int, List[int]] = {root: [] for root in mapping.order}
+        cones: Dict[int, int] = {}
+        cone_size: Dict[int, int] = {}
+        for index, root in enumerate(mapping.order):
+            fanins = mapping.dependencies(root)
+            cone = 1 << index
+            for dep in fanins:
+                cone |= cones[dep]
+                parents[dep].append(root)
+            cones[root] = cone
+            cone_size[root] = popcount(cone)
+            deps[root] = tuple(
+                sorted(fanins, key=lambda dep: (-cone_size[dep], dep))
+            )
+        memo = {
+            "greedy": {},
+            "cost": {},
+            "block_gates": {},
+            "deps": deps,
+            "parents": parents,
+        }
         mapping._pebble_memo = memo
     return memo
 
@@ -483,6 +531,19 @@ def _schedule_cost(mapping: LutMapping, budget: int) -> Optional[Tuple[int, int]
     return memo["cost"][budget]
 
 
+def _resolve_budget(mapping: LutMapping, max_pebbles) -> int:
+    """An absolute pebble budget; a float in ``(0, 1)`` is a LUT-count fraction."""
+    if isinstance(max_pebbles, float) and 0 < max_pebbles < 1:
+        max_pebbles = max(
+            minimum_pebbles(mapping),
+            int(round(max_pebbles * mapping.num_luts())),
+        )
+    max_pebbles = int(max_pebbles)
+    if max_pebbles < 1:
+        raise ValueError("max_pebbles must be at least 1")
+    return max_pebbles
+
+
 def bounded_schedule(mapping: LutMapping, max_pebbles) -> PebbleSchedule:
     """A schedule that never holds more than ``max_pebbles`` pebbles.
 
@@ -505,14 +566,7 @@ def bounded_schedule(mapping: LutMapping, max_pebbles) -> PebbleSchedule:
     budget itself is probed as a last resort before rejecting, so a valid
     user budget is never refused on the ladder's account.
     """
-    if isinstance(max_pebbles, float) and 0 < max_pebbles < 1:
-        max_pebbles = max(
-            minimum_pebbles(mapping),
-            int(round(max_pebbles * mapping.num_luts())),
-        )
-    max_pebbles = int(max_pebbles)
-    if max_pebbles < 1:
-        raise ValueError("max_pebbles must be at least 1")
+    max_pebbles = _resolve_budget(mapping, max_pebbles)
     memo = _pebble_memo(mapping)
     best: Optional[List[PebbleStep]] = None
     best_cost: Optional[Tuple[int, int]] = None

@@ -7,5 +7,6 @@ mask-native).  The property tests compare the two on random inputs:
 * :mod:`oracles.logic` — cut truth tables, PSDKRO extraction, the BDD
   manager's walks and the AIG-to-BDD collapse,
 * :mod:`oracles.circuits` — T-count, depth and resource sweeps, the
-  reversible peephole passes and transformation-based synthesis.
+  reversible peephole passes, transformation-based synthesis and the
+  greedy bounded pebbling scheduler.
 """

@@ -1,19 +1,26 @@
-"""Oracles for the circuit-level kernels: costing, peepholes and TBS.
+"""Oracles for the circuit-level kernels: costing, peepholes, TBS and pebbling.
 
-Every oracle here walks :class:`~repro.reversible.gates.ToffoliGate` (or
+Every costing, peephole and TBS oracle here walks
+:class:`~repro.reversible.gates.ToffoliGate` (or
 :class:`~repro.quantum.circuit.QuantumGate`) objects one at a time, the
-way the code did before the cascades moved into packed mask columns.
+way the code did before the cascades moved into packed mask columns.  The
+pebbling oracle walks every LUT cone and re-tests every live pebble on
+each eviction, the way the greedy scheduler did before it kept the DAG
+structure per mapping and the evictable pebbles incrementally.
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.resources import ResourceEstimate
+from repro.logic.aig import lit_node
+from repro.logic.cuts import LutMapping
 from repro.quantum.tcount import mct_t_count
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
+from repro.reversible.pebbling import COMPUTE, UNCOMPUTE, PebbleStep, _copy_step
 from repro.reversible.tbs import _mct_cost
 
 # ---------------------------------------------------------------------------
@@ -222,3 +229,148 @@ def synthesize_permutation_gates_reference(
     assert np.array_equal(perm, states), "synthesis did not reach the identity"
     # id = OUT o f o IN  =>  f = IN_order + reversed(OUT_order) in time order.
     return in_gates + out_gates[::-1]
+
+
+# ---------------------------------------------------------------------------
+# bounded pebbling (per-run cone walks, per-eviction scans of every pebble)
+# ---------------------------------------------------------------------------
+
+
+class _BoundedSchedulerReference:
+    """Budgeted pebbling: shared pebbles with recompute-on-demand eviction.
+
+    The scheduler keeps every computed LUT pebbled (so logic shared between
+    outputs is reused, like the Bennett strategy) until the pebble budget
+    is reached; it then evicts pebbles whose fanin LUTs are all currently
+    pebbled — the pebble-game precondition for uncomputing — and recomputes
+    them on demand if they are needed again.  A pebble whose fanins were
+    evicted underneath it (an *orphan*) is not evictable immediately, but
+    its value remains correct, and the final cleanup re-pebbles fanins
+    before uncomputing.  Pins protect the fanins of the LUT currently being
+    (un)computed from eviction; a budget that cannot accommodate the pinned
+    recursion path is infeasible and raises :class:`ValueError`.
+    """
+
+    def __init__(self, mapping: LutMapping, max_pebbles: int):
+        if max_pebbles < 1:
+            raise ValueError("max_pebbles must be at least 1")
+        self.mapping = mapping
+        self.budget = max_pebbles
+        self.steps: List[PebbleStep] = []
+        self.live: Set[int] = set()
+        self.pins: Dict[int, int] = {}
+        # Descending-cone-size recursion order: computing the largest
+        # sub-cone first holds the fewest sibling pins while the deepest
+        # recursion is in flight.
+        self._cone_size = {
+            root: len(mapping.lut_cone(root)) for root in mapping.order
+        }
+
+    # -- bookkeeping ----------------------------------------------------------
+
+    def _pin(self, node: int) -> None:
+        self.pins[node] = self.pins.get(node, 0) + 1
+
+    def _unpin(self, node: int) -> None:
+        self.pins[node] -= 1
+        if not self.pins[node]:
+            del self.pins[node]
+
+    def _ordered_deps(self, node: int) -> List[int]:
+        return sorted(
+            self.mapping.dependencies(node),
+            key=lambda dep: (-self._cone_size[dep], dep),
+        )
+
+    # -- the game -------------------------------------------------------------
+
+    def _evictable(self, node: int) -> bool:
+        return node not in self.pins and all(
+            dep in self.live for dep in self.mapping.dependencies(node)
+        )
+
+    def _make_room(self) -> None:
+        while len(self.live) >= self.budget:
+            candidates = [node for node in self.live if self._evictable(node)]
+            if not candidates:
+                raise ValueError(
+                    f"max_pebbles={self.budget} is too small for this LUT "
+                    f"DAG: {len(self.live)} pebbles are pinned or orphaned"
+                )
+            # Evict the highest-index (deepest) candidate: it is the
+            # furthest from the inputs and therefore the least likely to be
+            # needed as a fanin of upcoming computations.
+            victim = max(candidates)
+            self.steps.append(PebbleStep(UNCOMPUTE, victim))
+            self.live.discard(victim)
+
+    def _ensure(self, root: int) -> None:
+        """Place a pebble on ``root``, recomputing evicted fanins on demand.
+
+        An explicit DFS stack (not recursion): LUT dependency chains grow
+        with the design depth, and a deep chain must not overflow the
+        Python recursion limit.  Each frame pins the fanins it has secured
+        so far; a fanin is pinned when its own frame completes.
+        """
+        if root in self.live:
+            return
+        # frame: [node, iterator over remaining deps, deps pinned so far]
+        stack = [[root, iter(self._ordered_deps(root)), []]]
+        while stack:
+            node, deps, pinned = stack[-1]
+            for dep in deps:
+                if dep in self.live:
+                    self._pin(dep)
+                    pinned.append(dep)
+                    continue
+                stack.append([dep, iter(self._ordered_deps(dep)), []])
+                break
+            else:
+                self._make_room()
+                self.steps.append(PebbleStep(COMPUTE, node))
+                self.live.add(node)
+                for dep in pinned:
+                    self._unpin(dep)
+                stack.pop()
+                if stack:
+                    self._pin(node)
+                    stack[-1][2].append(node)
+
+    def _release(self, node: int) -> None:
+        """Remove the pebble from ``node``, recomputing fanins if needed."""
+        # Pin the node itself: the eviction inside _ensure could otherwise
+        # pick it as a victim and uncompute it twice.
+        self._pin(node)
+        pinned: List[int] = [node]
+        try:
+            for dep in self._ordered_deps(node):
+                self._ensure(dep)
+                self._pin(dep)
+                pinned.append(dep)
+            self.steps.append(PebbleStep(UNCOMPUTE, node))
+            self.live.discard(node)
+        finally:
+            for dep in pinned:
+                self._unpin(dep)
+
+    def run(self) -> List[PebbleStep]:
+        mapping = self.mapping
+        for j, po in enumerate(mapping.aig.pos()):
+            driver = lit_node(po)
+            if driver in mapping.luts:
+                self._ensure(driver)
+            self.steps.append(_copy_step(mapping, j))
+        # Final cleanup: uncompute the remaining pebbles top-down.  Node
+        # indices are topological, so the highest-index pebble never has a
+        # pebbled parent; its fanins are recomputed on demand.
+        while self.live:
+            self._release(max(self.live))
+        return self.steps
+
+
+def bounded_steps_reference(mapping: LutMapping, budget: int) -> Optional[List[PebbleStep]]:
+    """The greedy run for one budget, or ``None`` when it is infeasible."""
+    try:
+        return _BoundedSchedulerReference(mapping, budget).run()
+    except ValueError:
+        return None

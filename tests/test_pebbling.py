@@ -9,7 +9,8 @@ strategy-level invariants promised by the module:
 * ``eager``   — pebble peak equals the largest single-output cone,
 * ``bounded`` — the pebble peak never exceeds the budget, infeasible
   budgets are rejected, and the gate count degrades monotonically as the
-  budget shrinks.
+  budget shrinks; every greedy run matches the plain oracle scheduler of
+  :mod:`oracles.circuits` step for step.
 
 The LUT DAGs are seeded random AIGs (``repro.verify.fuzz``), so a failing
 case prints a seed that reproduces the exact structure.
@@ -17,8 +18,9 @@ case prints a seed that reproduces the exact structure.
 
 import pytest
 
+from oracles.circuits import bounded_steps_reference
 from repro.logic.aig import lit_node
-from repro.logic.cuts import lut_map
+from repro.logic.cuts import LutMapping, lut_map
 from repro.reversible.lut_synth import synthesize_schedule
 from repro.reversible.pebbling import (
     COMPUTE,
@@ -27,6 +29,7 @@ from repro.reversible.pebbling import (
     InvalidScheduleError,
     PebbleSchedule,
     PebbleStep,
+    _greedy_steps,
     bennett_schedule,
     bounded_schedule,
     eager_schedule,
@@ -200,6 +203,26 @@ class TestBoundedProperties:
         stats = validate_schedule(schedule)
         assert stats.pebble_peak <= schedule.max_pebbles
 
+    def test_no_cone_walks_and_one_fanin_read_per_lut(self, monkeypatch):
+        # Deterministic complexity guard: the DAG structure is read once
+        # per mapping, however many greedy runs the ladder makes.
+        aig = random_aig(7, num_pis=6, num_gates=60, num_pos=4)
+        mapping = lut_map(aig, k=3)
+        calls = {"lut_cone": 0, "dependencies": 0}
+        for name in calls:
+            original = getattr(LutMapping, name)
+
+            def counted(self, root, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, root)
+
+            monkeypatch.setattr(LutMapping, name, counted)
+        minimum_pebbles(mapping)
+        bounded_schedule(mapping, 0.5)
+        assert len(mapping._pebble_memo["greedy"]) > 1
+        assert calls["lut_cone"] == 0
+        assert calls["dependencies"] <= mapping.num_luts()
+
     def test_feasible_budget_below_minimum_is_probed_not_rejected(self):
         # A budget below the guaranteed threshold must still be accepted
         # when its own greedy run happens to succeed (and cleanly rejected
@@ -233,6 +256,36 @@ class TestBoundedProperties:
         )
         bennett = synthesize_schedule(bennett_schedule(mapping))
         assert bounded.num_gates() <= bennett.num_gates()
+
+
+class TestBoundedMatchesOracle:
+    """The greedy runs are pinned step for step to the plain scheduler of
+    :mod:`oracles.circuits`, for every budget: feasible budgets give the
+    same step list, infeasible ones stay infeasible."""
+
+    @staticmethod
+    def assert_every_budget_matches(mapping):
+        for budget in range(1, max(1, mapping.num_luts()) + 1):
+            assert _greedy_steps(mapping, budget) == bounded_steps_reference(
+                mapping, budget
+            ), f"budget {budget}"
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", LUT_SIZES)
+    def test_random_mappings(self, seed, k):
+        self.assert_every_budget_matches(mapping_for(seed, k=k))
+
+    @pytest.mark.parametrize("seed, k", [(585, 2), (21, 3)])
+    def test_non_monotone_corpora(self, seed, k):
+        aig = random_aig(seed, num_pis=5, num_gates=30 if seed == 585 else 25,
+                         num_pos=4)
+        self.assert_every_budget_matches(lut_map(aig, k=k, max_cuts=4))
+
+    def test_intdiv_lut_mapping(self):
+        from repro.core.flows import run_flow
+
+        result = run_flow("lut", "intdiv", 6, verify=False, strategy="bennett", k=4)
+        self.assert_every_budget_matches(result.context["lut_mapping"])
 
 
 class TestScheduleExecution:

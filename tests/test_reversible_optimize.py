@@ -178,16 +178,3 @@ class TestDuplicateControls:
         messy = ToffoliGate(((1, True), (0, True), (1, True)), 2)
         circuit = build_circuit(3, [messy, ToffoliGate.toffoli(0, 1, 2)])
         assert cancel_adjacent_gates(circuit).num_gates() == 0
-
-    def test_roles_preserved(self):
-        circuit = ReversibleCircuit()
-        circuit.add_input_line(0, "a")
-        circuit.add_constant_line(0, "anc")
-        circuit.set_output(1, 0)
-        circuit.append(ToffoliGate.cnot(0, 1))
-        circuit.append(ToffoliGate.x(1))
-        circuit.append(ToffoliGate.x(1))
-        optimized = optimize_circuit(circuit)
-        assert optimized.num_gates() == 1
-        assert optimized.output_lines() == {0: 1}
-        assert optimized.input_lines() == {0: 0}
