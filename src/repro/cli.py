@@ -63,7 +63,7 @@ __all__ = ["main", "build_parser", "parse_sweep_spec"]
 #: context artifacts, so they are rejected at parse time.
 _RESERVED_SWEEP_PARAMETERS = frozenset(
     {"flow", "self", "design", "bitwidth", "verify", "cost_model",
-     "aig", "verilog", "index", "timeout", "frontend_id"}
+     "aig", "verilog", "index", "timeout", "memo"}
 )
 
 
@@ -243,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reversible peephole pipeline applied to every configuration; "
         "repeat to sweep pipelines (e.g. --rev-opt none --rev-opt "
         "rev-default)",
-    )
-    explore.add_argument(
-        "--no-shared-frontend", action="store_true",
-        help="bit-blast per configuration instead of once per design instance",
     )
     explore.add_argument("--cost-model", default="rtof", choices=["rtof", "barenco"])
     explore.add_argument(
@@ -587,7 +583,6 @@ def _command_explore(args: argparse.Namespace) -> int:
             verify=verify_mode,
             cost_model=args.cost_model,
             timeout=args.timeout,
-            share_frontend=not args.no_shared_frontend,
             on_result=on_result,
         )
     except (ValueError, OSError) as exc:

@@ -14,9 +14,10 @@ This module provides the exploration machinery at two levels:
     process pool, with a persistent content-addressed
     :class:`~repro.core.cache.ResultCache`, per-configuration error/timeout
     capture (one failing flow never aborts a sweep) and streaming results
-    via :meth:`ExplorationEngine.run_iter`.  The bit-blasted AIG frontend
-    is computed once per design instance and shared across all of its
-    configurations.
+    via :meth:`ExplorationEngine.run_iter`.  Configurations that agree on
+    a stage prefix (design instance, stages and their parameters) run that
+    prefix once and share its artefacts through a
+    :class:`~repro.core.flow.PrefixMemo`.
 
 :class:`DesignSpaceExplorer`
     The paper-facing convenience wrapper: one design, one bitwidth, a list
@@ -28,6 +29,7 @@ This module provides the exploration machinery at two levels:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -46,7 +48,9 @@ from typing import (
 
 from repro.core.cache import ResultCache, cache_key
 from repro.core.cost import CostReport
-from repro.core.flows import design_source, frontend_artifacts, run_flow
+from repro.core.flow import PrefixMemo
+# ``frontend_artifacts`` is re-exported: callers wrap it by attribute here.
+from repro.core.flows import design_source, frontend_artifacts, make_flow, run_flow
 from repro.verify.differential import normalize_verify_mode
 
 __all__ = [
@@ -361,30 +365,29 @@ _CANCELLED = "cancelled: engine stop requested"
 
 # -- worker -------------------------------------------------------------------
 
-#: Shared frontend artifacts (bit-blasted AIGs), keyed by frontend id.
-#: Populated once per worker process by the pool initializer, so task specs
-#: only carry a small id.  Serial in-process runs pass their table to
-#: :func:`_execute_task` explicitly instead — two interleaved serial
-#: engines must never clobber each other's tables.
-_WORKER_FRONTENDS: Dict[int, Dict[str, Any]] = {}
-
-#: Staging slot for the fork-once handoff: the engine publishes the
-#: frontend table here *before* creating a fork-context pool, so every
-#: worker inherits it through the forked address space — zero pickling of
-#: AIGs, per worker or per task.  Platforms without ``fork`` pickle the
-#: table once per worker via the initializer args instead.
-_POOL_FRONTENDS: Dict[int, Dict[str, Any]] = {}
+#: The prefix memo of a pool worker process, installed by
+#: :func:`_start_worker` and freed with the worker.
+_WORKER_MEMO: Optional[PrefixMemo] = None
 
 
-def _set_worker_frontends(frontends: Dict[int, Dict[str, Any]]) -> None:
-    """Install the shared frontend table in this (worker) process."""
-    global _WORKER_FRONTENDS
-    _WORKER_FRONTENDS = frontends
+def _start_worker(shared: frozenset) -> None:
+    """Pool initializer: a memo that keeps the run's shared prefixes."""
+    global _WORKER_MEMO
+    _WORKER_MEMO = PrefixMemo(keep=lambda chain, index: chain[index] in shared)
 
 
-def _adopt_pool_frontends() -> None:
-    """Fork-context pool initializer: adopt the inherited frontend table."""
-    _set_worker_frontends(_POOL_FRONTENDS)
+def _prefix_counts(chains: Iterable[Sequence[Optional[str]]]) -> Counter:
+    """How many of ``chains`` contain each prefix key."""
+    return Counter(key for chain in chains for key in chain if key is not None)
+
+
+def _branches(counts: Counter, chain: Sequence[Optional[str]], index: int) -> bool:
+    """True when more runs use prefix ``chain[index]`` than its extension.
+
+    Some of them then read exactly this prefix, so it is worth storing.
+    """
+    following = chain[index + 1] if index + 1 < len(chain) else None
+    return counts[chain[index]] > counts[following]
 
 
 class _AlarmGuard:
@@ -444,17 +447,17 @@ class _AlarmGuard:
 
 
 def _execute_task(
-    spec: Dict[str, Any],
-    frontends: Optional[Dict[int, Dict[str, Any]]] = None,
+    spec: Dict[str, Any], memo: Optional[PrefixMemo] = None
 ) -> Tuple[int, str, Optional[CostReport]]:
     """Run one flow configuration; never raises.
 
     Module-level so it can be pickled into :class:`ProcessPoolExecutor`
-    workers.  Returns ``(index, error_message, report)`` where exactly one
-    of ``error_message`` / ``report`` is meaningful.  A positive
-    ``timeout`` arms an :class:`_AlarmGuard` around the flow execution; a
-    late alarm that fires after the flow already produced its report is
-    ignored rather than misreported as a failure.
+    workers, where ``memo`` defaults to the worker's own.  Returns
+    ``(index, error_message, report)`` where exactly one of
+    ``error_message`` / ``report`` is meaningful.  A positive ``timeout``
+    arms an :class:`_AlarmGuard` around the flow execution; a late alarm
+    that fires after the flow already produced its report is ignored
+    rather than misreported as a failure.
     """
     index = spec["index"]
     guard = _AlarmGuard(spec.get("timeout"))
@@ -462,26 +465,13 @@ def _execute_task(
     error = ""
     try:
         try:
-            parameters = dict(spec["parameters"])
-            if "verilog" not in parameters and "aig" not in parameters:
-                # The shared frontend only applies when the configuration
-                # does not bring its own design source/AIG — configuration
-                # parameters always win over engine-level sharing.
-                table = _WORKER_FRONTENDS if frontends is None else frontends
-                frontend = table.get(spec.get("frontend_id"), {})
-                if frontend.get("verilog") is not None:
-                    parameters["verilog"] = frontend["verilog"]
-                elif spec.get("verilog") is not None:
-                    parameters["verilog"] = spec["verilog"]
-                if frontend.get("aig") is not None:
-                    parameters["aig"] = frontend["aig"]
             result = run_flow(
                 spec["flow"],
                 spec["design"],
                 spec["bitwidth"],
-                verify=spec["verify"],
                 cost_model=spec["cost_model"],
-                **parameters,
+                memo=_WORKER_MEMO if memo is None else memo,
+                **spec["parameters"],
             )
             report = result.report
         finally:
@@ -493,6 +483,16 @@ def _execute_task(
     if report is not None:
         return index, "", report
     return index, error or "unknown error", None
+
+
+def _prefix_keys(spec: Dict[str, Any]) -> List[Optional[str]]:
+    """The prefix keys of one task spec's run; empty when it cannot run."""
+    try:
+        flow = make_flow(spec["flow"], spec["cost_model"])
+        flow.check_parameters(spec["parameters"])
+        return flow.prefix_keys(spec["design"], spec["bitwidth"], spec["parameters"])
+    except ValueError:  # unknown flow or parameter: the worker reports it
+        return []
 
 
 # -- engine -------------------------------------------------------------------
@@ -519,10 +519,6 @@ class ExplorationEngine:
     timeout:
         Optional per-configuration wall-clock budget in seconds; a timed
         out configuration is recorded as a failed outcome.
-    share_frontend:
-        Bit-blast each distinct design instance once and share the AIG
-        across all of its configurations (serial path; pool workers
-        inherit the table fork-once, see :meth:`_make_pool`).
     on_result:
         Optional callback invoked with each :class:`ConfigurationOutcome`
         as it completes — the streaming hook used by the CLI progress
@@ -536,7 +532,6 @@ class ExplorationEngine:
         verify: Union[bool, str] = True,
         cost_model: str = "rtof",
         timeout: Optional[float] = None,
-        share_frontend: bool = True,
         on_result: Optional[Callable[[ConfigurationOutcome], None]] = None,
     ) -> None:
         if jobs < 1:
@@ -552,7 +547,6 @@ class ExplorationEngine:
         self.verify = verify
         self.cost_model = cost_model
         self.timeout = timeout
-        self.share_frontend = share_frontend
         self.on_result = on_result
         #: Configurations dispatched for execution (cache misses, whether
         #: they succeeded or failed) in the last :meth:`run`.
@@ -565,9 +559,8 @@ class ExplorationEngine:
         self.cancelled = 0
         #: Size in bytes of the largest pickled task spec shipped to a
         #: worker in the last pool :meth:`run` (0 for serial runs).  Task
-        #: specs carry only a frontend *id*, never the AIG itself, so this
-        #: stays small no matter how large the design is — the regression
-        #: tests and the kernel benchmark assert on it.
+        #: specs carry the configuration, never an artefact, so this stays
+        #: small no matter how large the design is.
         self.last_task_payload_bytes = 0
 
     # -- execution ------------------------------------------------------------
@@ -614,17 +607,12 @@ class ExplorationEngine:
         self.last_task_payload_bytes = 0
 
         tasks = list(tasks)
-        # The Verilog sources are only needed for cache addressing and for
-        # the shared frontend; with both disabled the workers generate
-        # them on demand.
-        need_sources = self.cache is not None or self.share_frontend
+        # The Verilog sources are only needed for cache addressing; without
+        # a cache the workers generate them on demand.
         sources: Dict[Tuple[str, int, Optional[str]], Optional[str]] = {}
-        for task in tasks:
+        for task in tasks if self.cache is not None else ():
             instance = (task.design, task.bitwidth, task.verilog)
             if instance not in sources:
-                if not need_sources:
-                    sources[instance] = None
-                    continue
                 try:
                     sources[instance] = task.source()
                 except Exception:
@@ -634,9 +622,9 @@ class ExplorationEngine:
 
         pending: List[Tuple[int, ExplorationTask, Optional[str]]] = []
         for index, task in enumerate(tasks):
-            source = sources[(task.design, task.bitwidth, task.verilog)]
+            source = sources.get((task.design, task.bitwidth, task.verilog))
             key = None
-            if self.cache is not None and source is not None:
+            if source is not None:
                 key = cache_key(
                     source,
                     task.configuration.flow,
@@ -646,7 +634,7 @@ class ExplorationEngine:
                     verify=self.verify,
                     design=task.design,
                 )
-            if self.cache is not None and key is not None:
+            if key is not None:
                 report = self.cache.get(key)
                 if report is not None:
                     self.cache_hits += 1
@@ -659,23 +647,27 @@ class ExplorationEngine:
         if not pending:
             return
 
-        frontend_ids, frontends_by_id = self._shared_frontends(pending, sources)
-        specs = [
-            self._task_spec(index, task, frontend_ids)
-            for index, task, _ in pending
-        ]
+        specs = [self._task_spec(index, task) for index, task, _ in pending]
         keys = {index: key for index, _, key in pending}
         by_index = {index: task for index, task, _ in pending}
+        chains = {spec["index"]: _prefix_keys(spec) for spec in specs}
 
         # jobs > 1 always uses the pool, even for a single pending task:
         # the pool is what provides crash isolation and keeps SIGALRM out
         # of the calling process.
         if self.jobs == 1:
+            # ``users`` counts the tasks not yet started that use each
+            # prefix, so the memo stores a prefix only when a later task
+            # reads it, and drops it once no remaining task will.
+            users = _prefix_counts(chains.values())
+            memo = PrefixMemo(keep=lambda chain, index: _branches(users, chain, index))
             for position, spec in enumerate(specs):
                 if should_stop is not None and should_stop():
                     yield from self._cancel_remaining(specs[position:], by_index)
                     return
-                index, error, report = _execute_task(spec, frontends_by_id)
+                users.subtract(key for key in chains[spec["index"]] if key)
+                index, error, report = _execute_task(spec, memo)
+                memo.retain(chains[later["index"]] for later in specs[position + 1:])
                 yield index, self._finish(
                     by_index[index], keys[index], error, report
                 )
@@ -694,9 +686,14 @@ class ExplorationEngine:
             self.last_task_payload_bytes = max(
                 self.last_task_payload_bytes, size
             )
-        for index, error, report in self._run_pool(
-            specs, frontends_by_id, should_stop
-        ):
+        counts = _prefix_counts(chains.values())
+        shared = frozenset(
+            chain[index]
+            for chain in chains.values()
+            for index in range(len(chain))
+            if counts[chain[index]] > 1 and _branches(counts, chain, index)
+        )
+        for index, error, report in self._run_pool(specs, shared, should_stop):
             if report is None and error == _CANCELLED:
                 self.cancelled += 1
                 yield index, self._emit(
@@ -725,7 +722,7 @@ class ExplorationEngine:
     def _run_pool(
         self,
         specs: Sequence[Dict[str, Any]],
-        frontends_by_id: Dict[int, Dict[str, Any]],
+        shared: frozenset,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Iterator[Tuple[int, str, Optional[CostReport]]]:
         """Execute task specs on a process pool, surviving dead workers.
@@ -737,10 +734,8 @@ class ExplorationEngine:
         specs whose futures broke are counted as crash suspects; a spec in
         flight during :attr:`MAX_CRASH_SUSPICIONS` crashes is recorded as
         failed rather than retried, so a reliably crashing configuration
-        cannot restart pools forever.  The shared frontends reach the
-        workers through the fork-once handoff of :meth:`_make_pool` (or
-        once per worker via the pool initializer on spawn platforms),
-        never once per task spec.
+        cannot restart pools forever.  Each worker keeps the ``shared``
+        stage prefixes it computes in its own memo (see :meth:`_make_pool`).
         """
         queue = list(specs)
         suspicions: Dict[int, int] = {}
@@ -751,7 +746,7 @@ class ExplorationEngine:
                 return
             before = len(queue)
             queue, crashed = yield from self._drain_one_pool(
-                queue, frontends_by_id, should_stop
+                queue, shared, should_stop
             )
             if not crashed and len(queue) == before:
                 # The pool could not make any progress at all (e.g. worker
@@ -776,7 +771,7 @@ class ExplorationEngine:
     def _drain_one_pool(
         self,
         queue: List[Dict[str, Any]],
-        frontends_by_id: Dict[int, Dict[str, Any]],
+        shared: frozenset,
         should_stop: Optional[Callable[[], bool]] = None,
     ):
         """Run specs on one pool; returns ``(unsubmitted, crashed)`` on a break.
@@ -791,7 +786,7 @@ class ExplorationEngine:
         """
         queue = list(queue)
         crashed: List[Dict[str, Any]] = []
-        with self._make_pool(frontends_by_id) as pool:
+        with self._make_pool(shared) as pool:
             futures: Dict[Any, Dict[str, Any]] = {}
             while queue or futures:
                 stopping = should_stop is not None and should_stop()
@@ -833,30 +828,22 @@ class ExplorationEngine:
                     return queue, crashed
         return queue, crashed
 
-    def _make_pool(self, frontends_by_id: Dict[int, Dict[str, Any]]):
-        """A worker pool whose processes hold the shared frontend table.
+    def _make_pool(self, shared: frozenset) -> ProcessPoolExecutor:
+        """A worker pool, each of whose processes memoises ``shared`` prefixes.
 
-        On platforms with ``fork`` the table is published to a module
-        global before the pool starts and each worker inherits it through
-        the forked address space — the bit-blasted AIGs are never pickled,
-        neither per task nor per worker.  Elsewhere (``spawn`` platforms)
-        the table is pickled once per worker via the initializer args, the
-        historical behaviour.
+        A worker's memo keeps every shared prefix it computes and is freed
+        with the pool.  Workers are forked where the platform can.
         """
         import multiprocessing
 
+        context = None
         if "fork" in multiprocessing.get_all_start_methods():
-            global _POOL_FRONTENDS
-            _POOL_FRONTENDS = frontends_by_id
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt_pool_frontends,
-            )
+            context = multiprocessing.get_context("fork")
         return ProcessPoolExecutor(
             max_workers=self.jobs,
-            initializer=_set_worker_frontends,
-            initargs=(frontends_by_id,),
+            mp_context=context,
+            initializer=_start_worker,
+            initargs=(shared,),
         )
 
     @staticmethod
@@ -878,72 +865,19 @@ class ExplorationEngine:
 
     # -- helpers --------------------------------------------------------------
 
-    def _shared_frontends(
-        self,
-        pending: Sequence[Tuple[int, ExplorationTask, Optional[str]]],
-        sources: Dict[Tuple[str, int, Optional[str]], Optional[str]],
-    ) -> Tuple[Dict[Tuple[str, int, Optional[str]], int], Dict[int, Dict[str, Any]]]:
-        """Bit-blast each distinct design instance once, if sharing is on.
-
-        Returns ``(instance -> frontend id, frontend id -> artifacts)``;
-        task specs carry only the small integer id, and the artifact table
-        reaches workers by fork inheritance (or one initializer pickle per
-        worker on spawn platforms) — see :meth:`_make_pool`.
-
-        Known limitation: the bit-blasts run serially in the calling
-        process before any worker starts, and every worker holds the
-        whole table.  For sweeps whose frontend cost rivals the flows
-        themselves, pass ``share_frontend=False`` (CLI
-        ``--no-shared-frontend``) to bit-blast per configuration inside
-        the workers instead.
-        """
-        frontend_ids: Dict[Tuple[str, int, Optional[str]], int] = {}
-        frontends_by_id: Dict[int, Dict[str, Any]] = {}
-        if not self.share_frontend:
-            return frontend_ids, frontends_by_id
-        for _, task, _ in pending:
-            instance = (task.design, task.bitwidth, task.verilog)
-            if instance in frontend_ids or sources[instance] is None:
-                continue
-            try:
-                # The bit-blast runs in the calling process, so it gets the
-                # same per-configuration timeout budget as the flows.
-                guard = _AlarmGuard(self.timeout)
-                try:
-                    artifacts = frontend_artifacts(
-                        task.design, task.bitwidth, verilog=sources[instance]
-                    )
-                finally:
-                    guard.disarm()
-            except Exception:
-                # An unbuildable (or too slow) design is reported per-task
-                # by the worker, with the real error message, instead of
-                # aborting the sweep.
-                continue
-            frontend_id = len(frontends_by_id)
-            frontend_ids[instance] = frontend_id
-            frontends_by_id[frontend_id] = artifacts
-        return frontend_ids, frontends_by_id
-
-    def _task_spec(
-        self,
-        index: int,
-        task: ExplorationTask,
-        frontend_ids: Dict[Tuple[str, int, Optional[str]], int],
-    ) -> Dict[str, Any]:
+    def _task_spec(self, index: int, task: ExplorationTask) -> Dict[str, Any]:
+        parameters = dict(task.configuration.parameters)
+        if task.verilog is not None:
+            parameters.setdefault("verilog", task.verilog)
+        parameters["verify"] = self.verify
         return {
             "index": index,
             "design": task.design,
             "bitwidth": task.bitwidth,
             "flow": task.configuration.flow,
-            "parameters": task.configuration.parameters,
-            "verify": self.verify,
+            "parameters": parameters,
             "cost_model": self.cost_model,
             "timeout": self.timeout,
-            "verilog": task.verilog,
-            "frontend_id": frontend_ids.get(
-                (task.design, task.bitwidth, task.verilog)
-            ),
         }
 
     def _finish(
@@ -990,7 +924,6 @@ class DesignSpaceExplorer:
         jobs: int = 1,
         cache_dir: Union[None, str, ResultCache] = None,
         timeout: Optional[float] = None,
-        share_frontend: bool = True,
     ):
         self.design = design
         self.bitwidth = bitwidth
@@ -1003,7 +936,6 @@ class DesignSpaceExplorer:
             verify=verify,
             cost_model=cost_model,
             timeout=timeout,
-            share_frontend=share_frontend,
         )
         self.reports: Dict[str, CostReport] = {}
         self.errors: Dict[str, str] = {}
@@ -1054,12 +986,8 @@ class DesignSpaceExplorer:
     def pareto_front(self) -> List[ParetoPoint]:
         """Non-dominated points on the (qubits, T-count) plane.
 
-        Dominance rule: a report is dominated iff another report has
-        ``qubits <=`` *and* ``t_count <=`` with at least one strict
-        inequality.  Configurations with *identical* (qubits, T-count) do
-        not dominate each other; the front keeps exactly one representative
-        per distinct cost point — the lexicographically smallest
-        configuration label — so redundant points never appear twice.
+        The dominance rule and the handling of coinciding points are those
+        of :func:`pareto_front_of`.
         """
         self._ensure_explored()
         return pareto_front_of(self.reports)

@@ -6,45 +6,93 @@ shared context dictionary; running it produces a :class:`FlowResult` with
 the final circuit, per-stage timings and the aggregate cost report.  The
 three concrete flows of the paper are assembled in
 :mod:`repro.core.flows`.
+
+Every stage declares the parameters it reads as the keyword-only arguments
+of its body, with their defaults.  Those declarations give each run one
+*prefix key* per stage: a digest of the design instance plus, for every
+stage up to that one, its name and resolved parameter values.  Runs that
+agree on a prefix key compute the same context artefacts up to that stage,
+so a :class:`PrefixMemo` can hand them from one run to the next.
 """
 
 from __future__ import annotations
 
+import difflib
+import hashlib
+import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.cost import CostReport
 from repro.reversible.circuit import ReversibleCircuit
 
-__all__ = ["Flow", "FlowResult", "FlowStage"]
+__all__ = ["Flow", "FlowResult", "FlowStage", "PrefixMemo"]
+
+_MISSING = object()
 
 
 @dataclass
 class FlowStage:
     """One stage of a flow: a name and a context transformer.
 
-    ``provides`` names the context keys the stage is responsible for
-    computing.  When every one of them is already present in the context —
-    e.g. because a batch engine pre-computed the bit-blasted AIG once and
-    shares it across configurations — the stage is skipped entirely and
-    recorded in :attr:`FlowResult.skipped_stages`.
+    ``run(context, **params)`` reads the artefacts of earlier stages from
+    the context and writes its own.  Its keyword-only arguments are the
+    parameters it reads, with their defaults; :attr:`params` holds that
+    declaration and :meth:`Flow.run` passes the resolved values in.
     """
 
     name: str
-    run: Callable[[Dict[str, Any]], None]
-    provides: tuple = ()
+    run: Callable[..., None]
+    params: Dict[str, Any] = field(init=False)
 
-    def is_satisfied_by(self, context: Dict[str, Any]) -> bool:
-        """True when all declared outputs are already in the context.
+    def __post_init__(self) -> None:
+        self.params = {
+            name: parameter.default
+            for name, parameter in inspect.signature(self.run).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
 
-        ``None`` does not satisfy a requirement — a caller forwarding an
-        unset optional artifact (e.g. ``aig=None``) gets the stage run,
-        not a skip into a crash downstream.
-        """
-        return bool(self.provides) and all(
-            context.get(key) is not None for key in self.provides
-        )
+    def resolve(self, parameters: Mapping[str, Any]) -> Dict[str, Any]:
+        """The declared parameters' values in ``parameters``, or their defaults."""
+        return {name: parameters.get(name, d) for name, d in self.params.items()}
+
+
+def _plain(value: Any) -> bool:
+    """True for values whose ``repr`` identifies them: scalars and sequences of them."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return True
+    return isinstance(value, (tuple, list)) and all(_plain(item) for item in value)
+
+
+class PrefixMemo:
+    """Context artefacts of flow stage prefixes, shared between runs.
+
+    :attr:`entries` maps a prefix key to the context keys that prefix wrote,
+    with their values after its last stage.  After stage ``index`` of a run
+    whose prefix keys are ``keys``, ``keep(keys, index)`` decides whether
+    that prefix is stored; without ``keep`` every shareable prefix is.
+    """
+
+    def __init__(self, keep: Optional[Callable[..., bool]] = None) -> None:
+        self.entries: Dict[str, Dict[str, Any]] = {}
+        self.keep = keep or (lambda keys, index: True)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def longest(self, keys: Sequence[Optional[str]]) -> int:
+        """How many leading stages of ``keys`` the longest stored prefix covers."""
+        for count in range(len(keys), 0, -1):
+            if keys[count - 1] in self.entries:
+                return count
+        return 0
+
+    def retain(self, chains: Iterable[Sequence[Optional[str]]]) -> None:
+        """Drop every entry that no run with one of ``chains`` would read."""
+        read = {chain[n - 1] for chain in chains if (n := self.longest(chain))}
+        for key in set(self.entries) - read:
+            del self.entries[key]
 
 
 @dataclass
@@ -68,10 +116,11 @@ class FlowResult:
 class Flow:
     """A named sequence of stages producing a reversible circuit.
 
-    The context dictionary is seeded with ``design``, ``bitwidth`` and any
-    keyword arguments of :meth:`run`; stages communicate by reading and
-    writing context keys (``verilog``, ``aig``, ``esop``, ``xmg``,
-    ``circuit``, ...).  The final stage must set ``circuit``.
+    The context dictionary is seeded with ``design``, ``bitwidth``, an empty
+    ``extra_metrics`` dict and the keyword arguments of :meth:`run`; stages
+    communicate by reading and writing context keys (``verilog``, ``aig``,
+    ``esop``, ``xmg``, ``circuit``, ...).  The final stage must set
+    ``circuit``.
     """
 
     def __init__(self, name: str, stages: List[FlowStage], cost_model: str = "rtof"):
@@ -85,24 +134,82 @@ class Flow:
         """Names of the stages in execution order."""
         return [stage.name for stage in self.stages]
 
-    def run(self, design: str, bitwidth: int, **parameters: Any) -> FlowResult:
-        """Execute the flow for one design instance."""
-        context: Dict[str, Any] = {
-            "design": design,
-            "bitwidth": bitwidth,
-            **parameters,
-        }
+    def parameter_names(self) -> List[str]:
+        """Every parameter some stage declares, sorted."""
+        return sorted({name for stage in self.stages for name in stage.params})
+
+    def check_parameters(self, parameters: Mapping[str, Any]) -> None:
+        """Reject a parameter no stage declares, naming the closest declared one."""
+        known = self.parameter_names()
+        for name in (name for name in parameters if name not in known):
+            message = f"unknown parameter {name!r} for flow {self.name!r}"
+            close = difflib.get_close_matches(name, known, n=1, cutoff=0.6)
+            if close:
+                message += f"; did you mean {close[0]!r}?"
+            raise ValueError(f"{message} (declared: {', '.join(known)})")
+
+    def prefix_keys(
+        self, design: str, bitwidth: int, parameters: Mapping[str, Any]
+    ) -> List[Optional[str]]:
+        """One prefix key per stage, ``None`` from the first unshareable stage.
+
+        A key digests the design instance (name, bit-width and any
+        ``verilog`` text, which the frontend stage declares) and, for every
+        stage up to its own, the stage name and resolved parameter values.
+        A stage whose values are not plain (a pre-built pipeline, a seeded
+        ``aig``) ends the shareable prefix.
+        """
+        keys: List[Optional[str]] = []
+        digest = hashlib.sha256(repr((design, bitwidth)).encode())
+        shareable = _plain([design, bitwidth])
+        for stage in self.stages:
+            values = sorted(stage.resolve(parameters).items())
+            shareable = shareable and _plain([value for _, value in values])
+            if shareable:
+                digest.update(repr((stage.name, values)).encode())
+            keys.append(digest.copy().hexdigest() if shareable else None)
+        return keys
+
+    def run(
+        self,
+        design: str,
+        bitwidth: int,
+        memo: Optional[PrefixMemo] = None,
+        **parameters: Any,
+    ) -> FlowResult:
+        """Execute the flow for one design instance.
+
+        With a ``memo``, the longest stage prefix stored under this run's
+        prefix keys is restored instead of run (its stages read 0.0 s and
+        are listed in :attr:`FlowResult.skipped_stages`), and every prefix
+        the memo keeps is stored once its last stage ran.
+        """
+        self.check_parameters(parameters)
+        seeds = {"design": design, "bitwidth": bitwidth, "extra_metrics": {}}
+        seeds.update(parameters)
+        context: Dict[str, Any] = dict(seeds)
+        keys = [] if memo is None else self.prefix_keys(design, bitwidth, parameters)
+        served = 0 if memo is None else memo.longest(keys)
+        if served:
+            context.update(memo.entries[keys[served - 1]])
         stage_runtimes: Dict[str, float] = {}
         skipped_stages: List[str] = []
         start = time.perf_counter()
-        for stage in self.stages:
-            if stage.is_satisfied_by(context):
+        for index, stage in enumerate(self.stages):
+            if index < served:
                 stage_runtimes[stage.name] = 0.0
                 skipped_stages.append(stage.name)
                 continue
             stage_start = time.perf_counter()
-            stage.run(context)
+            stage.run(context, **stage.resolve(parameters))
             stage_runtimes[stage.name] = time.perf_counter() - stage_start
+            if memo is not None and keys[index] is not None and memo.keep(keys, index):
+                # What the prefix wrote: every key whose value is not a seed.
+                memo.entries[keys[index]] = {
+                    key: value
+                    for key, value in context.items()
+                    if seeds.get(key, _MISSING) is not value
+                }
         total_runtime = time.perf_counter() - start
 
         circuit = context.get("circuit")

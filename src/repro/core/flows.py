@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.flow import Flow, FlowResult, FlowStage
+from repro.core.flow import Flow, FlowResult, FlowStage, PrefixMemo
 from repro.hdl.designs import intdiv_verilog, newton_verilog
 from repro.hdl.synthesize import synthesize_verilog
 from repro.logic.aig import Aig
@@ -54,6 +54,7 @@ __all__ = [
     "frontend_artifacts",
     "hierarchical_flow",
     "lut_flow",
+    "make_flow",
     "run_flow",
     "symbolic_flow",
 ]
@@ -83,75 +84,56 @@ def design_source(design: str, bitwidth: int) -> str:
 # -- shared stages ------------------------------------------------------------
 
 
-def _stage_frontend(context: Dict[str, Any]) -> None:
-    """Design entry: generate/accept Verilog and bit-blast it into an AIG.
+def _add_metrics(context: Dict[str, Any], **metrics: Any) -> None:
+    """Merge ``metrics`` into a new ``extra_metrics`` (a memo may hold the old one)."""
+    context["extra_metrics"] = {**context["extra_metrics"], **metrics}
 
-    The stage declares that it ``provides`` the AIG, so :meth:`Flow.run`
-    skips it whenever ``aig`` is already seeded into the context (a
-    pre-built AIG passed to :func:`run_flow`, or the shared frontend of a
-    batch exploration).
-    """
-    source = context.get("verilog")
-    if source is None:
-        source = design_source(context["design"], context["bitwidth"])
-        context["verilog"] = source
-    context["aig"] = synthesize_verilog(source)
+
+def _stage_frontend(context: Dict[str, Any], *, verilog=None, aig=None) -> None:
+    """Design entry: bit-blast the (generated) Verilog; a seeded ``aig`` is kept."""
+    if aig is not None:
+        return
+    if verilog is None:
+        verilog = design_source(context["design"], context["bitwidth"])
+        context["verilog"] = verilog
+    context["aig"] = synthesize_verilog(verilog)
 
 
 def frontend_artifacts(
     design: str, bitwidth: int, verilog: Optional[str] = None
 ) -> Dict[str, Any]:
-    """Pre-compute the shared frontend stage of every flow.
-
-    Returns ``{"verilog": source, "aig": aig}`` ready to be passed as extra
-    keyword arguments to :func:`run_flow`; seeding these artifacts skips
-    the frontend stage.  The optimisation passes downstream are purely
-    functional (they never mutate their input AIG), so one bit-blasted AIG
-    is safe to share across arbitrarily many configurations of the same
-    design instance.
-    """
-    context: Dict[str, Any] = {"design": design, "bitwidth": bitwidth}
-    if verilog is not None:
-        context["verilog"] = verilog
-    _stage_frontend(context)
-    return {"verilog": context["verilog"], "aig": context["aig"]}
+    """The frontend stage's artefacts, ``{"verilog": source, "aig": aig}``."""
+    source = design_source(design, bitwidth) if verilog is None else verilog
+    return {"verilog": source, "aig": synthesize_verilog(source)}
 
 
 def _make_optimize_stage(script: str, rounds: int) -> FlowStage:
-    """The AIG optimisation stage, now a pass-manager pipeline.
+    """The AIG optimisation stage, a pass-manager pipeline.
 
-    ``script``/``rounds`` give the flow's default pipeline (the historical
-    per-flow ABC script); the ``opt`` context key — a pipeline spec string
-    such as ``"b;rw;rf"`` or ``"dc2*3"``, or a pre-built
-    :class:`repro.opt.Pipeline` — overrides it per run, with ``"none"``
-    disabling AIG optimisation entirely.  ``opt_guard`` optionally enables
-    the per-pass differential equivalence guard
-    (``off``/``sampled``/``full``/``auto``).
+    ``opt`` is a pipeline spec such as ``"b;rw;rf"`` or ``"dc2*3"``, or a
+    pre-built :class:`repro.opt.Pipeline`; it defaults to the flow's
+    historical ABC script ``(script)*rounds``, and ``"none"`` disables AIG
+    optimisation.  ``opt_guard`` optionally enables the per-pass
+    differential equivalence guard (``off``/``sampled``/``full``/``auto``).
     """
     default_spec = f"({script})*{rounds}"
 
-    def run(context: Dict[str, Any]) -> None:
-        spec = context.get("opt")
-        pipeline = as_pipeline(default_spec if spec is None else spec)
+    def optimize(context: Dict[str, Any], *, opt=default_spec, opt_guard="off") -> None:
+        pipeline = as_pipeline(default_spec if opt is None else opt)
         # The pre-optimisation AIG is the specification the verify stage
         # checks against; keeping it aside means a buggy optimisation
         # pass corrupts the implementation but never the reference.
-        context.setdefault("spec_aig", context["aig"])
-        result = pipeline.run(
-            context["aig"], guard=context.get("opt_guard", "off")
-        )
+        context["spec_aig"] = context["aig"]
+        result = pipeline.run(context["aig"], guard=opt_guard)
         context["aig"] = result.network
         context["opt_reports"] = result.reports
-        context["extra_metrics"] = {
-            **context.get("extra_metrics", {}),
-            "opt_pipeline": str(pipeline),
-            "opt_gates": result.network.num_gates(),
-        }
+        gates = result.network.num_gates()
+        _add_metrics(context, opt_pipeline=str(pipeline), opt_gates=gates)
 
-    return FlowStage("optimize", run)
+    return FlowStage("optimize", optimize)
 
 
-def _stage_xmg_opt(context: Dict[str, Any]) -> None:
+def _stage_xmg_opt(context: Dict[str, Any], *, xmg_opt=None, opt_guard="off") -> None:
     """Optional XMG optimisation pipeline between mapping and synthesis.
 
     Disabled by default (``xmg_opt`` unset/None/"none"): pass a spec such
@@ -160,24 +142,27 @@ def _stage_xmg_opt(context: Dict[str, Any]) -> None:
     count — and therefore the Toffoli blocks and T-count — of the
     hierarchical synthesis back-end.
     """
-    spec = context.get("xmg_opt")
-    pipeline = as_pipeline(spec)
-    if not len(pipeline):
-        return
-    result = pipeline.run(
-        context["xmg"], guard=context.get("opt_guard", "off")
-    )
-    context["xmg"] = result.network
+    pipeline = as_pipeline(xmg_opt)
+    if len(pipeline):
+        context["xmg"] = _run_xmg_pipeline(context, pipeline, context["xmg"], opt_guard)
+
+
+def _run_xmg_pipeline(context: Dict[str, Any], pipeline, xmg, guard: str):
+    """Run an ``xmg_opt`` pipeline on ``xmg``, record it, return the result."""
+    result = pipeline.run(xmg, guard=guard)
     context["xmg_opt_reports"] = result.reports
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "xmg_opt_pipeline": str(pipeline),
-        "xmg_maj": result.network.num_maj(),
-        "xmg_xor": result.network.num_xor(),
-    }
+    _add_metrics(
+        context,
+        xmg_opt_pipeline=str(pipeline),
+        xmg_maj=result.network.num_maj(),
+        xmg_xor=result.network.num_xor(),
+    )
+    return result.network
 
 
-def _stage_rev_opt(context: Dict[str, Any]) -> None:
+def _stage_rev_opt(
+    context: Dict[str, Any], *, rev_opt=None, post_optimize=False, opt_guard="off"
+) -> None:
     """Optional peephole optimisation of the synthesised cascade.
 
     ``rev_opt`` is a pass-manager pipeline spec over the ``rev`` target —
@@ -187,25 +172,31 @@ def _stage_rev_opt(context: Dict[str, Any]) -> None:
     per-pass differential guard (``opt_guard``).  The historical boolean
     ``post_optimize`` parameter maps to the default pipeline.
     """
-    spec = context.get("rev_opt")
-    if spec is None and context.get("post_optimize", False):
-        spec = "rev-default"
-    pipeline = as_pipeline(spec)
+    if rev_opt is None and post_optimize:
+        rev_opt = "rev-default"
+    pipeline = as_pipeline(rev_opt)
     if not len(pipeline):
         return
     before = context["circuit"]
-    result = pipeline.run(before, guard=context.get("opt_guard", "off"))
+    result = pipeline.run(before, guard=opt_guard)
     context["circuit"] = result.network
     context["rev_opt_reports"] = result.reports
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "rev_opt_pipeline": str(pipeline),
-        "rev_opt_gates_before": before.num_gates(),
-        "rev_opt_gates": result.network.num_gates(),
-    }
+    _add_metrics(
+        context,
+        rev_opt_pipeline=str(pipeline),
+        rev_opt_gates_before=before.num_gates(),
+        rev_opt_gates=result.network.num_gates(),
+    )
 
 
-def _stage_resources(context: Dict[str, Any]) -> None:
+def _stage_resources(
+    context: Dict[str, Any],
+    *,
+    map_model=None,
+    qc_opt=None,
+    qc_opt_guard=None,
+    opt_guard="off",
+) -> None:
     """Optional explicit Clifford+T mapping and resource estimation.
 
     ``map_model`` selects the decomposition model (``"rtof"`` — 4-T
@@ -219,24 +210,23 @@ def _stage_resources(context: Dict[str, Any]) -> None:
     qubits).  Skipped entirely when ``map_model`` is unset, so flows only
     pay for the expansion when asked.
     """
-    model = context.get("map_model")
-    if model is None:
+    if map_model is None:
         return
     from repro.quantum.mapping import map_to_clifford_t
     from repro.quantum.resources import estimate_resources
     from repro.verify.differential import QUANTUM_EQUIV_QUBIT_LIMIT
 
-    quantum = map_to_clifford_t(context["circuit"], model=model)
-    qc_pipeline = as_pipeline(context.get("qc_opt"))
+    quantum = map_to_clifford_t(context["circuit"], model=map_model)
+    qc_pipeline = as_pipeline(qc_opt)
     if len(qc_pipeline):
         # The quantum guard compares full statevectors — exponential in
         # qubits.  An explicit ``qc_opt_guard`` is always honoured (and
         # raises loudly when infeasible); otherwise the stage inherits
         # ``opt_guard`` whenever the mapped circuit is small enough for
         # the statevector checker.
-        guard = context.get("qc_opt_guard")
+        guard = qc_opt_guard
         if guard is None:
-            guard = context.get("opt_guard", "off")
+            guard = opt_guard
             if quantum.num_qubits > QUANTUM_EQUIV_QUBIT_LIMIT:
                 guard = "off"
         result = qc_pipeline.run(quantum, guard=guard)
@@ -245,42 +235,53 @@ def _stage_resources(context: Dict[str, Any]) -> None:
     estimate = estimate_resources(quantum)
     context["quantum_circuit"] = quantum
     context["resources"] = estimate
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "map_model": model,
-        "qc_t_count": estimate.t_count,
-    }
+    _add_metrics(context, map_model=map_model, qc_t_count=estimate.t_count)
 
 
-def _stage_verify(context: Dict[str, Any]) -> None:
+def _stage_verify(
+    context: Dict[str, Any],
+    *,
+    verify=True,
+    verify_samples=256,
+    verify_seed=1,
+    verify_input_limit=AUTO_FULL_LIMIT,
+) -> None:
     """ABC ``cec`` analogue: differentially compare circuit and AIG.
 
-    ``verify`` in the context is a bool (historical) or one of the named
-    modes ``off`` / ``sampled`` / ``full`` / ``auto``; the check itself is
-    the bit-parallel differential checker of :mod:`repro.verify`, which
-    simulates the bit-blasted AIG and the synthesised reversible circuit
-    on the same packed pattern batch.  The reference is ``spec_aig`` —
-    the AIG *before* any optimisation pipeline touched it — so a buggy
-    pass (or a buggy XMG round-trip) makes verification fail instead of
-    silently verifying the circuit against its own corrupted input.
+    ``verify`` is a bool (historical) or one of the named modes ``off`` /
+    ``sampled`` / ``full`` / ``auto``; the check itself is the bit-parallel
+    differential checker of :mod:`repro.verify`, which simulates the
+    bit-blasted AIG and the synthesised reversible circuit on the same
+    packed pattern batch.  The reference is ``spec_aig`` — the AIG *before*
+    any optimisation pipeline touched it — so a buggy pass (or a buggy XMG
+    round-trip) makes verification fail instead of silently verifying the
+    circuit against its own corrupted input.
     """
-    mode = normalize_verify_mode(context.get("verify", True))
+    mode = normalize_verify_mode(verify)
     if mode == "off":
         context["verified"] = None
         return
-    aig: Aig = context.get("spec_aig") or context["aig"]
     result = check_equivalent(
-        aig,
+        context["spec_aig"],
         context["circuit"],
         mode=mode,
-        num_samples=context.get("verify_samples", 256),
-        seed=context.get("verify_seed", 1),
-        auto_full_limit=context.get("verify_input_limit", AUTO_FULL_LIMIT),
+        num_samples=verify_samples,
+        seed=verify_seed,
+        auto_full_limit=verify_input_limit,
     )
     if not result:
         raise RuntimeError(f"flow verification failed: {result.message}")
     context["verified"] = True
     context["verify_complete"] = result.complete
+
+
+def _tail_stages() -> List[FlowStage]:
+    """The stages every flow ends with: rev-opt, verify and resources."""
+    return [
+        FlowStage("rev-opt", _stage_rev_opt),
+        FlowStage("verify", _stage_verify),
+        FlowStage("resources", _stage_resources),
+    ]
 
 
 # -- symbolic functional flow -----------------------------------------------------
@@ -290,20 +291,17 @@ def _stage_collapse_bdd(context: Dict[str, Any]) -> None:
     manager, roots = collapse_to_bdd(context["aig"])
     context["bdd"] = (manager, roots)
     context["function"] = bdd_to_truth_table(manager, roots)
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "bdd_nodes": manager.node_count(roots),
-    }
+    _add_metrics(context, bdd_nodes=manager.node_count(roots))
 
 
 def _stage_embed(context: Dict[str, Any]) -> None:
     context["embedding"] = optimum_embedding(context["function"])
 
 
-def _stage_tbs(context: Dict[str, Any]) -> None:
+def _stage_tbs(context: Dict[str, Any], *, bidirectional=True) -> None:
     context["circuit"] = symbolic_tbs(
         context["embedding"],
-        bidirectional=context.get("bidirectional", True),
+        bidirectional=bidirectional,
         name=f"{context['design']}_{context['bitwidth']}_symbolic",
     )
 
@@ -313,14 +311,12 @@ def symbolic_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flo
     return Flow(
         "symbolic",
         [
-            FlowStage("frontend", _stage_frontend, provides=("aig",)),
+            FlowStage("frontend", _stage_frontend),
             _make_optimize_stage("dc2", optimization_rounds),
             FlowStage("collapse", _stage_collapse_bdd),
             FlowStage("embed", _stage_embed),
             FlowStage("tbs", _stage_tbs),
-            FlowStage("rev-opt", _stage_rev_opt),
-            FlowStage("verify", _stage_verify),
-            FlowStage("resources", _stage_resources),
+            *_tail_stages(),
         ],
         cost_model=cost_model,
     )
@@ -332,18 +328,15 @@ def symbolic_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flo
 def _stage_esop_extract(context: Dict[str, Any]) -> None:
     cover = collapse_to_esop(context["aig"], minimize=True)
     context["esop"] = cover
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "esop_terms": cover.num_terms(),
-        "esop_shared_terms": cover.shared_terms(),
-    }
+    terms, shared = cover.num_terms(), cover.shared_terms()
+    _add_metrics(context, esop_terms=terms, esop_shared_terms=shared)
 
 
-def _stage_esop_synthesis(context: Dict[str, Any]) -> None:
+def _stage_esop_synthesis(context: Dict[str, Any], *, p=0) -> None:
     context["circuit"] = esop_synthesis(
         context["esop"],
-        p=context.get("p", 0),
-        name=f"{context['design']}_{context['bitwidth']}_esop_p{context.get('p', 0)}",
+        p=p,
+        name=f"{context['design']}_{context['bitwidth']}_esop_p{p}",
     )
 
 
@@ -352,13 +345,11 @@ def esop_flow(cost_model: str = "rtof", optimization_rounds: int = 1) -> Flow:
     return Flow(
         "esop",
         [
-            FlowStage("frontend", _stage_frontend, provides=("aig",)),
+            FlowStage("frontend", _stage_frontend),
             _make_optimize_stage("dc2", optimization_rounds),
             FlowStage("exorcism", _stage_esop_extract),
             FlowStage("esop-synthesis", _stage_esop_synthesis),
-            FlowStage("rev-opt", _stage_rev_opt),
-            FlowStage("verify", _stage_verify),
-            FlowStage("resources", _stage_resources),
+            *_tail_stages(),
         ],
         cost_model=cost_model,
     )
@@ -367,20 +358,16 @@ def esop_flow(cost_model: str = "rtof", optimization_rounds: int = 1) -> Flow:
 # -- hierarchical flow -----------------------------------------------------------------
 
 
-def _stage_xmg_map(context: Dict[str, Any]) -> None:
-    xmg = aig_to_xmg(context["aig"], k=context.get("lut_size", 4))
+def _stage_xmg_map(context: Dict[str, Any], *, lut_size=4) -> None:
+    xmg = aig_to_xmg(context["aig"], k=lut_size)
     context["xmg"] = xmg
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "xmg_maj": xmg.num_maj(),
-        "xmg_xor": xmg.num_xor(),
-    }
+    _add_metrics(context, xmg_maj=xmg.num_maj(), xmg_xor=xmg.num_xor())
 
 
-def _stage_hierarchical(context: Dict[str, Any]) -> None:
+def _stage_hierarchical(context: Dict[str, Any], *, strategy="bennett") -> None:
     context["circuit"] = hierarchical_synthesis(
         context["xmg"],
-        strategy=context.get("strategy", "bennett"),
+        strategy=strategy,
         name=f"{context['design']}_{context['bitwidth']}_hier",
     )
 
@@ -396,14 +383,12 @@ def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) ->
     return Flow(
         "hierarchical",
         [
-            FlowStage("frontend", _stage_frontend, provides=("aig",)),
+            FlowStage("frontend", _stage_frontend),
             _make_optimize_stage("resyn2", optimization_rounds),
             FlowStage("xmglut", _stage_xmg_map),
             FlowStage("xmg-opt", _stage_xmg_opt),
             FlowStage("hierarchical-synthesis", _stage_hierarchical),
-            FlowStage("rev-opt", _stage_rev_opt),
-            FlowStage("verify", _stage_verify),
-            FlowStage("resources", _stage_resources),
+            *_tail_stages(),
         ],
         cost_model=cost_model,
     )
@@ -412,7 +397,9 @@ def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) ->
 # -- LUT-based hierarchical flow (pebbling) ------------------------------------------
 
 
-def _stage_xmg_roundtrip(context: Dict[str, Any]) -> None:
+def _stage_xmg_roundtrip(
+    context: Dict[str, Any], *, xmg_opt=None, xmg_opt_k=4, opt_guard="off"
+) -> None:
     """Optional XMG optimisation of the LUT flow's AIG (round-trip).
 
     The LUT flow consumes an AIG, so the XMG pass library reaches it by
@@ -421,63 +408,55 @@ def _stage_xmg_roundtrip(context: Dict[str, Any]) -> None:
     ``"xmg-default"``) and expanding the result back with
     :func:`~repro.logic.xmg_mapping.xmg_to_aig`.  The round-tripped AIG
     carries the XOR/MAJ structure the pipeline found, which LUT covering
-    packs into fewer, cheaper LUTs.  Disabled by default.
+    packs into fewer, cheaper LUTs.  Disabled by default.  ``xmg_opt_k``
+    sizes the AIG->XMG mapping of the round-trip; it is deliberately
+    independent of the LUT covering size ``k`` downstream.
     """
-    spec = context.get("xmg_opt")
-    pipeline = as_pipeline(spec)
+    pipeline = as_pipeline(xmg_opt)
     if not len(pipeline):
         return
     from repro.logic.xmg_mapping import xmg_to_aig
 
-    context.setdefault("spec_aig", context["aig"])
-    # ``xmg_opt_k`` sizes the AIG->XMG mapping of the round-trip; it is
-    # deliberately independent of the LUT covering size ``k`` downstream.
-    xmg = aig_to_xmg(context["aig"], k=context.get("xmg_opt_k", 4))
-    result = pipeline.run(xmg, guard=context.get("opt_guard", "off"))
-    context["aig"] = xmg_to_aig(result.network)
-    context["xmg_opt_reports"] = result.reports
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "xmg_opt_pipeline": str(pipeline),
-        "xmg_maj": result.network.num_maj(),
-        "xmg_xor": result.network.num_xor(),
-    }
+    xmg = aig_to_xmg(context["aig"], k=xmg_opt_k)
+    context["aig"] = xmg_to_aig(_run_xmg_pipeline(context, pipeline, xmg, opt_guard))
 
 
-def _stage_lut_map(context: Dict[str, Any]) -> None:
+def _stage_lut_map(
+    context: Dict[str, Any], *, k=4, max_cuts=8, cut_selection="area"
+) -> None:
+    """k-LUT covering of the AIG (``cut_selection``: ``area`` or ``depth``)."""
     from repro.logic.cuts import lut_map
 
-    mapping = lut_map(
-        context["aig"],
-        k=context.get("k", 4),
-        max_cuts=context.get("max_cuts", 8),
-        selection=context.get("cut_selection", "area"),
-    )
+    mapping = lut_map(context["aig"], k=k, max_cuts=max_cuts, selection=cut_selection)
     context["lut_mapping"] = mapping
-    context["extra_metrics"] = {
-        **context.get("extra_metrics", {}),
-        "num_luts": mapping.num_luts(),
-        "lut_depth": mapping.depth(),
-    }
+    _add_metrics(context, num_luts=mapping.num_luts(), lut_depth=mapping.depth())
 
 
-def _stage_pebble(context: Dict[str, Any]) -> None:
+def _stage_pebble(
+    context: Dict[str, Any],
+    *,
+    strategy="bennett",
+    max_pebbles=None,
+    exact_time_budget=None,
+) -> None:
+    """Schedule the LUT DAG with a registered pebbling strategy.
+
+    ``max_pebbles`` is the budget of the bounded and exact strategies (an
+    int, or a float in ``(0, 1)`` as a fraction of the LUT count);
+    ``exact_time_budget`` caps the seconds the ``exact`` strategy spends
+    in SAT.
+    """
     from repro.reversible.pebbling import make_schedule
 
-    strategy = context.get("strategy", "bennett")
     options: Dict[str, Any] = {}
-    if strategy == "exact" and context.get("exact_time_budget") is not None:
-        options["time_budget"] = float(context["exact_time_budget"])
+    if strategy == "exact" and exact_time_budget is not None:
+        options["time_budget"] = float(exact_time_budget)
     schedule = make_schedule(
-        context["lut_mapping"],
-        strategy=strategy,
-        max_pebbles=context.get("max_pebbles"),
-        **options,
+        context["lut_mapping"], strategy=strategy, max_pebbles=max_pebbles, **options
     )
     stats = schedule.stats()  # cached from make_schedule's validation
     context["schedule"] = schedule
-    extra = {
-        **context.get("extra_metrics", {}),
+    metrics: Dict[str, Any] = {
         "pebble_peak": stats.pebble_peak,
         "schedule_steps": stats.num_steps,
         "recomputes": schedule.num_recomputes(),
@@ -485,48 +464,35 @@ def _stage_pebble(context: Dict[str, Any]) -> None:
     if schedule.info:
         # The exact engine's provenance: which SAT regime ran and whether
         # move-optimality was proven within the time budget.
-        extra["pebble_engine"] = schedule.info.get("engine")
-        extra["pebble_optimal"] = bool(schedule.info.get("optimal"))
-    context["extra_metrics"] = extra
+        metrics["pebble_engine"] = schedule.info.get("engine")
+        metrics["pebble_optimal"] = bool(schedule.info.get("optimal"))
+    _add_metrics(context, **metrics)
 
 
-def _stage_lut_synthesis(context: Dict[str, Any]) -> None:
+def _stage_lut_synthesis(context: Dict[str, Any], *, lut_synth="esop") -> None:
+    """Per-LUT sub-synthesis (``esop``, ``exact`` or ``tbs``) of each step."""
     from repro.reversible.lut_synth import synthesize_schedule
 
     context["circuit"] = synthesize_schedule(
         context["schedule"],
         name=f"{context['design']}_{context['bitwidth']}_lut",
-        lut_synth=context.get("lut_synth", "esop"),
+        lut_synth=lut_synth,
         validate=False,  # the pebble stage already validated
     )
 
 
 def lut_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flow:
-    """The LUT-based hierarchical flow with a reversible pebbling scheduler.
-
-    Parameters consumed from the flow context: ``k`` (LUT size, default 4),
-    ``max_cuts`` (priority-cut bound), ``cut_selection`` (``area`` —
-    default — or ``depth``), ``strategy`` (a registered pebbling strategy:
-    ``bennett`` / ``eager`` / ``bounded`` / ``exact``), ``max_pebbles``
-    (pebble budget of the bounded and exact strategies; an int, or a float
-    in ``(0, 1)`` as a fraction of the LUT count), ``exact_time_budget``
-    (wall-clock seconds the ``exact`` strategy may spend in SAT),
-    ``lut_synth`` (per-LUT sub-synthesizer, ``esop``, ``exact`` or
-    ``tbs``) and ``xmg_opt`` (optional XMG round-trip optimisation
-    pipeline, see :func:`_stage_xmg_roundtrip`).
-    """
+    """The LUT-based hierarchical flow with a reversible pebbling scheduler."""
     return Flow(
         "lut",
         [
-            FlowStage("frontend", _stage_frontend, provides=("aig",)),
+            FlowStage("frontend", _stage_frontend),
             _make_optimize_stage("resyn2", optimization_rounds),
             FlowStage("xmg-opt", _stage_xmg_roundtrip),
             FlowStage("lut-map", _stage_lut_map),
             FlowStage("pebble", _stage_pebble),
             FlowStage("lut-synthesis", _stage_lut_synthesis),
-            FlowStage("rev-opt", _stage_rev_opt),
-            FlowStage("verify", _stage_verify),
-            FlowStage("resources", _stage_resources),
+            *_tail_stages(),
         ],
         cost_model=cost_model,
     )
@@ -545,45 +511,43 @@ def available_flows() -> List[str]:
     return list(_FLOW_FACTORIES)
 
 
+def make_flow(flow: str, cost_model: str = "rtof") -> Flow:
+    """A fresh :class:`Flow` object of one registered flow."""
+    if flow not in _FLOW_FACTORIES:
+        raise ValueError(
+            f"unknown flow {flow!r}; available: {', '.join(available_flows())}"
+        )
+    return _FLOW_FACTORIES[flow](cost_model=cost_model)
+
+
 def run_flow(
     flow: str,
     design: Union[str, Aig],
     bitwidth: int,
     verify: Union[bool, str] = True,
     cost_model: str = "rtof",
+    memo: Optional[PrefixMemo] = None,
     **parameters: Any,
 ) -> FlowResult:
     """Run one named flow on one design instance.
 
-    ``design`` is ``"intdiv"``, ``"newton"``, or a pre-built
+    ``design`` is ``"intdiv"``, ``"newton"``, ``"isqrt"``, or a pre-built
     :class:`~repro.logic.aig.Aig` (in which case ``bitwidth`` is only used
     for reporting).  ``verify`` is a bool or one of the named modes
     ``off`` / ``sampled`` / ``full`` / ``auto`` (see
-    :mod:`repro.verify.differential`).  ``parameters`` are forwarded to the
-    stages (``p``, ``strategy``, ``lut_size``, ``k``, ``max_pebbles``,
-    ``exact_time_budget``, ``lut_synth``, ``bidirectional``,
-    ``verilog``, ``verify_samples``,
-    ``opt`` — an AIG pipeline spec such as ``"b;rw;rf"`` or ``"none"`` —
-    ``xmg_opt`` — an XMG pipeline spec such as ``"xmg-default"`` for the
-    hierarchical flow — ``rev_opt`` — a reversible peephole pipeline spec
-    such as ``"rev-default"``, run on the synthesised cascade of every
-    flow — ``map_model`` — ``"rtof"`` or ``"barenco"``, enabling the
-    explicit Clifford+T mapping and folding T-depth/depth resource metrics
-    into the report — ``qc_opt`` — a Clifford+T peephole pipeline spec
-    such as ``"qc-default"``, run on the mapped circuit — ``opt_guard``,
-    the per-pass equivalence guard mode shared by every pipeline stage —
-    and ``qc_opt_guard``, overriding the guard for the ``qc_opt``
-    pipeline only (without it, ``opt_guard`` applies whenever the mapped
-    circuit fits the statevector checker's qubit limit), ...).
+    :mod:`repro.verify.differential`).  ``parameters`` are the stage
+    parameters: each stage body of this module declares the ones it reads,
+    with their defaults, as keyword-only arguments, and
+    ``make_flow(flow).parameter_names()`` lists a flow's.  A name no stage
+    declares raises ``ValueError``.  ``memo`` shares stage prefixes with
+    other runs (see :meth:`Flow.run`).
     """
-    if flow not in _FLOW_FACTORIES:
-        raise ValueError(
-            f"unknown flow {flow!r}; available: {', '.join(available_flows())}"
-        )
-    flow_object = _FLOW_FACTORIES[flow](cost_model=cost_model)
+    flow_object = make_flow(flow, cost_model)
     if isinstance(design, Aig):
         parameters = {**parameters, "aig": design}
         design_name = design.name or "custom"
     else:
         design_name = design
-    return flow_object.run(design_name, bitwidth, verify=verify, **parameters)
+    return flow_object.run(
+        design_name, bitwidth, memo=memo, verify=verify, **parameters
+    )

@@ -28,6 +28,7 @@ reported in Table IV.  Two ancilla management strategies are provided
 
 from __future__ import annotations
 
+import difflib
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.xmg import Xmg, lit_is_compl, lit_node
@@ -37,12 +38,29 @@ from repro.reversible.gates import ToffoliGate
 __all__ = ["hierarchical_synthesis"]
 
 
+#: Cleanup strategies of hierarchical synthesis, and their aliases.
+_STRATEGIES = ("bennett", "per_output")
+_ALIASES = {"eager": "per_output"}
+
+
+def _check_strategy(strategy: str) -> str:
+    """The canonical strategy name; ``ValueError`` with a did-you-mean if unknown."""
+    strategy = _ALIASES.get(strategy, strategy)
+    if strategy in _STRATEGIES:
+        return strategy
+    names = [*_STRATEGIES, *_ALIASES]
+    message = (
+        f"unknown strategy {strategy!r} for the hierarchical flow's 'strategy' "
+        f"parameter; expected 'bennett' or 'per_output' (alias 'eager')"
+    )
+    close = difflib.get_close_matches(str(strategy), names, n=1, cutoff=0.5)
+    if close:
+        message += f"; did you mean {close[0]!r}?"
+    raise ValueError(message)
+
+
 class _Compiler:
     def __init__(self, xmg: Xmg, strategy: str, name: str):
-        if strategy == "eager":
-            strategy = "per_output"
-        if strategy not in ("bennett", "per_output"):
-            raise ValueError(f"unknown cleanup strategy {strategy!r}")
         self.xmg = xmg
         self.strategy = strategy
         self.circuit = ReversibleCircuit(name)
@@ -219,4 +237,4 @@ def hierarchical_synthesis(
     All strategies produce a clean circuit: every ancilla returns to zero and
     the primary inputs are preserved.
     """
-    return _Compiler(xmg.cleanup(), strategy, name).run()
+    return _Compiler(xmg.cleanup(), _check_strategy(strategy), name).run()

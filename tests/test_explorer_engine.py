@@ -16,7 +16,7 @@ from repro.core.explorer import (
     build_sweep,
     pareto_front_of,
 )
-from repro.core.flows import frontend_artifacts, run_flow
+from repro.core.flows import run_flow
 from repro.core.reports import outcome_table, reports_from_json, reports_to_json
 from repro.cli import main, build_parser, parse_sweep_spec
 
@@ -208,32 +208,6 @@ class TestEngineExecution:
         result = run_flow("esop", "intdiv", 3, verify=False, p=0, aig=None)
         assert result.report.qubits > 0
         assert "frontend" not in result.skipped_stages
-
-    def test_configuration_verilog_wins_over_shared_frontend(self):
-        custom = (
-            "module intdiv (input [2:0] a, output [2:0] y); assign y = ~a; endmodule\n"
-        )
-        config = FlowConfiguration("esop", (("p", 0), ("verilog", custom)))
-        tasks = build_sweep("intdiv", 3, [config])
-        with_sharing = ExplorationEngine(jobs=1, verify=False, share_frontend=True)
-        without = ExplorationEngine(jobs=1, verify=False, share_frontend=False)
-        shared = with_sharing.run(tasks)[0]
-        plain = without.run(tasks)[0]
-        assert shared.ok and plain.ok
-        assert shared.report.metrics() == plain.report.metrics()
-        builtin = ExplorationEngine(jobs=1, verify=False).run(
-            build_sweep("intdiv", 3, [FlowConfiguration("esop", (("p", 0),))])
-        )[0]
-        assert shared.report.t_count != builtin.report.t_count
-
-    def test_shared_frontend_skips_stage(self):
-        artifacts = frontend_artifacts("intdiv", 3)
-        result = run_flow("esop", "intdiv", 3, verify=False, p=0, **artifacts)
-        assert "frontend" in result.skipped_stages
-        assert result.stage_runtimes["frontend"] == 0.0
-        baseline = run_flow("esop", "intdiv", 3, verify=False, p=0)
-        assert not baseline.skipped_stages
-        assert result.report.metrics() == baseline.report.metrics()
 
 
 class TestCaching:
