@@ -29,7 +29,6 @@ This module provides the exploration machinery at two levels:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -365,29 +364,36 @@ _CANCELLED = "cancelled: engine stop requested"
 
 # -- worker -------------------------------------------------------------------
 
-#: The prefix memo of a pool worker process, installed by
-#: :func:`_start_worker` and freed with the worker.
-_WORKER_MEMO: Optional[PrefixMemo] = None
+#: The prefix memo of a pool worker process, freed with the worker.
+_WORKER_MEMO = PrefixMemo(keep=frozenset())
 
 
-def _start_worker(shared: frozenset) -> None:
-    """Pool initializer: a memo that keeps the run's shared prefixes."""
-    global _WORKER_MEMO
-    _WORKER_MEMO = PrefixMemo(keep=lambda chain, index: chain[index] in shared)
+def _plan(
+    specs: Sequence[Dict[str, Any]], chains: Dict[int, List[Optional[str]]]
+) -> List[Dict[str, Any]]:
+    """``specs`` in dispatch order, each naming in ``keep`` the prefixes to store.
 
-
-def _prefix_counts(chains: Iterable[Sequence[Optional[str]]]) -> Counter:
-    """How many of ``chains`` contain each prefix key."""
-    return Counter(key for chain in chains for key in chain if key is not None)
-
-
-def _branches(counts: Counter, chain: Sequence[Optional[str]], index: int) -> bool:
-    """True when more runs use prefix ``chain[index]`` than its extension.
-
-    Some of them then read exactly this prefix, so it is worth storing.
+    Specs sort by the first-appearance ranks of their prefix keys, so the
+    users of every prefix key are adjacent, the given order stays wherever
+    it already groups them, and each prefix is still computed by its first
+    user in the given order.  A spec keeps the keys of its chain that a
+    later spec shares; once a memo moves on to another spec, no spec still
+    to come needs the prefixes it drops.
     """
-    following = chain[index + 1] if index + 1 < len(chain) else None
-    return counts[chain[index]] > counts[following]
+    rank: Dict[str, int] = {}
+    for spec in specs:
+        for key in chains[spec["index"]]:
+            if key is not None:
+                rank.setdefault(key, len(rank))
+    ordered = sorted(
+        specs, key=lambda spec: [rank[key] for key in chains[spec["index"]] if key]
+    )
+    later: set = set()
+    for spec in reversed(ordered):
+        chain = chains[spec["index"]]
+        spec["keep"] = frozenset(key for key in chain if key in later)
+        later.update(key for key in chain if key is not None)
+    return ordered
 
 
 class _AlarmGuard:
@@ -452,7 +458,9 @@ def _execute_task(
     """Run one flow configuration; never raises.
 
     Module-level so it can be pickled into :class:`ProcessPoolExecutor`
-    workers, where ``memo`` defaults to the worker's own.  Returns
+    workers, where ``memo`` defaults to the worker's own.  The memo stores
+    the prefixes ``spec["keep"]`` names and afterwards keeps only those, so
+    it holds at most one task's shared prefixes at a time.  Returns
     ``(index, error_message, report)`` where exactly one of
     ``error_message`` / ``report`` is meaningful.  A positive ``timeout``
     arms an :class:`_AlarmGuard` around the flow execution; a late alarm
@@ -460,6 +468,8 @@ def _execute_task(
     rather than misreported as a failure.
     """
     index = spec["index"]
+    memo = _WORKER_MEMO if memo is None else memo
+    memo.keep = spec["keep"]
     guard = _AlarmGuard(spec.get("timeout"))
     report: Optional[CostReport] = None
     error = ""
@@ -470,7 +480,7 @@ def _execute_task(
                 spec["design"],
                 spec["bitwidth"],
                 cost_model=spec["cost_model"],
-                memo=_WORKER_MEMO if memo is None else memo,
+                memo=memo,
                 **spec["parameters"],
             )
             report = result.report
@@ -480,19 +490,19 @@ def _execute_task(
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
         error = f"{type(exc).__name__}: {exc}"
+    memo.retain(memo.keep)
     if report is not None:
         return index, "", report
     return index, error or "unknown error", None
 
 
 def _prefix_keys(spec: Dict[str, Any]) -> List[Optional[str]]:
-    """The prefix keys of one task spec's run; empty when it cannot run."""
+    """The prefix keys of one task spec's run; empty for an unknown flow."""
     try:
         flow = make_flow(spec["flow"], spec["cost_model"])
-        flow.check_parameters(spec["parameters"])
-        return flow.prefix_keys(spec["design"], spec["bitwidth"], spec["parameters"])
-    except ValueError:  # unknown flow or parameter: the worker reports it
+    except ValueError:  # the run reports it
         return []
+    return flow.prefix_keys(spec["design"], spec["bitwidth"], spec["parameters"])
 
 
 # -- engine -------------------------------------------------------------------
@@ -584,6 +594,8 @@ class ExplorationEngine:
     ) -> Iterator[ConfigurationOutcome]:
         """Run every task, yielding outcomes as they complete (streaming).
 
+        Cache hits come first; the other tasks run with the users of each
+        shared stage prefix back to back (see :func:`_plan`).
         ``should_stop`` is polled between configurations (the cancellation
         hook of the job server's graceful drain): once it returns true, no
         further flow starts and every not-yet-started task is yielded as a
@@ -650,24 +662,18 @@ class ExplorationEngine:
         specs = [self._task_spec(index, task) for index, task, _ in pending]
         keys = {index: key for index, _, key in pending}
         by_index = {index: task for index, task, _ in pending}
-        chains = {spec["index"]: _prefix_keys(spec) for spec in specs}
+        specs = _plan(specs, {spec["index"]: _prefix_keys(spec) for spec in specs})
 
         # jobs > 1 always uses the pool, even for a single pending task:
         # the pool is what provides crash isolation and keeps SIGALRM out
         # of the calling process.
         if self.jobs == 1:
-            # ``users`` counts the tasks not yet started that use each
-            # prefix, so the memo stores a prefix only when a later task
-            # reads it, and drops it once no remaining task will.
-            users = _prefix_counts(chains.values())
-            memo = PrefixMemo(keep=lambda chain, index: _branches(users, chain, index))
+            memo = PrefixMemo(keep=frozenset())
             for position, spec in enumerate(specs):
                 if should_stop is not None and should_stop():
                     yield from self._cancel_remaining(specs[position:], by_index)
                     return
-                users.subtract(key for key in chains[spec["index"]] if key)
                 index, error, report = _execute_task(spec, memo)
-                memo.retain(chains[later["index"]] for later in specs[position + 1:])
                 yield index, self._finish(
                     by_index[index], keys[index], error, report
                 )
@@ -686,14 +692,7 @@ class ExplorationEngine:
             self.last_task_payload_bytes = max(
                 self.last_task_payload_bytes, size
             )
-        counts = _prefix_counts(chains.values())
-        shared = frozenset(
-            chain[index]
-            for chain in chains.values()
-            for index in range(len(chain))
-            if counts[chain[index]] > 1 and _branches(counts, chain, index)
-        )
-        for index, error, report in self._run_pool(specs, shared, should_stop):
+        for index, error, report in self._run_pool(specs, should_stop):
             if report is None and error == _CANCELLED:
                 self.cancelled += 1
                 yield index, self._emit(
@@ -722,7 +721,6 @@ class ExplorationEngine:
     def _run_pool(
         self,
         specs: Sequence[Dict[str, Any]],
-        shared: frozenset,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Iterator[Tuple[int, str, Optional[CostReport]]]:
         """Execute task specs on a process pool, surviving dead workers.
@@ -734,8 +732,8 @@ class ExplorationEngine:
         specs whose futures broke are counted as crash suspects; a spec in
         flight during :attr:`MAX_CRASH_SUSPICIONS` crashes is recorded as
         failed rather than retried, so a reliably crashing configuration
-        cannot restart pools forever.  Each worker keeps the ``shared``
-        stage prefixes it computes in its own memo (see :meth:`_make_pool`).
+        cannot restart pools forever.  Each worker shares stage prefixes
+        through its own memo (see :func:`_execute_task`).
         """
         queue = list(specs)
         suspicions: Dict[int, int] = {}
@@ -745,9 +743,7 @@ class ExplorationEngine:
                     yield spec["index"], _CANCELLED, None
                 return
             before = len(queue)
-            queue, crashed = yield from self._drain_one_pool(
-                queue, shared, should_stop
-            )
+            queue, crashed = yield from self._drain_one_pool(queue, should_stop)
             if not crashed and len(queue) == before:
                 # The pool could not make any progress at all (e.g. worker
                 # processes cannot even start): fail the remainder rather
@@ -771,7 +767,6 @@ class ExplorationEngine:
     def _drain_one_pool(
         self,
         queue: List[Dict[str, Any]],
-        shared: frozenset,
         should_stop: Optional[Callable[[], bool]] = None,
     ):
         """Run specs on one pool; returns ``(unsubmitted, crashed)`` on a break.
@@ -786,7 +781,7 @@ class ExplorationEngine:
         """
         queue = list(queue)
         crashed: List[Dict[str, Any]] = []
-        with self._make_pool(shared) as pool:
+        with self._make_pool() as pool:
             futures: Dict[Any, Dict[str, Any]] = {}
             while queue or futures:
                 stopping = should_stop is not None and should_stop()
@@ -828,23 +823,17 @@ class ExplorationEngine:
                     return queue, crashed
         return queue, crashed
 
-    def _make_pool(self, shared: frozenset) -> ProcessPoolExecutor:
-        """A worker pool, each of whose processes memoises ``shared`` prefixes.
+    def _make_pool(self) -> ProcessPoolExecutor:
+        """A worker pool, forked where the platform can.
 
-        A worker's memo keeps every shared prefix it computes and is freed
-        with the pool.  Workers are forked where the platform can.
+        Each worker's prefix memo is freed with the pool.
         """
         import multiprocessing
 
         context = None
         if "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=context,
-            initializer=_start_worker,
-            initargs=(shared,),
-        )
+        return ProcessPoolExecutor(max_workers=self.jobs, mp_context=context)
 
     @staticmethod
     def _salvage_outstanding(

@@ -10,22 +10,24 @@ three concrete flows of the paper are assembled in
 Every stage declares the parameters it reads as the keyword-only arguments
 of its body, with their defaults.  Those declarations give each run one
 *prefix key* per stage: a digest of the design instance plus, for every
-stage up to that one, its name and resolved parameter values.  Runs that
-agree on a prefix key compute the same context artefacts up to that stage,
-so a :class:`PrefixMemo` can hand them from one run to the next.
+stage up to that one, its name, body, declared defaults and resolved
+parameter values.  Runs that agree on a prefix key compute the same context
+artefacts up to that stage, so a :class:`PrefixMemo` can hand them from one
+run to the next.  A stage body must therefore depend on nothing else: a
+closure that captures a setting exposes it as a parameter default.
 """
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import inspect
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.cost import CostReport
 from repro.reversible.circuit import ReversibleCircuit
+from repro.utils.names import closest_name, did_you_mean
 
 __all__ = ["Flow", "FlowResult", "FlowStage", "PrefixMemo"]
 
@@ -69,14 +71,15 @@ class PrefixMemo:
     """Context artefacts of flow stage prefixes, shared between runs.
 
     :attr:`entries` maps a prefix key to the context keys that prefix wrote,
-    with their values after its last stage.  After stage ``index`` of a run
-    whose prefix keys are ``keys``, ``keep(keys, index)`` decides whether
-    that prefix is stored; without ``keep`` every shareable prefix is.
+    with their values after its last stage.  A run stores exactly the
+    prefixes whose keys are in :attr:`keep`; whoever plans the runs sets
+    :attr:`keep` and drops the entries no later run reads with
+    :meth:`retain`.
     """
 
-    def __init__(self, keep: Optional[Callable[..., bool]] = None) -> None:
+    def __init__(self, keep: AbstractSet[str]) -> None:
         self.entries: Dict[str, Dict[str, Any]] = {}
-        self.keep = keep or (lambda keys, index: True)
+        self.keep = keep
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -88,10 +91,9 @@ class PrefixMemo:
                 return count
         return 0
 
-    def retain(self, chains: Iterable[Sequence[Optional[str]]]) -> None:
-        """Drop every entry that no run with one of ``chains`` would read."""
-        read = {chain[n - 1] for chain in chains if (n := self.longest(chain))}
-        for key in set(self.entries) - read:
+    def retain(self, keys: AbstractSet[str]) -> None:
+        """Drop every entry whose key is not in ``keys``."""
+        for key in set(self.entries) - keys:
             del self.entries[key]
 
 
@@ -142,11 +144,11 @@ class Flow:
         """Reject a parameter no stage declares, naming the closest declared one."""
         known = self.parameter_names()
         for name in (name for name in parameters if name not in known):
-            message = f"unknown parameter {name!r} for flow {self.name!r}"
-            close = difflib.get_close_matches(name, known, n=1, cutoff=0.6)
-            if close:
-                message += f"; did you mean {close[0]!r}?"
-            raise ValueError(f"{message} (declared: {', '.join(known)})")
+            close = closest_name(name, known)
+            raise ValueError(
+                f"unknown parameter {name!r} for flow {self.name!r}"
+                f"{did_you_mean(close)} (declared: {', '.join(known)})"
+            )
 
     def prefix_keys(
         self, design: str, bitwidth: int, parameters: Mapping[str, Any]
@@ -155,18 +157,25 @@ class Flow:
 
         A key digests the design instance (name, bit-width and any
         ``verilog`` text, which the frontend stage declares) and, for every
-        stage up to its own, the stage name and resolved parameter values.
-        A stage whose values are not plain (a pre-built pipeline, a seeded
-        ``aig``) ends the shareable prefix.
+        stage up to its own, the stage name, the qualified name of its body,
+        its declared defaults and its resolved parameter values.  The
+        defaults keep apart same-named stages of different flows that read
+        an unset parameter differently (the ``optimize`` scripts).  A stage
+        whose values are not plain (a pre-built pipeline, a seeded ``aig``),
+        or whose body has no qualified name, ends the shareable prefix.
         """
         keys: List[Optional[str]] = []
         digest = hashlib.sha256(repr((design, bitwidth)).encode())
         shareable = _plain([design, bitwidth])
         for stage in self.stages:
+            body = getattr(stage.run, "__qualname__", None)  # None: a partial, say
+            defaults = sorted(stage.params.items())
             values = sorted(stage.resolve(parameters).items())
-            shareable = shareable and _plain([value for _, value in values])
+            plain = _plain([value for _, value in defaults + values])
+            shareable = shareable and body is not None and plain
             if shareable:
-                digest.update(repr((stage.name, values)).encode())
+                stage_id = (stage.name, stage.run.__module__, body, defaults, values)
+                digest.update(repr(stage_id).encode())
             keys.append(digest.copy().hexdigest() if shareable else None)
         return keys
 
@@ -182,7 +191,8 @@ class Flow:
         With a ``memo``, the longest stage prefix stored under this run's
         prefix keys is restored instead of run (its stages read 0.0 s and
         are listed in :attr:`FlowResult.skipped_stages`), and every prefix
-        the memo keeps is stored once its last stage ran.
+        in the memo's :attr:`~PrefixMemo.keep` set is stored once its last
+        stage ran.
         """
         self.check_parameters(parameters)
         seeds = {"design": design, "bitwidth": bitwidth, "extra_metrics": {}}
@@ -203,9 +213,10 @@ class Flow:
             stage_start = time.perf_counter()
             stage.run(context, **stage.resolve(parameters))
             stage_runtimes[stage.name] = time.perf_counter() - stage_start
-            if memo is not None and keys[index] is not None and memo.keep(keys, index):
+            prefix = keys[index] if memo is not None else None
+            if prefix is not None and prefix in memo.keep:
                 # What the prefix wrote: every key whose value is not a seed.
-                memo.entries[keys[index]] = {
+                memo.entries[prefix] = {
                     key: value
                     for key, value in context.items()
                     if seeds.get(key, _MISSING) is not value

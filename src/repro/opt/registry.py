@@ -10,10 +10,10 @@ carrying a did-you-mean suggestion computed over every known spelling.
 
 from __future__ import annotations
 
-import difflib
 from typing import Dict, List, Optional
 
 from repro.opt.passes import Pass
+from repro.utils.names import closest_name, did_you_mean
 
 __all__ = [
     "UnknownPassError",
@@ -30,10 +30,9 @@ class UnknownPassError(ValueError):
     """An ``--opt`` spec referenced a name the registry does not know."""
 
     def __init__(self, name: str, suggestion: Optional[str] = None):
-        message = f"unknown pass or pipeline {name!r}"
-        if suggestion is not None:
-            message += f"; did you mean {suggestion!r}?"
-        super().__init__(message)
+        super().__init__(
+            f"unknown pass or pipeline {name!r}{did_you_mean(suggestion)}"
+        )
         self.unknown_name = name
         self.suggestion = suggestion
 
@@ -48,11 +47,6 @@ _PIPELINES: Dict[str, tuple] = {}
 
 def _known_names() -> List[str]:
     return sorted({*_PASSES, *_ALIASES, *_PIPELINES})
-
-
-def _suggest(name: str) -> Optional[str]:
-    matches = difflib.get_close_matches(name, _known_names(), n=1, cutoff=0.5)
-    return matches[0] if matches else None
 
 
 def register_pass(pass_: Pass, replace: bool = False) -> Pass:
@@ -80,7 +74,7 @@ def unregister_pass(name: str) -> None:
     """Remove a pass (by canonical name) and its aliases from the registry."""
     pass_ = _PASSES.pop(name, None)
     if pass_ is None:
-        raise UnknownPassError(name, _suggest(name))
+        raise UnknownPassError(name, closest_name(name, _known_names()))
     for alias in pass_.aliases:
         _ALIASES.pop(alias, None)
 
@@ -95,7 +89,7 @@ def get_pass(name: str) -> Pass:
         return _PASSES[name]
     if name in _ALIASES:
         return _PASSES[_ALIASES[name]]
-    raise UnknownPassError(name, _suggest(name))
+    raise UnknownPassError(name, closest_name(name, _known_names()))
 
 
 def available_passes(network_type: Optional[str] = None) -> List[Pass]:

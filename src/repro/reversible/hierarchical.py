@@ -28,12 +28,12 @@ reported in Table IV.  Two ancilla management strategies are provided
 
 from __future__ import annotations
 
-import difflib
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.xmg import Xmg, lit_is_compl, lit_node
 from repro.reversible.circuit import LinePool, ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
+from repro.utils.names import closest_name, did_you_mean
 
 __all__ = ["hierarchical_synthesis"]
 
@@ -48,15 +48,12 @@ def _check_strategy(strategy: str) -> str:
     strategy = _ALIASES.get(strategy, strategy)
     if strategy in _STRATEGIES:
         return strategy
-    names = [*_STRATEGIES, *_ALIASES]
-    message = (
+    close = closest_name(strategy, [*_STRATEGIES, *_ALIASES])
+    raise ValueError(
         f"unknown strategy {strategy!r} for the hierarchical flow's 'strategy' "
         f"parameter; expected 'bennett' or 'per_output' (alias 'eager')"
+        f"{did_you_mean(close)}"
     )
-    close = difflib.get_close_matches(str(strategy), names, n=1, cutoff=0.5)
-    if close:
-        message += f"; did you mean {close[0]!r}?"
-    raise ValueError(message)
 
 
 class _Compiler:

@@ -18,9 +18,10 @@ lazily, so looking a name up never depends on import order.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.utils.names import closest_name, did_you_mean
 
 __all__ = [
     "PebblingStrategy",
@@ -36,10 +37,9 @@ class UnknownStrategyError(ValueError):
     """A ``strategy=`` spec referenced a name the registry does not know."""
 
     def __init__(self, name: str, suggestion: Optional[str] = None):
-        message = f"unknown pebbling strategy {name!r}"
-        if suggestion is not None:
-            message += f"; did you mean {suggestion!r}?"
-        super().__init__(message)
+        super().__init__(
+            f"unknown pebbling strategy {name!r}{did_you_mean(suggestion)}"
+        )
         self.unknown_name = name
         self.suggestion = suggestion
 
@@ -83,11 +83,6 @@ def _known_names() -> List[str]:
     return sorted({*_STRATEGIES, *_ALIASES})
 
 
-def _suggest(name: str) -> Optional[str]:
-    matches = difflib.get_close_matches(name, _known_names(), n=1, cutoff=0.5)
-    return matches[0] if matches else None
-
-
 def register_strategy(
     strategy: PebblingStrategy, replace: bool = False
 ) -> PebblingStrategy:
@@ -115,7 +110,7 @@ def unregister_strategy(name: str) -> None:
     """Remove a strategy (by canonical name) and its aliases."""
     strategy = _STRATEGIES.pop(name, None)
     if strategy is None:
-        raise UnknownStrategyError(name, _suggest(name))
+        raise UnknownStrategyError(name, closest_name(name, _known_names()))
     for alias in strategy.aliases:
         _ALIASES.pop(alias, None)
 
@@ -131,7 +126,7 @@ def get_strategy(name: str) -> PebblingStrategy:
         return _STRATEGIES[name]
     if name in _ALIASES:
         return _STRATEGIES[_ALIASES[name]]
-    raise UnknownStrategyError(name, _suggest(name))
+    raise UnknownStrategyError(name, closest_name(name, _known_names()))
 
 
 def available_strategies() -> List[PebblingStrategy]:

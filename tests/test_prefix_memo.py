@@ -192,8 +192,51 @@ def test_unplain_parameters_end_the_shareable_prefix():
     assert piped[0] is not None and piped[1:] == [None] * (len(esop.stages) - 1)
 
 
+def memo_keeping(flow, design, bitwidth, **parameters):
+    """A memo that stores every shareable prefix of one run."""
+    keys = make_flow(flow).prefix_keys(design, bitwidth, parameters)
+    return PrefixMemo(keep={key for key in keys if key is not None})
+
+
+def test_unset_parameter_keys_by_the_flows_own_default():
+    # ``opt=None`` means the flow's own script: dc2 for esop and symbolic
+    # (one and two rounds), resyn2 twice for hierarchical and lut.
+    optimize = {
+        flow: make_flow(flow).prefix_keys("intdiv", 4, {"opt": None})[1]
+        for flow in ("esop", "symbolic", "hierarchical", "lut")
+    }
+    assert len({optimize["esop"], optimize["symbolic"], optimize["hierarchical"]}) == 3
+    assert optimize["hierarchical"] == optimize["lut"]
+
+
+def test_same_named_stages_with_other_bodies_never_share():
+    def first(context, *, knob=1):
+        context["circuit"] = ReversibleCircuit("first")
+
+    def second(context, *, knob=1):
+        context["circuit"] = ReversibleCircuit("second")
+
+    keys = [
+        Flow(name, [FlowStage("only", body)]).prefix_keys("intdiv", 3, {})
+        for name, body in (("a", first), ("b", second))
+    ]
+    assert keys[0] != keys[1]
+
+
+def test_unset_parameter_sweep_equals_fresh_runs():
+    configurations = [
+        FlowConfiguration(flow, (("opt", None),))
+        for flow in ("esop", "hierarchical", "symbolic", "lut")
+    ]
+    tasks = build_sweep("intdiv", 4, configurations)
+    outcomes = ExplorationEngine(jobs=1, verify=True).run(tasks)
+    for outcome in outcomes:
+        fresh = run_flow(outcome.task.configuration.flow, "intdiv", 4, opt=None)
+        assert comparable(outcome.report) == comparable(fresh.report), outcome.label()
+
+
 def test_memo_served_stages_are_skipped():
-    memo = PrefixMemo()
+    memo = memo_keeping("esop", "intdiv", 3, verify=False, p=0)
     first = run_flow("esop", "intdiv", 3, verify=False, p=0, memo=memo)
     assert not first.skipped_stages
     second = run_flow("esop", "intdiv", 3, verify=False, p=1, memo=memo)
@@ -206,14 +249,14 @@ def test_memo_served_stages_are_skipped():
 
 
 def test_seeded_aig_runs_unshared():
-    memo = PrefixMemo()
+    memo = memo_keeping("esop", "intdiv", 3, verify=False, p=0)
     aig = run_flow("esop", "intdiv", 3, verify=False).context["spec_aig"]
     result = run_flow("esop", aig, 3, verify=False, p=0, memo=memo)
     assert len(memo) == 0 and not result.skipped_stages
 
 
 def test_configuration_verilog_never_shares_with_builtin():
-    memo = PrefixMemo()
+    memo = memo_keeping("esop", "intdiv", 3, verify=False, p=0)
     run_flow("esop", "intdiv", 3, verify=False, p=0, memo=memo)
     # Even the identical text is its own design instance.
     source = design_source("intdiv", 3)
@@ -325,7 +368,7 @@ def test_shared_sweep_equals_fresh_runs(fresh_reports, jobs, shuffle_seed, monke
     memos = []
 
     class RecordingMemo(PrefixMemo):
-        def __init__(self, keep=None):
+        def __init__(self, keep):
             super().__init__(keep)
             self.entries = RecordingEntries()
             memos.append(self)
@@ -378,3 +421,29 @@ def test_stage_set_does_not_depend_on_task_order(monkeypatch):
     assert counts[0]["xmglut"] == 2
     assert counts[0]["xmg-opt"] == 4  # unset and xmg-default per design
     assert counts[0]["esop-synthesis"] == 4  # p=0 and p=1 per design
+
+
+def test_plan_bounds_every_memo(fresh_reports, monkeypatch):
+    tasks = sweep_tasks()
+    random.Random(5).shuffle(tasks)
+    engine = ExplorationEngine(jobs=2, verify=True)
+    specs = [engine._task_spec(index, task) for index, task in enumerate(tasks)]
+    chains = {spec["index"]: explorer_module._prefix_keys(spec) for spec in specs}
+    ordered = explorer_module._plan(specs, chains)
+    # The users of every prefix key are adjacent in dispatch order.
+    for key in {key for chain in chains.values() for key in chain if key}:
+        users = [n for n, spec in enumerate(ordered) if key in chains[spec["index"]]]
+        assert users == list(range(users[0], users[-1] + 1))
+    # Two workers taking the specs in turn: each holds at most its current
+    # spec's shared prefixes, and sharing never changes a result.
+    workers = [PrefixMemo(keep=frozenset()), PrefixMemo(keep=frozenset())]
+    held = []
+    for position, spec in enumerate(ordered):
+        memo = workers[position % 2]
+        monkeypatch.setattr(explorer_module, "_WORKER_MEMO", memo)
+        index, error, report = explorer_module._execute_task(spec)
+        assert report is not None, error
+        assert comparable(report) == fresh_reports[tasks[index].label()]
+        assert set(memo.entries) <= spec["keep"] <= set(chains[spec["index"]])
+        held.append(len(memo))
+    assert max(held) > 0
