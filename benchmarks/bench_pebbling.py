@@ -107,16 +107,20 @@ EXACT_TIME_LIMIT = 60.0
 EXACT_SAT_BUDGET = 20.0
 
 
-def test_pebbling_exact_dominates_greedy(benchmark):
+def test_pebbling_exact_dominates_greedy(benchmark, monkeypatch):
     """The SAT-exact configuration strictly beats the greedy bounded front.
 
     Gates: the exact run finishes within :data:`EXACT_TIME_LIMIT` seconds,
     its schedule survives :func:`validate_schedule`, and its (qubits,
     T-count) point strictly dominates at least one greedy ``bounded``
-    front point — no more qubits, strictly fewer T gates.
+    front point — no more qubits, strictly fewer T gates.  The exact run
+    starts from a cold exact-ESOP memo; its memo counters and total SAT
+    conflicts are recorded with the result.
     """
     import time
 
+    import repro.logic.exact_esop as exact_esop
+    import repro.reversible.exact_pebbling as exact_pebbling
     from repro.reversible.pebbling import validate_schedule
 
     bounded = {}
@@ -129,6 +133,19 @@ def test_pebbling_exact_dominates_greedy(benchmark):
         bounded[f"bounded({fraction})"] = report
         rows.append((f"bounded({fraction})", report.qubits, report.t_count))
 
+    conflicts = []
+
+    def counting(solve):
+        def counted(cnf, *args, **kwargs):
+            result = solve(cnf, *args, **kwargs)
+            conflicts.append(result.conflicts)
+            return result
+
+        return counted
+
+    for module in (exact_esop, exact_pebbling):
+        monkeypatch.setattr(module, "solve", counting(module.solve))
+    exact_esop.reset_exact_esop_memo()
     start = time.monotonic()
     result = run_flow(
         "lut", "intdiv", BITWIDTH, verify=False,
@@ -136,6 +153,8 @@ def test_pebbling_exact_dominates_greedy(benchmark):
         max_pebbles=0.5, exact_time_budget=EXACT_SAT_BUDGET,
     )
     elapsed = time.monotonic() - start
+    esop_stats = exact_esop.exact_esop_stats()
+    monkeypatch.undo()
     exact = result.report
     rows.append(("exact", exact.qubits, exact.t_count))
     validate_schedule(result.context["schedule"])
@@ -166,6 +185,8 @@ def test_pebbling_exact_dominates_greedy(benchmark):
             "dominated": dominated,
             "exact_runtime_seconds": elapsed,
             "pebble_engine": exact.extra.get("pebble_engine"),
+            "exact_esop": esop_stats,
+            "sat_conflicts": sum(conflicts),
         },
         config={
             "design": "intdiv",

@@ -15,19 +15,27 @@ Encoding, for a candidate cover of ``m`` cubes over ``n`` inputs:
   ``t[j][a]`` holds iff cube ``j`` evaluates to 1 under ``a``, which is
   exactly "no selected literal of cube ``j`` disagrees with ``a``",
 * a parity chain per assignment ties ``XOR_j t[j][a]`` to the truth-table
-  bit of ``a``.
+  bit of ``a``,
+* symmetry breaking: consecutive cubes' selector vectors
+  ``(pos[j][0], neg[j][0], pos[j][1], ...)`` are lexicographically
+  non-increasing.  Any cover can be sorted that way, so no cover is lost,
+  and the solver no longer explores all ``m!`` orderings of one cover.
 
 Minimising cubes alone can *raise* the T-count: a single 4-control
 Toffoli (23 T under the ``rtof`` model) is dearer than the two 2-control
 ones (14 T) it may replace.  So after deepening finds the minimum cube
 count, a descent pass minimises the ``rtof`` T-cost of the cover across
-every cube count up to the PSDKRO's — the per-cube cost is linearised
-through unary "at least ``i`` literals" threshold variables weighted by
-the model's marginal costs — and a final pass shaves leftover literals at
-unchanged T-cost.  Every SAT call carries the remaining share of a
-per-function time budget; on ``"unknown"`` the engine degrades to the
-PSDKRO cover, so the result is never larger and never T-dearer than the
-heuristic one.
+every cube count up to the PSDKRO's (at most ``min_cubes +``
+:data:`_DESCENT_SLOT_SLACK` slots).  The descent encoding gates each slot
+with an activation variable (an inactive slot is the all-zero selector
+vector, so the ordering above also packs the active slots first).  Its
+cost bound is a weighted counter (:meth:`~repro.sat.cnf.Cnf.at_most_weight`)
+over per-cube threshold variables "the cube has at least ``i``
+literals", each weighted by the model's marginal cost ``T(i) - T(i-1)``.
+A final pass drops cost-free cubes at unchanged T-cost.  Every SAT call
+carries the remaining share of a per-function time budget; on
+``"unknown"`` the engine degrades to the PSDKRO cover, so the result is
+never larger and never T-dearer than the heuristic one.
 
 Results are memoised by ``(num_vars, truth)`` — LUT flows resynthesise the
 same small functions constantly — and the memo exposes hit/miss counters
@@ -72,11 +80,19 @@ _DESCENT_CONFLICT_BUDGET = 1200
 _DESCENT_SLOT_SLACK = 3
 
 _memo: Dict[Tuple[int, int], List[Cube]] = {}
-_stats = {"hits": 0, "misses": 0, "optimal": 0, "fallbacks": 0}
+_stats = {
+    "hits": 0, "misses": 0, "optimal": 0, "unproven": 0, "fallbacks": 0
+}
 
 
 def exact_esop_stats() -> Dict[str, int]:
-    """A snapshot of the memo/solver counters (for tests and reports)."""
+    """A snapshot of the memo/solver counters (for tests and reports).
+
+    ``optimal`` counts covers whose cost descent ended refuted (the cost
+    is minimal over the descent's slot window), ``unproven`` those whose
+    descent stopped on a conflict or time budget, and ``fallbacks`` the
+    functions that got the PSDKRO cover because the budget ran out first.
+    """
     return dict(_stats)
 
 
@@ -97,8 +113,10 @@ def _build_cover_cnf(
     ``activation=True`` — one activation variable per cube slot.  An
     inactive slot contributes nothing: its selectors are forced off and it
     matches no assignment, so one encoding over ``num_cubes`` slots covers
-    every cube count up to ``num_cubes`` at once (slots are packed to the
-    front to break the slot-permutation symmetry).
+    every cube count up to ``num_cubes`` at once, with the active slots
+    packed to the front.  Either way the cubes' selector vectors are
+    ordered lexicographically non-increasing, one representative per
+    permutation of a cover.
     """
     cnf = Cnf()
     selectors: List[List[Tuple[int, int]]] = []
@@ -118,6 +136,9 @@ def _build_cover_cnf(
     if activation:
         for gap, packed in zip(active[1:], active):
             cnf.add_clause([-gap, packed])
+    vectors = [[var for pair in cube for var in pair] for cube in selectors]
+    for earlier, later in zip(vectors, vectors[1:]):
+        _lex_non_increasing(cnf, earlier, later)
 
     for assignment in range(1 << num_vars):
         bit = (truth >> assignment) & 1
@@ -149,6 +170,24 @@ def _build_cover_cnf(
         else:
             cnf.add_clause([parity_head if bit else -parity_head])
     return cnf, selectors, active
+
+
+def _lex_non_increasing(cnf: Cnf, left: List[int], right: List[int]) -> None:
+    """Constrain bit vector ``left`` to be lexicographically >= ``right``.
+
+    ``equal[k]`` is forced true while the first ``k`` bits agree; under it
+    bit ``k`` of ``right`` may not exceed bit ``k`` of ``left``.
+    """
+    equal = None  # the empty prefix always agrees
+    for k, (a, b) in enumerate(zip(left, right)):
+        guard = [] if equal is None else [-equal]
+        cnf.add_clause(guard + [a, -b])
+        if k == len(left) - 1:
+            break
+        agreed = cnf.new_var()
+        cnf.add_clause(guard + [a, agreed])
+        cnf.add_clause(guard + [-b, agreed])
+        equal = agreed
 
 
 def _cover_from_model(
@@ -184,21 +223,20 @@ def _cover_cost(cubes: List[Cube]) -> int:
     return sum(mct_t_count(cube.num_literals()) for cube in cubes)
 
 
-def _cost_literals(
+def _cost_thresholds(
     cnf: Cnf, selectors: List[List[Tuple[int, int]]]
-) -> List[int]:
-    """Weighted literals whose count equals the cover's ``rtof`` T-cost.
+) -> List[Tuple[int, int]]:
+    """Weighted literals whose total weight is the cover's ``rtof`` T-cost.
 
     Per cube: an indicator per input ("some literal of this input is
     selected") and one threshold variable per control count ``i >= 2``
     ("the cube has at least ``i`` literals"), forced true by every
-    ``i``-subset of indicators.  Repeating each threshold by the model's
-    marginal cost ``T(i) - T(i - 1)`` makes a plain cardinality bound over
-    the result a T-cost bound.
+    ``i``-subset of indicators and weighted by the model's marginal cost
+    ``T(i) - T(i - 1)``.  A weight bound over the result is a T-cost bound.
     """
     from itertools import combinations
 
-    weighted: List[int] = []
+    weighted: List[Tuple[int, int]] = []
     for cube_selectors in selectors:
         used = []
         for pos, neg in cube_selectors:
@@ -213,7 +251,7 @@ def _cost_literals(
             threshold = cnf.new_var()
             for subset in combinations(used, count):
                 cnf.add_clause([-u for u in subset] + [threshold])
-            weighted.extend([threshold] * marginal)
+            weighted.append((threshold, marginal))
     return weighted
 
 
@@ -290,25 +328,30 @@ def exact_esop_cubes(
     slots = min(len(baseline), min_cubes + _DESCENT_SLOT_SLACK)
 
     def descend(cost_bound, cube_bound):
+        """``(status, cover)``: a cover within both bounds, if one is found."""
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            return None
+            return "unknown", None
         cnf, selectors, active = _build_cover_cnf(
             truth, num_vars, slots, activation=True
         )
         cnf.at_most_k(active, cube_bound)
-        cnf.at_most_k(_cost_literals(cnf, selectors), cost_bound)
+        cnf.at_most_weight(_cost_thresholds(cnf, selectors), cost_bound)
         result = solve(
             cnf,
             time_budget=remaining,
             conflict_budget=_DESCENT_CONFLICT_BUDGET,
         )
         if result.status != "sat":
-            return None
-        return _cover_from_model(result.model, selectors, num_vars, active)
+            return result.status, None
+        cover = _cover_from_model(result.model, selectors, num_vars, active)
+        return "sat", cover
 
+    # The descent ends refuted (the cost is proven minimal over the slot
+    # window) or on a budget (the best cover so far, unproven).
+    status = "unsat"
     while best_cost > 0:
-        found = descend(best_cost - 1, slots)
+        status, found = descend(best_cost - 1, slots)
         if found is None:
             break
         best, best_cost = found, _cover_cost(found)
@@ -318,7 +361,7 @@ def exact_esop_cubes(
     # the tiered cost already distinguishes every control count above one,
     # so only free NOT/CNOT cubes could change.)
     while len(best) > min_cubes:
-        found = descend(best_cost, len(best) - 1)
+        _, found = descend(best_cost, len(best) - 1)
         if found is None:
             break
         best = found
@@ -328,6 +371,6 @@ def exact_esop_cubes(
         _memo[key] = list(baseline)
         return list(baseline)
 
-    _stats["optimal"] += 1
+    _stats["optimal" if status == "unsat" else "unproven"] += 1
     _memo[key] = list(best)
     return list(best)

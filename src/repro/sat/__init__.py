@@ -9,7 +9,8 @@ reduction self-contained:
 ``repro.sat.cnf``
     :class:`Cnf` — a clause database with fresh-variable allocation and
     the standard constraint encodings (at-most-one, exactly-one, sequential
-    at-most-k cardinality, XOR links) used by the exact engines.
+    at-most-k cardinality, weighted at-most, XOR links) used by the exact
+    engines.
 
 ``repro.sat.solver``
     :class:`Solver` / :func:`solve` — a conflict-driven clause-learning

@@ -5,8 +5,11 @@ Each oracle is the original, plainly written version of a kernel that
 mask-native).  The property tests compare the two on random inputs:
 
 * :mod:`oracles.logic` — cut truth tables, PSDKRO extraction, the BDD
-  manager's walks and the AIG-to-BDD collapse,
+  manager's walks and the AIG-to-BDD collapse, plus the minimum-cost
+  ESOP of every small function by shortest path (a quality bound, not a
+  former kernel),
 * :mod:`oracles.circuits` — T-count, depth and resource sweeps, the
   reversible peephole passes, transformation-based synthesis and the
-  greedy bounded pebbling scheduler.
+  greedy bounded pebbling scheduler,
+* :mod:`oracles.sat` — the CDCL solver before its inner loop was tuned.
 """

@@ -1,5 +1,8 @@
-"""Oracles for the logic-level kernels: cut tables, PSDKRO, BDDs, collapse."""
+"""Oracles for the logic-level kernels: cut tables, PSDKRO, minimum-cost
+ESOPs, BDDs, collapse."""
 
+import heapq
+import itertools
 from typing import Dict, Iterable, List, Tuple
 
 from repro.logic.aig import Aig, lit_is_compl, lit_node
@@ -14,6 +17,7 @@ from repro.logic.truth_table import (
     tt_support,
     tt_var,
 )
+from repro.quantum.tcount import mct_t_count
 
 # ---------------------------------------------------------------------------
 # cut truth tables
@@ -57,6 +61,37 @@ def cut_truth_table_reference(network: LogicNetwork, cut: Cut) -> int:
 
 # ---------------------------------------------------------------------------
 # PSDKRO extraction
+# ---------------------------------------------------------------------------
+# minimum-cost ESOP
+# ---------------------------------------------------------------------------
+
+
+def min_esop_costs_reference(num_vars: int) -> List[int]:
+    """The least ``rtof`` T-cost of any ESOP, for every truth table.
+
+    A shortest-path search over truth tables: from the empty cover (truth
+    0), XOR-ing in a cube with ``k`` literals costs ``mct_t_count(k)``.
+    There is no bound on the cube count, so this is the optimum the exact
+    engine's slot window can miss.  Practical up to three inputs.
+    """
+    cubes = []
+    for trits in itertools.product((None, True, False), repeat=num_vars):
+        literals = [(x, p) for x, p in enumerate(trits) if p is not None]
+        cube = Cube.from_literals(num_vars, literals)
+        cubes.append((mct_t_count(len(literals)), cube.truth_table()))
+    best = [None] * (1 << (1 << num_vars))
+    queue = [(0, 0)]
+    while queue:
+        cost, truth = heapq.heappop(queue)
+        if best[truth] is not None:
+            continue
+        best[truth] = cost
+        for step, table in cubes:
+            if best[truth ^ table] is None:
+                heapq.heappush(queue, (cost + step, truth ^ table))
+    return best
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -11,12 +11,22 @@ The memo is regression-tested through its hit/miss counters, and the
 ``lut_synth="exact"`` sub-synthesizer is checked end to end: block-level
 circuits stay equivalent to the source AIG while never using more gates
 than the ``"esop"`` blocks.
+
+Cover quality is pinned: the ``rtof`` cost of every distinct LUT function
+of INTDIV(8)'s exact configuration, of all 3-input functions and of a
+seeded 4-input sample may not rise above the pinned figures, and the
+solver effort over the INTDIV(8) functions is bounded by a conflict
+count.  The known gap to the true optimum (the cost descent never tries
+more cubes than the PSDKRO cover has) is kept visible as a strict xfail.
 """
 
 import random
 
 import pytest
 
+import repro.logic.exact_esop as exact_esop_module
+from oracles.logic import min_esop_costs_reference
+from oracles.sat import SolverReference, search_of
 from repro.logic.esop import psdkro_cubes
 from repro.logic.exact_esop import (
     MAX_EXACT_VARS,
@@ -24,7 +34,9 @@ from repro.logic.exact_esop import (
     exact_esop_stats,
     reset_exact_esop_memo,
 )
+from repro.sat import Solver
 from repro.logic.truth_table import tt_mask
+from repro.quantum.tcount import mct_t_count
 from repro.reversible.lut_synth import synthesize_schedule
 from repro.reversible.pebbling import bennett_schedule
 from repro.logic.cuts import lut_map
@@ -43,6 +55,60 @@ def cover_truth(cubes):
     for cube in cubes:
         truth ^= cube.truth_table()
     return truth
+
+
+def cover_cost(cubes):
+    return sum(mct_t_count(cube.num_literals()) for cube in cubes)
+
+
+#: ``(num_vars, truth) -> rtof cost`` of every distinct function the exact
+#: lut configuration of INTDIV(8) synthesises (strategy exact, 0.5 pebble
+#: budget, k = 4).  The covers behind these costs give 76 qubits / 23302 T.
+INTDIV8_COSTS = {
+    (2, 0x2): 7, (2, 0x4): 7,
+    (3, 0x60): 14, (3, 0x91): 22, (3, 0xB2): 21, (3, 0xE8): 21, (3, 0xEC): 15,
+    (4, 0x0): 0, (4, 0x1): 23, (4, 0x100): 23, (4, 0x1E00): 22,
+    (4, 0x3369): 14, (4, 0x6E00): 37, (4, 0x707F): 22, (4, 0x9678): 22,
+    (4, 0xA0C6): 21, (4, 0xB2F8): 52, (4, 0xCC96): 14, (4, 0xDE96): 30,
+    (4, 0xE080): 45, (4, 0xE800): 45, (4, 0xF593): 21, (4, 0xFBA2): 37,
+    (4, 0xFE01): 15, (4, 0xFFCC): 7, (4, 0xFFFF): 0,
+}
+
+#: The INTDIV(8) functions whose cost descent hits the conflict cap.
+INTDIV8_UNPROVEN = {(4, 0xB2F8), (4, 0xDE96)}
+
+#: Ceiling on the SAT conflicts spent on :data:`INTDIV8_COSTS` from a cold
+#: memo (the unweighted-counter encoding without cube ordering took 9058).
+INTDIV8_CONFLICT_LIMIT = 6000
+
+#: Pinned ``rtof`` cost of every 3-input function, indexed by truth table.
+COSTS_3 = [
+    0, 15, 15, 7, 15, 7, 14, 15, 15, 14, 7, 15, 7, 15, 15, 0,
+    15, 7, 14, 15, 14, 15, 22, 21, 30, 22, 22, 14, 22, 14, 7, 15,
+    15, 14, 7, 15, 30, 22, 22, 14, 14, 22, 15, 21, 22, 7, 14, 15,
+    7, 15, 15, 0, 22, 14, 7, 15, 22, 7, 14, 15, 0, 15, 15, 7,
+    15, 14, 30, 22, 7, 15, 22, 14, 14, 22, 22, 7, 15, 21, 14, 15,
+    7, 15, 22, 14, 15, 0, 7, 15, 22, 7, 0, 15, 14, 15, 15, 7,
+    14, 22, 22, 7, 22, 7, 0, 15, 22, 0, 7, 15, 7, 15, 15, 14,
+    15, 21, 14, 15, 14, 15, 15, 7, 7, 15, 15, 14, 15, 14, 21, 15,
+    15, 30, 14, 22, 14, 22, 22, 7, 7, 22, 15, 14, 15, 14, 21, 15,
+    14, 22, 22, 7, 22, 7, 0, 15, 22, 0, 7, 15, 7, 15, 15, 14,
+    7, 22, 15, 14, 22, 0, 7, 15, 15, 7, 0, 15, 14, 15, 15, 7,
+    15, 14, 21, 15, 7, 15, 15, 14, 14, 15, 15, 7, 15, 21, 14, 15,
+    7, 22, 22, 0, 15, 14, 7, 15, 15, 7, 14, 15, 0, 15, 15, 7,
+    15, 14, 7, 15, 21, 15, 15, 14, 14, 15, 15, 21, 15, 7, 14, 15,
+    15, 7, 14, 15, 14, 15, 15, 21, 21, 15, 15, 14, 15, 14, 7, 15,
+    0, 15, 15, 7, 15, 7, 14, 15, 15, 14, 7, 15, 7, 15, 15, 0,
+]
+
+#: Pinned costs of the first 40 functions of ``random.Random(15)``'s
+#: 16-bit stream, in stream order.
+COSTS_4_SEED = 15
+COSTS_4 = [
+    45, 45, 45, 22, 30, 36, 45, 44, 38, 59, 37, 37, 44, 38, 44, 59,
+    52, 52, 15, 45, 45, 29, 44, 45, 45, 45, 36, 30, 60, 60, 52, 45,
+    38, 45, 44, 44, 22, 28, 30, 44,
+]
 
 
 @pytest.fixture
@@ -102,7 +168,8 @@ class TestMemoBehaviour:
     def test_hit_and_miss_counters(self, fresh_memo):
         truth = sample_truth(0)
         assert exact_esop_stats() == {
-            "hits": 0, "misses": 0, "optimal": 0, "fallbacks": 0
+            "hits": 0, "misses": 0, "optimal": 0, "unproven": 0,
+            "fallbacks": 0,
         }
         first = exact_esop_cubes(truth, 4)
         stats = exact_esop_stats()
@@ -123,7 +190,8 @@ class TestMemoBehaviour:
         exact_esop_cubes(sample_truth(2), 4)
         reset_exact_esop_memo()
         assert exact_esop_stats() == {
-            "hits": 0, "misses": 0, "optimal": 0, "fallbacks": 0
+            "hits": 0, "misses": 0, "optimal": 0, "unproven": 0,
+            "fallbacks": 0,
         }
 
 
@@ -157,3 +225,101 @@ class TestExactBlocks:
         assert exact.report.verified
         assert exact.report.t_count <= esop.report.t_count
         assert exact.report.qubits == esop.report.qubits
+
+
+@pytest.fixture(scope="module")
+def intdiv8_run():
+    """Every INTDIV(8) function solved from a cold memo, with its SAT calls.
+
+    Yields ``(covers, per-function stats deltas, [(cnf, conflict_budget,
+    result)])``; the solver entry point is wrapped for the duration.
+    """
+    calls = []
+    solve = exact_esop_module.solve
+
+    def recording(cnf, *args, **kwargs):
+        result = solve(cnf, *args, **kwargs)
+        calls.append((cnf, kwargs.get("conflict_budget"), result))
+        return result
+
+    reset_exact_esop_memo()
+    exact_esop_module.solve = recording
+    try:
+        covers, stats = {}, {}
+        for num_vars, truth in INTDIV8_COSTS:
+            before = exact_esop_stats()
+            covers[num_vars, truth] = exact_esop_cubes(truth, num_vars)
+            stats[num_vars, truth] = {
+                key: value - before[key]
+                for key, value in exact_esop_stats().items()
+            }
+    finally:
+        exact_esop_module.solve = solve
+        reset_exact_esop_memo()
+    yield covers, stats, calls
+
+
+class TestPinnedQuality:
+    def test_intdiv8_covers_keep_their_costs(self, intdiv8_run):
+        covers, _, _ = intdiv8_run
+        for (num_vars, truth), cost in INTDIV8_COSTS.items():
+            cubes = covers[num_vars, truth]
+            assert cover_truth(cubes) == truth, hex(truth)
+            assert cover_cost(cubes) == cost, hex(truth)
+
+    def test_intdiv8_provenance(self, intdiv8_run):
+        _, stats, _ = intdiv8_run
+        unproven = {key for key, delta in stats.items() if delta["unproven"]}
+        assert unproven == INTDIV8_UNPROVEN
+        total = {
+            key: sum(delta[key] for delta in stats.values())
+            for key in ("optimal", "unproven", "fallbacks")
+        }
+        # The constant-zero function takes no exact path at all.
+        assert total == {"optimal": 23, "unproven": 2, "fallbacks": 0}
+
+    def test_intdiv8_solver_effort_is_bounded(self, intdiv8_run):
+        _, _, calls = intdiv8_run
+        conflicts = sum(result.conflicts for _, _, result in calls)
+        assert conflicts <= INTDIV8_CONFLICT_LIMIT, conflicts
+
+    def test_three_input_costs_never_rise(self):
+        for truth, pinned in enumerate(COSTS_3):
+            cubes = exact_esop_cubes(truth, 3)
+            assert cover_truth(cubes) == truth, hex(truth)
+            assert cover_cost(cubes) <= pinned, hex(truth)
+
+    def test_four_input_costs_never_rise(self):
+        rng = random.Random(COSTS_4_SEED)
+        for pinned in COSTS_4:
+            truth = rng.getrandbits(16)
+            cubes = exact_esop_cubes(truth, 4)
+            assert cover_truth(cubes) == truth, hex(truth)
+            assert cover_cost(cubes) <= pinned, hex(truth)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the cost descent never tries more cubes than the PSDKRO "
+        "cover has, e.g. 0x18 costs 30 from 2 cubes, 21 from 3",
+    )
+    def test_three_input_covers_reach_the_minimum_cost(self):
+        optimum = min_esop_costs_reference(3)
+        gaps = [
+            truth for truth in range(256)
+            if cover_cost(exact_esop_cubes(truth, 3)) > optimum[truth]
+        ]
+        assert not gaps, f"{len(gaps)} functions above the optimum: {gaps}"
+
+
+class TestSolverKernelOracle:
+    def test_exact_esop_searches_match_the_reference_solver(
+        self, intdiv8_run
+    ):
+        _, _, calls = intdiv8_run
+        assert len(calls) > 26
+        for cnf, conflict_budget, _ in calls:
+            tuned = Solver(cnf).solve(conflict_budget=conflict_budget)
+            reference = SolverReference(cnf).solve(
+                conflict_budget=conflict_budget
+            )
+            assert search_of(tuned) == search_of(reference), repr(cnf)

@@ -5,9 +5,13 @@ against the only stronger oracle available: brute-force enumeration.
 Seeded random CNFs over at most 12 variables must agree with exhaustive
 search on SAT/UNSAT, and every model the solver returns must satisfy every
 clause.  The constraint encodings (`at_most_one`, `exactly_one`,
-`at_most_k`, `xor_link`) are checked semantically: projected onto the
-original variables, the encoded formula must accept exactly the assignments
-the cardinality predicate accepts.
+`at_most_k`, `at_most_weight`, `xor_link`) are checked semantically:
+projected onto the original variables, the encoded formula must accept
+exactly the assignments the cardinality or weight predicate accepts.
+
+The tuned solver is also pinned to :class:`oracles.sat.SolverReference`,
+the plainly written search it replaced: same status, model and search
+statistics on every seeded instance.
 """
 
 import itertools
@@ -15,6 +19,8 @@ import random
 
 import pytest
 
+import repro.sat.solver as solver_module
+from oracles.sat import SolverReference, search_of
 from repro.sat import Cnf, SatResult, Solver, solve
 from repro.sat.cnf import _PAIRWISE_LIMIT
 
@@ -315,6 +321,55 @@ def test_at_most_k_with_negative_literals():
     assert accepted == expected
 
 
+def weight_predicate_models(weights, bound):
+    return {
+        bits
+        for bits in itertools.product([False, True], repeat=len(weights))
+        if sum(w for w, bit in zip(weights, bits) if bit) <= bound
+    }
+
+
+@pytest.mark.parametrize("num_items", range(1, 9))
+def test_at_most_weight_semantics(num_items):
+    rng = random.Random(num_items)
+    weights = [rng.randint(1, 9) for _ in range(num_items)]
+    items = list(zip(range(1, num_items + 1), weights))
+    for bound in range(sum(weights) + 2):
+        cnf = Cnf(num_items)
+        cnf.at_most_weight(items, bound)
+        assert project_models(cnf, num_items) == weight_predicate_models(
+            weights, bound
+        ), f"weights {weights}, bound {bound}"
+
+
+def test_at_most_weight_forbids_an_item_heavier_than_the_bound():
+    cnf = Cnf(3)
+    cnf.at_most_weight([(1, 5), (2, 2), (3, 9)], 4)
+    assert project_models(cnf, 3) == {
+        (False, False, False), (False, True, False)
+    }
+
+
+def test_at_most_weight_with_negative_literals_and_zero_weights():
+    # "NOT x1 weighs 3, x2 weighs 0, x3 weighs 2; at most 3 in total."
+    cnf = Cnf(3)
+    cnf.at_most_weight([(-1, 3), (2, 0), (3, 2)], 3)
+    accepted = project_models(cnf, 3)
+    expected = {
+        bits
+        for bits in itertools.product([False, True], repeat=3)
+        if 3 * (not bits[0]) + 2 * bits[2] <= 3
+    }
+    assert accepted == expected
+
+
+def test_at_most_weight_rejects_negative_bounds_and_weights():
+    with pytest.raises(ValueError):
+        Cnf(2).at_most_weight([(1, 1), (2, 1)], -1)
+    with pytest.raises(ValueError):
+        Cnf(2).at_most_weight([(1, -1), (2, 1)], 1)
+
+
 def test_xor_link_semantics():
     cnf = Cnf(3)
     cnf.xor_link(3, 1, 2)
@@ -332,3 +387,71 @@ def test_equal_link_semantics():
     cnf.equal_link(1, -2)
     accepted = project_models(cnf, 2)
     assert accepted == {(False, True), (True, False)}
+
+
+# -- the tuned solver against the reference search ----------------------------
+
+
+def random_3sat(seed):
+    """A seeded 3-SAT instance near the threshold, with a few assumptions."""
+    rng = random.Random(seed)
+    num_vars = rng.randint(20, 60)
+    cnf = Cnf(num_vars)
+    for _ in range(int(num_vars * rng.uniform(3.8, 4.6))):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+    assumptions = [
+        v if rng.random() < 0.5 else -v
+        for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 4))
+    ]
+    return cnf, assumptions
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_search_matches_the_reference_on_random_cnfs(seed):
+    num_vars, clauses = random_cnf(seed)
+    cnf = Cnf(num_vars)
+    cnf.add_clauses(clauses)
+    assert search_of(Solver(cnf).solve()) == search_of(
+        SolverReference(cnf).solve()
+    )
+
+
+def test_search_matches_the_reference_on_3sat_with_assumptions():
+    statuses = set()
+    for seed in range(240):
+        cnf, assumptions = random_3sat(seed)
+        tuned = Solver(cnf).solve(assumptions=assumptions)
+        reference = SolverReference(cnf).solve(assumptions=assumptions)
+        assert search_of(tuned) == search_of(reference), f"seed {seed}"
+        statuses.add(tuned.status)
+    assert statuses == {"sat", "unsat"}
+
+
+def test_activity_rescale_rebuilds_the_heap(monkeypatch):
+    # A tiny cap forces rescales; the search must stay sound, and after it
+    # every unassigned variable must be queued at its current activity.
+    monkeypatch.setattr(solver_module, "_ACTIVITY_CAP", 4.0)
+    rescale = Solver._rescale_activities
+    rescales = []
+
+    def counted(solver):
+        rescales.append(solver)
+        rescale(solver)
+
+    monkeypatch.setattr(Solver, "_rescale_activities", counted)
+    for seed in range(40):
+        cnf, assumptions = random_3sat(seed)
+        solver = Solver(cnf)
+        result = solver.solve(assumptions=assumptions)
+        reference = SolverReference(cnf).solve(assumptions=assumptions)
+        assert result.status == reference.status, f"seed {seed}"
+        if result.status == "sat":
+            assert_model_satisfies(result.model, cnf.clauses)
+            assert all(result[abs(l)] == (l > 0) for l in assumptions)
+        entries = set(solver.heap)
+        for v in range(solver.num_vars):
+            if solver.assigns[v] == solver_module._UNASSIGNED:
+                assert solver.queued[v], f"seed {seed}: {v} not queued"
+                assert (-solver.activity[v], v) in entries, f"seed {seed}"
+    assert rescales
