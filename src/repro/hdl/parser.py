@@ -60,19 +60,49 @@ _BINARY_LEVELS = [
 _UNARY_OPS = {"~", "!", "-", "+", "&", "|", "^"}
 
 
-def _parse_number(text: str) -> Number:
-    """Parse a Verilog number literal into a :class:`Number` node."""
-    text = text.replace("_", "")
+_BASES = {
+    "b": (2, "binary"),
+    "o": (8, "octal"),
+    "d": (10, "decimal"),
+    "h": (16, "hexadecimal"),
+}
+
+
+def _parse_number(token: Token) -> Number:
+    """Parse a Verilog number literal into a :class:`Number` node.
+
+    Malformed digits raise :class:`ParserError` at the literal's position,
+    naming the bad digit and the base.  Four-state ``x``/``z`` digits are
+    rejected as unsupported rather than read as 0: the designs are
+    two-valued, so a silent substitution would change the function.
+    """
+    text = token.value.replace("_", "")
+
+    def fail(message: str) -> ParserError:
+        return ParserError(
+            f"{message} in number literal {token.value!r}", token.line, token.column
+        )
+
     if "'" not in text:
         return Number(int(text))
     width_text, rest = text.split("'", 1)
     width = int(width_text) if width_text else None
+    if width == 0:
+        raise fail("zero width")
     if rest and rest[0] in "sS":
         rest = rest[1:]
     base_char = rest[0].lower()
     digits = rest[1:]
-    bases = {"b": 2, "o": 8, "d": 10, "h": 16}
-    value = int(digits, bases[base_char])
+    base, base_name = _BASES[base_char]
+    if not digits:
+        raise fail(f"missing {base_name} digits")
+    valid = "0123456789abcdef"[:base]
+    for digit in digits:
+        if digit in "xXzZ":
+            raise fail(f"unsupported four-state digit {digit!r} (designs are two-valued)")
+        if digit.lower() not in valid:
+            raise fail(f"invalid digit {digit!r} for base {base} ({base_name})")
+    value = int(digits, base)
     if width is not None:
         value &= (1 << width) - 1
     return Number(value, width, base_char)
@@ -308,7 +338,7 @@ class _Parser:
         token = self._peek()
         if token.kind == "number":
             self._advance()
-            return _parse_number(token.value)
+            return _parse_number(token)
         if token.kind == "ident":
             self._advance()
             return Identifier(token.value)

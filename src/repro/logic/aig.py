@@ -76,29 +76,33 @@ class Aig:
 
     def create_and(self, a: int, b: int) -> int:
         """Create (or reuse) an AND node and return its literal."""
-        self._check_lit(a)
-        self._check_lit(b)
-        # Trivial simplifications.
-        if a == self.CONST0 or b == self.CONST0:
-            return self.CONST0
-        if a == self.CONST1:
+        fanin0 = self._fanin0
+        num_lits = 2 * len(fanin0)
+        if not 0 <= a < num_lits:
+            self._check_lit(a)
+        if not 0 <= b < num_lits:
+            self._check_lit(b)
+        # Trivial simplifications (literal 0 is CONST0, literal 1 CONST1).
+        if a == 0 or b == 0:
+            return 0
+        if a == 1:
             return b
-        if b == self.CONST1:
+        if b == 1:
             return a
         if a == b:
             return a
-        if a == lit_not(b):
-            return self.CONST0
+        if a == b ^ 1:
+            return 0
         if a > b:
             a, b = b, a
         key = (a, b)
         node = self._strash.get(key)
         if node is None:
-            node = len(self._fanin0)
-            self._fanin0.append(a)
+            node = len(fanin0)
+            fanin0.append(a)
             self._fanin1.append(b)
             self._strash[key] = node
-        return make_lit(node)
+        return node << 1
 
     def create_or(self, a: int, b: int) -> int:
         """OR via De Morgan."""
@@ -266,13 +270,12 @@ class Aig:
     def fanout_counts(self) -> List[int]:
         """Number of fanouts of every node (POs count as fanouts)."""
         counts = [0] * len(self._fanin0)
-        for node in range(len(self._fanin0)):
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                counts[lit_node(f0)] += 1
-                counts[lit_node(f1)] += 1
+        for f0, f1 in zip(self._fanin0, self._fanin1):
+            if f0 >= 0:  # an AND node; the constant and PIs store -1
+                counts[f0 >> 1] += 1
+                counts[f1 >> 1] += 1
         for po in self._pos:
-            counts[lit_node(po)] += 1
+            counts[po >> 1] += 1
         return counts
 
     def _check_lit(self, lit: int) -> None:
@@ -392,32 +395,43 @@ class Aig:
     # -- rebuilding --------------------------------------------------------------
 
     def cleanup(self) -> "Aig":
-        """Return a copy containing only nodes reachable from the outputs."""
-        reachable = set()
-        stack = [lit_node(po) for po in self._pos]
+        """Return a copy containing only nodes reachable from the outputs.
+
+        Primary inputs come first, in their original order; the reachable
+        AND nodes follow in their original (topological) order, rebuilt
+        through :meth:`create_and`, so the copy is strashed and free of
+        trivial ANDs.  The copy is a fresh object that shares no state with
+        ``self``.
+        """
+        fanin0 = self._fanin0
+        fanin1 = self._fanin1
+        num_nodes = len(fanin0)
+        reachable = bytearray(num_nodes)
+        stack = [po >> 1 for po in self._pos]
         while stack:
             node = stack.pop()
-            if node in reachable or node == 0:
+            if reachable[node]:
                 continue
-            reachable.add(node)
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                stack.append(lit_node(f0))
-                stack.append(lit_node(f1))
+            reachable[node] = 1
+            f0 = fanin0[node]
+            if f0 >= 0:  # an AND node; the constant and PIs store -1
+                stack.append(f0 >> 1)
+                stack.append(fanin1[node] >> 1)
 
         result = Aig(self.name)
-        mapping: Dict[int, int] = {0: Aig.CONST0}
+        mapping = [0] * num_nodes  # node 0 maps to the constant-0 literal
         for node, name in zip(self._pis, self._pi_names):
             mapping[node] = result.add_pi(name)
-        for node in range(len(self._fanin0)):
-            if self.is_and(node) and node in reachable:
-                f0, f1 = self.fanins(node)
-                new_f0 = lit_not_cond(mapping[lit_node(f0)], lit_is_compl(f0))
-                new_f1 = lit_not_cond(mapping[lit_node(f1)], lit_is_compl(f1))
-                mapping[node] = result.create_and(new_f0, new_f1)
+        create_and = result.create_and
+        for node in range(1, num_nodes):
+            f0 = fanin0[node]
+            if f0 >= 0 and reachable[node]:
+                f1 = fanin1[node]
+                mapping[node] = create_and(
+                    mapping[f0 >> 1] ^ (f0 & 1), mapping[f1 >> 1] ^ (f1 & 1)
+                )
         for po, name in zip(self._pos, self._po_names):
-            new_lit = lit_not_cond(mapping[lit_node(po)], lit_is_compl(po))
-            result.add_po(new_lit, name)
+            result.add_po(mapping[po >> 1] ^ (po & 1), name)
         return result
 
     def copy(self) -> "Aig":

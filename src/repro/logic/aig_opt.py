@@ -16,6 +16,16 @@ reversible synthesis.  This module provides the same *kind* of passes:
 All passes are purely functional: they return a new :class:`Aig` and leave
 the input untouched.  Functional equivalence is preserved by construction
 (and is additionally asserted by the test-suite via random simulation).
+
+Refactoring meets the same small cone functions over and over: one
+structural sweep evaluates tens of thousands of cones but only a few
+hundred distinct ``(truth, num_vars)`` pairs.  The factored form of each
+pair (ISOP of the function and of its complement, the smaller one
+factored, its estimated gate cost) is therefore computed once per process
+and memoised, much as ABC's rewriting works from precomputed structures
+per small function.  The memo is bounded (:data:`FACTOR_MEMO_LIMIT`,
+cleared when full), correctness-neutral, and reports its hits and misses
+through :func:`factor_memo_stats` / :func:`reset_factor_memo`.
 """
 
 from __future__ import annotations
@@ -28,7 +38,16 @@ from repro.logic.network import collect_cone, cone_truth_table
 from repro.logic.sop import Expression, expression_literal_count, factor_cubes, isop
 from repro.logic.truth_table import tt_mask
 
-__all__ = ["balance", "refactor", "rewrite", "dc2", "resyn2", "optimize_script"]
+__all__ = [
+    "balance",
+    "refactor",
+    "rewrite",
+    "dc2",
+    "resyn2",
+    "optimize_script",
+    "factor_memo_stats",
+    "reset_factor_memo",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +192,68 @@ def balance(aig: Aig) -> Aig:
 # Refactoring / rewriting
 # ---------------------------------------------------------------------------
 
+#: Factored-form memo bound.  A structural sweep meets a few hundred
+#: distinct cone functions; the bound only keeps a long-running server's
+#: memo from growing without limit (the memo is correctness-neutral, so
+#: clearing it when full only costs recomputation).
+FACTOR_MEMO_LIMIT = 1 << 12
+
+_factor_memo: Dict[Tuple[int, int], Tuple[Expression, bool, int]] = {}
+_factor_stats = {"hits": 0, "misses": 0}
+
+
+def factor_memo_stats() -> Dict[str, int]:
+    """A snapshot of the factored-form memo counters (for tests and reports).
+
+    ``hits`` counts cone functions whose factored form came from the memo,
+    ``misses`` those that ran ISOP and factoring; ``entries`` is the
+    current memo size.
+    """
+    return dict(_factor_stats, entries=len(_factor_memo))
+
+
+def reset_factor_memo() -> None:
+    """Clear the memo and zero the counters (test isolation)."""
+    _factor_memo.clear()
+    for key in _factor_stats:
+        _factor_stats[key] = 0
+
+
+def _freeze(expr: Expression) -> Expression:
+    """The expression with every child list turned into a tuple."""
+    if expr[0] in ("and", "or"):
+        return (expr[0], tuple(_freeze(child) for child in expr[1]))
+    return expr
+
+
+def _factored_form(truth: int, num_vars: int) -> Tuple[Expression, bool, int]:
+    """``(expr, use_complement, estimated_cost)`` of a cone function.
+
+    ``expr`` factors an irredundant SOP of the function, or of its
+    complement when that SOP has fewer cubes (``use_complement``).  A
+    factored form with L literals costs about L-1 two-input gates, which
+    is ``estimated_cost``.  Results are memoised per process by
+    ``(truth, num_vars)``; the returned expression is shared between
+    callers and frozen into tuples so that none of them can mutate it.
+    """
+    key = (truth, num_vars)
+    cached = _factor_memo.get(key)
+    if cached is not None:
+        _factor_stats["hits"] += 1
+        return cached
+    _factor_stats["misses"] += 1
+
+    cover = isop(truth, num_vars)
+    cover_compl = isop(truth ^ tt_mask(num_vars), num_vars)
+    use_complement = len(cover_compl) < len(cover)
+    expr = _freeze(factor_cubes(cover_compl if use_complement else cover, num_vars))
+    result = (expr, use_complement, max(0, expression_literal_count(expr) - 1))
+    if len(_factor_memo) >= FACTOR_MEMO_LIMIT:
+        _factor_memo.clear()
+    _factor_memo[key] = result
+    return result
+
+
 def refactor(aig: Aig, max_leaves: int = 10) -> Aig:
     """Collapse fanout-free cones and rebuild them from factored SOPs.
 
@@ -180,7 +261,8 @@ def refactor(aig: Aig, max_leaves: int = 10) -> Aig:
     most ``max_leaves`` leaves, an irredundant SOP of the cone function and
     of its complement are computed; the smaller factored form replaces the
     cone if its estimated size does not exceed the original cone.  Larger
-    cones are copied structurally.
+    cones are copied structurally.  The factored form of each cone function
+    comes from the per-process memo (see the module docstring).
     """
     aig = aig.cleanup()
     roots = _materialization_roots(aig, include_complemented=False)
@@ -195,18 +277,8 @@ def refactor(aig: Aig, max_leaves: int = 10) -> Aig:
             continue
 
         truth = _cone_truth_table(aig, node, leaves, internal)
-        num_vars = len(leaves)
-        mask = tt_mask(num_vars)
-
-        cover = isop(truth, num_vars)
-        cover_compl = isop(truth ^ mask, num_vars)
-        use_complement = len(cover_compl) < len(cover)
-        chosen = cover_compl if use_complement else cover
-        expr = factor_cubes(chosen, num_vars)
-
-        # Size estimate: a factored form with L literals costs about L-1
-        # two-input gates; the original cone costs len(internal) gates.
-        estimated_cost = max(0, expression_literal_count(expr) - 1)
+        expr, use_complement, estimated_cost = _factored_form(truth, len(leaves))
+        # The original cone costs len(internal) two-input gates.
         if estimated_cost > len(internal):
             _copy_structural(aig, new, mapping, internal)
             continue

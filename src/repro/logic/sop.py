@@ -5,6 +5,12 @@ These are the helpers behind the ``refactor``/``rewrite`` passes of
 logic is collapsed into a truth table, an irredundant SOP is computed with
 the Minato–Morreale procedure, the SOP is factored algebraically, and the
 factored form is built back into the AIG.
+
+The functions here are pure and recompute their result on every call.
+:mod:`repro.logic.aig_opt` memoises the whole ISOP-and-factor step per
+``(truth, num_vars)`` pair, and stores each factored form with its child
+lists frozen into tuples, because memoised expressions are shared between
+every cone that has the same function.
 """
 
 from __future__ import annotations
@@ -103,8 +109,8 @@ def _var_table(var: int, num_vars: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Expression trees: ("lit", var, positive) | ("and", [children]) | ("or", [children])
-# | ("const", bool)
-Expression = Union[Tuple[str, int, bool], Tuple[str, list], Tuple[str, bool]]
+# | ("const", bool); memoised trees hold their children in tuples instead.
+Expression = Union[Tuple[str, int, bool], Tuple[str, Sequence], Tuple[str, bool]]
 
 
 def factor_cubes(cubes: Sequence[Cube], num_vars: int) -> Expression:

@@ -5,7 +5,9 @@ Each oracle is the original, plainly written version of a kernel that
 mask-native).  The property tests compare the two on random inputs:
 
 * :mod:`oracles.logic` — cut truth tables, PSDKRO extraction, the BDD
-  manager's walks and the AIG-to-BDD collapse, plus the minimum-cost
+  manager's walks and the AIG-to-BDD collapse, ``Aig.create_and`` and
+  ``Aig.cleanup``, and the refactor/balance scripts before the
+  factored-form memo, plus the minimum-cost
   ESOP of every small function by shortest path (a quality bound, not a
   former kernel),
 * :mod:`oracles.circuits` — T-count, depth and resource sweeps, the

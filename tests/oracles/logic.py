@@ -1,15 +1,17 @@
 """Oracles for the logic-level kernels: cut tables, PSDKRO, minimum-cost
-ESOPs, BDDs, collapse."""
+ESOPs, BDDs, collapse, and AIG cleanup and refactoring."""
 
 import heapq
 import itertools
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.logic.aig import Aig, lit_is_compl, lit_node
+from repro.logic.aig import Aig, lit_is_compl, lit_node, lit_not, make_lit
 from repro.logic.bdd import BddManager
 from repro.logic.cube import Cube
 from repro.logic.cuts import Cut
-from repro.logic.network import LogicNetwork
+from repro.logic.lits import lit_not_cond
+from repro.logic.network import LogicNetwork, collect_cone, cone_truth_table
+from repro.logic.sop import Expression, expression_literal_count, factor_cubes, isop
 from repro.logic.truth_table import (
     tt_cofactor0,
     tt_cofactor1,
@@ -280,3 +282,233 @@ def collapse_to_bdd_reference(aig: Aig) -> Tuple[BddManager, List[int]]:
             f0, f1 = aig.fanins(node)
             values[node] = manager.apply_and(lit_bdd(f0), lit_bdd(f1))
     return manager, [lit_bdd(po) for po in aig.pos()]
+
+
+# ---------------------------------------------------------------------------
+# AIG construction, cleanup and the refactor-based optimisation scripts
+# ---------------------------------------------------------------------------
+#
+# The passes as they stood before the factored form of each cone function
+# was memoised and ``Aig.cleanup``/``Aig.create_and`` dropped their per-node
+# method calls.  ``write_aiger`` of the production passes must equal these
+# byte for byte.
+
+
+def create_and_reference(aig: Aig, a: int, b: int) -> int:
+    """``Aig.create_and`` through the literal helpers, on ``aig``'s arrays."""
+    aig._check_lit(a)
+    aig._check_lit(b)
+    if a == Aig.CONST0 or b == Aig.CONST0:
+        return Aig.CONST0
+    if a == Aig.CONST1:
+        return b
+    if b == Aig.CONST1:
+        return a
+    if a == b:
+        return a
+    if a == lit_not(b):
+        return Aig.CONST0
+    if a > b:
+        a, b = b, a
+    key = (a, b)
+    node = aig._strash.get(key)
+    if node is None:
+        node = len(aig._fanin0)
+        aig._fanin0.append(a)
+        aig._fanin1.append(b)
+        aig._strash[key] = node
+    return make_lit(node)
+
+
+def cleanup_reference(aig: Aig) -> Aig:
+    """Copy of ``aig`` with only the nodes reachable from the outputs."""
+    reachable = set()
+    stack = [lit_node(po) for po in aig.pos()]
+    while stack:
+        node = stack.pop()
+        if node in reachable or node == 0:
+            continue
+        reachable.add(node)
+        if aig.is_and(node):
+            f0, f1 = aig.fanins(node)
+            stack.append(lit_node(f0))
+            stack.append(lit_node(f1))
+
+    result = Aig(aig.name)
+    mapping: Dict[int, int] = {0: Aig.CONST0}
+    for lit, name in zip(aig.pis(), aig.pi_names()):
+        mapping[lit_node(lit)] = result.add_pi(name)
+    for node in aig.nodes():
+        if aig.is_and(node) and node in reachable:
+            f0, f1 = aig.fanins(node)
+            new_f0 = lit_not_cond(mapping[lit_node(f0)], lit_is_compl(f0))
+            new_f1 = lit_not_cond(mapping[lit_node(f1)], lit_is_compl(f1))
+            mapping[node] = create_and_reference(result, new_f0, new_f1)
+    for po, name in zip(aig.pos(), aig.po_names()):
+        new_lit = lit_not_cond(mapping[lit_node(po)], lit_is_compl(po))
+        result.add_po(new_lit, name)
+    return result
+
+
+def _map_lit(mapping: Dict[int, int], lit: int) -> int:
+    return lit_not_cond(mapping[lit_node(lit)], lit_is_compl(lit))
+
+
+def _materialization_roots(aig: Aig, include_complemented: bool = True) -> Set[int]:
+    fanouts = [0] * len(list(aig.nodes()))
+    for node in aig.nodes():
+        if aig.is_and(node):
+            f0, f1 = aig.fanins(node)
+            fanouts[lit_node(f0)] += 1
+            fanouts[lit_node(f1)] += 1
+    for po in aig.pos():
+        fanouts[lit_node(po)] += 1
+    roots: Set[int] = set()
+    for po in aig.pos():
+        roots.add(lit_node(po))
+    for node in aig.nodes():
+        if not aig.is_and(node):
+            continue
+        if fanouts[node] > 1:
+            roots.add(node)
+        if include_complemented:
+            for fanin in aig.fanins(node):
+                if lit_is_compl(fanin) and aig.is_and(lit_node(fanin)):
+                    roots.add(lit_node(fanin))
+    roots.discard(0)
+    return {node for node in roots if aig.is_and(node)}
+
+
+def _build_expression(aig: Aig, expr: Expression, leaf_lits: Sequence[int]) -> int:
+    tag = expr[0]
+    if tag == "const":
+        return Aig.CONST1 if expr[1] else Aig.CONST0
+    if tag == "lit":
+        _, var, positive = expr
+        return lit_not_cond(leaf_lits[var], not positive)
+    children = [_build_expression(aig, child, leaf_lits) for child in expr[1]]
+    if tag == "and":
+        return aig.create_and_multi(children)
+    if tag == "or":
+        return aig.create_or_multi(children)
+    raise ValueError(f"unknown expression tag {tag!r}")
+
+
+def _copy_structural(
+    aig: Aig, new: Aig, mapping: Dict[int, int], internal: Sequence[int]
+) -> None:
+    for node in internal:
+        if node in mapping:
+            continue
+        f0, f1 = aig.fanins(node)
+        mapping[node] = new.create_and(_map_lit(mapping, f0), _map_lit(mapping, f1))
+
+
+def _finish(aig: Aig, new: Aig, mapping: Dict[int, int]) -> Aig:
+    for po, name in zip(aig.pos(), aig.po_names()):
+        new.add_po(_map_lit(mapping, po), name)
+    return cleanup_reference(new)
+
+
+def _init_rebuild(aig: Aig) -> Tuple[Aig, Dict[int, int]]:
+    new = Aig(aig.name)
+    mapping: Dict[int, int] = {0: Aig.CONST0}
+    for node, name in zip([lit_node(lit) for lit in aig.pis()], aig.pi_names()):
+        mapping[node] = new.add_pi(name)
+    return new, mapping
+
+
+def balance_reference(aig: Aig) -> Aig:
+    """Huffman-style rebalancing of every fanout-free AND tree."""
+    aig = cleanup_reference(aig)
+    roots = _materialization_roots(aig)
+    new, mapping = _init_rebuild(aig)
+    new_level: Dict[int, int] = {0: 0}
+    for node in [lit_node(lit) for lit in aig.pis()]:
+        new_level[lit_node(mapping[node])] = 0
+
+    def level_of(lit: int) -> int:
+        return new_level.get(lit_node(lit), 0)
+
+    for node in aig.nodes():
+        if not aig.is_and(node) or node not in roots:
+            continue
+        leaves, internal = collect_cone(aig, node, roots)
+        leaf_lits: List[int] = []
+        internal_set = set(internal)
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            for fanin in aig.fanins(current):
+                if lit_node(fanin) in internal_set and not lit_is_compl(fanin):
+                    stack.append(lit_node(fanin))
+                else:
+                    leaf_lits.append(_map_lit(mapping, fanin))
+        operands = sorted(leaf_lits, key=level_of, reverse=True)
+        while len(operands) > 1:
+            a = operands.pop()
+            b = operands.pop()
+            combined = new.create_and(a, b)
+            new_level[lit_node(combined)] = 1 + max(level_of(a), level_of(b))
+            level = new_level[lit_node(combined)]
+            index = len(operands)
+            while index > 0 and level_of(operands[index - 1]) < level:
+                index -= 1
+            operands.insert(index, combined)
+        mapping[node] = operands[0] if operands else Aig.CONST1
+    return _finish(aig, new, mapping)
+
+
+def refactor_reference(aig: Aig, max_leaves: int = 10) -> Aig:
+    """Refactoring with ISOP and factoring recomputed for every cone."""
+    aig = cleanup_reference(aig)
+    roots = _materialization_roots(aig, include_complemented=False)
+    new, mapping = _init_rebuild(aig)
+
+    for node in aig.nodes():
+        if not aig.is_and(node) or node not in roots:
+            continue
+        leaves, internal = collect_cone(aig, node, roots)
+        if not leaves or len(leaves) > max_leaves:
+            _copy_structural(aig, new, mapping, internal)
+            continue
+
+        truth = cone_truth_table(aig, node, leaves, internal)
+        num_vars = len(leaves)
+        mask = tt_mask(num_vars)
+
+        cover = isop(truth, num_vars)
+        cover_compl = isop(truth ^ mask, num_vars)
+        use_complement = len(cover_compl) < len(cover)
+        chosen = cover_compl if use_complement else cover
+        expr = factor_cubes(chosen, num_vars)
+
+        estimated_cost = max(0, expression_literal_count(expr) - 1)
+        if estimated_cost > len(internal):
+            _copy_structural(aig, new, mapping, internal)
+            continue
+
+        leaf_lits = [_map_lit(mapping, leaf * 2) for leaf in leaves]
+        literal = _build_expression(new, expr, leaf_lits)
+        mapping[node] = lit_not_cond(literal, use_complement)
+    return _finish(aig, new, mapping)
+
+
+def dc2_reference(aig: Aig) -> Aig:
+    """``b; rw; rf; b; rw`` over the reference passes."""
+    aig = balance_reference(aig)
+    aig = refactor_reference(aig, max_leaves=5)
+    aig = refactor_reference(aig)
+    aig = balance_reference(aig)
+    return refactor_reference(aig, max_leaves=5)
+
+
+def resyn2_reference(aig: Aig) -> Aig:
+    """``b; rw; rf; b; rw; rf(12); b`` over the reference passes."""
+    aig = balance_reference(aig)
+    aig = refactor_reference(aig, max_leaves=5)
+    aig = refactor_reference(aig)
+    aig = balance_reference(aig)
+    aig = refactor_reference(aig, max_leaves=5)
+    aig = refactor_reference(aig, max_leaves=12)
+    return balance_reference(aig)

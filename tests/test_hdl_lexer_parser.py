@@ -125,6 +125,47 @@ class TestExpressionParser:
         with pytest.raises(ParserError):
             parse_expression("+ ;")
 
+    @pytest.mark.parametrize(
+        "literal, digit, base",
+        [
+            ("4'b1210", "'2'", "base 2 (binary)"),
+            ("8'd2a", "'a'", "base 10 (decimal)"),
+            ("6'o78", "'8'", "base 8 (octal)"),
+            ("8'hfg", "'g'", "base 16 (hexadecimal)"),
+        ],
+    )
+    def test_invalid_digit_names_digit_base_and_position(self, literal, digit, base):
+        with pytest.raises(ParserError) as info:
+            parse_expression(f"a +\n   {literal}")
+        error = info.value
+        assert (error.line, error.column) == (2, 4)
+        assert "at 2:4" in str(error)
+        assert digit in str(error) and base in str(error)
+        assert literal in str(error)
+
+    @pytest.mark.parametrize("literal", ["4'b1x10", "4'hZ", "8'bz", "2'sbX1"])
+    def test_four_state_digits_are_rejected_not_zeroed(self, literal):
+        with pytest.raises(ParserError, match="unsupported four-state digit") as info:
+            parse_expression(literal)
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "literal, message", [("4'b", "missing binary digits"), ("0'd1", "zero width")]
+    )
+    def test_empty_digits_and_zero_width_are_rejected(self, literal, message):
+        with pytest.raises(ParserError, match=message):
+            parse_expression(literal)
+
+    def test_bad_literal_in_module_reports_its_line(self):
+        source = (
+            "module m(input a, output [3:0] y);\n"
+            "  assign y = 4'b1x10;\n"
+            "endmodule\n"
+        )
+        with pytest.raises(ParserError) as info:
+            parse_verilog(source)
+        assert (info.value.line, info.value.column) == (2, 14)
+
 
 SIMPLE_MODULE = """
 module add3 #(parameter W = 4) (
