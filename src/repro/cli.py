@@ -141,12 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument(
         "--lut-synth", choices=["esop", "exact", "tbs"], default="esop",
         help="per-LUT sub-synthesizer of the lut flow (default: esop; "
-        "exact = SAT-minimum ESOP for small LUTs)",
+        "exact = T-cost-optimal ESOP for LUTs of up to 4 inputs)",
     )
     flow.add_argument(
         "--exact-time-budget", type=float, metavar="SECONDS",
         help="per-call SAT time budget of the lut flow's exact pebbling "
-        "strategy (default: the strategy's built-in budget)",
+        "strategy, in positive seconds; only valid with --strategy exact "
+        "(default: the strategy's built-in budget)",
     )
     flow.add_argument(
         "--opt", metavar="PIPELINE",

@@ -53,7 +53,10 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: canonicalisation became recursive and order-insensitive (dict- and
 #: list-valued parameters previously hashed by ``repr`` insertion order),
 #: so every key of a parameterised configuration potentially changed.
-CACHE_FORMAT_VERSION = 7
+#: Version 8: ``lut_synth=exact`` covers became T-cost-optimal (INTDIV(8)
+#: ``lut`` with exact pebbling at half the LUT count: 23302 -> 23176 T),
+#: so version-7 entries would serve the dearer circuits.
+CACHE_FORMAT_VERSION = 8
 
 
 def _canonical_value(value: Any) -> Any:

@@ -444,13 +444,24 @@ def _stage_pebble(
     ``max_pebbles`` is the budget of the bounded and exact strategies (an
     int, or a float in ``(0, 1)`` as a fraction of the LUT count);
     ``exact_time_budget`` caps the seconds the ``exact`` strategy spends
-    in SAT.
+    in SAT; it must be positive, and any other strategy rejects it.
     """
     from repro.reversible.pebbling import make_schedule
 
     options: Dict[str, Any] = {}
-    if strategy == "exact" and exact_time_budget is not None:
-        options["time_budget"] = float(exact_time_budget)
+    if exact_time_budget is not None:
+        if strategy != "exact":
+            raise ValueError(
+                f"exact_time_budget={exact_time_budget!r} applies only to "
+                f"strategy='exact', not strategy={strategy!r}"
+            )
+        budget = float(exact_time_budget)
+        if not budget > 0:
+            raise ValueError(
+                f"exact_time_budget must be a positive number of seconds "
+                f"for strategy={strategy!r}, got {exact_time_budget!r}"
+            )
+        options["time_budget"] = budget
     schedule = make_schedule(
         context["lut_mapping"], strategy=strategy, max_pebbles=max_pebbles, **options
     )

@@ -15,10 +15,10 @@ Three sub-synthesizers realise a LUT block:
 * ``"esop"`` (default) — a PSDKRO ESOP of the LUT function; every cube
   becomes one mixed-polarity Toffoli with controls on the leaf lines and
   the ancilla as target.  The block only ever writes the target line.
-* ``"exact"`` — the SAT-exact minimum-cube ESOP of
-  :mod:`repro.logic.exact_esop` (memoized by truth table, PSDKRO on
-  solver-budget fallback), so a block is never larger than the ``"esop"``
-  one and usually saves Toffolis on ≤4-input functions.
+* ``"exact"`` — the (T-cost, cube count)-minimal ESOP of
+  :mod:`repro.logic.exact_esop`, read from an exhaustive cost table for
+  ≤4-input functions (PSDKRO above that), so a block is never T-dearer
+  than the ``"esop"`` one.
 * ``"tbs"``  — transformation-based synthesis of the ``(x, a) -> (x, a ⊕
   f(x))`` permutation over the leaf lines plus the target; leaf lines may
   be written transiently but are restored by the end of the block.
@@ -77,11 +77,10 @@ def _esop_block(truth: int, leaf_lines: List[int], target: int) -> List[_GateDes
 
 
 def _exact_block(truth: int, leaf_lines: List[int], target: int) -> List[_GateDesc]:
-    """The SAT-exact minimum-cube ESOP of the LUT (memoized by truth table).
+    """The T-cost-minimal ESOP of the LUT (memoized by truth table).
 
-    Never larger than the PSDKRO block: :func:`exact_esop_cubes` falls
-    back to the heuristic cover on solver-budget exhaustion or for
-    functions wider than its exact limit.
+    Never T-dearer than the PSDKRO block: :func:`exact_esop_cubes` is
+    optimal up to its exact limit and returns the PSDKRO cover above it.
     """
     from repro.logic.exact_esop import exact_esop_cubes
 

@@ -1,16 +1,14 @@
 """Dependency-free SAT layer: CNF construction and a small CDCL solver.
 
-The exact engines of the repository — the exact reversible-pebbling
-scheduler (:mod:`repro.reversible.exact_pebbling`) and exact small-LUT
-ESOP synthesis (:mod:`repro.logic.exact_esop`) — reduce their optimisation
-problems to propositional satisfiability.  This package keeps that
-reduction self-contained:
+The exact reversible-pebbling scheduler
+(:mod:`repro.reversible.exact_pebbling`) reduces its optimisation problem
+to propositional satisfiability.  This package keeps that reduction
+self-contained:
 
 ``repro.sat.cnf``
     :class:`Cnf` — a clause database with fresh-variable allocation and
     the standard constraint encodings (at-most-one, exactly-one, sequential
-    at-most-k cardinality, weighted at-most, XOR links) used by the exact
-    engines.
+    at-most-k cardinality, XOR links) used by the exact pebbler.
 
 ``repro.sat.solver``
     :class:`Solver` / :func:`solve` — a conflict-driven clause-learning
@@ -18,7 +16,7 @@ reduction self-contained:
     VSIDS-style activity decision heuristics, phase saving and Luby
     restarts.  Every call takes an optional wall-clock/conflict budget and
     reports ``"sat"`` / ``"unsat"`` / ``"unknown"`` instead of running
-    away, so exact engines degrade to their heuristic fallbacks instead of
+    away, so the exact pebbler degrades to its heuristic fallback instead of
     hanging a flow.
 
 Literals use the DIMACS convention throughout: variables are positive

@@ -1,8 +1,8 @@
-"""CNF formula construction for the exact engines.
+"""CNF formula construction for the exact pebbler.
 
 A :class:`Cnf` is a growable clause database in the DIMACS convention
 (variables are positive integers, negation is arithmetic negation).  On top
-of raw clauses it provides the constraint encodings the exact engines lean
+of raw clauses it provides the constraint encodings the exact pebbler leans
 on:
 
 * :meth:`Cnf.at_most_one` / :meth:`Cnf.exactly_one` — pairwise for small
@@ -10,12 +10,8 @@ on:
   :data:`_PAIRWISE_LIMIT` (linear instead of quadratic clause growth),
 * :meth:`Cnf.at_most_k` — the sequential counter cardinality encoding
   (Sinz 2005), the pebble-budget constraint of the exact pebbler,
-* :meth:`Cnf.at_most_weight` — a weighted sequential counter over
-  ``(literal, weight)`` items with one partial-sum variable per reachable
-  sum, the T-cost bound of the exact ESOP encoder,
 * :meth:`Cnf.xor_link` — a fresh/given variable constrained to the XOR of
-  two literals, the parity-chain primitive of the exact ESOP encoder and
-  of the pebble-move/state link.
+  two literals, the pebble-move/state link of the exact pebbler.
 
 Clauses are normalised on entry: duplicate literals collapse and
 tautological clauses (containing ``l`` and ``-l``) are dropped.  Adding an
@@ -25,7 +21,7 @@ empty clause marks the formula contradictory, which the solver reports as
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 __all__ = ["Cnf"]
 
@@ -170,58 +166,6 @@ class Cnf:
             if len(previous) == bound:
                 self.add_clause([-literal, -previous[bound - 1]])
             previous = current
-
-    def at_most_weight(
-        self, items: Iterable[Tuple[int, int]], bound: int
-    ) -> None:
-        """The true ``(literal, weight)`` items weigh at most ``bound``.
-
-        A weighted sequential counter: after each item it keeps one
-        partial-sum variable per reachable sum ``v <= bound``, meaning "the
-        items so far weigh at least ``v``" (a sum is reachable when some
-        subset of the items so far weighs exactly ``v``).  A true item of
-        weight ``w`` lifts every partial sum ``v`` to ``v + w``; where
-        ``v + w`` exceeds ``bound`` the pair is forbidden instead.  Items
-        heavier than ``bound`` are forced false, and the last item needs
-        no partial sums of its own.  Auxiliary variables grow with the
-        number of reachable sums, not with the total weight of the items.
-        """
-        if bound < 0:
-            raise ValueError("weight bound must be non-negative")
-        live: List[Tuple[int, int]] = []
-        for literal, weight in items:
-            if weight < 0:
-                raise ValueError("item weights must be non-negative")
-            if weight > bound:
-                self.add_clause([-literal])
-            elif weight > 0:
-                live.append((literal, weight))
-        if sum(weight for _, weight in live) <= bound:
-            return
-        # at_least[v]: the items before the current one weigh >= v.
-        at_least: Dict[int, int] = {}
-        for index, (literal, weight) in enumerate(live):
-            for total, reached in at_least.items():
-                if total + weight > bound:
-                    self.add_clause([-literal, -reached])
-            if index == len(live) - 1:
-                break
-            lifted = [
-                total + weight for total in at_least
-                if total + weight <= bound
-            ]
-            following = {
-                total: self.new_var()
-                for total in sorted({weight, *at_least, *lifted})
-            }
-            for total, reached in at_least.items():
-                self.add_clause([-reached, following[total]])
-                if total + weight <= bound:
-                    self.add_clause(
-                        [-literal, -reached, following[total + weight]]
-                    )
-            self.add_clause([-literal, following[weight]])
-            at_least = following
 
     def xor_link(self, output: int, left: int, right: int) -> None:
         """Constrain ``output <-> left XOR right`` (four clauses)."""

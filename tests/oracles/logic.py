@@ -73,8 +73,8 @@ def min_esop_costs_reference(num_vars: int) -> List[int]:
 
     A shortest-path search over truth tables: from the empty cover (truth
     0), XOR-ing in a cube with ``k`` literals costs ``mct_t_count(k)``.
-    There is no bound on the cube count, so this is the optimum the exact
-    engine's slot window can miss.  Practical up to three inputs.
+    There is no bound on the cube count.  Covers all four-input functions
+    in a few seconds.
     """
     cubes = []
     for trits in itertools.product((None, True, False), repeat=num_vars):

@@ -12,6 +12,7 @@ Pins the three correctness properties the job server depends on:
   multi-process access without ever surfacing a partial entry.
 """
 
+import hashlib
 import json
 import multiprocessing
 import threading
@@ -20,6 +21,35 @@ import pytest
 
 from repro.core.cache import CACHE_FORMAT_VERSION, ResultCache, cache_key
 from repro.core.cost import CostReport
+from repro.logic.exact_esop import exact_esop_cubes
+from repro.quantum.tcount import mct_t_count
+
+
+def pinned_results_digest():
+    """SHA-256 over the golden reports and the exact-ESOP cover costs."""
+    from test_exact_lut_synth import INTDIV8_COSTS
+    from test_golden_costs import GOLDEN_COSTS, GOLDEN_RTOF_RESOURCES
+
+    exact_costs = [
+        [
+            sum(
+                mct_t_count(cube.num_literals())
+                for cube in exact_esop_cubes(truth, num_vars)
+            )
+            for truth in range(1 << (1 << num_vars))
+        ]
+        for num_vars in range(4)
+    ]
+    pinned = {
+        "golden_costs": GOLDEN_COSTS,
+        "golden_rtof_resources": GOLDEN_RTOF_RESOURCES,
+        "intdiv8_costs": sorted(
+            [*key, cost] for key, cost in INTDIV8_COSTS.items()
+        ),
+        "exact_costs": exact_costs,
+    }
+    text = json.dumps(pinned, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def make_report(flow="esop", qubits=8, t_count=100):
@@ -83,9 +113,14 @@ class TestCanonicalisation:
         assert key_of({}, verify=True) == key_of({}, verify="auto")
         assert key_of({}, verify=False) == key_of({}, verify="off")
 
-    def test_format_version_is_seven(self):
-        # The canonicalisation change invalidates old keys exactly once.
-        assert CACHE_FORMAT_VERSION == 7
+    def test_pinned_results_move_only_with_the_format_version(self):
+        # A cache serves reports computed by older code, so any change to a
+        # pinned result must come with a CACHE_FORMAT_VERSION bump: update
+        # both halves of this pair together.
+        assert (CACHE_FORMAT_VERSION, pinned_results_digest()) == (
+            8,
+            "92a3555eae27a31da230ecfd19b243114d5b5ab3cabf9e493f0c529baa1c9bc0",
+        )
 
 
 class TestCorruptEntries:

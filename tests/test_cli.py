@@ -106,6 +106,26 @@ class TestCommands:
         assert exit_code == 2
         assert "minimum" in capsys.readouterr().err
 
+    def test_flow_command_misplaced_exact_time_budget_exits_2(self, capsys):
+        exit_code = main(
+            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
+             "--strategy", "bounded", "--max-pebbles", "0.5",
+             "--exact-time-budget", "3"]
+        )
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "exact_time_budget=3.0" in err and "'bounded'" in err
+
+    def test_flow_command_non_positive_exact_time_budget_exits_2(self, capsys):
+        exit_code = main(
+            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
+             "--strategy", "exact", "--max-pebbles", "0.5",
+             "--exact-time-budget", "-1"]
+        )
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "exact_time_budget must be a positive" in err and "-1.0" in err
+
     def test_explore_flow_lut_sweeps_strategies(self, capsys):
         exit_code = main(
             ["explore", "--flow", "lut", "--design", "intdiv", "-n", "4",

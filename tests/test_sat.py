@@ -1,13 +1,13 @@
 """Property tests for the dependency-free SAT layer (:mod:`repro.sat`).
 
-The solver is the oracle the exact engines lean on, so it is itself tested
+The solver is the oracle the exact pebbler leans on, so it is itself tested
 against the only stronger oracle available: brute-force enumeration.
 Seeded random CNFs over at most 12 variables must agree with exhaustive
 search on SAT/UNSAT, and every model the solver returns must satisfy every
 clause.  The constraint encodings (`at_most_one`, `exactly_one`,
-`at_most_k`, `at_most_weight`, `xor_link`) are checked semantically:
-projected onto the original variables, the encoded formula must accept
-exactly the assignments the cardinality or weight predicate accepts.
+`at_most_k`, `xor_link`) are checked semantically: projected onto the
+original variables, the encoded formula must accept exactly the
+assignments the cardinality predicate accepts.
 
 The tuned solver is also pinned to :class:`oracles.sat.SolverReference`,
 the plainly written search it replaced: same status, model and search
@@ -319,55 +319,6 @@ def test_at_most_k_with_negative_literals():
         if (bits[0] + (not bits[1]) + bits[2]) <= 1
     }
     assert accepted == expected
-
-
-def weight_predicate_models(weights, bound):
-    return {
-        bits
-        for bits in itertools.product([False, True], repeat=len(weights))
-        if sum(w for w, bit in zip(weights, bits) if bit) <= bound
-    }
-
-
-@pytest.mark.parametrize("num_items", range(1, 9))
-def test_at_most_weight_semantics(num_items):
-    rng = random.Random(num_items)
-    weights = [rng.randint(1, 9) for _ in range(num_items)]
-    items = list(zip(range(1, num_items + 1), weights))
-    for bound in range(sum(weights) + 2):
-        cnf = Cnf(num_items)
-        cnf.at_most_weight(items, bound)
-        assert project_models(cnf, num_items) == weight_predicate_models(
-            weights, bound
-        ), f"weights {weights}, bound {bound}"
-
-
-def test_at_most_weight_forbids_an_item_heavier_than_the_bound():
-    cnf = Cnf(3)
-    cnf.at_most_weight([(1, 5), (2, 2), (3, 9)], 4)
-    assert project_models(cnf, 3) == {
-        (False, False, False), (False, True, False)
-    }
-
-
-def test_at_most_weight_with_negative_literals_and_zero_weights():
-    # "NOT x1 weighs 3, x2 weighs 0, x3 weighs 2; at most 3 in total."
-    cnf = Cnf(3)
-    cnf.at_most_weight([(-1, 3), (2, 0), (3, 2)], 3)
-    accepted = project_models(cnf, 3)
-    expected = {
-        bits
-        for bits in itertools.product([False, True], repeat=3)
-        if 3 * (not bits[0]) + 2 * bits[2] <= 3
-    }
-    assert accepted == expected
-
-
-def test_at_most_weight_rejects_negative_bounds_and_weights():
-    with pytest.raises(ValueError):
-        Cnf(2).at_most_weight([(1, 1), (2, 1)], -1)
-    with pytest.raises(ValueError):
-        Cnf(2).at_most_weight([(1, -1), (2, 1)], 1)
 
 
 def test_xor_link_semantics():
