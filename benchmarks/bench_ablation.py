@@ -19,9 +19,9 @@ from repro.logic.aig_opt import optimize_script
 from repro.logic.collapse import collapse_to_esop
 from repro.logic.truth_table import TruthTable
 from repro.logic.xmg_mapping import aig_to_xmg
+from repro.opt import as_pipeline
 from repro.reversible.esop_synth import esop_synthesis
 from repro.reversible.hierarchical import hierarchical_synthesis
-from repro.reversible.optimize import optimize_circuit
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import synthesize_permutation_gates
 from repro.reversible.embedding import optimum_embedding
@@ -216,7 +216,7 @@ def test_ablation_post_optimization(intdiv_aig):
     """The peephole pass only ever removes gates."""
     xmg = aig_to_xmg(optimize_script(intdiv_aig, "dc2", 1), k=4)
     circuit = hierarchical_synthesis(xmg)
-    optimized = optimize_circuit(circuit)
+    optimized = as_pipeline("rev-default").run(circuit).network
     rows = [
         ("as synthesised", circuit.num_gates(), circuit.t_count()),
         ("peephole optimised", optimized.num_gates(), optimized.t_count()),

@@ -160,20 +160,15 @@ def _run_xmg_pipeline(context: Dict[str, Any], pipeline, xmg, guard: str):
     return result.network
 
 
-def _stage_rev_opt(
-    context: Dict[str, Any], *, rev_opt=None, post_optimize=False, opt_guard="off"
-) -> None:
+def _stage_rev_opt(context: Dict[str, Any], *, rev_opt=None, opt_guard="off") -> None:
     """Optional peephole optimisation of the synthesised cascade.
 
     ``rev_opt`` is a pass-manager pipeline spec over the ``rev`` target —
-    e.g. ``"rev-default"`` (NOT merging and cancellation, four rounds) or
-    any combination of ``rn`` / ``rc`` — executed with keep-best tracking
-    under the lexicographic ``(T-count, gates)`` objective and the optional
-    per-pass differential guard (``opt_guard``).  The historical boolean
-    ``post_optimize`` parameter maps to the default pipeline.
+    e.g. ``"rev-default"`` (NOT merging and cancellation to a fixed point,
+    at most four rounds) or any combination of ``rn`` / ``rc`` — executed
+    with keep-best tracking under the lexicographic ``(T-count, gates)``
+    objective and the optional per-pass differential guard (``opt_guard``).
     """
-    if rev_opt is None and post_optimize:
-        rev_opt = "rev-default"
     pipeline = as_pipeline(rev_opt)
     if not len(pipeline):
         return

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.opt.passes import NETWORK_TYPES, Pass, PassReport
 from repro.opt.registry import _pipeline_spec, get_pass
@@ -240,6 +240,11 @@ class Pipeline:
         mismatch raises :class:`PipelineVerificationError` naming the
         offending pass, turning a silently wrong optimisation into a loud,
         attributable failure.
+
+        Fixed-point exit: a pass that returned its input object unchanged
+        is skipped (and reports nothing) until some pass returns a
+        different object.  Only object identity counts, never structural
+        equality, so the exit is exact for any pure pass.
         """
         from repro.verify.differential import (
             check_equivalent,
@@ -252,7 +257,11 @@ class Pipeline:
         best = current
         best_cost = target_cost(current)
         reports: List[PassReport] = []
+        # Passes that returned ``current`` itself.
+        settled: Set[Pass] = set()
         for pass_ in self.passes:
+            if pass_ in settled:
+                continue
             if not pass_.applies_to(current):
                 raise PipelineError(
                     f"pass {pass_.name!r} does not apply to "
@@ -262,6 +271,10 @@ class Pipeline:
             previous = current
             current, report = pass_.run(current)
             reports.append(report)
+            if current is previous:
+                settled.add(pass_)
+            else:
+                settled.clear()
             if mode != "off":
                 checker = (
                     check_quantum_equivalent

@@ -1,6 +1,6 @@
 """Reversible-circuit pass library: the peephole passes as registered passes.
 
-The fixed-point script of :mod:`repro.reversible.optimize` becomes two
+The peephole passes of :mod:`repro.reversible.optimize` become two
 registered passes over the ``rev`` target — so reversible cascades get the
 same pipeline specs, keep-best tracking (under the ``(T-count, gates)``
 objective of :func:`repro.opt.targets.target_cost`) and per-pass
@@ -11,8 +11,8 @@ differential guards as the logic networks:
 * ``rev_cancel`` (``rc``) — commutation-aware cancellation of involutory
   gate pairs.
 
-The registered default pipeline ``rev-default`` iterates the script the
-same number of rounds the historical :func:`optimize_circuit` used.
+The registered default pipeline ``rev-default`` is ``(rn;rc)*4``, which
+stops at a fixed point (see :meth:`~repro.opt.pipeline.Pipeline.run`).
 """
 
 from __future__ import annotations
@@ -49,6 +49,6 @@ def register_rev_passes() -> None:
     register_pipeline(
         DEFAULT_REV_PIPELINE,
         "(rn;rc)*4",
-        description="NOT merging and cancellation, four rounds",
+        description="NOT merging and cancellation, up to four rounds",
         replace=True,
     )

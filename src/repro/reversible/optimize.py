@@ -11,23 +11,22 @@ This module provides the standard ones:
   considerably more effective than a purely local scan.
 * :func:`merge_not_gates` — a NOT gate adjacent to a gate controlling the
   same line is absorbed by flipping that control's polarity.
-* :func:`optimize_circuit` — the standard script: NOT merging and
-  cancellation, iterated to a fixed point.
 
 Each pass runs on the packed mask columns of the circuit's
 :class:`~repro.reversible.gatestore.GateStore` — equality, commutation and
 the NOT-absorption rewrite are all pure mask arithmetic there, exact
 because gates hold their controls as sorted, duplicate-free sets — and
-returns the *input circuit object* when it finds nothing to rewrite, so a
-pipeline that iterates the passes to a fixed point keeps the store's
-cached statistics alive across rounds.
+returns the *input circuit object* when it finds nothing to rewrite.  The
+pass manager's fixed-point exit relies on that: once both passes hand back
+their input, the remaining rounds of ``rev-default`` are skipped.
 
 All passes preserve the circuit function exactly (asserted by the
 test-suite via permutation comparison on small circuits and random
 simulation on larger ones).  They are also registered with the
 :mod:`repro.opt` pass manager as ``rev_cancel`` / ``rev_not_merge``
-(aliases ``rc`` / ``rn``) with the default pipeline ``rev-default``, so
-reversible cascades participate in the same pipeline specs, keep-best
+(aliases ``rc`` / ``rn``) with the default pipeline ``rev-default`` (up
+to four rounds of both, stopping at a fixed point), so reversible cascades
+participate in the same pipeline specs, keep-best
 tracking and differential guards as the logic networks.
 """
 
@@ -38,11 +37,7 @@ from typing import List
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gatestore import GateStore
 
-__all__ = [
-    "cancel_adjacent_gates",
-    "merge_not_gates",
-    "optimize_circuit",
-]
+__all__ = ["cancel_adjacent_gates", "merge_not_gates"]
 
 
 def cancel_adjacent_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
@@ -145,14 +140,3 @@ def merge_not_gates(circuit: ReversibleCircuit) -> ReversibleCircuit:
         return circuit
     return circuit._with_store(GateStore.from_columns(targets, cares, polarities))
 
-
-def optimize_circuit(circuit: ReversibleCircuit, max_rounds: int = 4) -> ReversibleCircuit:
-    """NOT-merging and cancellation to a fixed point."""
-    current = circuit
-    for _ in range(max_rounds):
-        merged = merge_not_gates(current)
-        cancelled = cancel_adjacent_gates(merged)
-        if cancelled.num_gates() == current.num_gates():
-            return cancelled
-        current = cancelled
-    return current

@@ -277,42 +277,42 @@ def simulate_reversible_states(
 
     Returns ``(num_lines, W)`` words: row ``l`` is the packed final value of
     line ``l`` across the batch.  Input lines start from the batch patterns,
-    constant lines from their declared value, unbound lines from 0.  Each
-    gate costs one vectorised pass: the trigger pattern is the AND of its
-    (complemented, for negative polarity) control rows, XORed into the
-    target row.
+    constant lines from their declared value, unbound lines from 0.  While
+    the cascade runs, each line is one Python int of ``num_patterns`` bits:
+    a gate ANDs its control rows (``~row`` for a negative control) into a
+    trigger and XORs the trigger into its target row.
     """
     if batch.num_inputs != circuit.num_inputs():
         raise ValueError(
             f"batch has {batch.num_inputs} inputs, circuit has "
             f"{circuit.num_inputs()} input lines"
         )
-    num_lines = circuit.num_lines()
-    state = np.zeros((num_lines, batch.num_words), dtype=np.uint64)
+    full = (1 << batch.num_patterns) - 1
+    state = [0] * circuit.num_lines()
     for line, info in enumerate(circuit.lines()):
         if info.input_index is not None:
-            state[line] = batch.inputs[info.input_index]
+            row = batch.inputs[info.input_index].astype("<u8").tobytes()
+            state[line] = int.from_bytes(row, "little") & full
         elif info.constant:
-            state[line] = _ALL_ONES
+            state[line] = full
     targets, cares, polarities = circuit.gate_store().columns()
-    for care, polarity, target in zip(cares, polarities, targets):
-        if care == 0:
-            state[target] ^= _ALL_ONES
-            continue
-        mask = care
-        low = mask & -mask
-        line = low.bit_length() - 1
-        mask ^= low
-        trigger = state[line] if (polarity >> line) & 1 else state[line] ^ _ALL_ONES
-        while mask:
-            low = mask & -mask
-            line = low.bit_length() - 1
-            mask ^= low
-            trigger = trigger & (
-                state[line] if (polarity >> line) & 1 else state[line] ^ _ALL_ONES
-            )
+    for target, care, polarity in zip(targets, cares, polarities):
+        trigger = full
+        positive = care & polarity
+        while positive:
+            low = positive & -positive
+            trigger &= state[low.bit_length() - 1]
+            positive ^= low
+        negative = care & ~polarity
+        while negative:
+            low = negative & -negative
+            trigger &= ~state[low.bit_length() - 1]
+            negative ^= low
         state[target] ^= trigger
-    return state & batch.tail_mask()
+    row_bytes = 8 * batch.num_words
+    packed = b"".join(value.to_bytes(row_bytes, "little") for value in state)
+    words = np.frombuffer(packed, dtype="<u8").astype(np.uint64)
+    return words.reshape(len(state), batch.num_words)
 
 
 def outputs_from_states(

@@ -1,12 +1,15 @@
-"""Oracles for the circuit-level kernels: costing, peepholes, TBS and pebbling.
+"""Oracles for the circuit-level kernels: costing, peepholes, simulation,
+TBS and pebbling.
 
 Every costing, peephole and TBS oracle here walks
 :class:`~repro.reversible.gates.ToffoliGate` (or
 :class:`~repro.quantum.circuit.QuantumGate`) objects one at a time, the
 way the code did before the cascades moved into packed mask columns.  The
-pebbling oracle walks every LUT cone and re-tests every live pebble on
-each eviction, the way the greedy scheduler did before it kept the DAG
-structure per mapping and the evictable pebbles incrementally.
+simulation oracle replays a cascade with NumPy operations on ``uint64``
+word rows, the way ``bitsim`` did before it kept each line as one big
+int.  The pebbling oracle walks every LUT cone and re-tests every live
+pebble on each eviction, the way the greedy scheduler did before it kept
+the DAG structure per mapping and the evictable pebbles incrementally.
 """
 
 from typing import Dict, List, Optional, Sequence, Set
@@ -22,6 +25,7 @@ from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
 from repro.reversible.pebbling import COMPUTE, UNCOMPUTE, PebbleStep, _copy_step
 from repro.reversible.tbs import _mct_cost
+from repro.verify.bitsim import PatternBatch
 
 # ---------------------------------------------------------------------------
 # costing
@@ -131,6 +135,44 @@ def merge_not_gates_reference(circuit: ReversibleCircuit) -> ReversibleCircuit:
             changed = True
             break
     return circuit.with_gates(result)
+
+
+# ---------------------------------------------------------------------------
+# bit-parallel simulation
+# ---------------------------------------------------------------------------
+
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def simulate_reversible_states_reference(
+    circuit: ReversibleCircuit, batch: PatternBatch
+) -> np.ndarray:
+    """Per-gate NumPy replay on ``(num_lines, W)`` word rows."""
+    state = np.zeros((circuit.num_lines(), batch.num_words), dtype=np.uint64)
+    for line, info in enumerate(circuit.lines()):
+        if info.input_index is not None:
+            state[line] = batch.inputs[info.input_index]
+        elif info.constant:
+            state[line] = _ALL_ONES
+    targets, cares, polarities = circuit.gate_store().columns()
+    for care, polarity, target in zip(cares, polarities, targets):
+        if care == 0:
+            state[target] ^= _ALL_ONES
+            continue
+        mask = care
+        low = mask & -mask
+        line = low.bit_length() - 1
+        mask ^= low
+        trigger = state[line] if (polarity >> line) & 1 else state[line] ^ _ALL_ONES
+        while mask:
+            low = mask & -mask
+            line = low.bit_length() - 1
+            mask ^= low
+            trigger = trigger & (
+                state[line] if (polarity >> line) & 1 else state[line] ^ _ALL_ONES
+            )
+        state[target] ^= trigger
+    return state & batch.tail_mask()
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,7 @@ from repro.quantum.tcount import circuit_t_count, t_count_histogram
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
 from repro.reversible.gatestore import GateStore, popcount_words
-from repro.reversible.optimize import (
-    cancel_adjacent_gates,
-    merge_not_gates,
-    optimize_circuit,
-)
+from repro.reversible.optimize import cancel_adjacent_gates, merge_not_gates
 from repro.reversible.symbolic_tbs import symbolic_tbs
 
 
@@ -121,7 +117,7 @@ class TestPassesAgree:
         rng = random.Random(99)
         for _ in range(10):
             circuit = _random_circuit(rng, rng.randint(2, 6), rng.randint(0, 30))
-            optimized = optimize_circuit(circuit.copy())
+            optimized = as_pipeline("rev-default").run(circuit.copy()).network
             assert np.array_equal(
                 optimized.to_permutation(), circuit.to_permutation()
             )

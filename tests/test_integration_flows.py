@@ -98,9 +98,9 @@ class TestDesignsAcrossFlows:
         for x in range(1 << n):
             assert circuit.evaluate(x) == reference(n, x)
 
-    def test_post_optimize_option(self):
+    def test_rev_default_option(self):
         plain = run_flow("hierarchical", "intdiv", 4, verify=True)
-        optimized = run_flow("hierarchical", "intdiv", 4, verify=True, post_optimize=True)
+        optimized = run_flow("hierarchical", "intdiv", 4, verify=True, rev_opt="rev-default")
         assert optimized.report.verified is True
         assert optimized.report.gate_count <= plain.report.gate_count
         assert optimized.report.t_count <= plain.report.t_count

@@ -335,11 +335,19 @@ class TestFlowThreading:
         assert optimized.report.gate_count <= plain.report.gate_count
         assert optimized.report.extra["rev_opt_pipeline"]
 
-    def test_post_optimize_compatibility_alias(self):
+    def test_rev_default_on_hierarchical(self):
         result = run_flow("hierarchical", "intdiv", 3, verify="full",
-                          post_optimize=True)
+                          rev_opt="rev-default")
         assert result.report.verified is True
         assert result.report.extra["rev_opt_pipeline"]
+
+    def test_post_optimize_is_no_longer_a_parameter(self):
+        with pytest.raises(ValueError, match=(
+            r"unknown parameter 'post_optimize' for flow 'hierarchical' "
+            r"\(declared: .*\brev_opt\b"
+        )):
+            run_flow("hierarchical", "intdiv", 3, verify=False,
+                     post_optimize=True)
 
     def test_map_model_folds_resources_into_report(self):
         result = run_flow("esop", "intdiv", 4, verify="full",

@@ -15,12 +15,12 @@ from repro.core.flows import run_flow
 from repro.logic.esop import esop_from_columns, minimize_esop
 from repro.logic.truth_table import TruthTable
 from repro.logic.xmg import Xmg
+from repro.opt import as_pipeline
 from repro.quantum.tcount import mct_t_count
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.embedding import bennett_embedding, optimum_embedding
 from repro.reversible.esop_synth import esop_synthesis
 from repro.reversible.hierarchical import hierarchical_synthesis
-from repro.reversible.optimize import optimize_circuit
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import synthesize_permutation_gates
 from repro.reversible.verification import verify_circuit
@@ -71,7 +71,7 @@ class TestPermutationSynthesisProperties:
         for _ in range(4):
             circuit.add_constant_line(0)
         circuit.extend(gates)
-        optimized = optimize_circuit(circuit)
+        optimized = as_pipeline("rev-default").run(circuit).network
         assert np.array_equal(optimized.to_permutation(), circuit.to_permutation())
 
 

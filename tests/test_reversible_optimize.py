@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.opt import as_pipeline
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
-from repro.reversible.optimize import (
-    cancel_adjacent_gates,
-    merge_not_gates,
-    optimize_circuit,
-)
+from repro.reversible.optimize import cancel_adjacent_gates, merge_not_gates
+
+
+def run_rev_default(circuit):
+    """The default reversible peephole pipeline."""
+    return as_pipeline("rev-default").run(circuit).network
 
 
 def build_circuit(num_lines, gates):
@@ -115,7 +117,7 @@ class TestFullScript:
     @settings(max_examples=100, deadline=None)
     def test_optimize_preserves_function(self, data):
         circuit = build_circuit(4, random_gates(data))
-        optimized = optimize_circuit(circuit)
+        optimized = run_rev_default(circuit)
         assert np.array_equal(circuit.to_permutation(), optimized.to_permutation())
         assert optimized.num_gates() <= circuit.num_gates()
         assert optimized.t_count() <= circuit.t_count()
@@ -131,12 +133,12 @@ class TestFullScript:
             ToffoliGate.from_lines([], [0, 1], 2),
         ]
         circuit = build_circuit(3, gates)
-        optimized = optimize_circuit(circuit)
+        optimized = run_rev_default(circuit)
         assert optimized.num_gates() == 0
 
     def test_irreducible_gate_kept(self):
         circuit = build_circuit(3, [ToffoliGate.toffoli(0, 1, 2)])
-        assert optimize_circuit(circuit).num_gates() == 1
+        assert run_rev_default(circuit).num_gates() == 1
 
     def test_roles_preserved(self):
         circuit = ReversibleCircuit()
@@ -146,7 +148,7 @@ class TestFullScript:
         circuit.append(ToffoliGate.cnot(0, 1))
         circuit.append(ToffoliGate.x(1))
         circuit.append(ToffoliGate.x(1))
-        optimized = optimize_circuit(circuit)
+        optimized = run_rev_default(circuit)
         assert optimized.num_gates() == 1
         assert optimized.output_lines() == {0: 1}
         assert optimized.input_lines() == {0: 0}
@@ -158,7 +160,7 @@ class TestDuplicateControls:
     def test_duplicate_control_entries_deduplicated(self):
         gate = ToffoliGate(((0, True), (0, True), (1, False)), 2)
         circuit = build_circuit(3, [gate])
-        optimized = optimize_circuit(circuit)
+        optimized = run_rev_default(circuit)
         assert optimized.num_gates() == 1
         assert optimized.gates()[0] == ToffoliGate.from_lines([0], [1], 2)
         assert optimized.gates()[0].num_controls() == 2
@@ -172,7 +174,7 @@ class TestDuplicateControls:
         gate = ToffoliGate(((0, True), (0, True), (1, True)), 2)
         circuit = build_circuit(3, [gate])
         assert circuit.t_count() == 7
-        assert optimize_circuit(circuit).t_count() == 7
+        assert run_rev_default(circuit).t_count() == 7
 
     def test_duplicated_gates_cancel_against_clean_ones(self):
         messy = ToffoliGate(((1, True), (0, True), (1, True)), 2)
