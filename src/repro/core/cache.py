@@ -7,13 +7,18 @@ across engine invocations, across benchmark runs, across CLI sessions and
 keyed by a digest of *what was actually computed*:
 
 * the Verilog source of the design instance (not just its name, so editing
-  a design invalidates its entries),
-* the flow name and its parameters, canonicalised recursively (sorted
-  dict keys, type-tagged scalars) so two semantically identical parameter
-  sets hash identically regardless of insertion order or dict/pair-list
-  spelling,
-* the cost model and whether the run was verified,
+  a design generator invalidates its entries),
+* the run's last prefix key (:meth:`repro.core.flow.Flow.prefix_keys`),
+  which digests the design name, the bit-width and every stage's body,
+  declared defaults and resolved parameter values, so configurations that
+  spell a default out or leave it unset share one entry, and changing a
+  default changes the key,
+* the flow name and the cost model,
 * a cache-format version (bumped whenever report semantics change).
+
+A run whose last prefix key is ``None`` (a parameter value whose ``repr``
+does not identify it, such as a pre-built pipeline) has no key and is
+never cached.
 
 Each entry is one small JSON file under the cache directory, so the cache
 is trivially inspectable, survives crashes entry-by-entry, and can be
@@ -38,7 +43,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.cost import CostReport
 
@@ -59,95 +64,26 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 CACHE_FORMAT_VERSION = 8
 
 
-def _canonical_value(value: Any) -> Any:
-    """A JSON-stable, order-insensitive shape of one parameter value.
-
-    Every value becomes a type-tagged JSON structure: dict items are
-    sorted by their canonicalised key (insertion order never leaks into
-    the cache key), sets are sorted, lists and tuples keep their
-    (semantic) order but collapse onto one tag, and scalars carry a type
-    tag so ``1`` / ``1.0`` / ``True`` / ``"1"`` stay distinct.  Unknown
-    objects fall back to ``repr`` — deterministic for the value types
-    flow parameters actually use.
-    """
-    if value is None or isinstance(value, (bool, str)):
-        return [type(value).__name__, value]
-    if isinstance(value, int):
-        return ["int", value]
-    if isinstance(value, float):
-        # repr() is the shortest round-trip representation, so equal
-        # floats canonicalise equally (and -0.0 stays distinct from 0.0).
-        return ["float", repr(value)]
-    if isinstance(value, dict):
-        items = [
-            [_canonical_value(key), _canonical_value(entry)]
-            for key, entry in value.items()
-        ]
-        items.sort(key=lambda item: json.dumps(item[0], sort_keys=True))
-        return ["dict", items]
-    if isinstance(value, (set, frozenset)):
-        elements = sorted(
-            (_canonical_value(entry) for entry in value),
-            key=lambda element: json.dumps(element, sort_keys=True),
-        )
-        return ["set", elements]
-    if isinstance(value, (list, tuple)):
-        return ["seq", [_canonical_value(entry) for entry in value]]
-    return ["repr", type(value).__name__, repr(value)]
-
-
-def _canonical_parameters(parameters: Any) -> List[List[Any]]:
-    """Parameters in a deterministic, JSON-friendly shape.
-
-    Accepts a dict or an iterable of ``(name, value)`` pairs; both
-    spellings of the same parameter set canonicalise identically.  Pairs
-    are sorted by parameter name only (never by value, so mixed-type
-    values cannot raise) with later duplicates winning, matching the
-    ``dict(parameters)`` semantics the flow runner applies.
-    """
-    if isinstance(parameters, dict):
-        items = list(parameters.items())
-    else:
-        items = [tuple(pair) for pair in parameters]
-    merged: Dict[str, Any] = {}
-    for name, value in items:
-        merged[str(name)] = value
-    return [
-        [name, _canonical_value(value)] for name, value in sorted(merged.items())
-    ]
-
-
 def cache_key(
-    source: str,
-    flow: str,
-    parameters: Any,
-    bitwidth: int,
-    cost_model: str = "rtof",
-    verify: Any = True,
-    design: str = "",
+    source: str, flow: str, prefix_key: str, cost_model: str = "rtof"
 ) -> str:
     """Content-addressed key of one flow execution.
 
-    ``source`` is the Verilog text of the design instance; ``parameters``
-    is a dict or a tuple of ``(name, value)`` pairs.  ``design`` is the
-    design's name — included because a cached :class:`CostReport` carries
-    the name, so two designs sharing one Verilog source must not collide.
-    ``verify`` accepts the historical booleans as well as the named
-    verification modes (``off``/``sampled``/``full``/``auto``); both forms
-    address the same entry.
+    ``source`` is the Verilog text of the design instance and
+    ``prefix_key`` the run's last prefix key
+    (:meth:`repro.core.flow.Flow.prefix_keys`), which digests the design
+    name and bit-width and, for every stage, its body, declared defaults
+    and resolved parameter values (``verify`` included).  A cached
+    :class:`CostReport` also carries the flow name and cost model, so both
+    are addressed too.
     """
-    from repro.verify.differential import normalize_verify_mode
-
     payload = json.dumps(
         {
             "version": CACHE_FORMAT_VERSION,
             "source": source,
-            "design": design,
             "flow": flow,
-            "parameters": _canonical_parameters(parameters),
-            "bitwidth": bitwidth,
+            "prefix_key": prefix_key,
             "cost_model": cost_model,
-            "verify": normalize_verify_mode(verify),
         },
         sort_keys=True,
     )
@@ -302,10 +238,6 @@ class ResultCache:
             except OSError:
                 pass
         return removed
-
-    def stats(self) -> Tuple[int, int]:
-        """``(hits, misses)`` counted by this cache instance."""
-        return self.hits, self.misses
 
     def counters(self) -> Dict[str, Any]:
         """All counters plus the current entry count and hit rate."""

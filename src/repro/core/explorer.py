@@ -47,7 +47,7 @@ from typing import (
 
 from repro.core.cache import ResultCache, cache_key
 from repro.core.cost import CostReport
-from repro.core.flow import PrefixMemo
+from repro.core.flow import Flow, PrefixMemo
 # ``frontend_artifacts`` is re-exported: callers wrap it by attribute here.
 from repro.core.flows import design_source, frontend_artifacts, make_flow, run_flow
 from repro.verify.differential import normalize_verify_mode
@@ -369,7 +369,7 @@ _WORKER_MEMO = PrefixMemo(keep=frozenset())
 
 
 def _plan(
-    specs: Sequence[Dict[str, Any]], chains: Dict[int, List[Optional[str]]]
+    specs: Sequence[Dict[str, Any]], chains: Sequence[List[Optional[str]]]
 ) -> List[Dict[str, Any]]:
     """``specs`` in dispatch order, each naming in ``keep`` the prefixes to store.
 
@@ -496,13 +496,27 @@ def _execute_task(
     return index, error or "unknown error", None
 
 
-def _prefix_keys(spec: Dict[str, Any]) -> List[Optional[str]]:
-    """The prefix keys of one task spec's run; empty for an unknown flow."""
+def _prefix_keys(
+    spec: Dict[str, Any], flows: Dict[str, Flow]
+) -> List[Optional[str]]:
+    """The prefix keys of one task spec's run; empty for a run that must fail.
+
+    ``flows`` holds the flow object of every flow name seen so far, so a
+    batch builds each flow once.  A run with an unknown flow or an
+    undeclared parameter fails before its first stage, with the error the
+    worker reports; its empty chain keeps it out of the cache and out of
+    prefix sharing.
+    """
+    name = spec["flow"]
     try:
-        flow = make_flow(spec["flow"], spec["cost_model"])
+        if name not in flows:
+            flows[name] = make_flow(name, spec["cost_model"])
+        flows[name].check_parameters(spec["parameters"])
     except ValueError:  # the run reports it
         return []
-    return flow.prefix_keys(spec["design"], spec["bitwidth"], spec["parameters"])
+    return flows[name].prefix_keys(
+        spec["design"], spec["bitwidth"], spec["parameters"]
+    )
 
 
 # -- engine -------------------------------------------------------------------
@@ -520,8 +534,9 @@ class ExplorationEngine:
     cache:
         ``None`` to disable caching, a directory path, or a pre-built
         :class:`ResultCache`.  Cached results are content-addressed on the
-        design source + flow + parameters + bitwidth + cost model + verify
-        mode, so a cached sweep re-runs zero flows.
+        design source, the flow, the run's last prefix key (design instance
+        and resolved stage parameters, ``verify`` included) and the cost
+        model, so a cached sweep re-runs zero flows.
     verify:
         A bool (historical) or one of the named verification modes
         ``off`` / ``sampled`` / ``full`` / ``auto``; forwarded to every
@@ -546,15 +561,14 @@ class ExplorationEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        # Reject unknown verification modes up front, not per task deep in
-        # a worker process.
-        normalize_verify_mode(verify)
         self.jobs = jobs
         if cache is None or isinstance(cache, ResultCache):
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
-        self.verify = verify
+        # Normalised up front: an unknown mode fails here, not per task deep
+        # in a worker, and every spelling of one mode shares a cache entry.
+        self.verify = normalize_verify_mode(verify)
         self.cost_model = cost_model
         self.timeout = timeout
         self.on_result = on_result
@@ -619,50 +633,27 @@ class ExplorationEngine:
         self.last_task_payload_bytes = 0
 
         tasks = list(tasks)
-        # The Verilog sources are only needed for cache addressing; without
-        # a cache the workers generate them on demand.
+        specs = [self._task_spec(index, task) for index, task in enumerate(tasks)]
+        flows: Dict[str, Flow] = {}
+        chains = [_prefix_keys(spec, flows) for spec in specs]
         sources: Dict[Tuple[str, int, Optional[str]], Optional[str]] = {}
-        for task in tasks if self.cache is not None else ():
-            instance = (task.design, task.bitwidth, task.verilog)
-            if instance not in sources:
-                try:
-                    sources[instance] = task.source()
-                except Exception:
-                    # Unbuildable design: the worker reports the real error
-                    # per task; the instance just cannot be cache-addressed.
-                    sources[instance] = None
-
-        pending: List[Tuple[int, ExplorationTask, Optional[str]]] = []
-        for index, task in enumerate(tasks):
-            source = sources.get((task.design, task.bitwidth, task.verilog))
-            key = None
-            if source is not None:
-                key = cache_key(
-                    source,
-                    task.configuration.flow,
-                    task.configuration.parameters,
-                    task.bitwidth,
-                    cost_model=self.cost_model,
-                    verify=self.verify,
-                    design=task.design,
-                )
-            if key is not None:
-                report = self.cache.get(key)
-                if report is not None:
-                    self.cache_hits += 1
-                    yield index, self._emit(
-                        ConfigurationOutcome(task, report=report, cached=True)
-                    )
-                    continue
-            pending.append((index, task, key))
+        keys = [
+            self._cache_key(task, chain, sources) for task, chain in zip(tasks, chains)
+        ]
+        pending: List[Dict[str, Any]] = []
+        for index, spec in enumerate(specs):
+            report = None if keys[index] is None else self.cache.get(keys[index])
+            if report is None:
+                pending.append(spec)
+                continue
+            self.cache_hits += 1
+            yield index, self._emit(
+                ConfigurationOutcome(tasks[index], report=report, cached=True)
+            )
 
         if not pending:
             return
-
-        specs = [self._task_spec(index, task) for index, task, _ in pending]
-        keys = {index: key for index, _, key in pending}
-        by_index = {index: task for index, task, _ in pending}
-        specs = _plan(specs, {spec["index"]: _prefix_keys(spec) for spec in specs})
+        specs = _plan(pending, chains)
 
         # jobs > 1 always uses the pool, even for a single pending task:
         # the pool is what provides crash isolation and keeps SIGALRM out
@@ -671,12 +662,10 @@ class ExplorationEngine:
             memo = PrefixMemo(keep=frozenset())
             for position, spec in enumerate(specs):
                 if should_stop is not None and should_stop():
-                    yield from self._cancel_remaining(specs[position:], by_index)
+                    yield from self._cancel_remaining(specs[position:], tasks)
                     return
                 index, error, report = _execute_task(spec, memo)
-                yield index, self._finish(
-                    by_index[index], keys[index], error, report
-                )
+                yield index, self._finish(tasks[index], keys[index], error, report)
             return
 
         import pickle
@@ -696,22 +685,22 @@ class ExplorationEngine:
             if report is None and error == _CANCELLED:
                 self.cancelled += 1
                 yield index, self._emit(
-                    ConfigurationOutcome(by_index[index], error=_CANCELLED)
+                    ConfigurationOutcome(tasks[index], error=_CANCELLED)
                 )
                 continue
-            yield index, self._finish(by_index[index], keys[index], error, report)
+            yield index, self._finish(tasks[index], keys[index], error, report)
 
     def _cancel_remaining(
         self,
         specs: Sequence[Dict[str, Any]],
-        by_index: Dict[int, ExplorationTask],
+        tasks: Sequence[ExplorationTask],
     ) -> Iterator[Tuple[int, ConfigurationOutcome]]:
         """Yield a cancelled outcome for every not-yet-started spec."""
         for spec in specs:
             index = spec["index"]
             self.cancelled += 1
             yield index, self._emit(
-                ConfigurationOutcome(by_index[index], error=_CANCELLED)
+                ConfigurationOutcome(tasks[index], error=_CANCELLED)
             )
 
     #: A task that was in flight during this many pool crashes is assumed
@@ -868,6 +857,31 @@ class ExplorationEngine:
             "cost_model": self.cost_model,
             "timeout": self.timeout,
         }
+
+    def _cache_key(
+        self,
+        task: ExplorationTask,
+        chain: List[Optional[str]],
+        sources: Dict[Tuple[str, int, Optional[str]], Optional[str]],
+    ) -> Optional[str]:
+        """The cache entry of ``task``'s run, or ``None`` if it runs uncached.
+
+        A run is addressed by its last prefix key, so a run that must fail
+        (empty ``chain``) or reads a non-plain value (last key ``None``)
+        has no entry.  ``sources`` memoises each design instance's Verilog.
+        """
+        if self.cache is None or not chain or chain[-1] is None:
+            return None
+        instance = (task.design, task.bitwidth, task.verilog)
+        if instance not in sources:
+            try:
+                sources[instance] = task.source()
+            except Exception:  # unbuildable design: the worker reports it
+                sources[instance] = None
+        source = sources[instance]
+        if source is None:
+            return None
+        return cache_key(source, task.configuration.flow, chain[-1], self.cost_model)
 
     def _finish(
         self,

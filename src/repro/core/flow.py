@@ -13,7 +13,8 @@ of its body, with their defaults.  Those declarations give each run one
 stage up to that one, its name, body, declared defaults and resolved
 parameter values.  Runs that agree on a prefix key compute the same context
 artefacts up to that stage, so a :class:`PrefixMemo` can hand them from one
-run to the next.  A stage body must therefore depend on nothing else: a
+run to the next, and the result cache addresses a whole run by its last
+prefix key.  A stage body must therefore depend on nothing else: a
 closure that captures a setting exposes it as a parameter default.
 """
 

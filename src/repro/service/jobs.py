@@ -45,7 +45,9 @@ from repro.core.explorer import (
     flow_default_configurations,
     pareto_front_of,
 )
+from repro.core.flows import make_flow
 from repro.service.metrics import ServiceMetrics
+from repro.verify.differential import normalize_verify_mode
 
 __all__ = ["Job", "JobManager", "JobSpec", "ServiceClosed"]
 
@@ -117,7 +119,8 @@ class JobSpec:
         default sweep) — defaulting to the paper's five configurations —
         plus ``verify``, ``cost_model``, ``jobs``, ``timeout`` and
         ``verilog`` (custom design source).  Raises ``ValueError`` on
-        malformed input; nothing is executed yet.
+        malformed input, an unknown flow, a parameter no stage of its flow
+        declares or an unknown ``verify`` mode; nothing is executed yet.
         """
         if not isinstance(payload, dict):
             raise ValueError("job payload must be a JSON object")
@@ -134,7 +137,7 @@ class JobSpec:
             for n in bitwidths
         ):
             raise ValueError("'bitwidths' must be a non-empty list of positive ints")
-        verify = payload.get("verify", "off")
+        verify = normalize_verify_mode(payload.get("verify", "off"))
         jobs = payload.get("jobs", 1)
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ValueError("'jobs' must be a positive integer")
@@ -150,12 +153,17 @@ class JobSpec:
             designs=tuple(designs),
             bitwidths=tuple(bitwidths),
             configurations=tuple(_parse_configurations(payload)),
-            verify=str(verify) if not isinstance(verify, bool) else verify,
+            verify=verify,
             cost_model=str(payload.get("cost_model", "rtof")),
             jobs=jobs,
             timeout=float(timeout) if timeout is not None else None,
             verilog=verilog,
         )
+        flows = {
+            name: make_flow(name) for name in {c.flow for c in spec.configurations}
+        }
+        for configuration in spec.configurations:
+            flows[configuration.flow].check_parameters(configuration.as_kwargs())
         spec.tasks()  # fail fast on an empty or inconsistent sweep
         return spec
 

@@ -2,9 +2,9 @@
 
 Pins the three correctness properties the job server depends on:
 
-* cache keys are order-insensitive for structured parameter values
-  (regression: ``repr()`` canonicalisation hashed dicts/lists by
-  insertion order, and ``sorted()`` over mixed-type pair lists raised),
+* a run's cache key is derived from its last prefix key, so parameter
+  spellings of one configuration (pair order, duplicates, a default spelt
+  out) share one entry while distinct values never collide,
 * membership and retrieval agree for corrupt entries, which are unlinked
   on first access (regression: ``in`` said yes, ``get`` said no, and the
   dead file counted toward ``len``/eviction forever),
@@ -21,7 +21,15 @@ import pytest
 
 from repro.core.cache import CACHE_FORMAT_VERSION, ResultCache, cache_key
 from repro.core.cost import CostReport
+from repro.core.explorer import (
+    ExplorationEngine,
+    ExplorationTask,
+    FlowConfiguration,
+    _prefix_keys,
+    build_sweep,
+)
 from repro.logic.exact_esop import exact_esop_cubes
+from repro.opt import as_pipeline
 from repro.quantum.tcount import mct_t_count
 
 
@@ -52,51 +60,59 @@ def pinned_results_digest():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def hits_and_misses(cache):
+    counters = cache.counters()
+    return counters["hits"], counters["misses"]
+
+
 def make_report(flow="esop", qubits=8, t_count=100):
     return CostReport("intdiv", flow, 4, qubits, t_count, 10, 3, 0.5)
 
 
-def key_of(parameters, **overrides):
-    kwargs = dict(
-        source="module m; endmodule",
-        flow="lut",
-        bitwidth=4,
-        design="intdiv",
-    )
-    kwargs.update(overrides)
-    return cache_key(parameters=parameters, **kwargs)
+SOURCE = "module m; endmodule"
+
+
+def key_of(
+    parameters,
+    flow="lut",
+    design="intdiv",
+    bitwidth=4,
+    source=SOURCE,
+    verify=True,
+    cost_model="rtof",
+):
+    """The cache key the engine gives one configuration of one design instance."""
+    if isinstance(parameters, dict):
+        parameters = parameters.items()
+    engine = ExplorationEngine(verify=verify, cost_model=cost_model)
+    task = ExplorationTask(design, bitwidth, FlowConfiguration(flow, tuple(parameters)))
+    chain = _prefix_keys(engine._task_spec(0, task), {})
+    return cache_key(source, flow, chain[-1], cost_model)
 
 
 class TestCanonicalisation:
-    def test_dict_valued_parameter_ignores_insertion_order(self):
-        # Regression: repr()-based canonicalisation hashed {"a":1,"b":2}
-        # and {"b":2,"a":1} to different keys.
-        a = key_of({"weights": {"and": 1, "xor": 2}})
-        b = key_of({"weights": {"xor": 2, "and": 1}})
-        assert a == b
-
-    def test_nested_structures_ignore_order_at_every_level(self):
-        a = key_of({"cfg": {"outer": {"x": [1, 2], "y": {"p", "q"}}}})
-        b = key_of({"cfg": {"outer": {"y": {"q", "p"}, "x": [1, 2]}}})
-        assert a == b
-
-    def test_list_order_is_semantic(self):
-        assert key_of({"stages": [1, 2]}) != key_of({"stages": [2, 1]})
-
-    def test_mixed_type_pair_list_does_not_raise(self):
-        # Regression: sorted(tuple(parameters)) compared ("p", 0) against
-        # ("strategy", "bennett") by value and raised TypeError once names
-        # tied — and always put value order into the key.
-        key = key_of([("strategy", "bennett"), ("p", 0)])
-        assert key == key_of([("p", 0), ("strategy", "bennett")])
-        assert key == key_of({"strategy": "bennett", "p": 0})
+    def test_pair_order_is_ignored(self):
+        key = key_of([("strategy", "eager"), ("k", 3)])
+        assert key == key_of([("k", 3), ("strategy", "eager")])
+        assert key == key_of({"strategy": "eager", "k": 3})
 
     def test_duplicate_pair_later_wins_like_dict(self):
-        assert key_of([("p", 0), ("p", 2)]) == key_of({"p": 2})
+        assert key_of([("k", 3), ("k", 5)]) == key_of({"k": 5})
+
+    def test_declared_defaults_share_one_key(self):
+        # Regression: the key hashed the raw parameter dict, so a sweep that
+        # spelt a default out computed and stored the configuration twice.
+        base = key_of({})
+        assert key_of({"k": 4}) == base
+        assert key_of({"strategy": "bennett", "lut_synth": "esop"}) == base
+        assert key_of({"k": 3}) != base
+
+    def test_list_order_is_semantic(self):
+        assert key_of({"opt": ["b", "rw"]}) != key_of({"opt": ["rw", "b"]})
 
     def test_scalar_types_stay_distinct(self):
         keys = {
-            key_of({"p": value}) for value in (1, 1.0, True, "1", None)
+            key_of({"max_pebbles": value}) for value in (1, 1.0, True, "1", None)
         }
         assert len(keys) == 5
 
@@ -112,6 +128,18 @@ class TestCanonicalisation:
     def test_verify_spellings_alias(self):
         assert key_of({}, verify=True) == key_of({}, verify="auto")
         assert key_of({}, verify=False) == key_of({}, verify="off")
+
+    def test_non_plain_value_runs_uncached(self, tmp_path):
+        # A pre-built pipeline has no identifying repr: no prefix key, so
+        # the run computes its report but never stores one.
+        opt = as_pipeline("b;rw")
+        tasks = build_sweep("intdiv", 3, [FlowConfiguration("esop", (("opt", opt),))])
+        for _ in range(2):
+            engine = ExplorationEngine(cache=str(tmp_path), verify=False)
+            (outcome,) = engine.run(tasks)
+            assert outcome.ok and not outcome.cached
+            assert (engine.executed, engine.cache_hits) == (1, 0)
+        assert len(ResultCache(tmp_path)) == 0
 
     def test_pinned_results_move_only_with_the_format_version(self):
         # A cache serves reports computed by older code, so any change to a
@@ -145,13 +173,13 @@ class TestCorruptEntries:
         cache = ResultCache(tmp_path)
         (tmp_path / "bad.json").write_text("][")
         assert cache.get("bad") is None
-        assert cache.stats() == (0, 1)
+        assert hits_and_misses(cache) == (0, 1)
 
     def test_missing_entry_is_plain_miss_without_unlink_attempt(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("absent") is None
         assert "absent" not in cache
-        assert cache.stats() == (0, 1)
+        assert hits_and_misses(cache) == (0, 1)
 
     def test_roundtrip_preserves_report(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -161,7 +189,7 @@ class TestCorruptEntries:
         )
         cache.put("k", report, note="bench")
         assert cache.get("k") == report
-        assert cache.stats() == (1, 0)
+        assert hits_and_misses(cache) == (1, 0)
 
 
 class TestBoundedCache:

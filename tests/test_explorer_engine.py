@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.cache import ResultCache, cache_key
+from repro.core.cache import ResultCache
 from repro.core.cost import CostReport
 from repro.core.explorer import (
     ConfigurationOutcome,
@@ -13,6 +13,7 @@ from repro.core.explorer import (
     ExplorationTask,
     FlowConfiguration,
     ParameterGrid,
+    _prefix_keys,
     build_sweep,
     pareto_front_of,
 )
@@ -227,18 +228,56 @@ class TestCaching:
             o.report.metrics() for o in initial
         ]
 
-    def test_cache_key_is_content_addressed(self):
-        base = cache_key("module a;", "esop", (("p", 0),), 4)
-        assert base == cache_key("module a;", "esop", {"p": 0}, 4)
-        assert base != cache_key("module b;", "esop", (("p", 0),), 4)
-        assert base != cache_key("module a;", "esop", (("p", 1),), 4)
-        assert base != cache_key("module a;", "symbolic", (("p", 0),), 4)
-        assert base != cache_key("module a;", "esop", (("p", 0),), 5)
-        assert base != cache_key("module a;", "esop", (("p", 0),), 4, verify=False)
+    def test_cache_key_is_content_addressed(self, tmp_path):
+        def key(
+            flow="esop",
+            parameters=(("p", 0),),
+            verify=True,
+            design="x",
+            bitwidth=4,
+            verilog="module a;",
+        ):
+            task = ExplorationTask(
+                design, bitwidth, FlowConfiguration(flow, parameters), verilog
+            )
+            engine = ExplorationEngine(cache=str(tmp_path), verify=verify)
+            chain = _prefix_keys(engine._task_spec(0, task), {})
+            return engine._cache_key(task, chain, {})
+
+        base = key()
+        assert base == key(parameters=())  # p=0 is the declared default
+        assert base != key(verilog="module b;")
+        assert base != key(parameters=(("p", 1),))
+        assert base != key(flow="symbolic", parameters=())
+        assert base != key(bitwidth=5)
+        assert base != key(verify=False)
         # two designs sharing one Verilog source must not collide
-        assert cache_key("module a;", "esop", (), 4, design="x") != cache_key(
-            "module a;", "esop", (), 4, design="y"
-        )
+        assert base != key(design="y")
+
+    def test_spelt_out_defaults_share_one_entry(self, tmp_path):
+        configurations = [
+            FlowConfiguration("lut"),
+            FlowConfiguration("lut", (("k", 4),)),
+            FlowConfiguration("lut", (("strategy", "bennett"),)),
+        ]
+        tasks = build_sweep("intdiv", 3, configurations)
+        ExplorationEngine(cache=str(tmp_path), verify=False).run(tasks)
+        assert len(ResultCache(tmp_path)) == 1
+        rerun = ExplorationEngine(cache=str(tmp_path), verify=False)
+        assert all(outcome.cached for outcome in rerun.run(tasks))
+        assert (rerun.executed, rerun.cache_hits) == (0, 3)
+
+    def test_undeclared_parameter_is_never_a_cache_hit(self, tmp_path):
+        # The prefix key ignores undeclared names, so ``kk=4`` must get no
+        # key at all rather than the default configuration's entry.
+        lut = build_sweep("intdiv", 3, [FlowConfiguration("lut")])
+        ExplorationEngine(cache=str(tmp_path), verify=False).run(lut)
+        typo = build_sweep("intdiv", 3, [FlowConfiguration("lut", (("kk", 4),))])
+        engine = ExplorationEngine(cache=str(tmp_path), verify=False)
+        (outcome,) = engine.run(typo)
+        assert not outcome.ok and not outcome.cached
+        assert "did you mean 'k'" in outcome.error
+        assert (engine.executed, engine.cache_hits) == (1, 0)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -248,7 +287,7 @@ class TestCaching:
         (tmp_path / "k2.json").write_text("not json {")
         assert "k2" not in cache
         assert cache.get("k2") is None
-        assert cache.stats() == (1, 1)
+        assert (cache.counters()["hits"], cache.counters()["misses"]) == (1, 1)
         # The corrupt entry is unlinked by the failed get, so it neither
         # counts as an entry nor satisfies membership ever again.
         assert len(cache) == 1

@@ -9,7 +9,7 @@ differential checker in ``auto`` mode; and pipeline parsing round-trips
 import pytest
 
 from repro.core.cache import cache_key
-from repro.core.flows import run_flow
+from repro.core.flows import make_flow, run_flow
 from repro.logic.aig import Aig
 from repro.logic.aig_opt import optimize_script
 from repro.logic.network import network_cost
@@ -555,13 +555,13 @@ class TestFlowIntegration:
             unregister_pass("tmp_corrupt_xmg")
 
     def test_cache_key_depends_on_pipeline(self):
-        base = dict(
-            source="module m; endmodule",
-            flow="hierarchical",
-            bitwidth=4,
-            design="m",
-        )
-        key_default = cache_key(parameters={}, **base)
-        key_none = cache_key(parameters={"opt": "none"}, **base)
-        key_xmg = cache_key(parameters={"xmg_opt": "xmg-default"}, **base)
-        assert len({key_default, key_none, key_xmg}) == 3
+        flow = make_flow("hierarchical")
+        keys = {
+            cache_key(
+                "module m; endmodule",
+                "hierarchical",
+                flow.prefix_keys("m", 4, parameters)[-1],
+            )
+            for parameters in ({}, {"opt": "none"}, {"xmg_opt": "xmg-default"})
+        }
+        assert len(keys) == 3

@@ -16,6 +16,7 @@ from oracles.circuits import (
     merge_not_gates_reference,
 )
 from repro.core.cache import cache_key
+from repro.core.flows import make_flow
 from repro.hdl.designs import intdiv_verilog
 from repro.hdl.synthesize import synthesize_reciprocal_design
 from repro.io.aiger import write_aiger
@@ -140,14 +141,17 @@ def test_rev_pipeline_text_round_trips(spec):
 
 def test_cache_keys_are_unchanged():
     source = intdiv_verilog(8)
-    assert cache_key(
-        source, "symbolic", {"rev_opt": "rev-default"}, 8, design="intdiv"
-    ) == "94fd28ead694010eab2103bc5246be04190f4d43a66dc4da267a2d5ad822e077"
-    assert cache_key(
-        source,
-        "esop",
-        (("p", 0), ("rev_opt", "(rn;rc)*4")),
-        8,
-        verify="auto",
-        design="intdiv",
-    ) == "b72a59c63d0b164d66e581e0eddcf22e010e22cdf3b560544ea17cb104561e1d"
+
+    def key(flow, parameters):
+        # The parameters an engine run with verify=True hands the flow.
+        chain = make_flow(flow).prefix_keys(
+            "intdiv", 8, {**parameters, "verify": "auto"}
+        )
+        return cache_key(source, flow, chain[-1])
+
+    assert key("symbolic", {"rev_opt": "rev-default"}) == (
+        "3a82ee78f591726d623f367074cc50c2d7ef70e8004682aacc4effa997fd7d70"
+    )
+    assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
+        "3096ff17586118e0c3e6c49a464468fcd699106edb5ae27aeb36a74a3feff6c1"
+    )

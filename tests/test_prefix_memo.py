@@ -428,7 +428,7 @@ def test_plan_bounds_every_memo(fresh_reports, monkeypatch):
     random.Random(5).shuffle(tasks)
     engine = ExplorationEngine(jobs=2, verify=True)
     specs = [engine._task_spec(index, task) for index, task in enumerate(tasks)]
-    chains = {spec["index"]: explorer_module._prefix_keys(spec) for spec in specs}
+    chains = {spec["index"]: explorer_module._prefix_keys(spec, {}) for spec in specs}
     ordered = explorer_module._plan(specs, chains)
     # The users of every prefix key are adjacent in dispatch order.
     for key in {key for chain in chains.values() for key in chain if key}:

@@ -209,6 +209,8 @@ class TestJobSpec:
             {"verilog": 7},
             {"configurations": [{"parameters": {}}]},
             {"configurations": [{"flow": "esop", "parameters": [1]}]},
+            {"configurations": [{"flow": "esop", "parameters": {"pp": 1}}]},
+            {"verify": "bogus"},
             "not an object",
         ],
     )
