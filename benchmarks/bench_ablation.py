@@ -15,11 +15,10 @@ import pytest
 from conftest import write_result
 from repro.core.flows import run_flow
 from repro.hdl.synthesize import synthesize_reciprocal_design
-from repro.logic.aig_opt import optimize_script
 from repro.logic.collapse import collapse_to_esop
 from repro.logic.truth_table import TruthTable
 from repro.logic.xmg_mapping import aig_to_xmg
-from repro.opt import as_pipeline
+from repro.opt import as_pipeline, parse_pipeline
 from repro.reversible.esop_synth import esop_synthesis
 from repro.reversible.hierarchical import hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
@@ -46,7 +45,11 @@ def test_ablation_aig_optimization(benchmark, intdiv_aig):
     rows = []
     results = {}
     for rounds in (0, 1, 2):
-        aig = intdiv_aig if rounds == 0 else optimize_script(intdiv_aig, "resyn2", rounds)
+        aig = (
+            intdiv_aig
+            if rounds == 0
+            else parse_pipeline(f"resyn2*{rounds}").run(intdiv_aig).network
+        )
         xmg = aig_to_xmg(aig, k=4)
         circuit = hierarchical_synthesis(xmg)
         results[rounds] = circuit
@@ -75,7 +78,7 @@ def test_ablation_lut_size(intdiv_aig):
     rows = []
     t_counts = {}
     for k in (3, 4, 5):
-        xmg = aig_to_xmg(optimize_script(intdiv_aig, "dc2", 1), k=k)
+        xmg = aig_to_xmg(parse_pipeline("dc2").run(intdiv_aig).network, k=k)
         circuit = hierarchical_synthesis(xmg)
         t_counts[k] = circuit.t_count()
         rows.append((k, xmg.num_maj(), xmg.num_xor(), circuit.num_lines(), circuit.t_count()))
@@ -98,7 +101,7 @@ def test_ablation_lut_size(intdiv_aig):
 
 def test_ablation_esop_minimization(intdiv_aig):
     """Exorcism-style minimisation reduces (or keeps) the cube count."""
-    optimized = optimize_script(intdiv_aig, "dc2", 1)
+    optimized = parse_pipeline("dc2").run(intdiv_aig).network
     raw = collapse_to_esop(optimized, minimize=False)
     minimized = collapse_to_esop(optimized, minimize=True)
     raw_circuit = esop_synthesis(raw)
@@ -128,7 +131,7 @@ def test_ablation_esop_minimization(intdiv_aig):
 
 def test_ablation_factoring_parameter(intdiv_aig):
     """Sweep of the REVS factoring parameter p (qubits vs T-count)."""
-    cover = collapse_to_esop(optimize_script(intdiv_aig, "dc2", 1))
+    cover = collapse_to_esop(parse_pipeline("dc2").run(intdiv_aig).network)
     rows = []
     t_by_p = {}
     for p in (0, 1, 2, 3):
@@ -188,7 +191,7 @@ def test_ablation_tbs_bidirectional():
 
 def test_ablation_cleanup_strategy(intdiv_aig):
     """Bennett vs per-output cleanup: qubits/T-count trade-off."""
-    xmg = aig_to_xmg(optimize_script(intdiv_aig, "dc2", 1), k=4)
+    xmg = aig_to_xmg(parse_pipeline("dc2").run(intdiv_aig).network, k=4)
     rows = []
     circuits = {}
     for strategy in ("bennett", "per_output"):
@@ -214,7 +217,7 @@ def test_ablation_cleanup_strategy(intdiv_aig):
 
 def test_ablation_post_optimization(intdiv_aig):
     """The peephole pass only ever removes gates."""
-    xmg = aig_to_xmg(optimize_script(intdiv_aig, "dc2", 1), k=4)
+    xmg = aig_to_xmg(parse_pipeline("dc2").run(intdiv_aig).network, k=4)
     circuit = hierarchical_synthesis(xmg)
     optimized = as_pipeline("rev-default").run(circuit).network
     rows = [

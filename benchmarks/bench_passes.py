@@ -10,7 +10,7 @@ bench pins that payoff on ``INTDIV(8)`` with three acceptance gates:
   pipeline enabled than with it disabled, both runs differentially
   verified against the bit-blasted design,
 * the pipeline-based AIG optimise stage does not regress wall-time
-  against the legacy ``optimize_script`` path it replaced (the pipeline
+  against the fixed two-round ``resyn2`` loop it replaced (the pipeline
   wraps the same passes; the tolerance absorbs CI noise).
 """
 
@@ -197,7 +197,7 @@ def test_optimize_stage_wall_time_not_regressed(benchmark):
         format_table(
             ["variant", "best of 3 [s]"],
             [
-                ("legacy optimize_script loop", f"{legacy_best:.3f}"),
+                ("legacy two-round resyn2 loop", f"{legacy_best:.3f}"),
                 ("pass-manager pipeline", f"{managed_best:.3f}"),
             ],
             title=f"Optimise stage wall-time on INTDIV({BITWIDTH}), resyn2 x2",

@@ -26,8 +26,8 @@ from repro.io.aiger import write_aiger
 from repro.io.pla import write_pla
 from repro.io.qasm import write_qasm
 from repro.io.realfmt import write_real
-from repro.logic.aig_opt import optimize_script
 from repro.logic.collapse import collapse_to_esop
+from repro.opt import parse_pipeline
 from repro.quantum.mapping import map_to_clifford_t
 
 
@@ -37,7 +37,7 @@ def main(bitwidth: int = 4, output_dir: str = "export_output") -> None:
 
     verilog, aig = synthesize_reciprocal_design("intdiv", bitwidth)
     (directory / "intdiv.v").write_text(verilog)
-    optimized = optimize_script(aig, "dc2", rounds=1)
+    optimized = parse_pipeline("dc2").run(aig).network
     (directory / "intdiv.aag").write_text(write_aiger(optimized))
 
     cover = collapse_to_esop(optimized)

@@ -123,14 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--design", default="intdiv", help="intdiv / newton / isqrt or a name for --verilog")
     flow.add_argument("--verilog", type=Path, help="path to a Verilog file to synthesise")
     flow.add_argument("-n", "--bitwidth", type=int, default=8)
-    flow.add_argument("-p", "--factoring", type=int, default=0, help="ESOP factoring parameter")
+    flow.add_argument("-p", "--factoring", type=int, help="ESOP factoring parameter (default: 0)")
     flow.add_argument(
-        "--strategy", default="bennett",
+        "--strategy",
         help="cleanup/pebbling strategy (hierarchical: bennett/per_output; "
-        "lut: any registered strategy — bennett/eager/bounded/exact)",
+        "lut: any registered strategy — bennett/eager/bounded/exact; "
+        "default: bennett)",
     )
     flow.add_argument(
-        "-k", "--lut-size", type=int, default=4,
+        "-k", "--lut-size", type=int,
         help="LUT size of the lut flow (default: 4)",
     )
     flow.add_argument(
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "number of pebbles, or a fraction in (0, 1) of the LUT count",
     )
     flow.add_argument(
-        "--lut-synth", choices=["esop", "exact", "tbs"], default="esop",
+        "--lut-synth", choices=["esop", "exact", "tbs"],
         help="per-LUT sub-synthesizer of the lut flow (default: esop; "
         "exact = T-cost-optimal ESOP for LUTs of up to 4 inputs)",
     )
@@ -178,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flow.add_argument(
         "--opt-guard", choices=["off", "sampled", "full", "auto"],
-        default="off",
         help="differentially check every optimisation pass application "
         "(default: off)",
     )
@@ -419,49 +419,30 @@ def _validate_pipeline_specs(*specs: Optional[str]) -> Optional[str]:
     return None
 
 
+#: ``repro flow`` options (argparse destinations) -> declared flow parameters.
+_FLOW_OPTIONS = {
+    "opt": "opt", "xmg_opt": "xmg_opt", "rev_opt": "rev_opt",
+    "opt_guard": "opt_guard", "map_model": "map_model", "qc_opt": "qc_opt",
+    "factoring": "p", "strategy": "strategy", "lut_size": "k",
+    "lut_synth": "lut_synth", "max_pebbles": "max_pebbles",
+    "exact_time_budget": "exact_time_budget",
+}
+
+
 def _command_flow(args: argparse.Namespace) -> int:
-    parameters = {}
     error = _validate_pipeline_specs(
         args.opt, args.xmg_opt, args.rev_opt, args.qc_opt
     )
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.qc_opt is not None and args.map_model is None:
-        print("error: --qc-opt requires --map-model", file=sys.stderr)
-        return 2
-    if args.opt is not None:
-        parameters["opt"] = args.opt
-    if args.xmg_opt is not None:
-        parameters["xmg_opt"] = args.xmg_opt
-    if args.rev_opt is not None:
-        parameters["rev_opt"] = args.rev_opt
-    if args.map_model is not None:
-        parameters["map_model"] = args.map_model
-    if args.qc_opt is not None:
-        parameters["qc_opt"] = args.qc_opt
-    if args.opt_guard != "off":
-        parameters["opt_guard"] = args.opt_guard
-    if args.flow == "esop":
-        parameters["p"] = args.factoring
-    if args.flow == "hierarchical":
-        parameters["strategy"] = args.strategy
-    if args.flow == "lut":
-        parameters["strategy"] = args.strategy
-        parameters["k"] = args.lut_size
-        parameters["lut_synth"] = args.lut_synth
-        if args.max_pebbles is not None:
-            budget = args.max_pebbles
-            if not 0 < budget < 1 and budget != int(budget):
-                print(
-                    f"error: --max-pebbles must be an integer pebble count "
-                    f"or a fraction in (0, 1), got {budget}",
-                    file=sys.stderr,
-                )
-                return 2
-            parameters["max_pebbles"] = budget if 0 < budget < 1 else int(budget)
-        if args.exact_time_budget is not None:
-            parameters["exact_time_budget"] = args.exact_time_budget
+    # Only the options the user set: the flow rejects one it does not
+    # declare, and fills in its own defaults for the rest.
+    parameters = {
+        name: getattr(args, dest)
+        for dest, name in _FLOW_OPTIONS.items()
+        if getattr(args, dest) is not None
+    }
     if args.verilog is not None:
         parameters["verilog"] = args.verilog.read_text()
 

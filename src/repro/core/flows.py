@@ -203,9 +203,15 @@ def _stage_resources(
     :class:`~repro.quantum.resources.ResourceEstimate` joins the flow's
     :class:`~repro.core.cost.CostReport` (T-depth, total depth, mapped
     qubits).  Skipped entirely when ``map_model`` is unset, so flows only
-    pay for the expansion when asked.
+    pay for the expansion when asked; ``qc_opt`` or ``qc_opt_guard``
+    without a ``map_model`` is a ``ValueError``.
     """
     if map_model is None:
+        if qc_opt is not None or qc_opt_guard is not None:
+            raise ValueError(
+                "qc_opt and qc_opt_guard act on the mapped Clifford+T "
+                "circuit and require map_model"
+            )
         return
     from repro.quantum.mapping import map_to_clifford_t
     from repro.quantum.resources import estimate_resources

@@ -16,8 +16,10 @@ algorithms that the paper obtains from ABC and CirKit:
   graphs and LUT-based mapping from AIGs,
 * :mod:`repro.logic.cuts` — protocol-generic k-feasible cut enumeration
   and LUT covering,
-* :mod:`repro.logic.collapse` — collapsing AIGs into BDDs or truth tables,
-* :mod:`repro.logic.cec` — combinational equivalence checking.
+* :mod:`repro.logic.collapse` — collapsing AIGs into BDDs or truth tables.
+
+Combinational equivalence checking (the paper's ABC ``cec``) lives in
+:mod:`repro.verify`.
 """
 
 from repro.logic.aig import Aig

@@ -44,7 +44,6 @@ __all__ = [
     "rewrite",
     "dc2",
     "resyn2",
-    "optimize_script",
     "factor_memo_stats",
     "reset_factor_memo",
 ]
@@ -323,22 +322,3 @@ def resyn2(aig: Aig) -> Aig:
     aig = refactor(aig, max_leaves=12)
     aig = balance(aig)
     return aig
-
-
-def optimize_script(aig: Aig, script: str = "dc2", rounds: int = 1) -> Aig:
-    """Run a named optimisation script for a number of rounds.
-
-    Legacy name-based API, kept as a thin wrapper over the pass manager
-    (:mod:`repro.opt`): ``script`` is any registered pass or pipeline
-    spec — the historical names ``"dc2"``, ``"resyn2"``, ``"balance"``,
-    ``"rewrite"`` and ``"refactor"`` are all registered passes — and the
-    best result over the rounds is returned, matching how the paper
-    iterates ABC scripts "several rounds".  "Best" is lexicographic
-    ``(node count, depth)``, so a depth-improving round at equal size is
-    kept; unknown names raise a ``ValueError`` with a did-you-mean
-    suggestion.
-    """
-    from repro.opt import parse_pipeline
-
-    pipeline = parse_pipeline(f"({script})*{max(1, rounds)}")
-    return pipeline.run(aig).network

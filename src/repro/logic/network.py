@@ -162,8 +162,7 @@ def network_cost(network: LogicNetwork) -> Tuple[int, ...]:
     AIGs minimise ``(AND count, depth)``; XMGs minimise
     ``(MAJ count, total gates, depth)`` — MAJ nodes dominate because every
     MAJ costs a Toffoli block downstream while XOR nodes map to T-free
-    CNOTs.  Pipelines and ``optimize_script`` keep the best network seen
-    under this ordering.
+    CNOTs.  Pipelines keep the best network seen under this ordering.
     """
     if network_kind(network) == "xmg":
         return (network.num_maj(), network.num_gates(), network.depth())

@@ -17,9 +17,10 @@ design flows:
   LUT-granular hierarchical synthesis: reversible pebbling schedules over
   a k-LUT cover (Bennett / eager / budget-bounded strategies, with a
   machine-checked schedule validator) and their execution via per-LUT
-  ESOP/TBS blocks (the ``lut`` flow),
-* :mod:`repro.reversible.verification` — equivalence of a synthesised
-  circuit against the original irreversible specification.
+  ESOP/TBS blocks (the ``lut`` flow).
+
+Every synthesised circuit is checked against its irreversible
+specification by :func:`repro.verify.check_equivalent`.
 """
 
 from repro.reversible.circuit import LineInfo, LinePool, ReversibleCircuit
@@ -46,7 +47,6 @@ from repro.reversible.pebbling import (
 )
 from repro.reversible.tbs import transformation_based_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
-from repro.reversible.verification import verify_circuit
 
 __all__ = [
     "EmbeddedFunction",
@@ -72,5 +72,4 @@ __all__ = [
     "synthesize_schedule",
     "transformation_based_synthesis",
     "validate_schedule",
-    "verify_circuit",
 ]

@@ -398,8 +398,8 @@ class ReversibleCircuit:
         """The permutation realised over all ``2**num_lines`` basis states.
 
         Only sensible for circuits with a modest number of lines; larger
-        circuits should be checked with :mod:`repro.reversible.verification`
-        instead.
+        circuits should be checked against their specification with
+        :func:`repro.verify.check_equivalent` instead.
         """
         size = 1 << len(self._lines)
         states = np.arange(size, dtype=np.int64)

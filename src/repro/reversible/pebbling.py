@@ -538,6 +538,11 @@ def _resolve_budget(mapping: LutMapping, max_pebbles) -> int:
             minimum_pebbles(mapping),
             int(round(max_pebbles * mapping.num_luts())),
         )
+    if max_pebbles >= 1 and max_pebbles != int(max_pebbles):
+        raise ValueError(
+            f"max_pebbles must be an integer pebble count or a fraction in "
+            f"(0, 1), got {max_pebbles!r}"
+        )
     max_pebbles = int(max_pebbles)
     if max_pebbles < 1:
         raise ValueError("max_pebbles must be at least 1")
@@ -629,7 +634,8 @@ def make_schedule(
     maps to ``"eager"``); unknown names raise
     :class:`~repro.reversible.strategies.UnknownStrategyError` (a
     ``ValueError``) with a did-you-mean suggestion.  ``max_pebbles`` is
-    meaningful for ``"bounded"`` and ``"exact"``; strategy-specific
+    the budget of ``"bounded"`` and ``"exact"`` (the other strategies
+    reject one with a ``ValueError``); strategy-specific
     options (the exact engine's ``time_budget``) pass through as keyword
     arguments.
     """
@@ -643,12 +649,12 @@ def make_schedule(
 
 
 def _build_bennett(mapping, max_pebbles=None, **options):
-    _reject_options("bennett", options)
+    _reject_options("bennett", options, max_pebbles)
     return bennett_schedule(mapping)
 
 
 def _build_eager(mapping, max_pebbles=None, **options):
-    _reject_options("eager", options)
+    _reject_options("eager", options, max_pebbles)
     return eager_schedule(mapping)
 
 
@@ -657,7 +663,13 @@ def _build_bounded(mapping, max_pebbles=None, **options):
     return bounded_schedule(mapping, 0.5 if max_pebbles is None else max_pebbles)
 
 
-def _reject_options(strategy: str, options: Dict) -> None:
+def _reject_options(strategy: str, options: Dict, max_pebbles=None) -> None:
+    if max_pebbles is not None:
+        raise ValueError(
+            f"strategy {strategy!r} takes no pebble budget, got "
+            f"max_pebbles={max_pebbles!r}; budgets apply to the 'bounded' "
+            f"and 'exact' strategies"
+        )
     if options:
         raise TypeError(
             f"strategy {strategy!r} accepts no options, got "

@@ -12,12 +12,12 @@ first-class, fast subsystem shared by every layer of the reproduction:
     large ones).
 
 ``repro.verify.differential``
-    The differential checker: any two of {truth table, AIG, XMG, reversible
-    circuit, Clifford+T circuit interpreted as a permutation} are compared
-    on the same pattern batch and a concrete counterexample minterm is
-    reported on disagreement.  The legacy per-input paths in
-    :mod:`repro.reversible.verification` and :mod:`repro.logic.cec` are
-    thin wrappers over this module.
+    The one equivalence checker: any two of {truth table, AIG, XMG,
+    reversible circuit, Clifford+T circuit interpreted as a permutation}
+    are compared on the same pattern batch and a concrete counterexample
+    minterm is reported on disagreement.  A reversible circuit must also
+    return every ancilla line that is neither an output nor garbage to its
+    initial value.
 
 ``repro.verify.fuzz``
     Seeded structural fuzzers (random truth tables, random AIGs/XMGs,

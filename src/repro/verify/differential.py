@@ -72,10 +72,11 @@ AUTO_FULL_LIMIT = 12
 
 
 class MappedCircuitError(ValueError):
-    """A mapped Clifford+T circuit violated its classical contract.
+    """A circuit violated its classical contract on one input.
 
-    Raised by the mapped-circuit simulator when a basis state does not map
-    to a basis state or an ancilla qubit ends dirty; carries the offending
+    Raised by the reversible simulator when an ancilla line ends dirty, and
+    by the mapped-circuit simulator when a basis state does not map to a
+    basis state or an ancilla qubit ends dirty; carries the offending
     minterm so :func:`check_equivalent` can turn it into a failing
     :class:`DifferentialResult` instead of a crash.
     """
@@ -147,18 +148,49 @@ def simulator_for(obj: Any) -> _Simulator:
             "xmg",
         )
     if isinstance(obj, ReversibleCircuit):
-        return _Simulator(
-            obj.num_inputs(),
-            obj.num_outputs(),
-            lambda batch: bitsim.simulate_reversible(obj, batch),
-            "reversible",
-        )
+        return _reversible_simulator(obj)
     if isinstance(obj, QuantumCircuit):
         raise TypeError(
             "a bare QuantumCircuit has no input/output qubit roles; wrap it "
             "with repro.verify.differential.mapped_circuit_simulator"
         )
     raise TypeError(f"cannot build a simulator for {type(obj).__name__}")
+
+
+def _reversible_simulator(circuit: ReversibleCircuit) -> _Simulator:
+    """Simulator for a reversible circuit that also checks its ancillas.
+
+    Every constant line that is neither an output nor garbage must end at
+    its initial value; the first dirty one raises
+    :class:`MappedCircuitError` with the offending minterm.
+    """
+    ancillas = [
+        (line, info.constant)
+        for line, info in enumerate(circuit.lines())
+        if info.is_constant() and not info.is_output() and not info.garbage
+    ]
+    rows = np.array([line for line, _ in ancillas], dtype=np.intp)
+    ones = np.array([bool(value) for _, value in ancillas], dtype=bool)
+
+    def run(batch: PatternBatch) -> np.ndarray:
+        states = bitsim.simulate_reversible_states(circuit, batch)
+        initial = np.where(ones[:, np.newaxis], batch.tail_mask(), 0)
+        diff = states[rows] ^ initial
+        dirty_rows, dirty_words = np.nonzero(diff)
+        if dirty_rows.size:
+            row, word = int(dirty_rows[0]), int(dirty_words[0])
+            bits = int(diff[row, word])
+            bit = (bits & -bits).bit_length() - 1
+            minterm = batch.minterm(word * 64 + bit)
+            raise MappedCircuitError(
+                minterm,
+                f"ancilla line {int(rows[row])} not restored on input {minterm}",
+            )
+        return bitsim.outputs_from_states(circuit, states)
+
+    return _Simulator(
+        circuit.num_inputs(), circuit.num_outputs(), run, "reversible"
+    )
 
 
 def mapped_circuit_simulator(
@@ -332,7 +364,10 @@ def check_equivalent(
     ``spec`` and ``impl`` are any mix of truth table / AIG / XMG /
     reversible circuit / :func:`mapped_circuit_simulator` views.  Both are
     simulated on the same pattern batch; the result carries the first
-    differing minterm and both output words on disagreement.
+    differing minterm and both output words on disagreement.  A reversible
+    circuit must also return every constant line that is neither an output
+    nor garbage to its initial value; a dirty one fails the check with that
+    line and the offending minterm in the message.
     ``auto_full_limit`` is the input count up to which ``"auto"`` checks
     exhaustively — the single place that policy lives.
     """

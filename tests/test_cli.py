@@ -14,7 +14,7 @@ class TestParser:
         args = build_parser().parse_args(["flow", "--flow", "esop"])
         args.bitwidth == 8
         assert args.design == "intdiv"
-        assert args.factoring == 0
+        assert args.factoring is None
 
     def test_unknown_flow_rejected(self):
         with pytest.raises(SystemExit):
@@ -97,6 +97,25 @@ class TestCommands:
         )
         assert exit_code == 2
         assert "integer pebble count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--flow", "hierarchical", "-k", "6"],
+        ["--flow", "hierarchical", "-p", "2"],
+        ["--flow", "symbolic", "--strategy", "bennett"],
+        ["--flow", "esop", "--lut-synth", "exact"],
+    ])
+    def test_flow_command_rejects_undeclared_options(self, argv, capsys):
+        exit_code = main(["flow", *argv, "--design", "intdiv", "-n", "3"])
+        assert exit_code == 2
+        assert "unknown parameter" in capsys.readouterr().err
+
+    def test_flow_command_rejects_budget_of_unbudgeted_strategy(self, capsys):
+        exit_code = main(
+            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
+             "--strategy", "bennett", "--max-pebbles", "3"]
+        )
+        assert exit_code == 2
+        assert "takes no pebble budget" in capsys.readouterr().err
 
     def test_flow_command_infeasible_budget_exits_2(self, capsys):
         exit_code = main(
@@ -286,7 +305,7 @@ class TestPassManagerCli:
              "--qc-opt", "qc-default"]
         )
         assert exit_code == 2
-        assert "--map-model" in capsys.readouterr().err
+        assert "map_model" in capsys.readouterr().err
 
     def test_flow_unknown_rev_opt_fails_with_suggestion(self, capsys):
         exit_code = main(

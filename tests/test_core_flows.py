@@ -14,7 +14,7 @@ from repro.core.reports import (
 )
 from repro.hdl.designs import intdiv_reference
 from repro.hdl.synthesize import synthesize_reciprocal_design
-from repro.reversible.verification import verify_circuit
+from repro.verify.differential import check_equivalent
 
 
 class TestFlowInfrastructure:
@@ -85,7 +85,7 @@ class TestHierarchicalFlow:
         _, aig = synthesize_reciprocal_design("intdiv", 4)
         result = run_flow("hierarchical", aig, 4)
         assert result.report.verified is True
-        assert verify_circuit(result.circuit, aig.to_truth_table())
+        assert check_equivalent(aig.to_truth_table(), result.circuit, mode="full")
 
 
 class TestLutFlow:

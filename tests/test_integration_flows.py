@@ -18,7 +18,7 @@ from repro.io.qasm import write_qasm
 from repro.io.realfmt import read_real, write_real
 from repro.quantum.mapping import map_to_clifford_t
 from repro.quantum.statevector import simulate_basis_state
-from repro.reversible.verification import verify_circuit
+from repro.verify.differential import check_equivalent
 
 
 def random_verilog(seed_ops):
@@ -161,4 +161,6 @@ class TestFileExportsOfFlowResults:
         imported = read_aiger(write_aiger(source_aig))
         result = run_flow("esop", imported, 4)
         assert result.report.verified is True
-        assert verify_circuit(result.circuit, source_aig.to_truth_table())
+        assert check_equivalent(
+            source_aig.to_truth_table(), result.circuit, mode="full"
+        )

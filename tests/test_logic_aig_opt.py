@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.aig import Aig, lit_not
-from repro.logic.aig_opt import balance, dc2, optimize_script, refactor, resyn2, rewrite
+from repro.logic.aig_opt import balance, dc2, refactor, resyn2, rewrite
+from repro.opt import parse_pipeline
 
 
 def random_aig(num_inputs, operations, seed_ops):
@@ -121,12 +122,12 @@ class TestScripts:
         aig = random_aig(4, len(seed_ops), seed_ops)
         assert_equivalent(aig, resyn2(aig))
 
-    def test_optimize_script_runs_rounds(self):
+    def test_pipeline_runs_rounds(self):
         aig = build_redundant()
-        best = optimize_script(aig, "dc2", rounds=2)
+        best = parse_pipeline("(dc2)*2").run(aig).network
         assert_equivalent(aig, best)
         assert best.num_nodes() <= aig.cleanup().num_nodes()
 
-    def test_optimize_script_unknown_name(self):
+    def test_pipeline_unknown_name(self):
         with pytest.raises(ValueError):
-            optimize_script(build_redundant(), "does-not-exist")
+            parse_pipeline("(does-not-exist)*1").run(build_redundant())

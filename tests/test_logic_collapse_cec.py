@@ -1,11 +1,9 @@
 """Unit tests for collapsing (AIG -> BDD/ESOP/TT) and equivalence checking."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.aig import Aig, lit_not
-from repro.logic.cec import check_against_truth_table, check_equivalence
 from repro.logic.collapse import (
     bdd_to_truth_table,
     collapse_to_bdd,
@@ -13,6 +11,7 @@ from repro.logic.collapse import (
     collapse_to_truth_table,
 )
 from repro.logic.truth_table import TruthTable
+from repro.verify.differential import check_equivalent
 
 
 def build_comparator(width=3):
@@ -63,7 +62,7 @@ class TestCec:
     def test_equivalent_structures(self):
         a = build_comparator(3)
         b = build_comparator(3)
-        result = check_equivalence(a, b)
+        result = check_equivalent(a, b, mode="full")
         assert result
         assert result.complete
 
@@ -78,7 +77,7 @@ class TestCec:
             mapping[pi >> 1] = lits[i]
         rebuilt = b.cleanup()
         result_aig = rebuilt  # same function
-        result = check_equivalence(a, result_aig)
+        result = check_equivalent(a, result_aig, mode="full")
         assert result.equivalent
 
         # Now flip one PO.
@@ -87,20 +86,9 @@ class TestCec:
         x = flipped.create_and(lits[0], lits[1])
         flipped.add_po(x, "lt")
         flipped.add_po(lit_not(x), "eq")
-        outcome = check_equivalence(a, flipped)
+        outcome = check_equivalent(a, flipped, mode="full")
         assert not outcome.equivalent
         assert outcome.counterexample is not None
-
-    def test_interface_mismatch_rejected(self):
-        a = build_comparator(2)
-        b = build_comparator(3)
-        with pytest.raises(ValueError):
-            check_equivalence(a, b)
-
-    def test_bdd_method(self):
-        a = build_comparator(2)
-        b = build_comparator(2)
-        assert check_equivalence(a, b, method="bdd").equivalent
 
     def test_random_method_finds_gross_differences(self):
         a = build_comparator(3)
@@ -108,41 +96,27 @@ class TestCec:
         lits = [wrong.add_pi(name) for name in a.pi_names()]
         wrong.add_po(Aig.CONST1, "lt")
         wrong.add_po(Aig.CONST0, "eq")
-        result = check_equivalence(
-            a, wrong, method="random", num_random_patterns=16
-        )
+        result = check_equivalent(a, wrong, mode="sampled", num_samples=16)
         assert not result.equivalent
         assert not result.complete
 
     def test_random_method_upgrades_to_complete_on_small_spaces(self):
         # A sample budget >= 2**n degrades to the exhaustive batch, so the
-        # verdict is complete even though the caller asked for "random".
+        # verdict is complete even though the caller asked for "sampled".
         a = build_comparator(2)
         b = build_comparator(2)
-        result = check_equivalence(a, b, method="random")
+        result = check_equivalent(a, b, mode="sampled")
         assert result.equivalent
         assert result.complete
-
-    def test_unknown_method(self):
-        a = build_comparator(2)
-        with pytest.raises(ValueError):
-            check_equivalence(a, a, method="sat")
 
     def test_check_against_truth_table(self):
         aig = build_comparator(2)
         table = aig.to_truth_table()
-        assert check_against_truth_table(aig, table).equivalent
+        assert check_equivalent(table, aig, mode="full").equivalent
         # Build a wrong table by flipping one word.
         words = table.words.copy()
         words[0] ^= 1
         wrong = TruthTable(table.num_inputs, table.num_outputs, words)
-        result = check_against_truth_table(aig, wrong)
+        result = check_equivalent(wrong, aig, mode="full")
         assert not result.equivalent
         assert result.counterexample == 0
-
-    def test_check_against_truth_table_interface(self):
-        aig = build_comparator(2)
-        with pytest.raises(ValueError):
-            check_against_truth_table(
-                aig, TruthTable.from_callable(lambda x: 0, 2, 1)
-            )

@@ -230,6 +230,27 @@ class TestRevPasses:
         finally:
             unregister_pass("rev_broken_tmp")
 
+    def test_guard_catches_dirty_ancilla(self):
+        from repro.opt import Pass, register_pass, unregister_pass
+
+        circuit = random_reversible(0, max_gates=4)
+        ancilla = circuit.add_constant_line(0)
+
+        def dirty_it(circuit):
+            # The outputs stay right; only the ancilla is left holding x0.
+            damaged = circuit.copy()
+            damaged.append(ToffoliGate.cnot(0, ancilla))
+            return damaged
+
+        register_pass(Pass("rev_dirty_tmp", dirty_it, network_types=("rev",)))
+        try:
+            with pytest.raises(
+                PipelineVerificationError, match=f"ancilla line {ancilla} "
+            ):
+                parse_pipeline("rev_dirty_tmp").run(circuit, guard="full")
+        finally:
+            unregister_pass("rev_dirty_tmp")
+
 
 # ---------------------------------------------------------------------------
 # Clifford+T pass library
@@ -348,6 +369,13 @@ class TestFlowThreading:
         )):
             run_flow("hierarchical", "intdiv", 3, verify=False,
                      post_optimize=True)
+
+    @pytest.mark.parametrize(
+        "parameters", [{"qc_opt": "qc-default"}, {"qc_opt_guard": "full"}]
+    )
+    def test_qc_parameters_without_map_model_fail(self, parameters):
+        with pytest.raises(ValueError, match="require map_model"):
+            run_flow("esop", "intdiv", 3, verify="off", **parameters)
 
     def test_map_model_folds_resources_into_report(self):
         result = run_flow("esop", "intdiv", 4, verify="full",

@@ -11,7 +11,6 @@ import pytest
 from repro.core.cache import cache_key
 from repro.core.flows import make_flow, run_flow
 from repro.logic.aig import Aig
-from repro.logic.aig_opt import optimize_script
 from repro.logic.network import network_cost
 from repro.logic.xmg import Xmg
 from repro.opt import (
@@ -334,18 +333,20 @@ class TestPipelineExecution:
         assert result.network.depth() == 3
         assert result.cost == (7, 3)
 
-    def test_optimize_script_keeps_depth_improvements(self):
+    def test_script_pipeline_keeps_depth_improvements(self):
         chain = build_and_chain(8)
-        best = optimize_script(chain, "balance", rounds=1)
+        best = parse_pipeline("(balance)*1").run(chain).network
         assert best.depth() == 3
 
-    def test_optimize_script_legacy_names_and_errors(self):
+    def test_script_pipeline_legacy_names_and_errors(self):
         aig = build_and_chain(4)
         for script in ("dc2", "resyn2", "balance", "rewrite", "refactor"):
-            optimized = optimize_script(aig, script, rounds=2)
+            optimized = parse_pipeline(f"({script})*2").run(aig).network
             assert check_equivalent(aig, optimized, mode="full").equivalent
         with pytest.raises(ValueError):
-            optimize_script(aig, "does-not-exist")
+            parse_pipeline("(does-not-exist)*1")
+        with pytest.raises(ValueError, match="did you mean 'dc2'"):
+            parse_pipeline("(dc3)*1")
 
     def test_keep_best_survives_worsening_pass(self):
         def duplicate_logic(aig):

@@ -246,6 +246,16 @@ class TestBoundedProperties:
         assert stats.pebble_peak <= schedule.max_pebbles
         assert schedule.max_pebbles >= minimum_pebbles(mapping)
 
+    @pytest.mark.parametrize("budget", [2.5, 5.7, 1.5])
+    def test_non_integral_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="integer pebble count"):
+            bounded_schedule(mapping_for(0), budget)
+
+    @pytest.mark.parametrize("strategy", ["bennett", "eager", "per_output"])
+    def test_unbudgeted_strategies_reject_a_budget(self, strategy):
+        with pytest.raises(ValueError, match="takes no pebble budget"):
+            make_schedule(mapping_for(0), strategy, max_pebbles=3)
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_full_budget_matches_bennett_gate_count(self, seed):
         # With the whole DAG's worth of pebbles the scheduler never has to
@@ -324,7 +334,8 @@ class TestScheduleExecution:
         from repro.reversible.lut_synth import lut_synthesis
 
         aig = random_aig(3, num_pis=4, num_gates=12, num_pos=3)
-        circuit = lut_synthesis(aig, k=3, strategy=strategy, max_pebbles=0.5)
+        budget = 0.5 if strategy == "bounded" else None
+        circuit = lut_synthesis(aig, k=3, strategy=strategy, max_pebbles=budget)
         check = check_equivalent(aig, circuit, mode="full")
         assert check.equivalent, check.message
 

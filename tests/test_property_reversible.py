@@ -23,7 +23,6 @@ from repro.reversible.esop_synth import esop_synthesis
 from repro.reversible.hierarchical import hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import synthesize_permutation_gates
-from repro.reversible.verification import verify_circuit
 from repro.verify.differential import check_equivalent
 from repro.verify.fuzz import random_aig, random_xmg
 
@@ -81,7 +80,7 @@ class TestEmbeddingAndSynthesisProperties:
     def test_symbolic_tbs_realises_random_functions(self, seed):
         table = random_table(seed)
         circuit = symbolic_tbs(table)
-        result = verify_circuit(circuit, table)
+        result = check_equivalent(table, circuit, mode="full")
         assert result, result.message
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -96,7 +95,7 @@ class TestEmbeddingAndSynthesisProperties:
         table = random_table(seed)
         cover = minimize_esop(esop_from_columns(table.columns(), table.num_inputs))
         circuit = esop_synthesis(cover, p=seed % 2)
-        result = verify_circuit(circuit, table, check_clean_ancillas=True)
+        result = check_equivalent(table, circuit, mode="full")
         assert result, result.message
         # T-count accounting is consistent between the circuit and the model.
         assert circuit.t_count() == sum(
@@ -129,7 +128,7 @@ class TestHierarchicalProperties:
         table = xmg.to_truth_table()
         for strategy in ("bennett", "per_output"):
             circuit = hierarchical_synthesis(xmg, strategy=strategy)
-            result = verify_circuit(circuit, table, check_clean_ancillas=True)
+            result = check_equivalent(table, circuit, mode="full")
             assert result, result.message
 
     @given(st.integers(min_value=0, max_value=10**6))

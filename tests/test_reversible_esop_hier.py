@@ -11,7 +11,7 @@ from repro.logic.truth_table import TruthTable
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.reversible.esop_synth import esop_synthesis
 from repro.reversible.hierarchical import hierarchical_synthesis
-from repro.reversible.verification import verify_circuit
+from repro.verify.differential import check_equivalent
 
 
 def reciprocal_table(n):
@@ -28,7 +28,7 @@ class TestEsopSynthesis:
         cover = minimize_esop(esop_from_columns(columns, 3))
         circuit = esop_synthesis(cover, p=p)
         table = TruthTable.from_columns(columns, 3)
-        result = verify_circuit(circuit, table, check_clean_ancillas=True)
+        result = check_equivalent(table, circuit, mode="full")
         assert result, result.message
 
     @pytest.mark.parametrize("p", [0, 1])
@@ -37,7 +37,7 @@ class TestEsopSynthesis:
         table = reciprocal_table(n)
         cover = minimize_esop(esop_from_truth_table(table))
         circuit = esop_synthesis(cover, p=p)
-        result = verify_circuit(circuit, table, check_clean_ancillas=True)
+        result = check_equivalent(table, circuit, mode="full")
         assert result, result.message
         if p == 0:
             assert circuit.num_lines() == 2 * n  # the paper's p = 0 line count
@@ -83,14 +83,14 @@ class TestHierarchicalSynthesis:
         _, aig = synthesize_reciprocal_design(design, n)
         xmg = aig_to_xmg(aig, k=4)
         circuit = hierarchical_synthesis(xmg, strategy=strategy)
-        result = verify_circuit(circuit, aig.to_truth_table(), check_clean_ancillas=True)
+        result = check_equivalent(aig.to_truth_table(), circuit, mode="full")
         assert result, result.message
 
     def test_strategy_alias_eager(self):
         _, aig = synthesize_reciprocal_design("intdiv", 3)
         xmg = aig_to_xmg(aig)
         circuit = hierarchical_synthesis(xmg, strategy="eager")
-        assert verify_circuit(circuit, aig.to_truth_table())
+        assert check_equivalent(aig.to_truth_table(), circuit, mode="full")
 
     def test_unknown_strategy(self):
         _, aig = synthesize_reciprocal_design("intdiv", 3)
@@ -123,7 +123,7 @@ class TestHierarchicalSynthesis:
         for strategy in ("bennett", "per_output"):
             circuit = hierarchical_synthesis(xmg, strategy=strategy)
             assert circuit.num_lines() == 2 * n, strategy
-            assert verify_circuit(circuit, aig.to_truth_table())
+            assert check_equivalent(aig.to_truth_table(), circuit, mode="full")
 
     def test_per_output_trivial_output_reuses_freed_ancilla(self):
         # One computed cone followed by a bare-PI output: after the cone is
@@ -175,7 +175,7 @@ class TestHierarchicalSynthesis:
             state = circuit.final_state(x)
             for i, line in circuit.input_lines().items():
                 assert (state >> line) & 1 == (x >> i) & 1
-        assert verify_circuit(circuit, table, check_clean_ancillas=True)
+        assert check_equivalent(table, circuit, mode="full")
 
     def test_xor_nodes_cost_no_t_gates(self):
         # A pure parity function must synthesise to a T-free circuit.
@@ -187,4 +187,4 @@ class TestHierarchicalSynthesis:
         xmg = aig_to_xmg(aig)
         circuit = hierarchical_synthesis(xmg)
         assert circuit.t_count() == 0
-        assert verify_circuit(circuit, aig.to_truth_table())
+        assert check_equivalent(aig.to_truth_table(), circuit, mode="full")

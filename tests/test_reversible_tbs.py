@@ -14,7 +14,7 @@ from repro.reversible.tbs import (
     synthesize_permutation_gates,
     transformation_based_synthesis,
 )
-from repro.reversible.verification import verify_circuit
+from repro.verify.differential import check_equivalent
 
 
 def apply_gates(gates, state):
@@ -81,7 +81,7 @@ class TestSymbolicTbs:
         table = TruthTable.from_callable(lambda x: intdiv_reference(n, x), n, n)
         circuit = symbolic_tbs(table)
         assert circuit.num_lines() == 2 * n - 1  # optimum qubit count (Table II)
-        result = verify_circuit(circuit, table)
+        result = check_equivalent(table, circuit, mode="full")
         assert result, result.message
 
     @pytest.mark.parametrize("design", ["intdiv", "newton"])
@@ -89,7 +89,7 @@ class TestSymbolicTbs:
         n = 4
         _, aig = synthesize_reciprocal_design(design, n)
         circuit = symbolic_tbs(aig)
-        result = verify_circuit(circuit, aig.to_truth_table())
+        result = check_equivalent(aig.to_truth_table(), circuit, mode="full")
         assert result, result.message
         assert circuit.num_lines() <= 2 * n
 
@@ -97,7 +97,7 @@ class TestSymbolicTbs:
         table = TruthTable.from_callable(lambda x: intdiv_reference(3, x), 3, 3)
         embedding = optimum_embedding(table)
         circuit = symbolic_tbs(embedding)
-        assert verify_circuit(circuit, table)
+        assert check_equivalent(table, circuit, mode="full")
 
     def test_unsupported_spec_type(self):
         with pytest.raises(TypeError):

@@ -19,7 +19,6 @@ from repro.quantum.mapping import map_to_clifford_t
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
 from repro.reversible.symbolic_tbs import symbolic_tbs
-from repro.reversible.verification import verify_circuit
 from repro.verify.differential import (
     VERIFY_MODES,
     check_equivalent,
@@ -200,8 +199,8 @@ class TestVerifyModeNormalization:
             normalize_verify_mode("exhaustive-ish")
 
 
-class TestVerifyCircuitSamplingRegression:
-    """Satellite fix: oversampling must degrade to the exhaustive check."""
+class TestReversibleCircuitChecks:
+    """Sampling budgets and line-boundary semantics of reversible circuits."""
 
     def _circuit_and_spec(self, seed=0):
         table = random_truth_table(seed, num_inputs=3, num_outputs=3)
@@ -212,13 +211,15 @@ class TestVerifyCircuitSamplingRegression:
         # 2**3 == 8 input words; a budget of 8 or more must check them all
         # exactly once and report a complete verdict.
         for budget in (8, 9, 4096):
-            result = verify_circuit(circuit, spec, num_samples=budget)
+            result = check_equivalent(
+                spec, circuit, mode="sampled", num_samples=budget
+            )
             assert result.equivalent
             assert result.complete, f"budget {budget} not reported complete"
 
     def test_undersampling_stays_incomplete(self):
         circuit, spec = self._circuit_and_spec()
-        result = verify_circuit(circuit, spec, num_samples=4)
+        result = check_equivalent(spec, circuit, mode="sampled", num_samples=4)
         assert result.equivalent
         assert not result.complete
 
@@ -227,7 +228,7 @@ class TestVerifyCircuitSamplingRegression:
         broken = circuit.copy()
         # Corrupt one output line at the end of the cascade.
         broken.append(ToffoliGate.x(circuit.output_lines()[0]))
-        result = verify_circuit(broken, spec)
+        result = check_equivalent(spec, broken, mode="full")
         assert not result.equivalent
         assert result.complete
         assert result.counterexample is not None
@@ -236,14 +237,86 @@ class TestVerifyCircuitSamplingRegression:
             result.counterexample
         )
 
-    def test_clean_ancilla_violation_detected_bit_parallel(self):
+    def test_dirty_ancilla_is_not_equivalent(self):
         circuit, spec = self._circuit_and_spec(seed=2)
         dirty = circuit.copy()
         anc = dirty.add_constant_line(0)
         input_line = next(iter(dirty.input_lines().values()))
         dirty.append(ToffoliGate.cnot(input_line, anc))
-        ok = verify_circuit(dirty, spec)
-        assert ok.equivalent  # outputs still correct
-        violated = verify_circuit(dirty, spec, check_clean_ancillas=True)
-        assert not violated.equivalent
-        assert "ancilla" in violated.message
+        assert check_equivalent(spec, circuit, mode="full")
+        result = check_equivalent(spec, dirty, mode="full")
+        assert not result.equivalent
+        assert result.complete
+        assert f"ancilla line {anc} not restored" in result.message
+        x = result.counterexample
+        assert (dirty.final_state(x) >> anc) & 1
+        # The outputs are still right: only the ancilla fails the check.
+        assert dirty.evaluate(x) == spec.evaluate(x)
+
+    def test_ancilla_initialised_to_one_must_end_at_one(self):
+        circuit, spec = self._circuit_and_spec(seed=3)
+        kept = circuit.copy()
+        anc = kept.add_constant_line(1)
+        # A 4-pattern random batch leaves most of the word masked off.
+        assert check_equivalent(spec, kept, mode="sampled", num_samples=4)
+        assert check_equivalent(spec, kept, mode="full")
+        cleared = kept.copy()
+        cleared.append(ToffoliGate.x(anc))
+        result = check_equivalent(spec, cleared, mode="full")
+        assert not result.equivalent
+        assert f"ancilla line {anc} not restored" in result.message
+        assert result.counterexample == 0
+        assert not (cleared.final_state(0) >> anc) & 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ancilla_verdict_matches_per_minterm_replay(self, seed):
+        # The batch check against a plain replay of every minterm: the
+        # first dirty non-garbage ancilla in line order, at its first input.
+        rng = np.random.default_rng(seed)
+        circuit = ReversibleCircuit()
+        for i in range(3):
+            circuit.add_input_line(i)
+            circuit.set_output(i, i)
+        for _ in range(3):
+            circuit.add_constant_line(int(rng.integers(2)))
+        if rng.integers(2):
+            circuit.set_garbage(3 + int(rng.integers(3)))
+
+        def random_gate(targets):
+            target = int(rng.choice(targets))
+            controls = tuple(
+                (line, bool(rng.integers(2)))
+                for line in range(6)
+                if line != target and rng.integers(3) == 0
+            )
+            return ToffoliGate(controls, target)
+
+        gates = [random_gate(range(6)) for _ in range(6)]
+        circuit.extend(gates + gates[::-1])
+        circuit.extend(random_gate(range(3)) for _ in range(4))
+        circuit.extend(random_gate(range(3, 6)) for _ in range(rng.integers(3)))
+        spec = TruthTable.from_callable(circuit.evaluate, 3, 3)
+        dirty = [
+            (line, x)
+            for line, info in enumerate(circuit.lines())
+            if info.is_constant() and not info.garbage
+            for x in range(8)
+            if (circuit.final_state(x) >> line) & 1 != info.constant
+        ]
+        result = check_equivalent(spec, circuit, mode="full")
+        if not dirty:
+            assert result.equivalent, result.message
+            return
+        line, x = dirty[0]
+        assert not result.equivalent
+        assert result.counterexample == x
+        assert result.message == f"ancilla line {line} not restored on input {x}"
+
+    def test_garbage_ancilla_may_end_dirty(self):
+        circuit, spec = self._circuit_and_spec(seed=2)
+        dirty = circuit.copy()
+        anc = dirty.add_constant_line(0)
+        input_line = next(iter(dirty.input_lines().values()))
+        dirty.append(ToffoliGate.cnot(input_line, anc))
+        dirty.set_garbage(anc)
+        assert check_equivalent(spec, dirty, mode="full")
