@@ -10,6 +10,11 @@ subsystem's contract:
 * every ``bounded(B)`` run respects its pebble budget,
 * the strategies yield at least three distinct Pareto points on the
   (qubits, T-count) plane.
+
+A second bench runs the lut default sweep's exact configuration,
+``bounded(0.5)`` with exact LUT synthesis (``lut_synth="exact"``), and
+gates it on wall-clock time and on strictly dominating a greedy
+``bounded`` point synthesised with ESOP blocks.
 """
 
 from __future__ import annotations
@@ -98,29 +103,27 @@ def test_pebbling_tradeoff_curve(benchmark):
     )
 
 
-#: Wall-clock ceiling of the exact configuration's flow run — the SAT
-#: engines must pay for themselves inside an interactive budget.
+#: Wall-clock ceiling of the exact configuration's flow run — exact LUT
+#: synthesis must pay for itself inside an interactive budget.
 EXACT_TIME_LIMIT = 60.0
 
-#: SAT budget handed to the exact pebbling strategy (well under the
-#: wall-clock gate; the exact ESOP covers come from a table, not a solver).
-EXACT_SAT_BUDGET = 20.0
+#: The exact configuration: the greedy 0.5 pebble budget with exact LUTs.
+EXACT_PARAMETERS = {"strategy": "bounded", "max_pebbles": 0.5, "lut_synth": "exact"}
 
 
-def test_pebbling_exact_dominates_greedy(benchmark, monkeypatch):
-    """The SAT-exact configuration strictly beats the greedy bounded front.
+def test_pebbling_exact_dominates_greedy(benchmark):
+    """Exact LUT synthesis strictly beats the greedy bounded front.
 
     Gates: the exact run finishes within :data:`EXACT_TIME_LIMIT` seconds,
     its schedule survives :func:`validate_schedule`, and its (qubits,
     T-count) point strictly dominates at least one greedy ``bounded``
     front point — no more qubits, strictly fewer T gates.  The exact run
-    starts from a cold exact-ESOP memo; its memo counters and total SAT
-    conflicts are recorded with the result.
+    starts from a cold exact-ESOP memo; its memo counters are recorded
+    with the result.
     """
     import time
 
     import repro.logic.exact_esop as exact_esop
-    import repro.reversible.exact_pebbling as exact_pebbling
     from repro.reversible.pebbling import validate_schedule
 
     bounded = {}
@@ -133,30 +136,13 @@ def test_pebbling_exact_dominates_greedy(benchmark, monkeypatch):
         bounded[f"bounded({fraction})"] = report
         rows.append((f"bounded({fraction})", report.qubits, report.t_count))
 
-    conflicts = []
-
-    def counting(solve):
-        def counted(cnf, *args, **kwargs):
-            result = solve(cnf, *args, **kwargs)
-            conflicts.append(result.conflicts)
-            return result
-
-        return counted
-
-    for module in (exact_esop, exact_pebbling):
-        monkeypatch.setattr(module, "solve", counting(module.solve))
     exact_esop.reset_exact_esop_memo()
     start = time.monotonic()
-    result = run_flow(
-        "lut", "intdiv", BITWIDTH, verify=False,
-        strategy="exact", lut_synth="exact",
-        max_pebbles=0.5, exact_time_budget=EXACT_SAT_BUDGET,
-    )
+    result = run_flow("lut", "intdiv", BITWIDTH, verify=False, **EXACT_PARAMETERS)
     elapsed = time.monotonic() - start
     esop_stats = exact_esop.exact_esop_stats()
-    monkeypatch.undo()
     exact = result.report
-    rows.append(("exact", exact.qubits, exact.t_count))
+    rows.append(("bounded(0.5), exact LUTs", exact.qubits, exact.t_count))
     validate_schedule(result.context["schedule"])
 
     dominated = [
@@ -167,7 +153,7 @@ def test_pebbling_exact_dominates_greedy(benchmark, monkeypatch):
     text = format_table(
         ["configuration", "qubits", "T-count"],
         rows,
-        title=f"Exact vs greedy bounded on INTDIV({BITWIDTH}), k = 4",
+        title=f"Exact LUT synthesis vs greedy bounded on INTDIV({BITWIDTH}), k = 4",
     )
     text += (
         f"\n\nexact runtime: {elapsed:.1f} s"
@@ -184,16 +170,14 @@ def test_pebbling_exact_dominates_greedy(benchmark, monkeypatch):
             },
             "dominated": dominated,
             "exact_runtime_seconds": elapsed,
-            "pebble_engine": exact.extra.get("pebble_engine"),
             "exact_esop": esop_stats,
-            "sat_conflicts": sum(conflicts),
         },
         config={
             "design": "intdiv",
             "bitwidth": BITWIDTH,
             "k": 4,
+            "exact_parameters": EXACT_PARAMETERS,
             "exact_time_limit": EXACT_TIME_LIMIT,
-            "exact_sat_budget": EXACT_SAT_BUDGET,
         },
     )
 
@@ -208,13 +192,7 @@ def test_pebbling_exact_dominates_greedy(benchmark, monkeypatch):
     benchmark.pedantic(
         run_flow,
         args=("lut", "intdiv", BITWIDTH),
-        kwargs={
-            "verify": False,
-            "strategy": "exact",
-            "lut_synth": "exact",
-            "max_pebbles": 0.5,
-            "exact_time_budget": EXACT_SAT_BUDGET,
-        },
+        kwargs={"verify": False, **EXACT_PARAMETERS},
         rounds=1,
         iterations=1,
     )

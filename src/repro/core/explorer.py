@@ -181,7 +181,7 @@ _FLOW_DEFAULT_CONFIGURATIONS: Dict[str, List[FlowConfiguration]] = {
         FlowConfiguration(
             "lut",
             (
-                ("strategy", "exact"),
+                ("strategy", "bounded"),
                 ("max_pebbles", 0.5),
                 ("lut_synth", "exact"),
             ),

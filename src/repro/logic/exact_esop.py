@@ -36,7 +36,7 @@ from repro.logic.cube import Cube
 from repro.logic.esop import psdkro_cubes
 from repro.logic.truth_table import tt_mask
 from repro.quantum.tcount import mct_t_count
-from repro.sat import solve  # noqa: F401  (patched by perfbench and bench_pebbling)
+from repro.sat import solve  # noqa: F401  (patched by perfbench)
 
 __all__ = [
     "DEFAULT_TIME_BUDGET",

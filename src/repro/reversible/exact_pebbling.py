@@ -2,37 +2,28 @@
 
 The greedy ``bounded`` scheduler trades qubits for T-count heuristically;
 this module replaces the heuristic with a step-indexed SAT encoding solved
-by :mod:`repro.sat`, in two regimes:
+by :mod:`repro.sat`.  The whole game is encoded over ``T`` single-move
+steps: state variables ``p[t][i]`` ("LUT ``i`` is pebbled after step
+``t``"), move variables ``m[t][i]`` tied to the state by an XOR link,
+exactly one move per step, fanin-pebbled preconditions on every move, a
+per-step cardinality bound of ``max_pebbles`` (Sinz counter), and all-zero
+boundary states with every output driver pebbled at some step.  Iterative
+deepening on ``T`` — starting from the parity-correct lower bound of twice
+the output-cone size — yields a schedule with a *provably minimal* number
+of moves.  Two descent passes then shrink, at that move count, first the
+estimated gate count (a cardinality constraint over cost-weighted move
+literals) and then the pebble peak.
 
-**Monolithic (small LUT DAGs).**  The whole game is encoded over ``T``
-single-move steps: state variables ``p[t][i]`` ("LUT ``i`` is pebbled
-after step ``t``"), move variables ``m[t][i]`` tied to the state by an XOR
-link, exactly one move per step, fanin-pebbled preconditions on every
-move, a per-step cardinality bound of ``max_pebbles`` (Sinz counter), and
-all-zero boundary states with every output driver pebbled at some step.
-Iterative deepening on ``T`` — starting from the parity-correct lower
-bound of twice the output-cone size — yields a schedule with a *provably
-minimal* number of moves.  Two descent passes then shrink, at that move
-count, first the estimated gate count (a cardinality constraint over
-cost-weighted move literals) and then the pebble peak.
+A monolithic encoding of a thousand-step game is hopeless in pure Python,
+so the strategy accepts LUT DAGs of at most :data:`MONOLITHIC_LUT_LIMIT`
+LUTs and raises :class:`ValueError` on larger ones, before any pebbling
+work; ``strategy='bounded'`` schedules those.  A whole-DAG exact pebbler
+for large DAGs needs an incremental solver.
 
-**Windowed (large LUT DAGs).**  A monolithic encoding of a thousand-step
-game is hopeless in pure Python, but the greedy schedule's waste is local:
-between two COPY barriers the greedy run recomputes and evicts in patterns
-an exact solver can compress.  The engine replays the greedy ``bounded``
-seed, slices every COPY-free run into windows of bounded size, and
-re-solves each window exactly — boundary pebble states fixed to the
-replay, pebbles not touched by the window frozen, and the per-step budget
-capped at the window's own realised peak, so the peak can only stay or
-drop while the move count strictly drops.  An improved window is accepted
-only when its cost-weighted move estimate is strictly cheaper, so the
-resulting schedule *strictly dominates* the greedy seed whenever any
-window improves.
-
-Both regimes respect a per-call wall-clock ``time_budget``; on exhaustion
-the engine degrades to the greedy seed (never fails a flow late), and the
-schedule's ``info`` records which regime ran, whether step-optimality was
-proven, and how much of the seed was improved.  Every result is validated
+Every call respects a wall-clock ``time_budget``; on exhaustion the engine
+degrades to the greedy ``bounded`` seed (never fails a flow late), and the
+schedule's ``info`` records the engine, whether step-optimality was
+proven, and whether the seed was the fallback.  Every result is validated
 by :func:`~repro.reversible.pebbling.validate_schedule` before it is
 returned.
 """
@@ -52,7 +43,6 @@ from repro.reversible.pebbling import (
     PebbleSchedule,
     PebbleStep,
     _copy_step,
-    _estimated_gates,
     _greedy_steps,
     _pebble_memo,
     _resolve_budget,
@@ -70,61 +60,35 @@ __all__ = [
 #: Wall-clock seconds one :func:`exact_schedule` call may spend in SAT.
 DEFAULT_TIME_BUDGET = 20.0
 
-#: LUT DAGs up to this size are solved monolithically (provable move
-#: optimality); larger DAGs use windowed improvement of the greedy seed.
+#: The largest LUT DAG :func:`exact_schedule` accepts: the monolithic
+#: encoding proves move optimality up to this size.
 MONOLITHIC_LUT_LIMIT = 12
-
-#: Windowed regime: bounds on one window's step count and distinct LUTs.
-_WINDOW_MAX_STEPS = 24
-_WINDOW_MAX_NODES = 10
-
-#: Conflict cap per windowed SAT call, so one stubborn window cannot eat
-#: the whole time budget.
-_WINDOW_CONFLICT_BUDGET = 4000
 
 
 class _PebbleSat:
-    """One step-indexed encoding instance over a fixed set of active LUTs.
+    """One step-indexed encoding instance over the LUTs of the output cones.
 
-    ``nodes`` are the LUTs allowed to move; everything else is frozen.
-    ``start``/``end`` fix the boundary pebble states of the active LUTs,
-    ``cap`` bounds how many active LUTs may be pebbled simultaneously, and
-    ``required`` lists LUTs that must be pebbled at some intermediate step
-    (output drivers, monolithic regime only).
+    ``nodes`` are the LUTs that may move (closed under fanins), every one
+    unpebbled before the first and after the last step.  ``cap`` bounds
+    how many may be pebbled simultaneously, and ``required`` lists LUTs
+    that must be pebbled at some intermediate step (the output drivers).
     """
 
     def __init__(
         self,
         mapping: LutMapping,
         nodes: Sequence[int],
-        start: Set[int],
-        end: Set[int],
         cap: Optional[int],
         required: Sequence[int] = (),
     ):
-        self.mapping = mapping
         self.nodes = list(nodes)
         self.index = {node: i for i, node in enumerate(self.nodes)}
-        self.start = start
-        self.end = end
         self.cap = cap
         self.required = list(required)
-        # Fanins an active LUT reads, split into modelled (active) and
-        # assumed-pebbled (frozen) ones.  A fanin that is neither active
-        # nor pebbled at the boundary makes its reader immovable.
-        self.deps: List[List[int]] = []
-        self.movable: List[bool] = []
-        frozen_pebbled = start  # frozen LUT state never changes
-        for node in self.nodes:
-            active_deps = []
-            movable = True
-            for dep in mapping.dependencies(node):
-                if dep in self.index:
-                    active_deps.append(self.index[dep])
-                elif dep not in frozen_pebbled:
-                    movable = False
-            self.deps.append(active_deps)
-            self.movable.append(movable)
+        self.deps: List[List[int]] = [
+            [self.index[dep] for dep in mapping.dependencies(node)]
+            for node in self.nodes
+        ]
 
     def build(
         self,
@@ -139,14 +103,9 @@ class _PebbleSat:
         p = [[cnf.new_var() for _ in range(n)] for _ in range(num_steps + 1)]
         m = [[cnf.new_var() for _ in range(n)] for _ in range(num_steps)]
 
-        for i, node in enumerate(self.nodes):
-            cnf.add_clause([p[0][i]] if node in self.start else [-p[0][i]])
-            cnf.add_clause(
-                [p[num_steps][i]] if node in self.end else [-p[num_steps][i]]
-            )
-            if not self.movable[i]:
-                for t in range(num_steps):
-                    cnf.add_clause([-m[t][i]])
+        for i in range(n):
+            cnf.add_clause([-p[0][i]])
+            cnf.add_clause([-p[num_steps][i]])
 
         for t in range(num_steps):
             cnf.exactly_one(m[t])
@@ -180,14 +139,11 @@ class _PebbleSat:
 
     def solve_moves(self, num_steps: int, deadline: float, **build_options):
         """Solve one horizon; ``(status, moves)`` with moves as LUT ids."""
-        conflict_budget = build_options.pop("conflict_budget", None)
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             return "unknown", None
         cnf, m = self.build(num_steps, **build_options)
-        result = solve(
-            cnf, time_budget=remaining, conflict_budget=conflict_budget
-        )
+        result = solve(cnf, time_budget=remaining)
         if result.status != "sat":
             return result.status, None
         moves = []
@@ -224,11 +180,9 @@ def _needed_luts(mapping: LutMapping) -> List[int]:
     return [root for root in mapping.order if root in needed]
 
 
-def _moves_to_steps(
-    mapping: LutMapping, moves: Sequence[int], pebbled: Set[int]
-) -> List[PebbleStep]:
-    """Turn a move list into COMPUTE/UNCOMPUTE steps from a start state."""
-    pebbled = set(pebbled)
+def _moves_to_steps(moves: Sequence[int]) -> List[PebbleStep]:
+    """Turn a move list into COMPUTE/UNCOMPUTE steps from no pebbles."""
+    pebbled: Set[int] = set()
     steps = []
     for node in moves:
         if node in pebbled:
@@ -275,9 +229,6 @@ def _finish(
     return schedule
 
 
-# -- monolithic regime --------------------------------------------------------
-
-
 def _monolithic_schedule(
     mapping: LutMapping, budget: int, deadline: float
 ) -> PebbleSchedule:
@@ -319,9 +270,7 @@ def _monolithic_schedule(
             if lit_node(po) in mapping.luts
         }
     )
-    encoder = _PebbleSat(
-        mapping, needed, start=set(), end=set(), cap=cap, required=drivers
-    )
+    encoder = _PebbleSat(mapping, needed, cap=cap, required=drivers)
     costs = _lut_gate_costs(mapping, needed)
 
     lower = 2 * len(needed)
@@ -388,136 +337,11 @@ def _monolithic_schedule(
             break
         moves, peak = found, peak - 1
 
-    steps = _insert_copies(mapping, _moves_to_steps(mapping, moves, set()))
+    steps = _insert_copies(mapping, _moves_to_steps(moves))
     info = {"engine": "sat-monolithic", "optimal": proven, "moves": len(moves)}
     if fallback:
         info["fallback"] = True
     return _finish(mapping, steps, budget, info)
-
-
-# -- windowed regime ----------------------------------------------------------
-
-
-def _window_chunks(steps, begin, end):
-    """Split one COPY-free run into encodable (start, stop) chunks."""
-    chunks = []
-    i = begin
-    while i < end:
-        j = i
-        nodes: Set[int] = set()
-        while j < end and j - i < _WINDOW_MAX_STEPS:
-            nodes.add(steps[j].node)
-            if len(nodes) > _WINDOW_MAX_NODES:
-                break
-            j += 1
-        if j == i:  # single step touching too many nodes cannot happen
-            j = i + 1
-        chunks.append((i, j))
-        i = j
-    return chunks
-
-
-def _improve_window(
-    mapping: LutMapping,
-    steps: List[PebbleStep],
-    begin: int,
-    end: int,
-    pebbled_before: List[Set[int]],
-    deadline: float,
-) -> Optional[List[PebbleStep]]:
-    """Re-solve one window exactly; improved step list or ``None``."""
-    window = steps[begin:end]
-    active = sorted({s.node for s in window})
-    start_all = pebbled_before[begin]
-    end_all = pebbled_before[end]
-    start = {n for n in active if n in start_all}
-    finish = {n for n in active if n in end_all}
-    frozen = len(start_all - set(active))
-    peak = max(len(pebbled_before[t + 1]) for t in range(begin, end))
-    cap = peak - frozen
-    changed = sum(1 for n in active if (n in start) != (n in finish))
-    lower = max(changed, 0)
-    if len(window) - lower < 2:
-        return None  # nothing to gain
-
-    costs = _lut_gate_costs(mapping, active)
-    cost_index = {node: costs[i] for i, node in enumerate(active)}
-    old_cost = sum(cost_index[s.node] for s in window)
-    encoder = _PebbleSat(mapping, active, start, finish, cap)
-    for horizon in range(lower, len(window) - 1, 2):
-        status, moves = encoder.solve_moves(
-            horizon, deadline, conflict_budget=_WINDOW_CONFLICT_BUDGET
-        )
-        if status == "unknown":
-            return None
-        if status == "sat":
-            new_cost = sum(cost_index[node] for node in moves)
-            if new_cost >= old_cost:
-                return None
-            return _moves_to_steps(mapping, moves, start)
-    return None
-
-
-def _replay_states(
-    mapping: LutMapping, steps: Sequence[PebbleStep]
-) -> List[Set[int]]:
-    """Pebbled-LUT set before each step index (and after the last)."""
-    states = [set()]
-    pebbled: Set[int] = set()
-    for step in steps:
-        if step.op == COMPUTE:
-            pebbled.add(step.node)
-        elif step.op == UNCOMPUTE:
-            pebbled.discard(step.node)
-        states.append(set(pebbled))
-    return states
-
-
-def _windowed_schedule(
-    mapping: LutMapping, budget: int, deadline: float
-) -> PebbleSchedule:
-    seed = bounded_schedule(mapping, budget)
-    steps = list(seed.steps)
-    states = _replay_states(mapping, steps)
-
-    new_steps: List[PebbleStep] = []
-    improved = 0
-    examined = 0
-    i = 0
-    while i < len(steps):
-        if steps[i].op == COPY:
-            new_steps.append(steps[i])
-            i += 1
-            continue
-        j = i
-        while j < len(steps) and steps[j].op != COPY:
-            j += 1
-        for begin, stop in _window_chunks(steps, i, j):
-            examined += 1
-            replacement = None
-            if time.monotonic() < deadline:
-                replacement = _improve_window(
-                    mapping, steps, begin, stop, states, deadline
-                )
-            if replacement is not None:
-                improved += 1
-                new_steps.extend(replacement)
-            else:
-                new_steps.extend(steps[begin:stop])
-        i = j
-
-    info = {
-        "engine": "sat-windowed",
-        "optimal": False,
-        "windows": examined,
-        "windows_improved": improved,
-        "seed_steps": len(steps),
-        "seed_gates": _estimated_gates(mapping, steps),
-    }
-    return _finish(mapping, new_steps, budget, info)
-
-
-# -- entry point --------------------------------------------------------------
 
 
 def exact_schedule(
@@ -529,22 +353,29 @@ def exact_schedule(
 
     ``max_pebbles`` follows the ``bounded`` conventions: an absolute
     count, a float in ``(0, 1)`` as a fraction of the LUT count, or
-    ``None`` for the scheduler's minimum feasible budget.  DAGs of at most
-    :data:`MONOLITHIC_LUT_LIMIT` LUTs are solved monolithically (move
-    count provably minimal, then gate- and peak-descent); larger DAGs get
-    exact window-by-window improvement of the greedy ``bounded`` seed.
-    ``time_budget`` caps the total SAT effort in seconds; whatever is
-    proven by then is returned, degraded gracefully towards the seed.
+    ``None`` for the scheduler's minimum feasible budget.  The DAG is
+    solved monolithically: move count provably minimal, then gate- and
+    peak-descent.  ``time_budget`` caps the total SAT effort in seconds;
+    whatever is proven by then is returned, degraded gracefully towards
+    the greedy ``bounded`` seed.
+
+    Raises :class:`ValueError`, before any pebbling work, on a DAG of
+    more than :data:`MONOLITHIC_LUT_LIMIT` LUTs.
     """
+    if mapping.num_luts() > MONOLITHIC_LUT_LIMIT:
+        raise ValueError(
+            f"strategy='exact' solves LUT DAGs of at most "
+            f"{MONOLITHIC_LUT_LIMIT} LUTs, this one has {mapping.num_luts()}; "
+            "use strategy='bounded' instead (with lut_synth='exact' for "
+            "exact LUT synthesis)"
+        )
     budget = (
         minimum_pebbles(mapping)
         if max_pebbles is None
         else _resolve_budget(mapping, max_pebbles)
     )
     deadline = time.monotonic() + time_budget
-    if mapping.num_luts() <= MONOLITHIC_LUT_LIMIT:
-        return _monolithic_schedule(mapping, budget, deadline)
-    return _windowed_schedule(mapping, budget, deadline)
+    return _monolithic_schedule(mapping, budget, deadline)
 
 
 def _build_exact(mapping, max_pebbles=None, **options):
@@ -561,8 +392,8 @@ def _register() -> None:
         PebblingStrategy(
             "exact",
             _build_exact,
-            "SAT-exact pebbling: provably move-minimal on small DAGs, "
-            "exact windowed improvement of the greedy seed on large ones "
+            "SAT-exact pebbling: provably move-minimal, for LUT DAGs of "
+            f"at most {MONOLITHIC_LUT_LIMIT} LUTs "
             "(options: time_budget seconds)",
         )
     )

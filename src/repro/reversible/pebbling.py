@@ -34,6 +34,7 @@ are left dirty at the end.  The executor
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -288,7 +289,11 @@ class _BoundedScheduler:
     set of pebbled LUTs whose count is zero; :meth:`_add` and
     :meth:`_drop`, the only places that change :attr:`live`, update both,
     so an eviction picks its victim from the ready set without testing the
-    fanins of any pebble.
+    fanins of any pebble.  The victim is the highest-index ready, unpinned
+    pebble, popped from a lazy max-heap beside the ready set:
+    :meth:`_add` pushes every LUT it makes ready, :meth:`_drop` only
+    discards from the set, and :meth:`_make_room` skips stale entries, so
+    an eviction costs O(log n) plus the pinned entries it sets aside.
     """
 
     def __init__(self, mapping: LutMapping, max_pebbles: int):
@@ -304,6 +309,7 @@ class _BoundedScheduler:
         self._parents: Dict[int, List[int]] = memo["parents"]
         self._missing = {root: len(deps) for root, deps in self._deps.items()}
         self.ready: Set[int] = set()
+        self._heap: List[int] = []  # negated ids; may hold stale entries
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -320,10 +326,12 @@ class _BoundedScheduler:
         self.live.add(node)
         if not self._missing[node]:
             self.ready.add(node)
+            heapq.heappush(self._heap, -node)
         for parent in self._parents[node]:
             self._missing[parent] -= 1
             if not self._missing[parent] and parent in self.live:
                 self.ready.add(parent)
+                heapq.heappush(self._heap, -parent)
 
     def _drop(self, node: int) -> None:
         """Unpebble ``node``; its pebbled parents become orphans."""
@@ -340,10 +348,20 @@ class _BoundedScheduler:
             # Evict the highest-index (deepest) candidate: it is the
             # furthest from the inputs and therefore the least likely to be
             # needed as a fanin of upcoming computations.
-            victim = max(
-                (node for node in self.ready if node not in self.pins),
-                default=None,
-            )
+            heap = self._heap
+            pinned: List[int] = []
+            victim = None
+            while heap:
+                node = -heapq.heappop(heap)
+                if node not in self.ready:
+                    continue
+                if node in self.pins:
+                    pinned.append(node)
+                    continue
+                victim = node
+                break
+            for node in pinned:
+                heapq.heappush(heap, -node)
             if victim is None:
                 raise ValueError(
                     f"max_pebbles={self.budget} is too small for this LUT "

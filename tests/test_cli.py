@@ -145,6 +145,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "exact_time_budget must be a positive" in err and "-1.0" in err
 
+    def test_flow_command_exact_above_the_lut_limit_exits_2(self, capsys):
+        # INTDIV(6) maps to 75 LUTs, above the exact strategy's limit.
+        exit_code = main(
+            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "6",
+             "--strategy", "exact"]
+        )
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "at most 12 LUTs" in err and "'bounded'" in err
+
     def test_explore_flow_lut_sweeps_strategies(self, capsys):
         exit_code = main(
             ["explore", "--flow", "lut", "--design", "intdiv", "-n", "4",

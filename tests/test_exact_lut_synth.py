@@ -62,7 +62,7 @@ def cover_cost(cubes):
 
 
 #: ``(num_vars, truth) -> rtof cost`` of every distinct function the exact
-#: lut configuration of INTDIV(8) synthesises (strategy exact, 0.5 pebble
+#: lut configuration of INTDIV(8) synthesises (strategy bounded, 0.5 pebble
 #: budget, k = 4).  The covers behind these costs give 76 qubits / 23176 T.
 INTDIV8_COSTS = {
     (2, 0x2): 7, (2, 0x4): 7,

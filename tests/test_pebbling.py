@@ -291,11 +291,44 @@ class TestBoundedMatchesOracle:
                          num_pos=4)
         self.assert_every_budget_matches(lut_map(aig, k=k, max_cuts=4))
 
-    def test_intdiv_lut_mapping(self):
+    @pytest.mark.parametrize("bitwidth, num_luts", [(6, 75), (8, 132)])
+    def test_intdiv_lut_mapping(self, bitwidth, num_luts):
         from repro.core.flows import run_flow
 
-        result = run_flow("lut", "intdiv", 6, verify=False, strategy="bennett", k=4)
-        self.assert_every_budget_matches(result.context["lut_mapping"])
+        result = run_flow(
+            "lut", "intdiv", bitwidth, verify=False, strategy="bennett", k=4
+        )
+        mapping = result.context["lut_mapping"]
+        assert mapping.num_luts() == num_luts
+        self.assert_every_budget_matches(mapping)
+
+    def test_pinned_victims_go_back_on_the_heap(self):
+        # LUTs n6..n10; n9 reads n7 and n10 reads n8 and n9.  At budget 3
+        # the eviction before compute(n10) finds the two highest ready
+        # pebbles, n9 and n8, pinned as n10's fanins and evicts n7.  The
+        # cleanup eviction after copy(po1) must then pick n8 again, which
+        # it only can if the set-aside heap entries were pushed back.
+        from repro.logic.aig import Aig
+
+        aig = Aig("pinned")
+        pis = [aig.add_pi() for _ in range(5)]
+        n6 = aig.create_and(pis[0], pis[1])
+        n7 = aig.create_and(pis[1], pis[2])
+        n8 = aig.create_and(pis[3], pis[4])
+        n9 = aig.create_and(n7, pis[0])
+        aig.add_po(aig.create_and(n8, n9))
+        aig.add_po(n6)
+        mapping = lut_map(aig, k=2)
+        assert {root: mapping.dependencies(root) for root in mapping.order} == {
+            6: (), 7: (), 8: (), 9: (7,), 10: (8, 9)
+        }
+        self.assert_every_budget_matches(mapping)
+        assert [str(step) for step in _greedy_steps(mapping, 3)] == [
+            "compute(n7)", "compute(n9)", "compute(n8)", "uncompute(n7)",
+            "compute(n10)", "copy(po0 <- n10)", "uncompute(n10)",
+            "compute(n6)", "copy(po1 <- n6)", "uncompute(n8)",
+            "compute(n7)", "uncompute(n9)", "uncompute(n7)", "uncompute(n6)",
+        ]
 
 
 class TestScheduleExecution:
