@@ -183,6 +183,20 @@ class TestRegimesAndFallback:
         # was searched for (or memoised on) the mapping.
         assert "minimum" not in getattr(mapping, "_pebble_memo", {})
 
+    @pytest.mark.parametrize("seed", LARGE_SEEDS)
+    def test_bounded_schedules_what_exact_rejects(self, seed):
+        # The rejection points to strategy='bounded'; that advice holds on
+        # the same mapping and yields a correct, no-worse-than-Bennett run.
+        aig = random_aig(seed, num_pis=4, num_gates=14, num_pos=3)
+        mapping = lut_map(aig, k=3)
+        with pytest.raises(ValueError, match="use strategy='bounded'"):
+            make_schedule(mapping, strategy="exact", time_budget=TIME_BUDGET)
+        schedule = make_schedule(mapping, strategy="bounded", max_pebbles=0.5)
+        assert validate_schedule(schedule).pebble_peak <= schedule.max_pebbles
+        assert schedule.pebble_peak() <= bennett_schedule(mapping).pebble_peak()
+        check = check_equivalent(aig, synthesize_schedule(schedule), mode="full")
+        assert check.equivalent, f"seed {seed}: {check.message}"
+
     @pytest.mark.parametrize("seed", SMALL_SEEDS[:1])
     def test_exhausted_time_budget_degrades_to_a_valid_schedule(self, seed):
         mapping = mapping_for(seed)
