@@ -20,7 +20,7 @@ from repro.logic.truth_table import TruthTable
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt import as_pipeline, parse_pipeline
 from repro.reversible.esop_synth import esop_synthesis
-from repro.reversible.hierarchical import hierarchical_synthesis
+from repro.reversible.lut_synth import hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import synthesize_permutation_gates
 from repro.reversible.embedding import optimum_embedding

@@ -126,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("-p", "--factoring", type=int, help="ESOP factoring parameter (default: 0)")
     flow.add_argument(
         "--strategy",
-        help="cleanup/pebbling strategy (hierarchical: bennett/per_output; "
-        "lut: any registered strategy — bennett/eager/bounded/exact; "
-        "default: bennett)",
+        help="pebbling strategy of the hierarchical and lut flows: any "
+        "registered strategy — bennett/eager (alias per_output)/bounded/"
+        "exact; default: bennett",
     )
     flow.add_argument(
         "-k", "--lut-size", type=int,

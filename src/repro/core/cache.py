@@ -60,8 +60,11 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: so every key of a parameterised configuration potentially changed.
 #: Version 8: ``lut_synth=exact`` covers became T-cost-optimal (INTDIV(8)
 #: ``lut`` with exact pebbling at half the LUT count: 23302 -> 23176 T),
-#: so version-7 entries would serve the dearer circuits.
-CACHE_FORMAT_VERSION = 8
+#: so version-7 entries would serve the dearer circuits.  Version 9: the
+#: ``hierarchical`` flow became the shared pebble game, which replays
+#: uncompute blocks in reverse (NEWTON(3) Bennett rtof T-depth 903 -> 901;
+#: ``rev_opt`` now cancels per-output recomputation).
+CACHE_FORMAT_VERSION = 9
 
 
 def cache_key(

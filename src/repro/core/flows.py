@@ -10,7 +10,8 @@ synthesis and hands the result to one of the reversible synthesis back-ends:
   exorcism-style minimisation, REVS-style ESOP synthesis with the factoring
   parameter ``p`` (Table III),
 * :func:`hierarchical_flow` — repeated ``resyn2`` analogue, ``xmglut``-style
-  XMG mapping, hierarchical synthesis (Table IV),
+  XMG mapping, hierarchical synthesis (Table IV): the pebble game of
+  :func:`lut_flow` with one gate block per XMG gate,
 * :func:`lut_flow`          — k-LUT covering of the optimised AIG, a
   reversible pebble game scheduled over the LUT DAG (``strategy`` is a
   registered pebbling strategy — ``bennett`` / ``eager`` / ``bounded`` /
@@ -39,7 +40,7 @@ from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt import as_pipeline
 from repro.reversible.embedding import optimum_embedding
 from repro.reversible.esop_synth import esop_synthesis
-from repro.reversible.hierarchical import hierarchical_synthesis
+from repro.reversible.lut_synth import hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.verify.differential import (
     AUTO_FULL_LIMIT,

@@ -663,6 +663,10 @@ class LutMapping:
     luts: Dict[int, Tuple[Tuple[int, ...], int]] = field(default_factory=dict)
     # topological order of the LUT roots
     order: List[int] = field(default_factory=list)
+    # root -> dependencies(root), filled on first use (luts never change)
+    _deps: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def network(self) -> LogicNetwork:
@@ -681,8 +685,10 @@ class LutMapping:
         tuple is exactly the set of LUTs whose values must be available
         (pebbled) for ``root`` to be computed or uncomputed.
         """
-        leaves, _ = self.luts[root]
-        return tuple(leaf for leaf in leaves if leaf in self.luts)
+        if root not in self._deps:
+            leaves, _ = self.luts[root]
+            self._deps[root] = tuple(leaf for leaf in leaves if leaf in self.luts)
+        return self._deps[root]
 
     def lut_cone(self, root: int) -> List[int]:
         """LUT roots in the transitive fanin of ``root`` (inclusive).

@@ -11,13 +11,12 @@ design flows:
   transformation-based synthesis (the functional flow),
 * :mod:`repro.reversible.esop_synth` — ESOP-based synthesis with optional
   sub-expression factoring (the REVS flow, parameter ``p``),
-* :mod:`repro.reversible.hierarchical` — hierarchical synthesis from XMGs
-  with Bennett or eager ancilla cleanup,
 * :mod:`repro.reversible.pebbling` / :mod:`repro.reversible.lut_synth` —
-  LUT-granular hierarchical synthesis: reversible pebbling schedules over
-  a k-LUT cover (Bennett / eager / budget-bounded strategies, with a
-  machine-checked schedule validator) and their execution via per-LUT
-  ESOP/TBS blocks (the ``lut`` flow).
+  hierarchical synthesis as a reversible pebble game: pebbling schedules
+  over a k-LUT cover or an XMG's gates (Bennett / eager / budget-bounded /
+  SAT-exact strategies from one registry, with a machine-checked schedule
+  validator) and their execution via per-LUT ESOP/TBS blocks (the ``lut``
+  flow) or per-gate XMG blocks (the ``hierarchical`` flow).
 
 Every synthesised circuit is checked against its irreversible
 specification by :func:`repro.verify.check_equivalent`.
@@ -32,8 +31,11 @@ from repro.reversible.embedding import (
 )
 from repro.reversible.esop_synth import esop_synthesis
 from repro.reversible.gates import ToffoliGate
-from repro.reversible.hierarchical import hierarchical_synthesis
-from repro.reversible.lut_synth import lut_synthesis, synthesize_schedule
+from repro.reversible.lut_synth import (
+    hierarchical_synthesis,
+    lut_synthesis,
+    synthesize_schedule,
+)
 from repro.reversible.pebbling import (
     InvalidScheduleError,
     PebbleSchedule,

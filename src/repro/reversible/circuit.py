@@ -418,23 +418,20 @@ class ReversibleCircuit:
 
 @dataclass
 class LinePool:
-    """Allocator for zero-initialised ancilla lines with optional reuse.
+    """Allocator for zero-initialised ancilla lines with reuse.
 
-    The shared invariant of every synthesis back-end that recycles lines:
-    only a line whose value has returned to zero may be ``release``d, so a
-    subsequent ``acquire`` can hand it out as a fresh ancilla (or as a
-    primary-output target).  With ``reuse`` disabled the pool degenerates
-    to plain allocation, which keeps line ordering stable for strategies
-    that never free anything.
+    The invariant of a synthesis back-end that recycles lines: only a line
+    whose value has returned to zero may be ``release``d, so a subsequent
+    ``acquire`` can hand it out as a fresh ancilla (or as a primary-output
+    target).
     """
 
     circuit: ReversibleCircuit
-    reuse: bool = True
     free_lines: List[int] = field(default_factory=list)
 
     def acquire(self, name: Optional[str] = None) -> int:
-        """A zeroed line: a reused freed line if available, else a new one."""
-        if self.reuse and self.free_lines:
+        """A zeroed line: the last freed line if any, else a new one."""
+        if self.free_lines:
             line = self.free_lines.pop()
             if name is not None:
                 self.circuit.set_line_name(line, name)
@@ -445,5 +442,4 @@ class LinePool:
 
     def release(self, line: int) -> None:
         """Return a line (which must hold zero again) to the pool."""
-        if self.reuse:
-            self.free_lines.append(line)
+        self.free_lines.append(line)

@@ -1,8 +1,11 @@
-"""Reversible pebbling schedules over a LUT DAG (the LUT-based flow).
+"""Reversible pebbling schedules over a LUT DAG (both hierarchical flows).
 
 The LUT-based hierarchical flow of the paper covers the optimised AIG with
 k-input LUTs and then plays a *reversible pebble game* on the LUT DAG: a
-pebble on a LUT means its value is currently held on an ancilla line.  A
+pebble on a LUT means its value is currently held on an ancilla line.  The
+XMG-based hierarchical flow plays the same game with one "LUT" per XMG
+gate (:func:`repro.reversible.lut_synth.xmg_gate_mapping`), so both flows
+share these strategies.  A
 pebble may be placed (the LUT is *computed*) or removed (the LUT is
 *uncomputed*, returning its ancilla to zero) only while all of its fanin
 LUTs carry pebbles, because both directions re-apply the same gate block
@@ -46,7 +49,6 @@ __all__ = [
     "COMPUTE",
     "COPY",
     "InvalidScheduleError",
-    "PEBBLING_STRATEGIES",
     "PebbleSchedule",
     "PebbleStep",
     "ScheduleStats",
@@ -63,15 +65,6 @@ __all__ = [
 COMPUTE = "compute"
 UNCOMPUTE = "uncompute"
 COPY = "copy"
-
-#: The built-in scheduling strategies accepted by :func:`make_schedule`
-#: (and by the ``lut`` flow's ``strategy`` parameter).  ``"per_output"`` is
-#: accepted as an alias of ``"eager"``, mirroring
-#: :mod:`repro.reversible.hierarchical`.  Strategies live in the registry
-#: of :mod:`repro.reversible.strategies`; ``"exact"`` is defined by
-#: :mod:`repro.reversible.exact_pebbling`.
-PEBBLING_STRATEGIES = ("bennett", "eager", "bounded", "exact")
-
 
 class InvalidScheduleError(ValueError):
     """A pebble schedule violated the pebble-game rules."""
@@ -647,9 +640,11 @@ def make_schedule(
     """Build and validate a schedule with the named strategy.
 
     ``strategy`` is resolved through the registry of
-    :mod:`repro.reversible.strategies` — one of
-    :data:`PEBBLING_STRATEGIES` or a registered alias (``"per_output"``
-    maps to ``"eager"``); unknown names raise
+    :mod:`repro.reversible.strategies` — the one strategy namespace of the
+    ``hierarchical`` and ``lut`` flows: ``"bennett"``, ``"eager"`` (alias
+    ``"per_output"``, the paper's per-output cleanup), ``"bounded"``,
+    ``"exact"`` (defined by :mod:`repro.reversible.exact_pebbling`) or a
+    plugin's name; unknown names raise
     :class:`~repro.reversible.strategies.UnknownStrategyError` (a
     ``ValueError``) with a did-you-mean suggestion.  ``max_pebbles`` is
     the budget of ``"bounded"`` and ``"exact"`` (the other strategies

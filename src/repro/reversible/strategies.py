@@ -3,11 +3,11 @@
 Pebbling strategies used to be a hard-coded ``if/elif`` chain inside
 :func:`repro.reversible.pebbling.make_schedule`; they are now registered
 :class:`PebblingStrategy` entries resolved by name, exactly like
-optimisation passes.  The registry is the single namespace the flows, the
-CLI ``--strategy`` flag and the exploration engine resolve against;
-aliases (``per_output`` for ``eager``) share the namespace, and unknown
-names raise :class:`UnknownStrategyError` carrying a did-you-mean
-suggestion computed over every known spelling.
+optimisation passes.  The registry is the single namespace both
+hierarchical flows, the CLI ``--strategy`` flag and the exploration engine
+resolve against; aliases (``per_output`` for ``eager``) share the
+namespace, and unknown names raise :class:`UnknownStrategyError` listing
+every known spelling, with a did-you-mean suggestion.
 
 The built-in strategies register themselves when their defining modules
 load: ``bennett`` / ``eager`` / ``bounded`` from
@@ -37,8 +37,14 @@ class UnknownStrategyError(ValueError):
     """A ``strategy=`` spec referenced a name the registry does not know."""
 
     def __init__(self, name: str, suggestion: Optional[str] = None):
+        known = ", ".join(
+            repr(strategy.name)
+            + "".join(f" (alias {alias!r})" for alias in strategy.aliases)
+            for strategy in sorted(_STRATEGIES.values(), key=lambda s: s.name)
+        )
         super().__init__(
-            f"unknown pebbling strategy {name!r}{did_you_mean(suggestion)}"
+            f"unknown pebbling strategy {name!r} for the 'strategy' parameter; "
+            f"expected one of {known}{did_you_mean(suggestion)}"
         )
         self.unknown_name = name
         self.suggestion = suggestion

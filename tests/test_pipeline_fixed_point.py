@@ -150,8 +150,8 @@ def test_cache_keys_are_unchanged():
         return cache_key(source, flow, chain[-1])
 
     assert key("symbolic", {"rev_opt": "rev-default"}) == (
-        "3a82ee78f591726d623f367074cc50c2d7ef70e8004682aacc4effa997fd7d70"
+        "e06ce314cdfddba852bc43f5a5d5accc2537822f54024d7a1e788be60a689851"
     )
     assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
-        "3096ff17586118e0c3e6c49a464468fcd699106edb5ae27aeb36a74a3feff6c1"
+        "03910fa0ba2cdbd0574b2ebd25b2f735917cfd223d2773863b0a85a8cdc39a21"
     )

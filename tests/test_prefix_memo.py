@@ -28,7 +28,6 @@ from repro.opt import as_pipeline
 from repro.opt.pipeline import Pipeline
 from repro.opt.targets import target_kind
 from repro.reversible.circuit import ReversibleCircuit
-from repro.reversible.hierarchical import hierarchical_synthesis
 from repro.reversible.pebbling import PebbleSchedule
 
 #: Context keys every run seeds besides the declared parameters.
@@ -158,14 +157,21 @@ def test_unknown_parameter_fails_only_its_engine_task():
 
 
 def test_hierarchical_strategy_error_names_the_parameter():
-    xmg = make_flow("hierarchical").run("intdiv", 3, verify=False).context["xmg"]
-    with pytest.raises(ValueError) as raised:
-        hierarchical_synthesis(xmg, strategy="benett")
-    message = str(raised.value)
-    assert "'strategy' parameter" in message
-    assert "'bennett'" in message and "'per_output'" in message and "'eager'" in message
-    assert "did you mean 'bennett'?" in message
-    assert "cleanup" not in message
+    # The hierarchical and lut flows resolve ``strategy`` through the one
+    # pebbling registry, so both raise the same message.
+    messages = set()
+    for flow in ("hierarchical", "lut"):
+        with pytest.raises(ValueError) as raised:
+            run_flow(flow, "intdiv", 3, verify=False, strategy="benett")
+        message = str(raised.value)
+        messages.add(message)
+        assert "'strategy' parameter" in message
+        assert "'bennett'" in message and "'per_output'" in message
+        assert "'eager'" in message and "'bounded'" in message
+        assert "'exact'" in message
+        assert "did you mean 'bennett'?" in message
+        assert "cleanup" not in message
+    assert len(messages) == 1
 
 
 # -- prefix keys and the memo -----------------------------------------------------

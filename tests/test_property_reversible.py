@@ -20,7 +20,7 @@ from repro.quantum.tcount import mct_t_count
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.embedding import bennett_embedding, optimum_embedding
 from repro.reversible.esop_synth import esop_synthesis
-from repro.reversible.hierarchical import hierarchical_synthesis
+from repro.reversible.lut_synth import hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import synthesize_permutation_gates
 from repro.verify.differential import check_equivalent

@@ -10,7 +10,7 @@ from repro.logic.esop import esop_from_columns, esop_from_truth_table, minimize_
 from repro.logic.truth_table import TruthTable
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.reversible.esop_synth import esop_synthesis
-from repro.reversible.hierarchical import hierarchical_synthesis
+from repro.reversible.lut_synth import hierarchical_synthesis
 from repro.verify.differential import check_equivalent
 
 
@@ -188,3 +188,107 @@ class TestHierarchicalSynthesis:
         circuit = hierarchical_synthesis(xmg)
         assert circuit.t_count() == 0
         assert check_equivalent(aig.to_truth_table(), circuit, mode="full")
+
+    @pytest.mark.parametrize(
+        "design,bitwidth", [("intdiv", 4), ("intdiv", 6), ("intdiv", 8), ("newton", 4)]
+    )
+    def test_bounded_strategy_verifies(self, design, bitwidth):
+        from repro.core.flows import run_flow
+
+        report = run_flow(
+            "hierarchical", design, bitwidth, verify="full", strategy="bounded"
+        ).report
+        assert report.verified is True
+
+    def test_bounded_dominates_per_output_on_intdiv8(self):
+        from repro.core.flows import run_flow
+
+        costs = {
+            strategy: run_flow(
+                "hierarchical", "intdiv", 8, verify=False, strategy=strategy
+            ).report
+            for strategy in ("bounded", "per_output")
+        }
+        bounded, per_output = costs["bounded"], costs["per_output"]
+        assert (bounded.qubits, bounded.t_count) == (247, 9352)
+        assert (per_output.qubits, per_output.t_count) == (496, 22736)
+        assert bounded.qubits < per_output.qubits
+        assert bounded.t_count < per_output.t_count
+
+    def test_exact_strategy_equals_bennett_on_a_one_gate_xmg(self):
+        from repro.core.flows import run_flow
+
+        xmg = run_flow("hierarchical", "newton", 2, verify=False).context["xmg"]
+        assert xmg.cleanup().num_gates() == 1
+        exact = hierarchical_synthesis(xmg, strategy="exact")
+        bennett = hierarchical_synthesis(xmg, strategy="bennett")
+        # Same cost; the SAT schedule may order the output copies differently.
+        assert (exact.num_lines(), exact.t_count(), exact.num_gates()) == (
+            bennett.num_lines(),
+            bennett.t_count(),
+            bennett.num_gates(),
+        )
+        assert check_equivalent(xmg, exact, mode="full")
+
+    def test_exact_strategy_rejects_a_large_xmg(self):
+        from repro.core.flows import run_flow
+
+        with pytest.raises(ValueError, match="use strategy='bounded'"):
+            run_flow("hierarchical", "intdiv", 6, verify=False, strategy="exact")
+
+
+def _xmg_tables(arity):
+    """Truth tables the xmg block builder must accept, by arity."""
+
+    def table(function):
+        return sum(function(x) << x for x in range(1 << arity))
+
+    def bit(x, i):
+        return (x >> i) & 1
+
+    accepted = set()
+    for c in (0, 1):
+        accepted.add(table(lambda x: bin(x).count("1") % 2 ^ c))
+        if arity == 2:
+            for pa, pb in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+                accepted.add(
+                    table(lambda x: (bit(x, 0) == pa and bit(x, 1) == pb) ^ c)
+                )
+        if arity == 3:
+            for ca in (0, 1):
+                for cb in (0, 1):
+                    accepted.add(
+                        table(
+                            lambda x: (bit(x, 0) ^ ca)
+                            + (bit(x, 1) ^ cb)
+                            + (bit(x, 2) ^ c)
+                            >= 2
+                        )
+                    )
+    return accepted
+
+
+class TestXmgBlockBuilder:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_table_is_realised_or_rejected(self, arity):
+        from repro.reversible.lut_synth import _BLOCK_BUILDERS
+
+        build = _BLOCK_BUILDERS["xmg"]
+        realised = set()
+        for truth in range(1 << (1 << arity)):
+            try:
+                # Over local lines: leaf i is line i, the target line arity.
+                block = build(truth, arity)
+            except ValueError:
+                continue
+            realised.add(truth)
+            assert sum(bin(care).count("1") >= 2 for care, _, _ in block) <= 1
+            for x in range(1 << arity):
+                for a in (0, 1):
+                    state = x | a << arity
+                    for care, polarity, target in block:
+                        if state & care == polarity:
+                            state ^= 1 << target
+                    # (x, a) -> (x, a xor f(x)); every leaf is restored.
+                    assert state == x | (a ^ (truth >> x & 1)) << arity
+        assert realised == _xmg_tables(arity)
