@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.utils.bitops import bit_count
+
 __all__ = ["WordOp", "WordNetlist"]
 
 
@@ -247,7 +249,7 @@ class WordNetlist:
             elif op.kind == "reduce_or":
                 values[index] = int(values[op.operands[0]] != 0)
             elif op.kind == "reduce_xor":
-                values[index] = bin(values[op.operands[0]]).count("1") & 1
+                values[index] = bit_count(values[op.operands[0]]) & 1
             elif op.kind == "logic_not":
                 values[index] = int(values[op.operands[0]] == 0)
             elif op.kind in ("logic_and", "logic_or"):

@@ -31,7 +31,6 @@ with :class:`TypeError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -39,13 +38,13 @@ import numpy as np
 from repro.logic.lits import lit_node
 from repro.logic.network import LogicNetwork
 from repro.logic.truth_table import tt_mask, tt_var, tt_var_words
+from repro.utils.bitops import bit_count
 
 __all__ = [
     "Cut",
     "enumerate_cuts",
     "cut_truth_table",
     "cut_truth_tables",
-    "filter_dominated_cuts",
     "clear_cut_enumeration_cache",
     "cut_enumeration_cache_stats",
     "LutMapping",
@@ -65,33 +64,6 @@ class Cut:
         return len(self.leaves)
 
 
-def filter_dominated_cuts(cuts: Sequence[Cut]) -> List[Cut]:
-    """Remove dominated cuts, preserving the input order.
-
-    A cut is *dominated* when another cut of the same node has a strict
-    subset of its leaves: every cover using the dominated cut could use the
-    dominating one instead, with the same or fewer dependencies.  Identical
-    leaf sets are kept once (the first occurrence wins).
-    """
-    kept: List[Cut] = []
-    kept_leaves: List[Set[int]] = []
-    for cut in cuts:
-        leaves = set(cut.leaves)
-        if any(other <= leaves for other in kept_leaves):
-            continue
-        # A later cut never dominates an earlier one under the (size, ...)
-        # priority order, but the helper must not rely on its input being
-        # sorted — drop any earlier cut this one dominates.
-        survivors = [
-            (kept_cut, kept_set)
-            for kept_cut, kept_set in zip(kept, kept_leaves)
-            if not leaves < kept_set
-        ]
-        kept = [cut_ for cut_, _ in survivors] + [cut]
-        kept_leaves = [set_ for _, set_ in survivors] + [leaves]
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # Incremental cut enumeration
 #
@@ -106,19 +78,27 @@ def filter_dominated_cuts(cuts: Sequence[Cut]) -> List[Cut]:
 # prefix, recomputing only from the first structurally-changed node on —
 # i.e. invalidation is exactly "everything at and above the first level a
 # rewrite touched".
+#
+# Merging screens cuts on *leaf signatures*, as ABC's priority cuts do: one
+# 64-bit word ORing ``1 << (leaf & 63)`` over a cut's leaves.  More than k
+# bits in the OR of two signatures prove their union too large, and a cut
+# whose signature is not a subset of another's cannot dominate it, so most
+# fanin combinations and dominance pairs never touch a leaf tuple (INTDIV(8)
+# cold: 131 -> 40 ms, see docs/architecture.md).  The cache keeps only Cut
+# lists; a reused node's signatures are rebuilt when a fanout merges it.
 # ---------------------------------------------------------------------------
 
 _ENUM_CACHE_SIZE = 4
 
 #: Cached enumerations, newest last.  Each entry is
-#: ``(params, signatures, cuts, best_area)`` where ``signatures[node]`` is
+#: ``(params, structure, cuts, best_area)`` where ``structure[node]`` is
 #: the node's fanin-literal tuple (or the PI marker) and ``cuts``/
 #: ``best_area`` are the per-node results, list-indexed by node.
 _ENUM_CACHE: List[Tuple[Tuple, List, List, List]] = []
 
 _ENUM_STATS = {"hits": 0, "misses": 0, "nodes_reused": 0, "nodes_computed": 0}
 
-_PI_SIGNATURE = ("pi",)
+_PI_MARKER = ("pi",)
 
 
 def clear_cut_enumeration_cache() -> None:
@@ -138,18 +118,75 @@ def cut_enumeration_cache_stats() -> Dict[str, int]:
     return dict(_ENUM_STATS)
 
 
-def _network_signatures(network: LogicNetwork) -> Optional[List]:
-    """Per-node structural signatures, or ``None`` if not densely indexed."""
+def _network_structure(network: LogicNetwork) -> Optional[List]:
+    """Per-node fanin tuples (PI marker), or ``None`` if not densely indexed."""
     node_list = list(network.nodes())
     if node_list != list(range(len(node_list))):
         return None
-    signatures: List = [None] * len(node_list)
+    structure: List = [None] * len(node_list)
     for node in node_list:
         if network.is_gate(node):
-            signatures[node] = tuple(network.fanins(node))
+            structure[node] = tuple(network.fanins(node))
         elif network.is_pi(node):
-            signatures[node] = _PI_SIGNATURE
-    return signatures
+            structure[node] = _PI_MARKER
+    return structure
+
+
+#: A cut as the enumerator merges it: ``(signature, leaves, level)``, with
+#: ``level`` the largest leaf level (0 for no leaves).
+_CutView = Tuple[int, Tuple[int, ...], int]
+
+
+def _cut_view(leaves: Tuple[int, ...], levels: Dict[int, int]) -> _CutView:
+    signature = 0
+    for leaf in leaves:
+        signature |= 1 << (leaf & 63)
+    return signature, leaves, max((levels[leaf] for leaf in leaves), default=0)
+
+
+def _merge(left: List[_CutView], right: List[_CutView], k: int) -> List[_CutView]:
+    """Distinct unions of one cut of each list with at most ``k`` leaves."""
+    merged: Dict[Tuple[int, ...], _CutView] = {}
+    for sig0, leaves0, level0 in left:
+        for sig1, leaves1, level1 in right:
+            signature = sig0 | sig1
+            if bit_count(signature) <= k:
+                leaves = tuple(sorted({*leaves0, *leaves1}))
+                if len(leaves) <= k:
+                    level = level0 if level0 > level1 else level1
+                    merged[leaves] = (signature, leaves, level)
+    return list(merged.values())
+
+
+def _priority_cuts(
+    candidates: List[_CutView], trivial: _CutView, max_cuts: int,
+    best_area: Optional[Dict[int, int]],
+) -> List[_CutView]:
+    """One node's undominated cuts in priority order, trivial cut last.
+
+    Candidates sort by ``(size, level, leaves)``, after area flow when
+    ``best_area`` is given.  Leaf areas are non-negative, so either order
+    puts a strict subset before its supersets: only an already kept cut
+    can dominate a candidate, and the scan stops at ``max_cuts`` kept.
+    A constant gate's empty cut dominates all others, the trivial one too.
+    """
+    keyed = sorted(
+        (0 if best_area is None else 1 + sum([best_area[leaf] for leaf in leaves]),
+         len(leaves), level, leaves, signature)
+        for signature, leaves, level in candidates
+    )
+    kept: List[_CutView] = []
+    for _, _, level, leaves, signature in keyed:
+        for kept_signature, kept_leaves, _ in kept:
+            if not kept_signature & ~signature and set(kept_leaves).issubset(leaves):
+                break
+        else:
+            kept.append((signature, leaves, level))
+            if len(kept) == max_cuts:
+                break
+    if kept and not kept[0][1]:
+        return kept
+    return kept[: max_cuts - 1] + [trivial]
 
 
 def enumerate_cuts(
@@ -164,7 +201,8 @@ def enumerate_cuts(
     policy; the trivial cut is always included last and counts against the
     ``max_cuts`` bound, so no node ever carries more than ``max_cuts``
     cuts.  Dominated cuts (leaf supersets of another cut at the same node)
-    are filtered before the priority truncation.
+    are filtered before the priority truncation; leaf signatures screen
+    merges and dominance pairs first (see the module notes above).
 
     ``selection`` orders each node's priority list:
 
@@ -175,12 +213,10 @@ def enumerate_cuts(
       leaves), so the best cut genuinely minimises LUT count and the LUT
       size ``k`` becomes an area knob.
 
-    Densely-indexed networks go through the structural-prefix cache (see
-    the module notes above): the longest prefix agreeing node-for-node with
-    a recently enumerated network reuses that enumeration's cut lists, and
-    only nodes from the first structural difference on are recomputed.  The
-    returned per-node cut lists may be shared with other enumerations and
-    must not be mutated.
+    Densely-indexed networks go through the structural-prefix cache: the
+    longest prefix agreeing node-for-node with a recently enumerated
+    network reuses its cut lists, and only later nodes are recomputed.
+    The returned cut lists may be shared and must not be mutated.
     """
     if k < 2:
         raise ValueError("cut size must be at least 2")
@@ -191,21 +227,20 @@ def enumerate_cuts(
             f"unknown cut selection policy {selection!r}; "
             "expected 'depth' or 'area'"
         )
-    signatures = _network_signatures(network)
+    structure = _network_structure(network)
     params = (k, max_cuts, selection)
     prefix = 0
     cached_cuts: Optional[List] = None
     cached_area: Optional[List] = None
     entry_index = -1
-    if signatures is not None:
-        for index, (entry_params, entry_sigs, entry_cuts, entry_area) in enumerate(
-            _ENUM_CACHE
-        ):
+    if structure is not None:
+        for index, entry in enumerate(_ENUM_CACHE):
+            entry_params, entry_structure, entry_cuts, entry_area = entry
             if entry_params != params:
                 continue
-            limit = min(len(entry_sigs), len(signatures))
+            limit = min(len(entry_structure), len(structure))
             common = 0
-            while common < limit and entry_sigs[common] == signatures[common]:
+            while common < limit and entry_structure[common] == structure[common]:
                 common += 1
             if common > prefix:
                 prefix = common
@@ -223,78 +258,44 @@ def enumerate_cuts(
         if node_cuts is not None:
             cuts[node] = node_cuts
             best_area[node] = cached_area[node]
+    views: Dict[int, List[_CutView]] = {0: [(0, (), 0)]}
+    fanouts = network.fanout_counts()  # a view is dropped after its last read
+    area_of = best_area if selection == "area" else None
 
     for node in network.nodes():
         if node < prefix or node == 0:
             continue
-        if signatures is not None:
+        if structure is not None:
             _ENUM_STATS["nodes_computed"] += 1
+        trivial = _cut_view((node,), levels)
         if network.is_pi(node):
+            views[node] = [trivial]
             cuts[node] = [Cut(node, (node,))]
             best_area[node] = 0
             continue
-        fanin_nodes = [lit_node(f) for f in network.fanins(node)]
-        merged: Set[Tuple[int, ...]] = set()
-        for combo in iter_product(*(cuts[f] for f in fanin_nodes)):
-            leaf_set: Set[int] = set()
-            for cut_ in combo:
-                leaf_set.update(cut_.leaves)
-            leaves = tuple(sorted(leaf_set))
-            if len(leaves) <= k:
-                merged.add(leaves)
-        candidates = [Cut(node, leaves) for leaves in merged]
-        if selection == "area":
-            candidates.sort(
-                key=lambda cut: (
-                    1 + sum(best_area[leaf] for leaf in cut.leaves),
-                    cut.size(),
-                    max((levels[leaf] for leaf in cut.leaves), default=0),
-                    cut.leaves,
-                )
-            )
-        else:
-            candidates.sort(
-                key=lambda cut: (
-                    cut.size(),
-                    max((levels[leaf] for leaf in cut.leaves), default=0),
-                    cut.leaves,
-                )
-            )
-        # The trivial cut participates in dominance filtering and counts
-        # against the bound: appended last, it keeps its documented
-        # position without ever displacing the best cut, and a node ends
-        # up with at most max_cuts cuts (not max_cuts + 1).
-        trivial = Cut(node, (node,))
-        selected = filter_dominated_cuts(candidates + [trivial])
-        if len(selected) > max_cuts:
-            non_trivial = [c for c in selected if c.leaves != (node,)]
-            selected = non_trivial[: max_cuts - 1] + [trivial]
-        cuts[node] = selected
-        best = selected[0]
-        best_area[node] = (
-            1 + sum(best_area[leaf] for leaf in best.leaves)
-            if best.leaves != (node,)
-            else 1
-        )
+        candidates: Optional[List[_CutView]] = None
+        for fanin in map(lit_node, network.fanins(node)):
+            if fanin not in views:  # a node reused from the cache
+                views[fanin] = [_cut_view(c.leaves, levels) for c in cuts[fanin]]
+            fanouts[fanin] -= 1
+            view = views[fanin] if fanouts[fanin] else views.pop(fanin)
+            candidates = view if candidates is None else _merge(candidates, view, k)
+        views[node] = selected = _priority_cuts(candidates, trivial, max_cuts, area_of)
+        cuts[node] = [Cut(node, leaves) for _, leaves, _ in selected]
+        # Area flow of the best cut; the trivial cut (its own leaf) costs 1.
+        best = selected[0][1]
+        best_area[node] = 1 + sum([best_area[leaf] for leaf in best if leaf != node])
 
-    if signatures is not None:
-        num = len(signatures)
-        if (
-            entry_index >= 0
-            and prefix == num
-            and len(_ENUM_CACHE[entry_index][1]) == num
-        ):
+    if structure is not None:
+        num = len(structure)
+        if entry_index >= 0 and prefix == num == len(_ENUM_CACHE[entry_index][1]):
             # Identical network re-enumerated: refresh recency only.
             _ENUM_CACHE.append(_ENUM_CACHE.pop(entry_index))
         else:
-            _ENUM_CACHE.append(
-                (
-                    params,
-                    signatures,
-                    [cuts.get(n) for n in range(num)],
-                    [best_area.get(n) for n in range(num)],
-                )
-            )
+            _ENUM_CACHE.append((
+                params, structure, [cuts.get(n) for n in range(num)],
+                [best_area.get(n) for n in range(num)],
+            ))
             if len(_ENUM_CACHE) > _ENUM_CACHE_SIZE:
                 _ENUM_CACHE.pop(0)
     return cuts

@@ -24,6 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.logic.cube import Cube
 from repro.logic.truth_table import TruthTable, tt_mask, tt_var
+from repro.utils.bitops import bit_count
 
 __all__ = [
     "EsopTerm",
@@ -82,7 +83,7 @@ class EsopCover:
 
     def shared_terms(self) -> int:
         """Number of product terms feeding more than one output."""
-        return sum(1 for term in self.terms if bin(term.outputs).count("1") > 1)
+        return sum(1 for term in self.terms if bit_count(term.outputs) > 1)
 
     def evaluate(self, minterm: int) -> int:
         """Output word of the cover on one input assignment."""

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.utils.bitops import clog2
+from repro.utils.bitops import bit_count, clog2
 
 __all__ = [
     "TruthTable",
@@ -120,7 +120,7 @@ def tt_support(func: int, num_vars: int) -> List[int]:
 
 def tt_popcount(func: int) -> int:
     """Number of minterms on which the function is 1."""
-    return bin(func).count("1")
+    return bit_count(func)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.esop import EsopCover
 from repro.reversible.circuit import ReversibleCircuit
+from repro.utils.bitops import bit_count
 
 __all__ = ["esop_synthesis"]
 
@@ -146,7 +147,7 @@ def esop_synthesis(
     # 2n lines, so at p = 0 a term feeding several outputs is simply realised
     # once per output.
     needs_scratch = p > 0 and any(
-        bin(term.outputs).count("1") >= share_threshold for term in terms
+        bit_count(term.outputs) >= share_threshold for term in terms
     )
     scratch = circuit.add_constant_line(0, name="scratch") if needs_scratch else None
 

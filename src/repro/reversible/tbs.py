@@ -29,6 +29,7 @@ import numpy as np
 from repro.quantum.tcount import mct_t_count
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
+from repro.utils.bitops import bit_count
 
 __all__ = [
     "MAX_TBS_LINES",
@@ -127,7 +128,7 @@ def _gate_masks_transforming(
             controls |= top
             avail ^= top
         masks.append((controls, bit.bit_length() - 1))
-        arity = controls.bit_count()
+        arity = bit_count(controls)
         gate_cost = memo.get(arity)
         if gate_cost is None:
             gate_cost = _mct_cost(arity)
@@ -138,7 +139,7 @@ def _gate_masks_transforming(
     pending = current & ~goal
     if pending:
         controls = _reduced_controls_mask(goal, protect_below)
-        per_gate = _mct_cost(controls.bit_count())
+        per_gate = _mct_cost(bit_count(controls))
         while pending:
             bit = pending & -pending
             masks.append((controls, bit.bit_length() - 1))

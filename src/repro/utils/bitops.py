@@ -28,11 +28,22 @@ def bit_length(value: int) -> int:
     return max(1, value.bit_length())
 
 
+def _bin_bit_count(value: int) -> int:
+    """Stand-in for ``int.bit_count`` on Python 3.9."""
+    return bin(value).count("1")
+
+
+#: Number of set bits in ``abs(value)``, without a sign check: the built-in
+#: ``int.bit_count`` where the interpreter has it (Python 3.10+), else a
+#: ``bin`` count.  Every Python-int popcount in the package goes through it.
+bit_count = getattr(int, "bit_count", _bin_bit_count)
+
+
 def popcount(value: int) -> int:
     """Number of set bits in a non-negative integer."""
     if value < 0:
         raise ValueError("popcount is defined for non-negative values")
-    return bin(value).count("1")
+    return bit_count(value)
 
 
 def int_to_bits(value: int, width: int) -> List[int]:

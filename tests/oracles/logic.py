@@ -62,6 +62,101 @@ def cut_truth_table_reference(network: LogicNetwork, cut: Cut) -> int:
 
 
 # ---------------------------------------------------------------------------
+# priority-cut enumeration
+# ---------------------------------------------------------------------------
+
+
+def filter_dominated_cuts_reference(cuts: Sequence[Cut]) -> List[Cut]:
+    """Remove dominated cuts, preserving the input order.
+
+    A cut is *dominated* when another cut of the same node has a strict
+    subset of its leaves.  Identical leaf sets are kept once (the first
+    occurrence wins).  The input need not be sorted: a later cut also
+    drops every earlier kept cut it dominates.
+    """
+    kept: List[Cut] = []
+    kept_leaves: List[Set[int]] = []
+    for cut in cuts:
+        leaves = set(cut.leaves)
+        if any(other <= leaves for other in kept_leaves):
+            continue
+        survivors = [
+            (kept_cut, kept_set)
+            for kept_cut, kept_set in zip(kept, kept_leaves)
+            if not leaves < kept_set
+        ]
+        kept = [cut_ for cut_, _ in survivors] + [cut]
+        kept_leaves = [set_ for _, set_ in survivors] + [leaves]
+    return kept
+
+
+def enumerate_cuts_reference(
+    network: LogicNetwork, k: int = 4, max_cuts: int = 8, selection: str = "depth"
+) -> Dict[int, List[Cut]]:
+    """Priority cuts of every node, merged per fanin combination over sets.
+
+    Same contract as :func:`repro.logic.cuts.enumerate_cuts` (best cut
+    first, trivial cut last, at most ``max_cuts`` cuts per node), without
+    the leaf-signature filter and the structural-prefix cache: every
+    fanin combination builds its leaf set, every candidate becomes a
+    :class:`Cut`, and dominance is filtered pairwise over Python sets.
+    """
+    cuts: Dict[int, List[Cut]] = {0: [Cut(0, ())]}
+    levels = network.levels()
+    # Area flow of the best cut of every processed node (PIs cost nothing).
+    best_area: Dict[int, int] = {0: 0}
+    for node in network.nodes():
+        if node == 0:
+            continue
+        if network.is_pi(node):
+            cuts[node] = [Cut(node, (node,))]
+            best_area[node] = 0
+            continue
+        fanin_nodes = [lit_node(f) for f in network.fanins(node)]
+        merged: Set[Tuple[int, ...]] = set()
+        for combo in itertools.product(*(cuts[f] for f in fanin_nodes)):
+            leaf_set: Set[int] = set()
+            for cut_ in combo:
+                leaf_set.update(cut_.leaves)
+            leaves = tuple(sorted(leaf_set))
+            if len(leaves) <= k:
+                merged.add(leaves)
+        candidates = [Cut(node, leaves) for leaves in merged]
+        if selection == "area":
+            candidates.sort(
+                key=lambda cut: (
+                    1 + sum(best_area[leaf] for leaf in cut.leaves),
+                    cut.size(),
+                    max((levels[leaf] for leaf in cut.leaves), default=0),
+                    cut.leaves,
+                )
+            )
+        else:
+            candidates.sort(
+                key=lambda cut: (
+                    cut.size(),
+                    max((levels[leaf] for leaf in cut.leaves), default=0),
+                    cut.leaves,
+                )
+            )
+        # The trivial cut takes part in dominance filtering and counts
+        # against the bound.
+        trivial = Cut(node, (node,))
+        selected = filter_dominated_cuts_reference(candidates + [trivial])
+        if len(selected) > max_cuts:
+            non_trivial = [c for c in selected if c.leaves != (node,)]
+            selected = non_trivial[: max_cuts - 1] + [trivial]
+        cuts[node] = selected
+        best = selected[0]
+        best_area[node] = (
+            1 + sum(best_area[leaf] for leaf in best.leaves)
+            if best.leaves != (node,)
+            else 1
+        )
+    return cuts
+
+
+# ---------------------------------------------------------------------------
 # PSDKRO extraction
 # ---------------------------------------------------------------------------
 # minimum-cost ESOP

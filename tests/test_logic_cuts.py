@@ -1,19 +1,27 @@
 """Unit tests for cut enumeration and LUT mapping."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.logic import cut_truth_table_reference
+from oracles.logic import (
+    cut_truth_table_reference,
+    enumerate_cuts_reference,
+    filter_dominated_cuts_reference,
+)
 from repro.logic.aig import Aig, lit_node, lit_not
 from repro.logic.cuts import (
     Cut,
+    clear_cut_enumeration_cache,
+    cut_enumeration_cache_stats,
     cut_truth_table,
     cut_truth_tables,
     enumerate_cuts,
-    filter_dominated_cuts,
     lut_map,
 )
+from repro.logic.xmg import Xmg
 
 
 def build_adder_aig(width=4):
@@ -80,21 +88,21 @@ class TestCutDominance:
             Cut(9, (2, 4)),
             Cut(9, (1, 4)),
         ]
-        kept = filter_dominated_cuts(cuts)
+        kept = filter_dominated_cuts_reference(cuts)
         assert kept == [Cut(9, (1, 2)), Cut(9, (2, 4)), Cut(9, (1, 4))]
 
     def test_filter_handles_unsorted_input(self):
         # A later, smaller cut must also knock out an earlier superset.
         cuts = [Cut(9, (1, 2, 3)), Cut(9, (1, 3))]
-        assert filter_dominated_cuts(cuts) == [Cut(9, (1, 3))]
+        assert filter_dominated_cuts_reference(cuts) == [Cut(9, (1, 3))]
 
     def test_filter_deduplicates_equal_leaf_sets(self):
         cuts = [Cut(9, (1, 2)), Cut(9, (1, 2))]
-        assert filter_dominated_cuts(cuts) == [Cut(9, (1, 2))]
+        assert filter_dominated_cuts_reference(cuts) == [Cut(9, (1, 2))]
 
     def test_filter_keeps_incomparable_cuts(self):
         cuts = [Cut(9, (1, 2)), Cut(9, (3, 4)), Cut(9, (1, 4))]
-        assert filter_dominated_cuts(cuts) == cuts
+        assert filter_dominated_cuts_reference(cuts) == cuts
 
     @pytest.mark.parametrize("selection", ["depth", "area"])
     def test_no_dominated_cut_survives_enumeration(self, selection):
@@ -183,6 +191,161 @@ class TestCutDominance:
             enumerate_cuts(aig, k=4, selection="random")
         with pytest.raises(ValueError):
             lut_map(aig, k=4, selection="random")
+
+
+def _random_network(kind, num_pis, gates):
+    """An AIG (AND gates) or XMG (MAJ and XOR gates) over random fanins.
+
+    Every gate picks its fanins among the PIs and earlier gates, so a
+    prefix of ``gates`` builds a structural prefix of the network.
+    """
+    network = Aig("random") if kind == "aig" else Xmg("random")
+    lits = [network.add_pi() for _ in range(num_pis)]
+    for use_maj, picks, negations in gates:
+        a, b, c = (
+            lits[pick % len(lits)] ^ int(neg) for pick, neg in zip(picks, negations)
+        )
+        if kind == "aig":
+            lits.append(network.create_and(a, b))
+        elif use_maj:
+            lits.append(network.create_maj(a, b, c))
+        else:
+            lits.append(network.create_xor(a, b))
+    network.add_po(lits[-1])
+    return network
+
+
+_GATES = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.tuples(*[st.integers(0, 255)] * 3),
+        st.tuples(*[st.booleans()] * 3),
+    ),
+    min_size=1,
+    # Past 64 nodes, distinct leaves share signature bits.
+    max_size=90,
+)
+
+
+class TestSignatureEnumerationMatchesReference:
+    """The signature-filtered enumerator against the per-combination oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["aig", "xmg"]),
+        num_pis=st.integers(2, 8),
+        gates=_GATES,
+        k=st.integers(2, 6),
+        max_cuts=st.integers(1, 8),
+        selection=st.sampled_from(["depth", "area"]),
+        split=st.integers(0, 89),
+    )
+    def test_cold_and_warm_cut_lists_match(
+        self, kind, num_pis, gates, k, max_cuts, selection, split
+    ):
+        network = _random_network(kind, num_pis, gates)
+        expected = enumerate_cuts_reference(network, k, max_cuts, selection)
+        clear_cut_enumeration_cache()
+        assert enumerate_cuts(network, k, max_cuts, selection) == expected
+        # Warm: a structural prefix first, then the whole network reusing it.
+        clear_cut_enumeration_cache()
+        prefix = _random_network(kind, num_pis, gates[: split % len(gates)])
+        enumerate_cuts(prefix, k, max_cuts, selection)
+        assert enumerate_cuts(network, k, max_cuts, selection) == expected
+        assert cut_enumeration_cache_stats()["hits"] == 1
+
+    @pytest.mark.parametrize("kind", ["aig", "xmg"])
+    def test_warm_prefix_past_64_nodes(self, kind):
+        # Recomputed nodes merge the cuts of cached prefix nodes, whose
+        # leaves run past node 63 and share signature bits.
+        rng = random.Random(7)
+        gates = [
+            (rng.random() < 0.5,
+             tuple(8 + i - 1 - rng.randrange(min(8 + i, 10)) for _ in range(3)),
+             tuple(rng.random() < 0.5 for _ in range(3)))
+            for i in range(240)
+        ]
+        network = _random_network(kind, 8, gates)
+        for k, selection in ((4, "area"), (6, "depth")):
+            clear_cut_enumeration_cache()
+            enumerate_cuts(_random_network(kind, 8, gates[:120]), k, 8, selection)
+            assert enumerate_cuts(network, k, 8, selection) == \
+                enumerate_cuts_reference(network, k, 8, selection)
+
+    def test_area_order_never_needs_to_evict_a_kept_cut(self, monkeypatch):
+        # The adder's carry chain reconverges: the area order ranks a
+        # larger cut ahead of a smaller one at the top node, and supersets
+        # of kept cuts are candidates.  Leaf areas are
+        # non-negative, so a strict subset still sorts before each of its
+        # supersets, and the oracle filter never drops an earlier kept cut
+        # -- which is why the production scan only looks backwards.
+        import oracles.logic as oracle
+
+        evictions, dominated = [], []
+        plain = oracle.filter_dominated_cuts_reference
+
+        def watched(cuts):
+            kept = plain(cuts)
+            forward_only = []
+            for cut in cuts:
+                if not any(set(o.leaves) <= set(cut.leaves) for o in forward_only):
+                    forward_only.append(cut)
+            if kept != forward_only:
+                evictions.append(cuts)
+            dominated.append(len(cuts) - len(kept))
+            return kept
+
+        monkeypatch.setattr(oracle, "filter_dominated_cuts_reference", watched)
+        aig = build_adder_aig(4)
+        expected = oracle.enumerate_cuts_reference(aig, 4, 8, "area")
+        assert sum(dominated) > 0 and not evictions
+        clear_cut_enumeration_cache()
+        assert enumerate_cuts(aig, 4, 8, "area") == expected
+        top = lit_node(aig.pos()[-1])
+        first = expected[top][0]
+        assert first.size() > min(c.size() for c in expected[top])
+
+    def test_constant_gate_keeps_only_its_empty_cut(self):
+        # The public constructors fold such gates; the protocol allows
+        # them.  The empty cut dominates every cut, the trivial one too.
+        xmg = Xmg()
+        a = xmg.add_pi()
+        const = xmg._new_node(Xmg._KIND_MAJ, (0, 0, 1))
+        xmg.add_po(xmg.create_xor(a, const))
+        node = lit_node(const)
+        for selection in ("depth", "area"):
+            clear_cut_enumeration_cache()
+            cuts = enumerate_cuts(xmg, 4, 8, selection)
+            assert cuts == enumerate_cuts_reference(xmg, 4, 8, selection)
+            assert cuts[node] == [Cut(node, ())]
+
+    @pytest.mark.parametrize(
+        "design, stats",
+        [
+            ("intdiv8", {"hits": 2, "misses": 2, "nodes_reused": 500,
+                         "nodes_computed": 1982}),
+            ("newton6", {"hits": 2, "misses": 2, "nodes_reused": 1816,
+                         "nodes_computed": 7730}),
+        ],
+    )
+    def test_flow_parameter_sets_on_paper_designs(self, design, stats):
+        # The lut flow's covering (area), aig_to_xmg (depth) and
+        # xmg_refactor (area, run twice as an iterated pipeline does), all
+        # at k=4, max_cuts=8: identical cut lists and cache counters.
+        from repro.hdl import synthesize_verilog
+        from repro.hdl.designs import intdiv_verilog, newton_verilog
+        from repro.logic.xmg_mapping import aig_to_xmg
+
+        verilog = intdiv_verilog(8) if design == "intdiv8" else newton_verilog(6)
+        aig = synthesize_verilog(verilog).cleanup()
+        xmg = aig_to_xmg(aig).cleanup()
+        clear_cut_enumeration_cache()
+        for network, selection in (
+            (aig, "area"), (aig, "depth"), (xmg, "area"), (xmg, "area")
+        ):
+            assert enumerate_cuts(network, 4, 8, selection) == \
+                enumerate_cuts_reference(network, 4, 8, selection)
+        assert cut_enumeration_cache_stats() == stats
 
 
 class TestCutTruthTableKernel:

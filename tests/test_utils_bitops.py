@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.utils import bitops
 from repro.utils.bitops import (
+    bit_count,
     bit_length,
     bits_to_int,
     clog2,
@@ -66,6 +68,15 @@ class TestMisc:
         assert popcount(0b1011) == 3
         with pytest.raises(ValueError):
             popcount(-1)
+
+    @given(st.integers(min_value=-(1 << 200), max_value=1 << 200))
+    def test_bit_count_fallback_matches_builtin_count(self, value):
+        # Python 3.9 has no int.bit_count; the bin() count stands in.
+        expected = bin(value).count("1")
+        assert bitops._bin_bit_count(value) == expected
+        assert bit_count(value) == expected
+        if value >= 0:
+            assert popcount(value) == expected
 
     def test_bit_length(self):
         assert bit_length(0) == 1
