@@ -46,6 +46,7 @@ from repro.core.explorer import (
     default_configurations,
     flow_default_configurations,
     pareto_front_of,
+    parse_sweep_spec,
 )
 from repro.core.flows import available_flows, design_source, run_flow
 from repro.core.reports import outcome_table, reports_to_json
@@ -55,59 +56,7 @@ from repro.quantum.mapping import map_to_clifford_t
 from repro.utils.tables import format_table
 from repro.verify.differential import check_equivalent, mapped_circuit_simulator
 
-__all__ = ["main", "build_parser", "parse_sweep_spec"]
-
-
-#: Names the engine/flow machinery claims for itself: sweeping them would
-#: collide with run_flow keyword arguments or silently clobber seeded
-#: context artifacts, so they are rejected at parse time.
-_RESERVED_SWEEP_PARAMETERS = frozenset(
-    {"flow", "self", "design", "bitwidth", "verify", "cost_model",
-     "aig", "verilog", "index", "timeout", "memo"}
-)
-
-
-def parse_sweep_spec(spec: str) -> ParameterGrid:
-    """Parse one ``--sweep`` specification into a :class:`ParameterGrid`.
-
-    Format: ``FLOW[:PARAM=V1,V2,...[:PARAM=...]]`` — e.g. ``esop:p=0,1,2``
-    or ``hierarchical:strategy=bennett,per_output``.  Values are parsed as
-    int, float or bool where possible and kept as strings otherwise.
-    """
-    segments = spec.split(":")
-    flow = segments[0].strip()
-    if not flow:
-        raise ValueError(f"sweep spec {spec!r} does not name a flow")
-    ranges = {}
-    for segment in segments[1:]:
-        if "=" not in segment:
-            raise ValueError(
-                f"sweep segment {segment!r} is not of the form PARAM=V1,V2,..."
-            )
-        name, _, values = segment.partition("=")
-        name = name.strip()
-        if name in _RESERVED_SWEEP_PARAMETERS:
-            raise ValueError(f"reserved sweep parameter name {name!r} in {spec!r}")
-        if name in ranges:
-            raise ValueError(f"duplicate sweep parameter {name!r} in {spec!r}")
-        parsed = [_parse_sweep_value(value) for value in values.split(",") if value != ""]
-        if not parsed:
-            raise ValueError(f"sweep parameter {name!r} has no values")
-        ranges[name] = parsed
-    return ParameterGrid(flow, **ranges)
-
-
-def _parse_sweep_value(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for converter in (int, float):
-        try:
-            return converter(text)
-        except ValueError:
-            continue
-    return text
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("-p", "--factoring", type=int, help="ESOP factoring parameter (default: 0)")
     flow.add_argument(
         "--strategy",
-        help="pebbling strategy of the hierarchical and lut flows: any "
-        "registered strategy — bennett/eager (alias per_output)/bounded/"
-        "exact; default: bennett",
+        help="pebbling strategy of the hierarchical and lut flows: "
+        "bennett/eager (alias per_output)/bounded/exact; default: bennett",
     )
     flow.add_argument(
         "-k", "--lut-size", type=int,

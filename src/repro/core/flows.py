@@ -13,9 +13,9 @@ synthesis and hands the result to one of the reversible synthesis back-ends:
   XMG mapping, hierarchical synthesis (Table IV): the pebble game of
   :func:`lut_flow` with one gate block per XMG gate,
 * :func:`lut_flow`          — k-LUT covering of the optimised AIG, a
-  reversible pebble game scheduled over the LUT DAG (``strategy`` is a
-  registered pebbling strategy — ``bennett`` / ``eager`` / ``bounded`` /
-  SAT-``exact`` — with a ``max_pebbles`` qubit budget), and per-LUT
+  reversible pebble game scheduled over the LUT DAG (``strategy`` is one
+  of the pebbling strategies ``bennett`` / ``eager`` / ``bounded`` /
+  SAT-``exact``, with a ``max_pebbles`` qubit budget), and per-LUT
   ESOP/exact-ESOP/TBS synthesis of each schedule step (the paper's
   LUT-based hierarchical synthesis).
 
@@ -441,31 +441,21 @@ def _stage_pebble(
     max_pebbles=None,
     exact_time_budget=None,
 ) -> None:
-    """Schedule the LUT DAG with a registered pebbling strategy.
+    """Schedule the LUT DAG with a pebbling strategy.
 
     ``max_pebbles`` is the budget of the bounded and exact strategies (an
     int, or a float in ``(0, 1)`` as a fraction of the LUT count);
     ``exact_time_budget`` caps the seconds the ``exact`` strategy spends
-    in SAT; it must be positive, and any other strategy rejects it.
+    in SAT.  :func:`~repro.reversible.pebbling.make_schedule` rejects an
+    option the strategy does not take.
     """
     from repro.reversible.pebbling import make_schedule
 
-    options: Dict[str, Any] = {}
-    if exact_time_budget is not None:
-        if strategy != "exact":
-            raise ValueError(
-                f"exact_time_budget={exact_time_budget!r} applies only to "
-                f"strategy='exact', not strategy={strategy!r}"
-            )
-        budget = float(exact_time_budget)
-        if not budget > 0:
-            raise ValueError(
-                f"exact_time_budget must be a positive number of seconds "
-                f"for strategy={strategy!r}, got {exact_time_budget!r}"
-            )
-        options["time_budget"] = budget
     schedule = make_schedule(
-        context["lut_mapping"], strategy=strategy, max_pebbles=max_pebbles, **options
+        context["lut_mapping"],
+        strategy=strategy,
+        max_pebbles=max_pebbles,
+        exact_time_budget=exact_time_budget,
     )
     stats = schedule.stats()  # cached from make_schedule's validation
     context["schedule"] = schedule

@@ -44,7 +44,7 @@ from repro.reversible.pebbling import (
     PebbleStep,
     _copy_step,
     _greedy_steps,
-    _pebble_memo,
+    _lut_gate_costs,
     _resolve_budget,
     bounded_schedule,
     minimum_pebbles,
@@ -154,20 +154,6 @@ class _PebbleSat:
             ]
             moves.append(chosen[0])
         return "sat", moves
-
-
-def _lut_gate_costs(mapping: LutMapping, nodes: Sequence[int]) -> List[int]:
-    """ESOP cube counts per LUT — the executor's per-block gate estimate."""
-    from repro.logic.esop import psdkro_cubes
-
-    block_gates = _pebble_memo(mapping)["block_gates"]
-    costs = []
-    for node in nodes:
-        if node not in block_gates:
-            leaves, truth = mapping.luts[node]
-            block_gates[node] = len(psdkro_cubes(truth, len(leaves)))
-        costs.append(block_gates[node])
-    return costs
 
 
 def _needed_luts(mapping: LutMapping) -> List[int]:
@@ -377,26 +363,3 @@ def exact_schedule(
     deadline = time.monotonic() + time_budget
     return _monolithic_schedule(mapping, budget, deadline)
 
-
-def _build_exact(mapping, max_pebbles=None, **options):
-    return exact_schedule(mapping, max_pebbles=max_pebbles, **options)
-
-
-def _register() -> None:
-    from repro.reversible.strategies import (
-        PebblingStrategy,
-        register_strategy,
-    )
-
-    register_strategy(
-        PebblingStrategy(
-            "exact",
-            _build_exact,
-            "SAT-exact pebbling: provably move-minimal, for LUT DAGs of "
-            f"at most {MONOLITHIC_LUT_LIMIT} LUTs "
-            "(options: time_budget seconds)",
-        )
-    )
-
-
-_register()

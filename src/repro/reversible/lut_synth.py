@@ -297,9 +297,10 @@ def hierarchical_synthesis(
 ) -> ReversibleCircuit:
     """Compile an XMG gate by gate onto ancillas (Section IV-C).
 
-    ``strategy`` is any registered pebbling strategy, e.g. ``"bennett"``,
-    ``"per_output"`` (alias of ``"eager"``) or ``"bounded"`` (at most half
-    the gates pebbled).  Every ancilla returns to zero.
+    ``strategy`` is any :func:`~repro.reversible.pebbling.make_schedule`
+    strategy, e.g. ``"bennett"``, ``"per_output"`` (alias of ``"eager"``)
+    or ``"bounded"`` (at most half the gates pebbled).  Every ancilla
+    returns to zero.
     """
     xmg = xmg.cleanup()
     schedule = make_schedule(xmg_gate_mapping(xmg), strategy=strategy)

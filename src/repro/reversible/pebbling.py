@@ -14,7 +14,10 @@ onto dedicated output lines.  The number of pebbles in play bounds the
 number of live ancillas — i.e. the qubit count — while recomputation adds
 gates; scheduling the game therefore trades qubits against T-count.
 
-This module provides the schedule IR and three scheduling strategies:
+This module provides the schedule IR and three scheduling strategies
+(:mod:`repro.reversible.exact_pebbling` adds a fourth, SAT-``exact``;
+:func:`make_schedule` dispatches all four by name and is the one place
+that checks which strategy takes which option):
 
 * :func:`bennett_schedule`  — compute every LUT once, copy all outputs,
   uncompute in reverse; pebble peak equals the number of LUTs, gate count
@@ -39,11 +42,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.aig import lit_node
 from repro.logic.cuts import LutMapping
 from repro.utils.bitops import popcount
+from repro.utils.names import closest_name, did_you_mean
 
 __all__ = [
     "COMPUTE",
@@ -132,10 +136,6 @@ class PebbleSchedule:
     def compute_steps(self) -> List[PebbleStep]:
         """The compute steps in schedule order."""
         return [step for step in self.steps if step.op == COMPUTE]
-
-    def uncompute_steps(self) -> List[PebbleStep]:
-        """The uncompute steps in schedule order."""
-        return [step for step in self.steps if step.op == UNCOMPUTE]
 
     def stats(self) -> ScheduleStats:
         """Validate the schedule and return the (cached) replay statistics."""
@@ -488,26 +488,33 @@ def _greedy_steps(mapping: LutMapping, budget: int) -> Optional[List[PebbleStep]
     return memo["greedy"][budget]
 
 
+def _lut_gate_costs(mapping: LutMapping, nodes: Iterable[int]) -> List[int]:
+    """ESOP cube counts per LUT — the executor's per-block gate estimate.
+
+    Uses the same :func:`~repro.logic.esop.psdkro_cubes` primitive as the
+    executor's blocks, so the estimate cannot drift from the synthesised
+    gate count.  Memoized per LUT on the mapping.
+    """
+    from repro.logic.esop import psdkro_cubes
+
+    block_gates = _pebble_memo(mapping)["block_gates"]
+    costs = []
+    for node in nodes:
+        if node not in block_gates:
+            leaves, truth = mapping.luts[node]
+            block_gates[node] = len(psdkro_cubes(truth, len(leaves)))
+        costs.append(block_gates[node])
+    return costs
+
+
 def _estimated_gates(mapping: LutMapping, steps: Sequence[PebbleStep]) -> int:
     """Gate count of the default (ESOP) executor for a step list.
 
     Deterministic in the schedule alone, so it can rank candidate schedules
-    without synthesising circuits.  Uses the same
-    :func:`~repro.logic.esop.psdkro_cubes` primitive as the executor's
-    blocks, so the estimate cannot drift from the synthesised gate count.
+    without synthesising circuits.
     """
-    from repro.logic.esop import psdkro_cubes
-
-    memo = _pebble_memo(mapping)
-    block_gates = memo["block_gates"]
-
-    def lut_gates(root: int) -> int:
-        if root not in block_gates:
-            leaves, truth = mapping.luts[root]
-            block_gates[root] = len(psdkro_cubes(truth, len(leaves)))
-        return block_gates[root]
-
     total = 0
+    lut_steps = []
     for step in steps:
         if step.op == COPY:
             po = mapping.aig.pos()[step.output]
@@ -516,8 +523,8 @@ def _estimated_gates(mapping: LutMapping, steps: Sequence[PebbleStep]) -> int:
             if po & 1:
                 total += 1
         else:
-            total += lut_gates(step.node)
-    return total
+            lut_steps.append(step.node)
+    return total + sum(_lut_gate_costs(mapping, lut_steps))
 
 
 def _anchor_budgets(maximum: int) -> List[int]:
@@ -549,7 +556,11 @@ def _resolve_budget(mapping: LutMapping, max_pebbles) -> int:
             minimum_pebbles(mapping),
             int(round(max_pebbles * mapping.num_luts())),
         )
-    if max_pebbles >= 1 and max_pebbles != int(max_pebbles):
+    # Outside input (a service payload, a ``--sweep`` value) may carry a
+    # word or a boolean where a number belongs.
+    if isinstance(max_pebbles, (str, bool)) or (
+        max_pebbles >= 1 and max_pebbles != int(max_pebbles)
+    ):
         raise ValueError(
             f"max_pebbles must be an integer pebble count or a fraction in "
             f"(0, 1), got {max_pebbles!r}"
@@ -631,96 +642,89 @@ def minimum_pebbles(mapping: LutMapping) -> int:
     return memo["minimum"]
 
 
+#: Every strategy spelling ``make_schedule`` accepts -> its canonical name.
+_STRATEGY_NAMES = {
+    "bennett": "bennett",
+    "eager": "eager",
+    "per_output": "eager",
+    "bounded": "bounded",
+    "exact": "exact",
+}
+
+
+def _known_strategies() -> str:
+    return ", ".join(
+        repr(name)
+        + "".join(
+            f" (alias {alias!r})"
+            for alias, target in _STRATEGY_NAMES.items()
+            if target == name != alias
+        )
+        for name in sorted(set(_STRATEGY_NAMES.values()))
+    )
+
+
 def make_schedule(
     mapping: LutMapping,
     strategy: str = "bennett",
     max_pebbles=None,
-    **options,
+    exact_time_budget=None,
 ) -> PebbleSchedule:
     """Build and validate a schedule with the named strategy.
 
-    ``strategy`` is resolved through the registry of
-    :mod:`repro.reversible.strategies` — the one strategy namespace of the
-    ``hierarchical`` and ``lut`` flows: ``"bennett"``, ``"eager"`` (alias
-    ``"per_output"``, the paper's per-output cleanup), ``"bounded"``,
-    ``"exact"`` (defined by :mod:`repro.reversible.exact_pebbling`) or a
-    plugin's name; unknown names raise
-    :class:`~repro.reversible.strategies.UnknownStrategyError` (a
-    ``ValueError``) with a did-you-mean suggestion.  ``max_pebbles`` is
-    the budget of ``"bounded"`` and ``"exact"`` (the other strategies
-    reject one with a ``ValueError``); strategy-specific
-    options (the exact engine's ``time_budget``) pass through as keyword
-    arguments.
+    ``strategy`` is the one strategy namespace of the ``hierarchical`` and
+    ``lut`` flows: ``"bennett"``, ``"eager"`` (alias ``"per_output"``, the
+    paper's per-output cleanup), ``"bounded"`` or ``"exact"``
+    (:func:`repro.reversible.exact_pebbling.exact_schedule`); an unknown
+    name raises ``ValueError`` with a did-you-mean suggestion.
+    ``max_pebbles`` is the budget of ``"bounded"`` (default ``0.5``) and
+    ``"exact"`` (default: :func:`minimum_pebbles`); ``exact_time_budget``
+    caps the seconds ``"exact"`` spends in SAT.  Each option given to a
+    strategy that does not take it raises ``ValueError``, as does a
+    non-positive ``exact_time_budget``.
     """
-    from repro.reversible.strategies import get_strategy
-
-    schedule = get_strategy(strategy).build(
-        mapping, max_pebbles=max_pebbles, **options
-    )
-    schedule.stats()  # validate once; callers reuse the cached statistics
-    return schedule
-
-
-def _build_bennett(mapping, max_pebbles=None, **options):
-    _reject_options("bennett", options, max_pebbles)
-    return bennett_schedule(mapping)
-
-
-def _build_eager(mapping, max_pebbles=None, **options):
-    _reject_options("eager", options, max_pebbles)
-    return eager_schedule(mapping)
-
-
-def _build_bounded(mapping, max_pebbles=None, **options):
-    _reject_options("bounded", options)
-    return bounded_schedule(mapping, 0.5 if max_pebbles is None else max_pebbles)
-
-
-def _reject_options(strategy: str, options: Dict, max_pebbles=None) -> None:
-    if max_pebbles is not None:
+    canonical = _STRATEGY_NAMES.get(strategy)
+    if canonical is None:
+        raise ValueError(
+            f"unknown pebbling strategy {strategy!r} for the 'strategy' "
+            f"parameter; expected one of {_known_strategies()}"
+            f"{did_you_mean(closest_name(strategy, _STRATEGY_NAMES))}"
+        )
+    if exact_time_budget is not None:
+        if canonical != "exact":
+            raise ValueError(
+                f"exact_time_budget={exact_time_budget!r} applies only to "
+                f"strategy='exact', not strategy={strategy!r}"
+            )
+        if not float(exact_time_budget) > 0:
+            raise ValueError(
+                f"exact_time_budget must be a positive number of seconds "
+                f"for strategy={strategy!r}, got {exact_time_budget!r}"
+            )
+    if max_pebbles is not None and canonical in ("bennett", "eager"):
         raise ValueError(
             f"strategy {strategy!r} takes no pebble budget, got "
             f"max_pebbles={max_pebbles!r}; budgets apply to the 'bounded' "
             f"and 'exact' strategies"
         )
-    if options:
-        raise TypeError(
-            f"strategy {strategy!r} accepts no options, got "
-            f"{sorted(options)}"
+    if canonical == "bennett":
+        schedule = bennett_schedule(mapping)
+    elif canonical == "eager":
+        schedule = eager_schedule(mapping)
+    elif canonical == "bounded":
+        schedule = bounded_schedule(
+            mapping, 0.5 if max_pebbles is None else max_pebbles
         )
+    else:
+        # Looked up at call time: exact_pebbling imports this module.
+        from repro.reversible import exact_pebbling
 
-
-def _register_builtin_strategies() -> None:
-    from repro.reversible.strategies import (
-        PebblingStrategy,
-        register_strategy,
-    )
-
-    register_strategy(
-        PebblingStrategy(
-            "bennett",
-            _build_bennett,
-            "compute all, copy outputs, uncompute in reverse (qubit-max, "
-            "gate-min)",
+        schedule = exact_pebbling.exact_schedule(
+            mapping,
+            max_pebbles=max_pebbles,
+            time_budget=exact_pebbling.DEFAULT_TIME_BUDGET
+            if exact_time_budget is None
+            else float(exact_time_budget),
         )
-    )
-    register_strategy(
-        PebblingStrategy(
-            "eager",
-            _build_eager,
-            "per-output compute/copy/uncompute (REVS-style eager cleanup)",
-            aliases=("per_output",),
-        )
-    )
-    register_strategy(
-        PebblingStrategy(
-            "bounded",
-            _build_bounded,
-            "budgeted greedy with eviction and recompute-on-demand "
-            "(max_pebbles: absolute count or fraction of the LUT count; "
-            "default 0.5)",
-        )
-    )
-
-
-_register_builtin_strategies()
+    schedule.stats()  # validate once; callers reuse the cached statistics
+    return schedule

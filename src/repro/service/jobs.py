@@ -44,6 +44,7 @@ from repro.core.explorer import (
     default_configurations,
     flow_default_configurations,
     pareto_front_of,
+    parse_sweep_spec,
 )
 from repro.core.flows import make_flow
 from repro.service.metrics import ServiceMetrics
@@ -69,8 +70,6 @@ _TERMINAL = (DONE, FAILED, CANCELLED)
 def _parse_configurations(payload: Dict[str, Any]) -> List[FlowConfiguration]:
     """Expand the payload's configuration description (see from_payload)."""
     if "sweeps" in payload:
-        from repro.cli import parse_sweep_spec  # deferred: repro.cli is heavy
-
         configurations: List[FlowConfiguration] = []
         for spec in payload["sweeps"]:
             configurations.extend(parse_sweep_spec(str(spec)).configurations())

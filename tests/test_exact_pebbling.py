@@ -9,14 +9,17 @@ construction:
   never peaks above ``bennett``,
 * the synthesised gate count is monotone non-increasing in the budget.
 
-On top of that the suite pins the strategy registry (did-you-mean errors,
-aliases, collision rejection) and the engine's provenance metadata: which
-engine ran, whether optimality was proven within the time budget, and
-the rejection of DAGs above :data:`MONOLITHIC_LUT_LIMIT` LUTs.
+On top of that the suite pins the strategy dispatch of
+:func:`make_schedule` (did-you-mean errors, aliases, and one message per
+misplaced option whether the call comes directly or through a flow) and
+the engine's provenance metadata: which engine ran, whether optimality
+was proven within the time budget, and the rejection of DAGs above
+:data:`MONOLITHIC_LUT_LIMIT` LUTs.
 """
 
 import pytest
 
+from repro.core.flows import run_flow
 from repro.logic.cuts import lut_map
 from repro.reversible.exact_pebbling import (
     MONOLITHIC_LUT_LIMIT,
@@ -29,14 +32,6 @@ from repro.reversible.pebbling import (
     make_schedule,
     minimum_pebbles,
     validate_schedule,
-)
-from repro.reversible.strategies import (
-    PebblingStrategy,
-    UnknownStrategyError,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    unregister_strategy,
 )
 from repro.verify.differential import check_equivalent
 from repro.verify.fuzz import random_aig
@@ -80,7 +75,7 @@ class TestEveryExactScheduleValidates:
     def test_make_schedule_threads_the_time_budget(self, seed):
         mapping = mapping_for(seed)
         schedule = make_schedule(
-            mapping, strategy="exact", time_budget=TIME_BUDGET
+            mapping, strategy="exact", exact_time_budget=TIME_BUDGET
         )
         assert validate_schedule(schedule).num_copies == mapping.aig.num_pos()
 
@@ -190,7 +185,7 @@ class TestRegimesAndFallback:
         aig = random_aig(seed, num_pis=4, num_gates=14, num_pos=3)
         mapping = lut_map(aig, k=3)
         with pytest.raises(ValueError, match="use strategy='bounded'"):
-            make_schedule(mapping, strategy="exact", time_budget=TIME_BUDGET)
+            make_schedule(mapping, strategy="exact", exact_time_budget=TIME_BUDGET)
         schedule = make_schedule(mapping, strategy="bounded", max_pebbles=0.5)
         assert validate_schedule(schedule).pebble_peak <= schedule.max_pebbles
         assert schedule.pebble_peak() <= bennett_schedule(mapping).pebble_peak()
@@ -214,58 +209,63 @@ class TestRegimesAndFallback:
         assert validate_schedule(schedule).num_copies == mapping.aig.num_pos()
 
 
-class TestStrategyRegistry:
-    def test_builtins_are_registered(self):
-        names = {strategy.name for strategy in available_strategies()}
-        assert {"bennett", "bounded", "eager", "exact"} <= names
+#: (strategy spelling, misplaced option, message fragment): every spelling
+#: that does not take an option, plus the exact strategy's one bad value.
+MISPLACED_OPTIONS = [
+    *[
+        (strategy, {"max_pebbles": 3}, "takes no pebble budget")
+        for strategy in ("bennett", "eager", "per_output")
+    ],
+    *[
+        (strategy, {"exact_time_budget": 3.0}, "applies only to strategy='exact'")
+        for strategy in ("bennett", "eager", "per_output", "bounded")
+    ],
+    ("exact", {"exact_time_budget": 0}, "must be a positive number"),
+]
 
+
+class TestStrategyDispatch:
     def test_alias_resolves_to_the_canonical_strategy(self):
-        assert get_strategy("per_output") is get_strategy("eager")
+        mapping = mapping_for(1)
+        alias = make_schedule(mapping, strategy="per_output")
+        eager = make_schedule(mapping, strategy="eager")
+        assert alias.strategy == eager.strategy == "eager"
+        assert alias.steps == eager.steps
 
     def test_unknown_name_raises_with_a_suggestion(self):
-        with pytest.raises(UnknownStrategyError, match="did you mean 'exact'"):
-            get_strategy("exat")
-        try:
-            get_strategy("exat")
-        except UnknownStrategyError as exc:
-            assert exc.unknown_name == "exat"
-            assert exc.suggestion == "exact"
+        mapping = mapping_for(1)
+        with pytest.raises(ValueError, match="did you mean 'exact'") as info:
+            make_schedule(mapping, strategy="exat")
+        message = str(info.value)
+        assert message.startswith("unknown pebbling strategy 'exat'")
+        for name in ("'bennett'", "'bounded'", "'eager' (alias 'per_output')",
+                     "'exact'"):
+            assert name in message
 
     def test_unknown_strategy_is_a_value_error_in_make_schedule(self):
         mapping = mapping_for(1)
         with pytest.raises(ValueError, match="unknown pebbling strategy"):
             make_schedule(mapping, strategy="exat")
 
-    def test_registration_collision_is_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_strategy(
-                PebblingStrategy("bennett", lambda mapping, **kw: None)
-            )
-
-    def test_register_and_unregister_a_custom_strategy(self):
-        def build(mapping, max_pebbles=None):
-            return bennett_schedule(mapping)
-
-        strategy = PebblingStrategy(
-            "custom-test", build, "test-only strategy", aliases=("ct",)
-        )
-        register_strategy(strategy)
-        try:
-            assert get_strategy("ct") is strategy
-            schedule = make_schedule(mapping_for(1), strategy="custom-test")
-            assert validate_schedule(schedule)
-        finally:
-            unregister_strategy("custom-test")
-        with pytest.raises(UnknownStrategyError):
-            get_strategy("custom-test")
-        with pytest.raises(UnknownStrategyError):
-            get_strategy("ct")
-
-    def test_unregistering_an_unknown_name_raises(self):
-        with pytest.raises(UnknownStrategyError):
-            unregister_strategy("never-registered")
-
-    def test_stray_options_are_rejected_by_the_builder(self):
+    def test_stray_keyword_is_a_type_error(self):
         mapping = mapping_for(1)
         with pytest.raises(TypeError):
             make_schedule(mapping, strategy="bennett", time_budget=1.0)
+
+    @pytest.mark.parametrize("strategy,options,fragment", MISPLACED_OPTIONS)
+    def test_misplaced_option_message_is_the_same_through_a_flow(
+        self, strategy, options, fragment
+    ):
+        with pytest.raises(ValueError, match=fragment) as direct:
+            make_schedule(mapping_for(1), strategy, **options)
+        with pytest.raises(ValueError, match=fragment) as flow:
+            run_flow("lut", "intdiv", 3, verify=False, strategy=strategy,
+                     **options)
+        assert str(direct.value) == str(flow.value)
+        assert f"{strategy!r}" in str(direct.value)
+
+    @pytest.mark.parametrize("strategy", ["bounded", "exact"])
+    @pytest.mark.parametrize("budget", ["half", "3", True, False])
+    def test_word_or_bool_budget_is_a_value_error(self, strategy, budget):
+        with pytest.raises(ValueError, match="max_pebbles must be an integer"):
+            make_schedule(mapping_for(1), strategy, max_pebbles=budget)

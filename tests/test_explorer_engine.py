@@ -16,10 +16,11 @@ from repro.core.explorer import (
     _prefix_keys,
     build_sweep,
     pareto_front_of,
+    parse_sweep_spec,
 )
 from repro.core.flows import run_flow
 from repro.core.reports import outcome_table, reports_from_json, reports_to_json
-from repro.cli import main, build_parser, parse_sweep_spec
+from repro.cli import main, build_parser
 
 FAST_GRIDS = [
     ParameterGrid("symbolic"),

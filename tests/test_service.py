@@ -278,6 +278,27 @@ class TestJobManager:
         finally:
             shutdown_manager(manager)
 
+    def test_word_or_bool_pebble_budget_fails_with_a_value_error(self):
+        # A sweep value that is a word or a boolean reaches the bounded
+        # scheduler as a str or bool; both must fail naming max_pebbles.
+        manager = JobManager(workers=1)
+        try:
+            job = manager.submit(buf_payload(
+                sweeps=["lut:strategy=bounded:max_pebbles=half,true"]
+            ))
+            assert job.wait(timeout=30)
+            assert job.failed == job.num_tasks == 2
+            events, _ = job.events_since(0)
+            errors = [e["error"] for e in events if e["type"] == "outcome"]
+            assert len(errors) == 2
+            for error in errors:
+                assert error.startswith("ValueError: max_pebbles must be")
+            assert sorted(error.rsplit("got ", 1)[1] for error in errors) == [
+                "'half'", "True"
+            ]
+        finally:
+            shutdown_manager(manager)
+
     def test_submit_validation_precedes_job_creation(self):
         manager = JobManager(workers=1)
         try:
