@@ -41,6 +41,8 @@ are left dirty at the end.  The executor
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -680,10 +682,12 @@ def make_schedule(
     ``max_pebbles`` is the budget of ``"bounded"`` (default ``0.5``) and
     ``"exact"`` (default: :func:`minimum_pebbles`); ``exact_time_budget``
     caps the seconds ``"exact"`` spends in SAT.  Each option given to a
-    strategy that does not take it raises ``ValueError``, as does a
-    non-positive ``exact_time_budget``.
+    strategy that does not take it raises ``ValueError``, as does an
+    ``exact_time_budget`` that is not a positive, finite real number (a
+    boolean or a numeric string is not one).
     """
-    canonical = _STRATEGY_NAMES.get(strategy)
+    # A service payload can carry any JSON value, unhashable ones included.
+    canonical = _STRATEGY_NAMES.get(strategy) if isinstance(strategy, str) else None
     if canonical is None:
         raise ValueError(
             f"unknown pebbling strategy {strategy!r} for the 'strategy' "
@@ -696,7 +700,11 @@ def make_schedule(
                 f"exact_time_budget={exact_time_budget!r} applies only to "
                 f"strategy='exact', not strategy={strategy!r}"
             )
-        if not float(exact_time_budget) > 0:
+        if (
+            isinstance(exact_time_budget, bool)
+            or not isinstance(exact_time_budget, numbers.Real)
+            or not 0 < exact_time_budget < math.inf
+        ):
             raise ValueError(
                 f"exact_time_budget must be a positive number of seconds "
                 f"for strategy={strategy!r}, got {exact_time_budget!r}"

@@ -7,11 +7,12 @@ transformation-based algorithm [7].  Neither RevKit nor a SAT solver is
 available here, so this module substitutes an explicit permutation-based
 implementation of the same algorithm (see DESIGN.md): the produced circuits
 have the same structure (line-optimal, large multi-controlled Toffoli
-gates).  The permutation kernel is bit-sliced
-(:func:`repro.reversible.tbs.synthesize_permutation_gates`) and the BDD is
-expanded by one shared bottom-up sweep, so the explicit representation is
-no longer the flow's bottleneck up to
-:data:`repro.reversible.tbs.MAX_TBS_LINES` lines.  The emitted gates go
+gates).  The permutation kernel
+(:func:`repro.reversible.tbs.synthesize_permutation_masks`) keeps both of
+its tables bit-sliced over one index space and compacts the finished
+indices away as rows are fixed, and the BDD is expanded by one shared
+bottom-up sweep, so the explicit representation is no longer the flow's
+bottleneck up to :data:`repro.reversible.tbs.MAX_TBS_LINES` lines.  The emitted gates go
 straight into the circuit's columnar mask store
 (:mod:`repro.reversible.gatestore`) — no per-gate objects — and costing
 the multi-million-gate cascades is a vectorised popcount sweep, so the

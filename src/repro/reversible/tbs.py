@@ -8,16 +8,20 @@ combined with an optimum embedding it yields line-optimal circuits — at the
 price of very large multiple-controlled Toffoli gates (and therefore a large
 T-count), exactly the trade-off reported in Table II.
 
-The kernel (:func:`synthesize_permutation_masks`) maintains a bit-sliced
-view of the permutation *and* of its inverse in lockstep (one packed
-big-int bit column per line, for the output-gate side and the input-gate
-side respectively), so applying a Toffoli gate is a handful of
-word-parallel bitwise operations — ``column[target] ^= AND(control
-columns)`` — instead of an O(2^n) masked update, and the bidirectional
-image/preimage lookups are point/equality queries on those columns instead
-of a full ``np.nonzero(perm == row)`` scan per row.  Candidate gates are
-costed on integer control masks alone; :func:`synthesize_permutation_gates`
-materialises the winning cascade as :class:`ToffoliGate` objects.
+The kernel (:func:`synthesize_permutation_masks`) keeps two tables over one
+index space, the codomain of the input permutation ``P0``: the output-gate
+cascade ``Z = Gout`` and ``Y = (P0 o Gin)^-1``, so the current function is
+``Z o Y^-1``.  Each table is bit-sliced (one packed big-int bit column per
+line), so applying a Toffoli gate is a handful of word-parallel bitwise
+operations — ``column[target] ^= AND(control columns)`` — and the
+bidirectional image/preimage lookups are an equality query on one table and
+a read of the other at the matched index.  An index whose row is finished
+never changes again; finished indices are checked and compacted away, so
+the columns shrink as the rows are fixed.  Candidate gates are costed on
+integer control masks alone; :func:`synthesize_permutation_gates`
+materialises the winning cascade as :class:`ToffoliGate` objects.  A
+cascade that misses the identity raises :class:`RuntimeError`, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ __all__ = [
 #: gigabytes; callers get a clear :class:`ValueError` up front instead of an
 #: opaque ``MemoryError`` (or a machine grinding into swap).
 MAX_TBS_LINES = 24
+
+#: Finished indices are compacted away only from columns at least this many
+#: bits long: below it the NumPy round trip costs more than the big-int work
+#: it saves (the 3–5-line tables of ``lut_synth='tbs'`` never compact).
+_COMPACT_FLOOR = 1024
+
+#: Compact once the live indices fill less than this share of the columns.
+_COMPACT_RATIO = 0.85
 
 #: T-count per control arity, memoised once per process (the same handful of
 #: arities is costed for every row of every synthesis run).
@@ -82,8 +94,8 @@ def _reduced_controls_mask(available: int, protect_below: int) -> int:
     avail = available
     while mask < protect_below:
         line = avail.bit_length() - 1
-        if line < 0:  # pragma: no cover - guaranteed by the caller
-            raise AssertionError("cannot build a safe control set")
+        if line < 0:  # pragma: no cover - a fixed row was broken
+            raise RuntimeError("cannot build a safe control set")
         mask |= 1 << line
         avail &= ~(1 << line)
     return mask
@@ -122,8 +134,8 @@ def _gate_masks_transforming(
         avail = current
         while controls < protect_below:
             line = avail.bit_length() - 1
-            if line < 0:  # pragma: no cover - guaranteed by the caller
-                raise AssertionError("cannot build a safe control set")
+            if line < 0:  # a fixed row was broken
+                raise RuntimeError("cannot build a safe control set")
             top = 1 << line
             controls |= top
             avail ^= top
@@ -159,21 +171,57 @@ def _gate_from_mask(controls_mask: int, target: int, num_lines: int) -> ToffoliG
     return ToffoliGate(tuple(controls), target)
 
 
-def _pack_column(values: np.ndarray, line: int) -> int:
-    """Bit ``line`` of every entry of ``values``, packed into one big int."""
-    bits = ((values >> line) & 1).astype(np.uint8)
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _to_columns(bits: np.ndarray) -> List[int]:
+    """Pack each row of a ``(num_lines, length)`` 0/1 matrix into a big int.
+
+    Bit ``i`` of column ``j`` is ``bits[j, i]``; the pad bits of the last
+    byte are zero, so no column has a bit at or above ``length``.
+    """
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _unpack_columns(columns: List[int], size: int) -> np.ndarray:
-    """Inverse of :func:`_pack_column`: bit columns back to a value array."""
-    values = np.zeros(size, dtype=np.int64)
-    num_bytes = (size + 7) // 8
-    for line, column in enumerate(columns):
-        raw = np.frombuffer(column.to_bytes(num_bytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[:size]
-        values |= bits.astype(np.int64) << line
-    return values
+def _to_bits(columns: List[int], length: int) -> np.ndarray:
+    """Inverse of :func:`_to_columns`: packed columns back to a 0/1 matrix."""
+    num_bytes = (length + 7) // 8
+    raw = np.frombuffer(
+        b"".join(column.to_bytes(num_bytes, "little") for column in columns),
+        dtype=np.uint8,
+    ).reshape(len(columns), num_bytes)
+    return np.unpackbits(raw, axis=1, count=length, bitorder="little")
+
+
+def _compact(
+    col_z: List[int], col_y: List[int], length: int, row: int
+) -> Tuple[List[int], List[int]]:
+    """Drop the finished indices ``m`` (``Y(m) < row``) from both tables.
+
+    All rows below ``row`` are fixed, so a finished index has
+    ``Z(m) = Y(m)``; this is checked before the index is dropped.
+    """
+    bits_z = _to_bits(col_z, length)
+    bits_y = _to_bits(col_y, length)
+    weights = np.left_shift(1, np.arange(len(col_y), dtype=np.int64))
+    live = weights @ bits_y >= row
+    done = ~live
+    if not np.array_equal(bits_z[:, done], bits_y[:, done]):
+        raise RuntimeError(
+            f"synthesis broke a row below {row} that it had already fixed"
+        )
+    return _to_columns(bits_z[:, live]), _to_columns(bits_y[:, live])
+
+
+def _complements(
+    col_z: List[int], col_y: List[int], length: int
+) -> Tuple[int, List[int], List[int]]:
+    """The all-ones column of ``length`` bits and both tables' complements.
+
+    The complement columns are kept in lockstep (complementing commutes
+    with the XOR updates), so equality queries need no big-int negation.
+    """
+    full = (1 << length) - 1
+    ncol_z = [column ^ full for column in col_z]
+    return full, ncol_z, [column ^ full for column in col_y]
 
 
 def synthesize_permutation_masks(
@@ -191,59 +239,80 @@ def synthesize_permutation_masks(
 
     The kernel is bit-sliced.  With ``Gout``/``Gin`` the output/input gate
     cascades collected so far, the current function is
-    ``perm = Gout o P0 o Gin``; the kernel maintains ``X = Gout o P0`` and
-    ``Y = (P0 o Gin)^-1`` as ``num_lines`` packed bit columns (bit ``x`` of
-    column ``j`` is bit ``j`` of the image of ``x``).  An all-positive
-    Toffoli gate then costs a handful of word-parallel big-int operations on
-    the table it composes into from the left — ``X`` for output gates
-    (``perm <- g o perm``), ``Y`` for input gates (``perm <- perm o g``,
-    i.e. ``Y <- g o Y``):
+    ``perm = Gout o P0 o Gin``.  The kernel keeps ``Z = Gout`` (initially
+    the identity) and ``Y = (P0 o Gin)^-1`` (initially ``P0^-1``), both
+    indexed by the codomain of ``P0``, as ``num_lines`` packed bit columns
+    each (bit ``m`` of column ``j`` is bit ``j`` of the value at index
+    ``m``).  Then ``perm = Z o Y^-1``, so the image of a row is
+    ``Z(Y^-1(row))`` and its preimage ``Y(Z^-1(row))``: an equality query on
+    one table gives a one-hot ``match`` and the value is read from the other
+    table at that bit.  An all-positive Toffoli gate composes into ``Z``
+    from the left for an output gate (``perm <- g o perm``) and into ``Y``
+    for an input gate (``perm <- perm o g``, i.e. ``Y <- g o Y``), and costs
     ``match = AND(columns[control] for control in C); columns[t] ^= match``.
-    The per-row image and preimage come from point/equality queries on the
-    two tables (``perm = X o P0^-1 o Y^-1`` and ``perm^-1 = Y o P0 o X^-1``),
-    replacing an O(2^n) ``np.nonzero(perm == row)`` scan per row.
+    The cascade is complete once ``Z == Y``.
+
+    Once ``Y(m) < row``, index ``m`` is finished: the rows below ``row``
+    are fixed, so ``Z(m) = Y(m)``, and no later gate fires there because
+    every control mask is at least ``row``.  When the live indices fill
+    less than ``_COMPACT_RATIO`` of columns at least ``_COMPACT_FLOOR``
+    bits long, the finished ones are checked and dropped from both tables,
+    so the big-int work shrinks with the rows still to do.  A cascade that
+    breaks a fixed row or misses the identity raises :class:`RuntimeError`.
     """
     _check_num_lines(num_lines)
     size = 1 << num_lines
-    perm0 = np.asarray(permutation, dtype=np.int64).copy()
+    perm0 = np.asarray(permutation, dtype=np.int64)
     if perm0.shape != (size,):
         raise ValueError(f"permutation must have {size} entries")
     if sorted(perm0.tolist()) != list(range(size)):
         raise ValueError("input is not a permutation")
+    if num_lines == 0:
+        return []  # the one state is already fixed
 
     states = np.arange(size, dtype=np.int64)
     inv0 = np.empty(size, dtype=np.int64)
     inv0[perm0] = states
-    p0 = perm0.tolist()
-    p0_inv = inv0.tolist()
-
-    full = (1 << size) - 1
-    col_x = [_pack_column(perm0, line) for line in range(num_lines)]
-    col_y = [_pack_column(inv0, line) for line in range(num_lines)]
-    # Complement columns are kept in lockstep (complementing commutes with
-    # the XOR updates) so equality queries need no fresh big-int negations.
-    ncol_x = [column ^ full for column in col_x]
-    ncol_y = [column ^ full for column in col_y]
+    shifts = np.arange(num_lines, dtype=np.int64)[:, None]
+    col_z = _to_columns(((states >> shifts) & 1).astype(np.uint8))
+    col_y = _to_columns(((inv0 >> shifts) & 1).astype(np.uint8))
     lines = range(num_lines)
+    upper_lines = range(1, num_lines)
 
-    def preimage_query(columns: List[int], ncolumns: List[int], value: int) -> int:
-        # Equality match over the packed columns; exactly one bit survives.
-        match = full
-        for line in lines:
+    length = size
+    full, ncol_z, ncol_y = _complements(col_z, col_y, length)
+
+    def find(columns: List[int], ncolumns: List[int], value: int) -> int:
+        # Equality match over the packed columns: one-hot at the index.
+        match = columns[0] if value & 1 else ncolumns[0]
+        for line in upper_lines:
             match &= columns[line] if (value >> line) & 1 else ncolumns[line]
-        return match.bit_length() - 1
+        return match
 
-    def point_query(columns: List[int], x: int) -> int:
+    def read(columns: List[int], match: int) -> int:
+        # ANDing with the one-hot match touches the bits below the hit,
+        # shifting touches those above it: take the shorter side.
+        pos = match.bit_length() - 1
         value = 0
-        for line in lines:
-            value |= ((columns[line] >> x) & 1) << line
+        if pos + pos < length:
+            for line in lines:
+                if columns[line] & match:
+                    value |= 1 << line
+        else:
+            for line in lines:
+                value |= ((columns[line] >> pos) & 1) << line
         return value
 
     out_gates: List[Tuple[int, int]] = []
     in_gates: List[Tuple[int, int]] = []
 
     for row in range(size):
-        image = point_query(col_x, p0_inv[preimage_query(col_y, ncol_y, row)])
+        if length >= _COMPACT_FLOOR and size - row < _COMPACT_RATIO * length:
+            col_z, col_y = _compact(col_z, col_y, length, row)
+            length = size - row
+            full, ncol_z, ncol_y = _complements(col_z, col_y, length)
+
+        image = read(col_z, find(col_y, ncol_y, row))
         if image == row:
             continue
 
@@ -251,47 +320,43 @@ def synthesize_permutation_masks(
         input_masks: List[Tuple[int, int]] = []
         use_input_side = False
         if bidirectional:
-            preimage = point_query(col_y, p0[preimage_query(col_x, ncol_x, row)])
+            preimage = read(col_y, find(col_z, ncol_z, row))
             if preimage != row:
                 input_masks, input_cost = _gate_masks_transforming(row, preimage, row)
                 use_input_side = input_cost < output_cost
 
-        if not use_input_side:
-            for controls_mask, target in output_masks:
-                match = full
-                controls = controls_mask
-                while controls:
-                    bit = controls & -controls
-                    match &= col_x[bit.bit_length() - 1]
-                    controls ^= bit
-                col_x[target] ^= match
-                ncol_x[target] ^= match
-                out_gates.append((controls_mask, target))
-        else:
+        if use_input_side:
             # Register the domain transformation row -> preimage; gates must
             # be registered in reverse construction order so that the
             # earliest constructed gate ends up closest to the circuit inputs.
-            for controls_mask, target in reversed(input_masks):
-                match = full
-                controls = controls_mask
-                while controls:
-                    bit = controls & -controls
-                    match &= col_y[bit.bit_length() - 1]
-                    controls ^= bit
-                col_y[target] ^= match
-                ncol_y[target] ^= match
-                in_gates.append((controls_mask, target))
+            masks = input_masks[::-1]
+            columns, ncolumns, gates = col_y, ncol_y, in_gates
+        else:
+            masks = output_masks
+            columns, ncolumns, gates = col_z, ncol_z, out_gates
+        for controls_mask, target in masks:
+            # AND of the control columns, started from the top one rather
+            # than from `full`; a gate without controls fires everywhere.
+            match = full
+            controls = controls_mask
+            if controls:
+                line = controls.bit_length() - 1
+                match = columns[line]
+                controls ^= 1 << line
+            while controls:
+                line = controls.bit_length() - 1
+                match &= columns[line]
+                controls ^= 1 << line
+            columns[target] ^= match
+            ncolumns[target] ^= match
+        gates += masks
 
-    # perm = X o P0^-1 o Y^-1 must now be the identity.
-    x_arr = _unpack_columns(col_x, size)
-    y_arr = _unpack_columns(col_y, size)
-    y_inv = np.empty(size, dtype=np.int64)
-    y_inv[y_arr] = states
-    assert np.array_equal(
-        x_arr[inv0[y_inv]], states
-    ), "synthesis did not reach the identity"
+    # perm = Z o Y^-1 must now be the identity; the dropped indices were
+    # checked when they were compacted away.
+    if col_z != col_y:
+        raise RuntimeError("synthesis did not reach the identity")
     # id = OUT o f o IN  =>  f = IN_order + reversed(OUT_order) in time order.
-    return list(in_gates) + list(reversed(out_gates))
+    return in_gates + out_gates[::-1]
 
 
 def synthesize_permutation_gates(

@@ -19,6 +19,7 @@ was proven within the time budget, and the rejection of DAGs above
 
 import pytest
 
+from repro.core.explorer import parse_sweep_spec
 from repro.core.flows import run_flow
 from repro.logic.cuts import lut_map
 from repro.reversible.exact_pebbling import (
@@ -269,3 +270,38 @@ class TestStrategyDispatch:
     def test_word_or_bool_budget_is_a_value_error(self, strategy, budget):
         with pytest.raises(ValueError, match="max_pebbles must be an integer"):
             make_schedule(mapping_for(1), strategy, max_pebbles=budget)
+
+    @pytest.mark.parametrize("strategy", [["bennett"], {"name": "exact"}, 3, None])
+    def test_non_string_strategy_is_a_value_error(self, strategy):
+        # A service payload can carry any JSON value as the strategy.
+        with pytest.raises(ValueError, match="unknown pebbling strategy") as info:
+            make_schedule(mapping_for(1), strategy)
+        assert "expected one of 'bennett'" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "budget", [True, False, float("inf"), float("nan"), "abc", "3", [3.0]]
+    )
+    def test_bad_exact_time_budget_names_the_parameter(self, budget):
+        with pytest.raises(
+            ValueError, match="exact_time_budget must be a positive number"
+        ) as info:
+            make_schedule(mapping_for(1), "exact", exact_time_budget=budget)
+        assert str(info.value).endswith(f"got {budget!r}")
+
+    def test_bad_exact_time_budget_fails_the_same_through_a_sweep(self):
+        grid = parse_sweep_spec(
+            "lut:strategy=exact:exact_time_budget=true,inf,abc"
+        )
+        budgets = []
+        for configuration in grid.configurations():
+            parameters = configuration.as_kwargs()
+            budgets.append(parameters["exact_time_budget"])
+            with pytest.raises(ValueError) as flow:
+                run_flow("lut", "intdiv", 3, verify=False, **parameters)
+            with pytest.raises(ValueError) as direct:
+                make_schedule(mapping_for(1), **parameters)
+            assert str(flow.value) == str(direct.value)
+            assert str(flow.value).startswith(
+                "exact_time_budget must be a positive number"
+            )
+        assert budgets == [True, float("inf"), "abc"]

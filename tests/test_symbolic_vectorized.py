@@ -6,12 +6,14 @@ cut-enumeration cache are rewrites of the recursive / scanning originals
 kept as oracles in :mod:`oracles`.  These tests cross-check the
 rewrites on *random* inputs — random functions through the BDD manager,
 random AIGs through the collapse pipeline, random permutations through TBS
-(gate for gate), random XMGs through the cut cache — plus the golden
-INTDIV(8) refactoring pipeline, the explicit-table allocation guards and
-the MCT-cost memoisation regression.
+(gate for gate, also on tables long enough to compact), random XMGs through
+the cut cache — plus the golden INTDIV(8) refactoring pipeline, the pinned
+INTDIV(7) TBS cascade, the explicit-table allocation guards, the TBS
+correctness checks and the MCT-cost memoisation regression.
 """
 
 import dis
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from oracles.logic import (
     satcount_reference,
     to_truth_table_reference,
 )
+from repro.hdl.designs import intdiv_reference
 from repro.logic.aig import Aig
 from repro.logic.bdd import BddManager
 from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd
@@ -43,6 +46,7 @@ from repro.reversible.embedding import bennett_embedding, optimum_embedding
 from repro.reversible.tbs import (
     MAX_TBS_LINES,
     synthesize_permutation_gates,
+    synthesize_permutation_masks,
     transformation_based_synthesis,
 )
 from repro.verify.differential import check_equivalent
@@ -214,6 +218,42 @@ class TestTbsBitslicedVsReference:
                     perm, num_lines, bidirectional
                 )
 
+    @pytest.mark.parametrize("num_lines", [11, 12])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_random_permutations_above_the_compaction_floor(
+        self, monkeypatch, num_lines, bidirectional
+    ):
+        # These tables are longer than the compaction floor, so finished
+        # indices are dropped from the columns several times per run.
+        compactions = []
+        compact = tbs_module._compact
+
+        def counting_compact(*args):
+            compactions.append(args[-1])
+            return compact(*args)
+
+        monkeypatch.setattr(tbs_module, "_compact", counting_compact)
+        perm = np.random.default_rng(num_lines).permutation(1 << num_lines)
+        fast = synthesize_permutation_gates(perm, num_lines, bidirectional)
+        assert len(compactions) >= 2
+        assert fast == synthesize_permutation_gates_reference(
+            perm, num_lines, bidirectional
+        )
+
+    def test_intdiv7_cascade_is_pinned(self):
+        # The symbolic flow's INTDIV(7) cascade (13 lines), pinned by the
+        # SHA-256 of its mask list: any change to the kernel's choices or
+        # gate order shows here.
+        table = TruthTable.from_callable(lambda x: intdiv_reference(7, x), 7, 7)
+        embedding = optimum_embedding(table)
+        masks = synthesize_permutation_masks(
+            embedding.permutation, embedding.num_lines
+        )
+        assert (embedding.num_lines, len(masks)) == (13, 43374)
+        assert hashlib.sha256(repr(masks).encode()).hexdigest() == (
+            "dcaf22b072c7eb3872c15cdeeb296e88ec23f5d68e5bbe5b9ef0f87cfdb8d11b"
+        )
+
     def test_circuit_applies_the_permutation(self):
         rng = np.random.default_rng(7)
         for num_lines in (3, 4, 5):
@@ -257,6 +297,56 @@ class TestTbsGuards:
         table = TruthTable.from_columns([0b0110, 0b1000], 2)
         assert bennett_embedding(table).is_valid()
         assert optimum_embedding(table).is_valid()
+
+
+class TestTbsCorrectnessChecks:
+    """A broken cascade raises :class:`RuntimeError`, also under ``python -O``."""
+
+    @staticmethod
+    def _patch_row_one(monkeypatch, edit):
+        # Rewrite the gate list the kernel builds for row 1.
+        original = tbs_module._gate_masks_transforming
+        edited = []
+
+        def builder(start, goal, protect_below):
+            masks, cost = original(start, goal, protect_below)
+            if protect_below == 1:
+                edited.append(masks)
+                masks = edit(masks)
+            return masks, cost
+
+        monkeypatch.setattr(tbs_module, "_gate_masks_transforming", builder)
+        return edited
+
+    def test_a_dropped_gate_is_caught(self, monkeypatch):
+        # Row 1 is left unfixed, so a later row finds its image below
+        # itself and no control set can protect the fixed rows.
+        edited = self._patch_row_one(monkeypatch, lambda masks: masks[:-1])
+        perm = np.random.default_rng(3).permutation(16)
+        with pytest.raises(RuntimeError, match="safe control set"):
+            synthesize_permutation_masks(perm, 4, bidirectional=False)
+        assert edited
+
+    @pytest.mark.parametrize(
+        "num_lines,message",
+        [
+            (4, "did not reach the identity"),
+            # Long enough to compact: the compaction check fires first.
+            (11, "broke a row below"),
+        ],
+    )
+    def test_a_gate_that_breaks_fixed_rows_is_caught(
+        self, monkeypatch, num_lines, message
+    ):
+        # A NOT on line 0 after row 1's output gates swaps the values of
+        # rows 0 and 1 and keeps every later row reachable, so synthesis
+        # runs to the end and only the final or the compaction check can
+        # notice.
+        edited = self._patch_row_one(monkeypatch, lambda masks: masks + [(0, 0)])
+        perm = np.random.default_rng(3).permutation(1 << num_lines)
+        with pytest.raises(RuntimeError, match=message):
+            synthesize_permutation_masks(perm, num_lines, bidirectional=False)
+        assert edited
 
 
 class TestMctCostHoisting:
