@@ -111,10 +111,12 @@ def test_table2_magnitude_vs_paper(table2_reports):
     The qubit column reproduces the paper exactly (checked above).  The
     T-count of our transformation-based synthesis is larger than the paper's
     (the original uses the SAT-based symbolic variant with stronger gate
-    selection); EXPERIMENTS.md discusses the gap.  Here we only check that
-    the numbers sit on the expensive side of the paper's — i.e. we did not
-    accidentally solve a smaller problem — and that they remain within three
-    orders of magnitude.
+    selection); ROADMAP.md compares both against the paper's own numbers
+    under "Open items" and plans the care-set TBS that closes most of the
+    gap (item 1).  Here we only check that the numbers sit on the
+    expensive side of the paper's — i.e. we did not accidentally solve a
+    smaller problem — and that they remain within three orders of
+    magnitude.
     """
     for key, column in (("INTDIV", 1), ("NEWTON", 2)):
         for report in table2_reports[key]:

@@ -8,16 +8,14 @@ Examples::
         --opt "resyn2*3" --xmg-opt xmg-default         # pipeline overrides
     python -m repro flow --flow lut --design intdiv -n 8 -k 4 \
         --strategy bounded --max-pebbles 64            # LUT pebbling flow
+    python -m repro flow --flow lut --help             # the lut flow's parameters
     python -m repro flow --flow esop --design intdiv -n 8 \
         --rev-opt rev-default --map-model rtof         # peephole + T-depth
-    python -m repro passes                             # list optimisation passes
-    python -m repro passes --target qc                 # Clifford+T passes only
+    python -m repro passes --target qc                 # Clifford+T passes
     python -m repro explore --design intdiv -n 8 --rev-opt none \
         --rev-opt rev-default                          # peephole sweep
-    python -m repro explore --design intdiv -n 6
     python -m repro explore --flow lut --design intdiv -n 8   # strategy sweep
     python -m repro explore --design intdiv -n 8 --opt "dc2*2" --opt "b;rw;rf"
-    python -m repro explore --design intdiv -n 8 --verify sampled
     python -m repro verify --design intdiv -n 4 --mode full --quantum
     python -m repro explore --designs intdiv newton --bitwidths 4 5 6 \
         --sweep esop:p=0,1 --sweep hierarchical:strategy=bennett,per_output \
@@ -48,7 +46,8 @@ from repro.core.explorer import (
     pareto_front_of,
     parse_sweep_spec,
 )
-from repro.core.flows import available_flows, design_source, run_flow
+from repro.core.flow import FRONTEND_SEEDS
+from repro.core.flows import available_flows, design_source, make_flow, run_flow
 from repro.core.reports import outcome_table, reports_to_json
 from repro.io.qasm import write_qasm
 from repro.io.realfmt import write_real
@@ -59,77 +58,27 @@ from repro.verify.differential import check_equivalent, mapped_circuit_simulator
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of the ``repro`` command-line interface."""
+def build_parser(shown: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse parser of the ``repro`` command-line interface.
+
+    ``shown`` names the flow whose parameters ``repro flow --help`` lists.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Design automation and design space exploration for quantum computers",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    flow = subparsers.add_parser("flow", help="run one design flow")
+    flow = subparsers.add_parser(
+        "flow",
+        help="run one design flow",
+        description="Run one design flow; `repro flow --flow F --help` lists "
+        "the parameters flow F declares, with their defaults.",
+    )
     flow.add_argument("--flow", choices=sorted(available_flows()), required=True)
     flow.add_argument("--design", default="intdiv", help="intdiv / newton / isqrt or a name for --verilog")
     flow.add_argument("--verilog", type=Path, help="path to a Verilog file to synthesise")
     flow.add_argument("-n", "--bitwidth", type=int, default=8)
-    flow.add_argument("-p", "--factoring", type=int, help="ESOP factoring parameter (default: 0)")
-    flow.add_argument(
-        "--strategy",
-        help="pebbling strategy of the hierarchical and lut flows: "
-        "bennett/eager (alias per_output)/bounded/exact; default: bennett",
-    )
-    flow.add_argument(
-        "-k", "--lut-size", type=int,
-        help="LUT size of the lut flow (default: 4)",
-    )
-    flow.add_argument(
-        "--max-pebbles", type=float, metavar="B",
-        help="pebble budget of the lut flow's bounded strategy: an integer "
-        "number of pebbles, or a fraction in (0, 1) of the LUT count",
-    )
-    flow.add_argument(
-        "--lut-synth", choices=["esop", "exact", "tbs"],
-        help="per-LUT sub-synthesizer of the lut flow (default: esop; "
-        "exact = T-cost-optimal ESOP for LUTs of up to 4 inputs)",
-    )
-    flow.add_argument(
-        "--exact-time-budget", type=float, metavar="SECONDS",
-        help="per-call SAT time budget of the lut flow's exact pebbling "
-        "strategy, in positive seconds; only valid with --strategy exact "
-        "(default: the strategy's built-in budget)",
-    )
-    flow.add_argument(
-        "--opt", metavar="PIPELINE",
-        help="AIG optimisation pipeline spec overriding the flow default, "
-        "e.g. 'b;rw;rf', 'dc2*3' or 'none' (see `repro passes`)",
-    )
-    flow.add_argument(
-        "--xmg-opt", metavar="PIPELINE",
-        help="XMG optimisation pipeline of the hierarchical flow (applied "
-        "to the mapped XMG) and of the lut flow (applied as an AIG-XMG-AIG "
-        "round-trip), e.g. 'xmg-default' (default: disabled)",
-    )
-    flow.add_argument(
-        "--rev-opt", metavar="PIPELINE",
-        help="reversible peephole pipeline applied to the synthesised "
-        "cascade, e.g. 'rev-default' or 'rn;rc' (default: disabled)",
-    )
-    flow.add_argument(
-        "--map-model", choices=["rtof", "barenco"],
-        help="map the cascade to an explicit Clifford+T circuit under this "
-        "decomposition model and report T-depth/depth resource metrics "
-        "(default: no mapping)",
-    )
-    flow.add_argument(
-        "--qc-opt", metavar="PIPELINE",
-        help="Clifford+T peephole pipeline applied to the mapped circuit "
-        "(requires --map-model), e.g. 'qc-default' (default: disabled)",
-    )
-    flow.add_argument(
-        "--opt-guard", choices=["off", "sampled", "full", "auto"],
-        help="differentially check every optimisation pass application "
-        "(default: off)",
-    )
     flow.add_argument("--no-verify", action="store_true", help="skip equivalence checking")
     flow.add_argument("--cost-model", default="rtof", choices=["rtof", "barenco"])
     flow.add_argument("--real", type=Path, help="write the reversible circuit as RevLib .real")
@@ -138,29 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="map to Clifford+T (under --map-model, default rtof) and "
         "write OpenQASM 2.0",
     )
+    _add_parameter_options(flow, shown)
 
     explore = subparsers.add_parser("explore", help="design space exploration")
-    explore.add_argument(
-        "--flow", choices=sorted(available_flows()),
-        help="sweep only this flow's default configurations (e.g. the "
-        "pebbling strategies of the lut flow); --sweep overrides",
-    )
-    explore.add_argument("--design", default="intdiv")
-    explore.add_argument(
-        "--designs", nargs="+", metavar="DESIGN",
-        help="sweep several designs (overrides --design)",
-    )
-    explore.add_argument("-n", "--bitwidth", type=int, default=6)
-    explore.add_argument(
-        "--bitwidths", nargs="+", type=int, metavar="N",
-        help="sweep several bitwidths (overrides --bitwidth)",
-    )
-    explore.add_argument(
-        "--verify", choices=["off", "sampled", "full", "auto"], default="auto",
-        help="equivalence checking of every synthesised circuit: off, "
-        "sampled (random patterns), full (exhaustive), or auto "
-        "(full when the input count permits; default)",
-    )
+    _add_sweep_arguments(explore, bitwidth=6, verify="auto")
     explore.add_argument(
         "--no-verify", action="store_true",
         help="alias for --verify off (kept for compatibility)",
@@ -174,15 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent result cache directory (content-addressed)",
     )
     explore.add_argument(
-        "--timeout", type=float, metavar="SECONDS",
-        help="per-configuration wall-clock budget",
-    )
-    explore.add_argument(
-        "--sweep", action="append", default=[], metavar="FLOW[:PARAM=V1,V2,...]",
-        help="configuration sweep, e.g. esop:p=0,1,2 (repeatable; "
-        "default: the paper's five configurations)",
-    )
-    explore.add_argument(
         "--opt", action="append", default=[], metavar="PIPELINE",
         help="optimisation pipeline applied to every configuration; "
         "repeat to sweep pipelines (e.g. --opt 'dc2*2' --opt 'b;rw;rf')",
@@ -193,13 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         "repeat to sweep pipelines (e.g. --rev-opt none --rev-opt "
         "rev-default)",
     )
-    explore.add_argument("--cost-model", default="rtof", choices=["rtof", "barenco"])
     explore.add_argument(
         "--json", type=Path, metavar="FILE",
         help="also write the successful reports as a JSON array",
-    )
-    explore.add_argument(
-        "--quiet", action="store_true", help="suppress per-configuration progress"
     )
 
     verify = subparsers.add_parser(
@@ -292,36 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         "job, stream its outcome events (each carrying the Pareto front so "
         "far), and print the final front.",
     )
+    _add_sweep_arguments(submit, bitwidth=4, verify="off")
     submit.add_argument(
         "--url", default="http://127.0.0.1:8177", help="server base URL"
     )
-    submit.add_argument("--design", default="intdiv")
-    submit.add_argument(
-        "--designs", nargs="+", metavar="DESIGN",
-        help="sweep several designs (overrides --design)",
-    )
-    submit.add_argument("-n", "--bitwidth", type=int, default=4)
-    submit.add_argument(
-        "--bitwidths", nargs="+", type=int, metavar="N",
-        help="sweep several bitwidths (overrides --bitwidth)",
-    )
-    submit.add_argument(
-        "--sweep", action="append", default=[], metavar="FLOW[:PARAM=V1,V2,...]",
-        help="configuration sweep, like explore --sweep (repeatable)",
-    )
-    submit.add_argument(
-        "--flow", choices=sorted(available_flows()),
-        help="submit this flow's default sweep instead of --sweep",
-    )
-    submit.add_argument(
-        "--verify", choices=["off", "sampled", "full", "auto"], default="off",
-        help="verification mode of the submitted job (default: off)",
-    )
-    submit.add_argument(
-        "--timeout", type=float, metavar="SECONDS",
-        help="per-configuration budget forwarded to the server",
-    )
-    submit.add_argument("--cost-model", default="rtof", choices=["rtof", "barenco"])
     submit.add_argument(
         "--client-id", metavar="ID",
         help="rate-limiting identity sent as X-Client-Id",
@@ -334,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shutdown", action="store_true",
         help="instead of submitting, ask the server to shut down gracefully",
     )
-    submit.add_argument(
-        "--quiet", action="store_true", help="suppress per-configuration progress"
-    )
 
     designs = subparsers.add_parser("designs", help="print generated Verilog for a built-in design")
     designs.add_argument("--design", default="intdiv")
@@ -348,59 +236,107 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_pipeline_specs(*specs: Optional[str]) -> Optional[str]:
-    """Parse-check pipeline specs; returns an error message or ``None``.
+def _add_sweep_arguments(
+    parser: argparse.ArgumentParser, bitwidth: int, verify: str
+) -> None:
+    """The sweep options of ``explore`` and ``submit``."""
+    parser.add_argument(
+        "--flow", choices=sorted(available_flows()),
+        help="sweep only this flow's default configurations (e.g. the "
+        "pebbling strategies of the lut flow); --sweep overrides",
+    )
+    parser.add_argument("--design", default="intdiv")
+    parser.add_argument(
+        "--designs", nargs="+", metavar="DESIGN",
+        help="sweep several designs (overrides --design)",
+    )
+    parser.add_argument("-n", "--bitwidth", type=int, default=bitwidth)
+    parser.add_argument(
+        "--bitwidths", nargs="+", type=int, metavar="N",
+        help="sweep several bitwidths (overrides --bitwidth)",
+    )
+    parser.add_argument(
+        "--sweep", action="append", default=[], metavar="FLOW[:PARAM=V1,V2,...]",
+        help="configuration sweep, e.g. esop:p=0,1,2, typed by the flow's "
+        "declared parameters (repeatable; default: the paper's five "
+        "configurations)",
+    )
+    parser.add_argument(
+        "--verify", choices=["off", "sampled", "full", "auto"], default=verify,
+        help="equivalence checking of every synthesised circuit: off, "
+        "sampled (random patterns), full (exhaustive), or auto "
+        f"(full when the input count permits); default: {verify}",
+    )
+    parser.add_argument(
+        "--timeout", type=float, metavar="SECONDS",
+        help="per-configuration wall-clock budget",
+    )
+    parser.add_argument("--cost-model", default="rtof", choices=["rtof", "barenco"])
+    parser.add_argument(
+        "--quiet", action="store_true", help="suppress per-configuration progress"
+    )
 
-    Validation happens before any flow runs, so an unknown pass name in
-    ``--opt`` fails fast with the registry's did-you-mean suggestion
-    instead of surfacing as a per-configuration failure mid-sweep.
+
+class _ParameterText(argparse.Action):
+    """Collect one flow parameter's text into ``namespace.parameters``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.parameters = {**namespace.parameters, self.dest: values}
+
+
+def _add_parameter_options(
+    parser: argparse.ArgumentParser, shown: Optional[str]
+) -> None:
+    """One option per declared flow parameter that the design entry does not seed.
+
+    A one-letter name gets a one-dash flag; ``_`` becomes ``-``.  Every
+    flow's options parse, so one the chosen flow does not declare fails in
+    :meth:`~repro.core.flow.Flow.check_parameters` with its did-you-mean;
+    ``--help`` lists only the ``shown`` flow's, with its defaults.
     """
-    from repro.opt import parse_pipeline
+    flows = {name: make_flow(name) for name in available_flows()}
+    listed = flows[shown].parameters() if shown in flows else {}
+    title = f"parameters of the {shown} flow" if listed else None
+    group = parser.add_argument_group(title)
+    parser.set_defaults(parameters={})
+    names = {name for flow in flows.values() for name in flow.parameter_names()}
+    for name in sorted(names - FRONTEND_SEEDS):
+        help_text = argparse.SUPPRESS
+        if name in listed:
+            default = "unset" if listed[name].default is None else listed[name].default
+            help_text = f"{listed[name].help} (default: {default})".replace("%", "%%")
+        group.add_argument(
+            ("-" if len(name) == 1 else "--") + name.replace("_", "-"),
+            dest=name, action=_ParameterText, metavar="VALUE", help=help_text,
+        )
 
-    for spec in specs:
-        if spec is None:
-            continue
-        try:
-            parse_pipeline(spec)
-        except ValueError as exc:
-            return str(exc)
+
+def _flow_named(argv: List[str]) -> Optional[str]:
+    """The flow a ``repro flow --flow F`` command line names, if any."""
+    if argv[:1] != ["flow"]:
+        return None
+    for index, arg in enumerate(argv):
+        if arg == "--flow" and index + 1 < len(argv):
+            return argv[index + 1]
+        if arg.startswith("--flow="):
+            return arg.partition("=")[2]
     return None
 
 
-#: ``repro flow`` options (argparse destinations) -> declared flow parameters.
-_FLOW_OPTIONS = {
-    "opt": "opt", "xmg_opt": "xmg_opt", "rev_opt": "rev_opt",
-    "opt_guard": "opt_guard", "map_model": "map_model", "qc_opt": "qc_opt",
-    "factoring": "p", "strategy": "strategy", "lut_size": "k",
-    "lut_synth": "lut_synth", "max_pebbles": "max_pebbles",
-    "exact_time_budget": "exact_time_budget",
-}
-
-
 def _command_flow(args: argparse.Namespace) -> int:
-    error = _validate_pipeline_specs(
-        args.opt, args.xmg_opt, args.rev_opt, args.qc_opt
-    )
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    # Only the options the user set: the flow rejects one it does not
-    # declare, and fills in its own defaults for the rest.
-    parameters = {
-        name: getattr(args, dest)
-        for dest, name in _FLOW_OPTIONS.items()
-        if getattr(args, dest) is not None
-    }
-    if args.verilog is not None:
-        parameters["verilog"] = args.verilog.read_text()
-
+    # Only the options the user set: the flow fills in its own defaults.
+    texts = dict(args.parameters)
+    verify = texts.pop("verify", "false" if args.no_verify else "true")
     try:
+        flow = make_flow(args.flow)
+        parameters = {
+            name: flow.settable(name).parse(text) for name, text in texts.items()
+        }
+        parameters["verify"] = flow.parameters()["verify"].parse(verify)
+        if args.verilog is not None:
+            parameters["verilog"] = args.verilog.read_text()
         result = run_flow(
-            args.flow,
-            args.design,
-            args.bitwidth,
-            verify=not args.no_verify,
-            cost_model=args.cost_model,
+            args.flow, args.design, args.bitwidth, cost_model=args.cost_model,
             **parameters,
         )
     except ValueError as exc:
@@ -435,7 +371,7 @@ def _command_flow(args: argparse.Namespace) -> int:
         quantum = result.context.get("quantum_circuit")
         if quantum is None:
             quantum = map_to_clifford_t(
-                result.circuit, model=args.map_model or "rtof"
+                result.circuit, model=parameters.get("map_model") or "rtof"
             )
         args.qasm.write_text(write_qasm(quantum))
         print(f"wrote {args.qasm} ({quantum.num_qubits} qubits, {quantum.t_count()} T)")
@@ -452,58 +388,52 @@ def _command_explore(args: argparse.Namespace) -> int:
             configurations = flow_default_configurations(args.flow)
         else:
             configurations = default_configurations()
+        # Cross the configuration list with every requested pipeline sweep
+        # (--opt for the AIG stage, --rev-opt for the reversible cascade).
+        crossed = False
+        flows = {name: make_flow(name) for name in available_flows()}
+        for parameter, specs in (("opt", args.opt), ("rev_opt", args.rev_opt)):
+            if not specs:
+                continue
+            expanded = []
+            for entry in configurations:
+                if isinstance(entry, ParameterGrid):
+                    expanded.extend(entry.configurations())
+                else:
+                    expanded.append(entry)
+            configurations = [
+                configuration.with_parameter(
+                    parameter, flows[configuration.flow].settable(parameter).parse(spec)
+                )
+                for spec in specs
+                for configuration in expanded
+            ]
+            crossed = True
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Cross the configuration list with every requested pipeline sweep
-    # (--opt for the AIG stage, --rev-opt for the reversible cascade).
-    crossed = False
-    for parameter, specs in (("opt", args.opt), ("rev_opt", args.rev_opt)):
-        if not specs:
-            continue
-        error = _validate_pipeline_specs(*specs)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        expanded = []
-        for entry in configurations:
-            if isinstance(entry, ParameterGrid):
-                expanded.extend(entry.configurations())
-            else:
-                expanded.append(entry)
-        configurations = [
-            configuration.with_parameter(parameter, spec)
-            for spec in specs
-            for configuration in expanded
-        ]
-        crossed = True
     if crossed:
         # Crossing can collide with sweep points that already carried the
         # parameter (the default sweeps ship rev_opt points): run each
         # distinct configuration once, keeping first-seen order.
-        seen = set()
-        unique = []
+        unique = {}
         for configuration in configurations:
             key = (configuration.flow, tuple(sorted(configuration.parameters)))
-            if key not in seen:
-                seen.add(key)
-                unique.append(configuration)
-        configurations = unique
+            unique.setdefault(key, configuration)
+        configurations = list(unique.values())
     tasks = build_sweep(designs, bitwidths, configurations)
 
     progress = {"done": 0}
 
     def on_result(outcome):
-        if args.quiet:
-            return
         progress["done"] += 1
-        if outcome.ok:
-            detail = f"{outcome.report.qubits} qubits, {outcome.report.t_count} T"
-            if outcome.cached:
-                detail += " (cached)"
-        else:
-            detail = f"error: {outcome.error}"
-        print(f"[{progress['done']}/{len(tasks)}] {outcome.label()}: {detail}")
+        if not args.quiet:
+            print(_progress_line(
+                f"[{progress['done']}/{len(tasks)}] {outcome.label()}",
+                outcome.report.to_dict() if outcome.ok else None,
+                outcome.cached,
+                outcome.error,
+            ))
 
     verify_mode = "off" if args.no_verify else args.verify
     try:
@@ -527,26 +457,12 @@ def _command_explore(args: argparse.Namespace) -> int:
                 if o.task.design == design and o.task.bitwidth == bitwidth
             ]
             print()
-            print(
-                outcome_table(
-                    group, title=f"Design space of {design}({bitwidth})"
-                )
-            )
+            print(outcome_table(group, title=f"Design space of {design}({bitwidth})"))
             front = pareto_front_of(
-                {
-                    o.task.configuration.label(): o.report
-                    for o in group
-                    if o.ok
-                }
+                {o.task.configuration.label(): o.report for o in group if o.ok}
             )
-            print()
-            print(
-                format_table(
-                    ["Pareto point", "qubits", "T-count"],
-                    [(p.label(), p.qubits, p.t_count) for p in front],
-                    title="Pareto front",
-                )
-            )
+            rows = [(point.label(), point.qubits, point.t_count) for point in front]
+            _print_front("Pareto front", rows)
 
     if args.cache is not None:
         print()
@@ -554,11 +470,23 @@ def _command_explore(args: argparse.Namespace) -> int:
             f"cache: {engine.cache_hits} hit(s), {engine.executed} flow(s) executed"
         )
     if args.json is not None:
-        args.json.write_text(
-            reports_to_json([o.report for o in outcomes if o.ok])
-        )
+        args.json.write_text(reports_to_json([o.report for o in outcomes if o.ok]))
         print(f"wrote {args.json}")
     return 0 if engine.failures == 0 else 1
+
+
+def _progress_line(prefix: str, report: Optional[dict], cached: bool, error) -> str:
+    """One configuration's progress line; ``report`` holds qubits and t_count."""
+    if report is None:
+        return f"{prefix}: error: {error}"
+    cached_note = " (cached)" if cached else ""
+    return f"{prefix}: {report['qubits']} qubits, {report['t_count']} T{cached_note}"
+
+
+def _print_front(title: str, rows: List[tuple]) -> None:
+    """Print one Pareto front's (label, qubits, T-count) rows."""
+    print()
+    print(format_table(["Pareto point", "qubits", "T-count"], rows, title=title))
 
 
 #: ``repro verify --quantum`` falls back to skipping the Clifford+T leg
@@ -598,47 +526,34 @@ def _command_verify(args: argparse.Namespace) -> int:
             num_samples=args.samples,
             seed=args.seed,
         )
-        failures += 0 if check.equivalent else 1
-        rows.append(
-            (
-                flow_name,
-                "aig = circuit",
-                check.num_patterns,
-                "full" if check.complete else "sampled",
-                "ok" if check.equivalent else f"FAIL: {check.message}",
-            )
-        )
+        checks, skipped = [("aig = circuit", check)], []
         if args.quantum:
             quantum = map_to_clifford_t(result.circuit)
             if quantum.num_qubits > _QUANTUM_VERIFY_QUBIT_LIMIT:
-                rows.append(
-                    (
-                        flow_name,
-                        "circuit = clifford+t",
-                        0,
-                        "-",
-                        f"skipped ({quantum.num_qubits} qubits > "
-                        f"{_QUANTUM_VERIFY_QUBIT_LIMIT})",
-                    )
+                reason = (
+                    f"skipped ({quantum.num_qubits} qubits > "
+                    f"{_QUANTUM_VERIFY_QUBIT_LIMIT})"
                 )
-                continue
-            quantum_check = check_equivalent(
-                result.circuit,
-                mapped_circuit_simulator(quantum, result.circuit),
-                mode="sampled",
-                num_samples=min(args.samples, _QUANTUM_VERIFY_MAX_SAMPLES),
-                seed=args.seed,
-            )
-            failures += 0 if quantum_check.equivalent else 1
-            rows.append(
-                (
-                    flow_name,
-                    "circuit = clifford+t",
-                    quantum_check.num_patterns,
-                    "full" if quantum_check.complete else "sampled",
-                    "ok" if quantum_check.equivalent else f"FAIL: {quantum_check.message}",
+                skipped.append((flow_name, "circuit = clifford+t", 0, "-", reason))
+            else:
+                quantum_check = check_equivalent(
+                    result.circuit,
+                    mapped_circuit_simulator(quantum, result.circuit),
+                    mode="sampled",
+                    num_samples=min(args.samples, _QUANTUM_VERIFY_MAX_SAMPLES),
+                    seed=args.seed,
                 )
-            )
+                checks.append(("circuit = clifford+t", quantum_check))
+        for name, outcome in checks:
+            failures += 0 if outcome.equivalent else 1
+            rows.append((
+                flow_name,
+                name,
+                outcome.num_patterns,
+                "full" if outcome.complete else "sampled",
+                "ok" if outcome.equivalent else f"FAIL: {outcome.message}",
+            ))
+        rows.extend(skipped)
 
     design_label = args.design if args.verilog is None else args.verilog.name
     print(
@@ -737,18 +652,24 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0 if drained else 1
 
 
-def _submit_request(url, method, path, body=None, headers=None, timeout=60.0):
-    """One HTTP request against the job server; returns (status, bytes)."""
+def _connect(url: str, timeout: float):
+    """An HTTP connection to the job server at ``url``."""
     import http.client
-    import json as _json
     from urllib.parse import urlparse
 
     parsed = urlparse(url)
     if parsed.scheme not in ("http", ""):
         raise ValueError(f"unsupported scheme in {url!r} (http only)")
-    host = parsed.hostname or "127.0.0.1"
-    port = parsed.port or 80
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    return http.client.HTTPConnection(
+        parsed.hostname or "127.0.0.1", parsed.port or 80, timeout=timeout
+    )
+
+
+def _submit_request(url, method, path, body=None, headers=None, timeout=60.0):
+    """One HTTP request against the job server; returns (status, bytes)."""
+    import json as _json
+
+    conn = _connect(url, timeout)
     try:
         conn.request(
             method,
@@ -763,9 +684,7 @@ def _submit_request(url, method, path, body=None, headers=None, timeout=60.0):
 
 
 def _command_submit(args: argparse.Namespace) -> int:
-    import http.client
     import json as _json
-    from urllib.parse import urlparse
 
     headers = {}
     if args.client_id:
@@ -810,10 +729,7 @@ def _command_submit(args: argparse.Namespace) -> int:
     if args.no_stream:
         return 0
 
-    parsed = urlparse(args.url)
-    conn = http.client.HTTPConnection(
-        parsed.hostname or "127.0.0.1", parsed.port or 80, timeout=600
-    )
+    conn = _connect(args.url, timeout=600)
     failures = 0
     final_event = None
     try:
@@ -827,16 +743,12 @@ def _command_submit(args: argparse.Namespace) -> int:
             event = _json.loads(line)
             if event["type"] == "outcome":
                 done += 1
-                if event["ok"]:
-                    report = event["report"]
-                    detail = f"{report['qubits']} qubits, {report['t_count']} T"
-                    if event["cached"]:
-                        detail += " (cached)"
-                else:
-                    failures += 1
-                    detail = f"error: {event['error']}"
+                failures += 0 if event["ok"] else 1
                 if not args.quiet:
-                    print(f"[{done}/{num_tasks}] {event['label']}: {detail}")
+                    print(_progress_line(
+                        f"[{done}/{num_tasks}] {event['label']}",
+                        event.get("report"), event["cached"], event.get("error"),
+                    ))
             elif event["type"] == "done":
                 final_event = event
     except OSError as exc:
@@ -848,28 +760,16 @@ def _command_submit(args: argparse.Namespace) -> int:
         print("error: stream ended without a done event", file=sys.stderr)
         return 1
     for group in final_event["pareto"]:
-        print()
-        print(
-            format_table(
-                ["Pareto point", "qubits", "T-count"],
-                [
-                    (
-                        point["configuration"]
-                        + (
-                            f" [= {', '.join(point['aliases'])}]"
-                            if point["aliases"]
-                            else ""
-                        ),
-                        point["qubits"],
-                        point["t_count"],
-                    )
-                    for point in group["points"]
-                ],
-                title=(
-                    f"Pareto front of {group['design']}({group['bitwidth']})"
-                ),
+        rows = [
+            (
+                point["configuration"]
+                + (f" [= {', '.join(point['aliases'])}]" if point["aliases"] else ""),
+                point["qubits"],
+                point["t_count"],
             )
-        )
+            for point in group["points"]
+        ]
+        _print_front(f"Pareto front of {group['design']}({group['bitwidth']})", rows)
     state = final_event["state"]
     if state != "done" or failures:
         print(f"job finished as {state} with {failures} failure(s)")
@@ -900,8 +800,8 @@ def _command_baselines(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_flow_named(argv)).parse_args(argv)
     handlers = {
         "flow": _command_flow,
         "explore": _command_explore,

@@ -287,56 +287,37 @@ class ParameterGrid:
         return count
 
 
-#: Names the engine/flow machinery claims for itself: sweeping them would
-#: collide with run_flow keyword arguments or silently clobber seeded
-#: context artifacts, so they are rejected at parse time.
-_RESERVED_SWEEP_PARAMETERS = frozenset(
-    {"flow", "self", "design", "bitwidth", "verify", "cost_model",
-     "aig", "verilog", "index", "timeout", "memo"}
-)
-
-
 def parse_sweep_spec(spec: str) -> ParameterGrid:
     """Parse one ``--sweep`` specification into a :class:`ParameterGrid`.
 
     Format: ``FLOW[:PARAM=V1,V2,...[:PARAM=...]]`` — e.g. ``esop:p=0,1,2``
-    or ``hierarchical:strategy=bennett,per_output``.  Values are parsed as
-    int, float or bool where possible and kept as strings otherwise.
+    or ``hierarchical:strategy=bennett,per_output``.  Each value is parsed
+    by the flow's declared schema (:meth:`~repro.core.flow.Parameter.parse`),
+    so an unknown flow, a reserved or undeclared name and an ill-typed
+    value all raise ``ValueError`` here.
     """
     segments = spec.split(":")
-    flow = segments[0].strip()
-    if not flow:
+    name = segments[0].strip()
+    if not name:
         raise ValueError(f"sweep spec {spec!r} does not name a flow")
+    flow = make_flow(name)
     ranges = {}
     for segment in segments[1:]:
         if "=" not in segment:
             raise ValueError(
                 f"sweep segment {segment!r} is not of the form PARAM=V1,V2,..."
             )
-        name, _, values = segment.partition("=")
-        name = name.strip()
-        if name in _RESERVED_SWEEP_PARAMETERS:
-            raise ValueError(f"reserved sweep parameter name {name!r} in {spec!r}")
-        if name in ranges:
-            raise ValueError(f"duplicate sweep parameter {name!r} in {spec!r}")
-        parsed = [_parse_sweep_value(value) for value in values.split(",") if value != ""]
+        parameter, _, values = segment.partition("=")
+        declared = flow.settable(parameter.strip())
+        if declared.name in ranges:
+            raise ValueError(
+                f"duplicate sweep parameter {declared.name!r} in {spec!r}"
+            )
+        parsed = [declared.parse(value) for value in values.split(",") if value != ""]
         if not parsed:
-            raise ValueError(f"sweep parameter {name!r} has no values")
-        ranges[name] = parsed
-    return ParameterGrid(flow, **ranges)
-
-
-def _parse_sweep_value(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for converter in (int, float):
-        try:
-            return converter(text)
-        except ValueError:
-            continue
-    return text
+            raise ValueError(f"sweep parameter {declared.name!r} has no values")
+        ranges[declared.name] = parsed
+    return ParameterGrid(name, **ranges)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ artefacts up to that stage, so a :class:`PrefixMemo` can hand them from one
 run to the next, and the result cache addresses a whole run by its last
 prefix key.  A stage body must therefore depend on nothing else: a
 closure that captures a setting exposes it as a parameter default.
+
+Each keyword-only argument is annotated ``Annotated[type, "help line"]``,
+the one parameter schema: :meth:`Flow.parameters` reads it, and every entry
+point coerces user input through :meth:`Parameter.parse` (text) or
+:meth:`Parameter.check` (JSON), so bad input fails before any flow runs.
 """
 
 from __future__ import annotations
@@ -24,15 +29,125 @@ import hashlib
 import inspect
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    AbstractSet, Annotated, Any, Callable, Dict, List, Mapping, NewType, Optional,
+    Sequence, Union, get_args, get_origin, get_type_hints,
+)
 
 from repro.core.cost import CostReport
 from repro.reversible.circuit import ReversibleCircuit
 from repro.utils.names import closest_name, did_you_mean
 
-__all__ = ["Flow", "FlowResult", "FlowStage", "PrefixMemo"]
+__all__ = [
+    "Flow", "FlowResult", "FlowStage", "Parameter", "PipelineSpec", "PrefixMemo",
+]
 
 _MISSING = object()
+
+#: The declared type of a pass-manager pipeline spec such as ``"b;rw;rf"``
+#: or ``"none"``; :func:`repro.opt.parse_pipeline` checks one.
+PipelineSpec = NewType("PipelineSpec", str)
+
+#: Parameters the design entry sets (a design name, a Verilog file, a
+#: pre-built AIG), never parameter text or JSON.
+FRONTEND_SEEDS = frozenset({"aig", "verilog"})
+
+#: Names no configuration sets: the frontend seeds, ``verify`` (one mode
+#: per run or per sweep, set by the entry point's own option) and the other
+#: arguments of :func:`~repro.core.flows.run_flow`.
+RESERVED_PARAMETERS = FRONTEND_SEEDS | {
+    "verify", "flow", "design", "bitwidth", "cost_model", "memo",
+}
+
+#: Resolved annotations per stage body, keyed by its code and annotation
+#: text, so every closure one stage factory makes resolves once.
+_HINTS: Dict[Any, Dict[str, Any]] = {}
+
+_TYPE_NAMES = {
+    bool: "a bool",
+    int: "an int",
+    float: "a number",
+    str: "a string",
+    PipelineSpec: "a pipeline spec",
+    type(None): "null",
+}
+
+
+def _type_name(kind: Any, text: bool) -> str:
+    """How an error message names a declared type (text never spells null)."""
+    if get_origin(kind) is Union:
+        members = [m for m in get_args(kind) if not (text and m is type(None))]
+        return " or ".join(_type_name(member, text) for member in members)
+    return _TYPE_NAMES.get(kind, getattr(kind, "__name__", repr(kind)))
+
+
+def _coerce(kind: Any, value: Any, text: bool) -> Any:
+    """``value`` as a ``kind``: parsed from text, or checked as a JSON value.
+
+    Raises ``ValueError``, whose message is empty or says why a value of the
+    right form was rejected (a pipeline spec's unknown pass, say).  A union
+    takes its first member that accepts the value.
+    """
+    if get_origin(kind) is Union:
+        reason = ""
+        for member in get_args(kind):
+            try:
+                return _coerce(member, value, text)
+            except ValueError as exc:
+                reason = reason or str(exc)
+        raise ValueError(reason)
+    if kind is bool:
+        if text and value.lower() in ("true", "false"):
+            return value.lower() == "true"
+        if not text and isinstance(value, bool):
+            return value
+    elif kind in (int, float):
+        if text:
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        elif isinstance(value, (kind, int)) and not isinstance(value, bool):
+            return kind(value)
+    elif kind in (str, PipelineSpec):
+        if text or isinstance(value, str):
+            if kind is PipelineSpec:
+                from repro.opt import parse_pipeline
+
+                parse_pipeline(value)
+            return value
+    elif kind is type(None) and value is None and not text:
+        return None
+    raise ValueError("")
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One declared parameter of a flow: its type, default and help line."""
+
+    flow: str
+    name: str
+    type: Any
+    help: str
+    default: Any
+
+    def parse(self, text: str) -> Any:
+        """The value written as ``text`` (a CLI option or a ``--sweep`` value)."""
+        return self._coerce(text.strip(), text=True)
+
+    def check(self, value: Any) -> Any:
+        """``value``, a JSON value, checked against the declared type."""
+        return self._coerce(value, text=False)
+
+    def _coerce(self, value: Any, text: bool) -> Any:
+        try:
+            return _coerce(self.type, value, text)
+        except ValueError as exc:
+            reason = f": {exc}" if str(exc) else ""
+            raise ValueError(
+                f"flow {self.flow!r}: parameter {self.name!r} expects "
+                f"{_type_name(self.type, text)}, got {value!r}{reason}"
+            ) from None
 
 
 @dataclass
@@ -59,6 +174,29 @@ class FlowStage:
     def resolve(self, parameters: Mapping[str, Any]) -> Dict[str, Any]:
         """The declared parameters' values in ``parameters``, or their defaults."""
         return {name: parameters.get(name, d) for name, d in self.params.items()}
+
+    def declarations(self, flow: str) -> List[Parameter]:
+        """The declared parameters with their annotated types and help lines."""
+        code = getattr(self.run, "__code__", None)
+        key = None if code is None else (code, str(self.run.__annotations__))
+        hints = _HINTS.get(key)
+        if hints is None:
+            hints = get_type_hints(self.run, include_extras=True)
+            if key is not None:
+                _HINTS[key] = hints
+        declared = []
+        for name, default in self.params.items():
+            hint = hints.get(name)
+            if get_origin(hint) is Union:
+                # Python < 3.11 wraps the hint of a None default in Optional.
+                annotated = [a for a in get_args(hint) if get_origin(a) is Annotated]
+                hint = annotated[0] if annotated else hint
+            if get_origin(hint) is not Annotated:
+                raise TypeError(
+                    f"stage {self.name!r}: {name!r} is not Annotated[type, help]"
+                )
+            declared.append(Parameter(flow, name, *get_args(hint)[:2], default))
+        return declared
 
 
 def _plain(value: Any) -> bool:
@@ -132,6 +270,7 @@ class Flow:
         self.name = name
         self.stages = stages
         self.cost_model = cost_model
+        self._parameters: Optional[Dict[str, Parameter]] = None
 
     def stage_names(self) -> List[str]:
         """Names of the stages in execution order."""
@@ -140,6 +279,29 @@ class Flow:
     def parameter_names(self) -> List[str]:
         """Every parameter some stage declares, sorted."""
         return sorted({name for stage in self.stages for name in stage.params})
+
+    def parameters(self) -> Dict[str, Parameter]:
+        """Every declared parameter by name, as its first stage declares it."""
+        if self._parameters is None:
+            self._parameters = {}
+            for stage in self.stages:
+                for parameter in stage.declarations(self.name):
+                    self._parameters.setdefault(parameter.name, parameter)
+        return self._parameters
+
+    def settable(self, name: str) -> Parameter:
+        """The declaration of ``name``, which a configuration may set.
+
+        Rejects a reserved name and, with :meth:`check_parameters`'
+        did-you-mean, one no stage declares.
+        """
+        if name in RESERVED_PARAMETERS:
+            raise ValueError(
+                f"reserved parameter name {name!r} for flow {self.name!r}: "
+                "the design entry and the run set it"
+            )
+        self.check_parameters({name: None})
+        return self.parameters()[name]
 
     def check_parameters(self, parameters: Mapping[str, Any]) -> None:
         """Reject a parameter no stage declares, naming the closest declared one."""

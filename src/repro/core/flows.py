@@ -13,25 +13,24 @@ synthesis and hands the result to one of the reversible synthesis back-ends:
   XMG mapping, hierarchical synthesis (Table IV): the pebble game of
   :func:`lut_flow` with one gate block per XMG gate,
 * :func:`lut_flow`          — k-LUT covering of the optimised AIG, a
-  reversible pebble game scheduled over the LUT DAG (``strategy`` is one
-  of the pebbling strategies ``bennett`` / ``eager`` / ``bounded`` /
-  SAT-``exact``, with a ``max_pebbles`` qubit budget), and per-LUT
-  ESOP/exact-ESOP/TBS synthesis of each schedule step (the paper's
-  LUT-based hierarchical synthesis).
+  reversible pebble game scheduled over the LUT DAG under a ``strategy``
+  and an optional ``max_pebbles`` qubit budget, and per-LUT synthesis of
+  each schedule step (the paper's LUT-based hierarchical synthesis).
 
 All flows share a common tail: an optional reversible peephole pipeline
 (``rev_opt``, e.g. ``"rev-default"``) over the synthesised cascade,
 differential verification against the bit-blasted design (ABC ``cec``
 analogue), and an optional explicit Clifford+T mapping (``map_model``,
 ``"rtof"`` / ``"barenco"``) whose resource vector — T-count, T-depth,
-total depth, mapped qubits — joins the cost report.
+total depth, mapped qubits — joins the cost report.  Each stage parameter
+is annotated ``Annotated[type, "help"]``: the schema of :mod:`repro.core.flow`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Annotated, Any, Dict, List, Optional, Union
 
-from repro.core.flow import Flow, FlowResult, FlowStage, PrefixMemo
+from repro.core.flow import Flow, FlowResult, FlowStage, PipelineSpec, PrefixMemo
 from repro.hdl.designs import intdiv_verilog, newton_verilog
 from repro.hdl.synthesize import synthesize_verilog
 from repro.logic.aig import Aig
@@ -44,6 +43,7 @@ from repro.reversible.lut_synth import hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.verify.differential import (
     AUTO_FULL_LIMIT,
+    VERIFY_MODES,
     check_equivalent,
     normalize_verify_mode,
 )
@@ -84,13 +84,29 @@ def design_source(design: str, bitwidth: int) -> str:
 
 # -- shared stages ------------------------------------------------------------
 
+#: Parameters more than one stage declares.
+OptGuard = Annotated[
+    str, "equivalence guard of each optimisation pass: " + ", ".join(VERIFY_MODES)
+]
+XmgOpt = Annotated[
+    Optional[PipelineSpec], "XMG optimisation pipeline, e.g. 'xmg-default'"
+]
+Strategy = Annotated[
+    str, "pebbling strategy of the cleanup; an unknown name lists the choices"
+]
+
 
 def _add_metrics(context: Dict[str, Any], **metrics: Any) -> None:
     """Merge ``metrics`` into a new ``extra_metrics`` (a memo may hold the old one)."""
     context["extra_metrics"] = {**context["extra_metrics"], **metrics}
 
 
-def _stage_frontend(context: Dict[str, Any], *, verilog=None, aig=None) -> None:
+def _stage_frontend(
+    context: Dict[str, Any],
+    *,
+    verilog: Annotated[Optional[str], "Verilog source of the design"] = None,
+    aig: Annotated[Optional[Aig], "a pre-built design AIG"] = None,
+) -> None:
     """Design entry: bit-blast the (generated) Verilog; a seeded ``aig`` is kept."""
     if aig is not None:
         return
@@ -111,15 +127,19 @@ def frontend_artifacts(
 def _make_optimize_stage(script: str, rounds: int) -> FlowStage:
     """The AIG optimisation stage, a pass-manager pipeline.
 
-    ``opt`` is a pipeline spec such as ``"b;rw;rf"`` or ``"dc2*3"``, or a
-    pre-built :class:`repro.opt.Pipeline`; it defaults to the flow's
-    historical ABC script ``(script)*rounds``, and ``"none"`` disables AIG
-    optimisation.  ``opt_guard`` optionally enables the per-pass
-    differential equivalence guard (``off``/``sampled``/``full``/``auto``).
+    ``opt`` defaults to the flow's ABC script ``(script)*rounds`` and may
+    also be a pre-built :class:`repro.opt.Pipeline`.
     """
     default_spec = f"({script})*{rounds}"
 
-    def optimize(context: Dict[str, Any], *, opt=default_spec, opt_guard="off") -> None:
+    def optimize(
+        context: Dict[str, Any],
+        *,
+        opt: Annotated[
+            Optional[PipelineSpec], "AIG optimisation pipeline, e.g. 'b;rw;rf'"
+        ] = default_spec,
+        opt_guard: OptGuard = "off",
+    ) -> None:
         pipeline = as_pipeline(default_spec if opt is None else opt)
         # The pre-optimisation AIG is the specification the verify stage
         # checks against; keeping it aside means a buggy optimisation
@@ -134,14 +154,12 @@ def _make_optimize_stage(script: str, rounds: int) -> FlowStage:
     return FlowStage("optimize", optimize)
 
 
-def _stage_xmg_opt(context: Dict[str, Any], *, xmg_opt=None, opt_guard="off") -> None:
-    """Optional XMG optimisation pipeline between mapping and synthesis.
+def _stage_xmg_opt(
+    context: Dict[str, Any], *, xmg_opt: XmgOpt = None, opt_guard: OptGuard = "off"
+) -> None:
+    """Optional XMG optimisation between mapping and synthesis.
 
-    Disabled by default (``xmg_opt`` unset/None/"none"): pass a spec such
-    as ``"xmg-default"`` (the registered strash/Ω-rewrite/XOR/cut-refactor
-    pipeline) or any combination of the ``xmg_*`` passes to reduce the MAJ
-    count — and therefore the Toffoli blocks and T-count — of the
-    hierarchical synthesis back-end.
+    Fewer MAJ gates mean fewer Toffoli blocks, so a lower T-count.
     """
     pipeline = as_pipeline(xmg_opt)
     if len(pipeline):
@@ -161,14 +179,18 @@ def _run_xmg_pipeline(context: Dict[str, Any], pipeline, xmg, guard: str):
     return result.network
 
 
-def _stage_rev_opt(context: Dict[str, Any], *, rev_opt=None, opt_guard="off") -> None:
+def _stage_rev_opt(
+    context: Dict[str, Any],
+    *,
+    rev_opt: Annotated[
+        Optional[PipelineSpec], "reversible peephole pipeline, e.g. 'rn;rc'"
+    ] = None,
+    opt_guard: OptGuard = "off",
+) -> None:
     """Optional peephole optimisation of the synthesised cascade.
 
-    ``rev_opt`` is a pass-manager pipeline spec over the ``rev`` target —
-    e.g. ``"rev-default"`` (NOT merging and cancellation to a fixed point,
-    at most four rounds) or any combination of ``rn`` / ``rc`` — executed
-    with keep-best tracking under the lexicographic ``(T-count, gates)``
-    objective and the optional per-pass differential guard (``opt_guard``).
+    Keep-best tracking runs under the lexicographic ``(T-count, gates)``
+    objective.
     """
     pipeline = as_pipeline(rev_opt)
     if not len(pipeline):
@@ -188,23 +210,23 @@ def _stage_rev_opt(context: Dict[str, Any], *, rev_opt=None, opt_guard="off") ->
 def _stage_resources(
     context: Dict[str, Any],
     *,
-    map_model=None,
-    qc_opt=None,
-    qc_opt_guard=None,
-    opt_guard="off",
+    map_model: Annotated[
+        Optional[str], "Clifford+T mapping of a resource estimate, e.g. 'rtof'"
+    ] = None,
+    qc_opt: Annotated[
+        Optional[PipelineSpec], "Clifford+T peephole pipeline, e.g. 'qc-default'"
+    ] = None,
+    qc_opt_guard: Annotated[
+        Optional[str], "qc_opt's guard; unset: opt_guard if small"
+    ] = None,
+    opt_guard: OptGuard = "off",
 ) -> None:
     """Optional explicit Clifford+T mapping and resource estimation.
 
-    ``map_model`` selects the decomposition model (``"rtof"`` — 4-T
-    relative-phase Toffoli chains — or ``"barenco"``); the cascade is
-    expanded into an explicit Clifford+T circuit whose per-gate T-count is
-    asserted against the closed forms of :mod:`repro.quantum.tcount`, an
-    optional ``qc_opt`` peephole pipeline (e.g. ``"qc-default"``) runs on
-    the mapped circuit, and the resulting
-    :class:`~repro.quantum.resources.ResourceEstimate` joins the flow's
-    :class:`~repro.core.cost.CostReport` (T-depth, total depth, mapped
-    qubits).  Skipped entirely when ``map_model`` is unset, so flows only
-    pay for the expansion when asked; ``qc_opt`` or ``qc_opt_guard``
+    Each gate's expansion is asserted against the closed forms of
+    :mod:`repro.quantum.tcount`, and the
+    :class:`~repro.quantum.resources.ResourceEstimate` (T-depth, depth,
+    mapped qubits) joins the cost report.  ``qc_opt`` or ``qc_opt_guard``
     without a ``map_model`` is a ``ValueError``.
     """
     if map_model is None:
@@ -243,16 +265,19 @@ def _stage_resources(
 def _stage_verify(
     context: Dict[str, Any],
     *,
-    verify=True,
-    verify_samples=256,
-    verify_seed=1,
-    verify_input_limit=AUTO_FULL_LIMIT,
+    verify: Annotated[
+        Union[bool, str], "equivalence check: a bool or " + ", ".join(VERIFY_MODES)
+    ] = True,
+    verify_samples: Annotated[int, "patterns of a sampled check"] = 256,
+    verify_seed: Annotated[int, "seed of a sampled check's patterns"] = 1,
+    verify_input_limit: Annotated[
+        int, "most inputs 'auto' checks in full"
+    ] = AUTO_FULL_LIMIT,
 ) -> None:
     """ABC ``cec`` analogue: differentially compare circuit and AIG.
 
-    ``verify`` is a bool (historical) or one of the named modes ``off`` /
-    ``sampled`` / ``full`` / ``auto``; the check itself is the bit-parallel
-    differential checker of :mod:`repro.verify`, which simulates the
+    The check is the bit-parallel differential checker of
+    :mod:`repro.verify`, which simulates the
     bit-blasted AIG and the synthesised reversible circuit on the same
     packed pattern batch.  The reference is ``spec_aig`` — the AIG *before*
     any optimisation pipeline touched it — so a buggy pass (or a buggy XMG
@@ -300,7 +325,11 @@ def _stage_embed(context: Dict[str, Any]) -> None:
     context["embedding"] = optimum_embedding(context["function"])
 
 
-def _stage_tbs(context: Dict[str, Any], *, bidirectional=True) -> None:
+def _stage_tbs(
+    context: Dict[str, Any],
+    *,
+    bidirectional: Annotated[bool, "TBS adds gates on the input side too"] = True,
+) -> None:
     context["circuit"] = symbolic_tbs(
         context["embedding"],
         bidirectional=bidirectional,
@@ -334,7 +363,11 @@ def _stage_esop_extract(context: Dict[str, Any]) -> None:
     _add_metrics(context, esop_terms=terms, esop_shared_terms=shared)
 
 
-def _stage_esop_synthesis(context: Dict[str, Any], *, p=0) -> None:
+def _stage_esop_synthesis(
+    context: Dict[str, Any],
+    *,
+    p: Annotated[int, "ESOP factoring rounds: 0 off, more trades qubits for T"] = 0,
+) -> None:
     context["circuit"] = esop_synthesis(
         context["esop"],
         p=p,
@@ -360,13 +393,19 @@ def esop_flow(cost_model: str = "rtof", optimization_rounds: int = 1) -> Flow:
 # -- hierarchical flow -----------------------------------------------------------------
 
 
-def _stage_xmg_map(context: Dict[str, Any], *, lut_size=4) -> None:
+def _stage_xmg_map(
+    context: Dict[str, Any],
+    *,
+    lut_size: Annotated[int, "LUT size of the XMG mapping"] = 4,
+) -> None:
     xmg = aig_to_xmg(context["aig"], k=lut_size)
     context["xmg"] = xmg
     _add_metrics(context, xmg_maj=xmg.num_maj(), xmg_xor=xmg.num_xor())
 
 
-def _stage_hierarchical(context: Dict[str, Any], *, strategy="bennett") -> None:
+def _stage_hierarchical(
+    context: Dict[str, Any], *, strategy: Strategy = "bennett"
+) -> None:
     context["circuit"] = hierarchical_synthesis(
         context["xmg"],
         strategy=strategy,
@@ -375,13 +414,7 @@ def _stage_hierarchical(context: Dict[str, Any], *, strategy="bennett") -> None:
 
 
 def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flow:
-    """The hierarchical synthesis flow (Section IV-C / Table IV).
-
-    Between XMG mapping and synthesis an optional XMG optimisation
-    pipeline (context key ``xmg_opt``, e.g. ``"xmg-default"``) reduces
-    the MAJ count that directly determines the Toffoli blocks of the
-    back-end.
-    """
+    """The hierarchical synthesis flow (Section IV-C / Table IV)."""
     return Flow(
         "hierarchical",
         [
@@ -400,19 +433,18 @@ def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) ->
 
 
 def _stage_xmg_roundtrip(
-    context: Dict[str, Any], *, xmg_opt=None, xmg_opt_k=4, opt_guard="off"
+    context: Dict[str, Any],
+    *,
+    xmg_opt: XmgOpt = None,
+    xmg_opt_k: Annotated[int, "LUT size of the xmg_opt round-trip"] = 4,
+    opt_guard: OptGuard = "off",
 ) -> None:
     """Optional XMG optimisation of the LUT flow's AIG (round-trip).
 
-    The LUT flow consumes an AIG, so the XMG pass library reaches it by
-    mapping the optimised AIG into an XMG, running the ``xmg_opt``
-    pipeline (same parameter as the hierarchical flow, e.g.
-    ``"xmg-default"``) and expanding the result back with
-    :func:`~repro.logic.xmg_mapping.xmg_to_aig`.  The round-tripped AIG
-    carries the XOR/MAJ structure the pipeline found, which LUT covering
-    packs into fewer, cheaper LUTs.  Disabled by default.  ``xmg_opt_k``
-    sizes the AIG->XMG mapping of the round-trip; it is deliberately
-    independent of the LUT covering size ``k`` downstream.
+    The optimised AIG is mapped into an XMG, optimised and expanded back
+    with :func:`~repro.logic.xmg_mapping.xmg_to_aig`; LUT covering packs the
+    XOR/MAJ structure the pipeline found into fewer, cheaper LUTs.
+    ``xmg_opt_k`` is independent of the covering size ``k``.
     """
     pipeline = as_pipeline(xmg_opt)
     if not len(pipeline):
@@ -424,9 +456,13 @@ def _stage_xmg_roundtrip(
 
 
 def _stage_lut_map(
-    context: Dict[str, Any], *, k=4, max_cuts=8, cut_selection="area"
+    context: Dict[str, Any],
+    *,
+    k: Annotated[int, "LUT size of the covering"] = 4,
+    max_cuts: Annotated[int, "priority cuts kept per node"] = 8,
+    cut_selection: Annotated[str, "cut cost of the covering, e.g. 'depth'"] = "area",
 ) -> None:
-    """k-LUT covering of the AIG (``cut_selection``: ``area`` or ``depth``)."""
+    """k-LUT covering of the AIG."""
     from repro.logic.cuts import lut_map
 
     mapping = lut_map(context["aig"], k=k, max_cuts=max_cuts, selection=cut_selection)
@@ -437,17 +473,20 @@ def _stage_lut_map(
 def _stage_pebble(
     context: Dict[str, Any],
     *,
-    strategy="bennett",
-    max_pebbles=None,
-    exact_time_budget=None,
+    strategy: Strategy = "bennett",
+    max_pebbles: Annotated[
+        Optional[Union[int, float]],
+        "pebble budget of bounded and exact: a count, or a fraction in (0, 1) "
+        "of the LUTs",
+    ] = None,
+    exact_time_budget: Annotated[
+        Optional[float], "seconds exact may spend in SAT"
+    ] = None,
 ) -> None:
     """Schedule the LUT DAG with a pebbling strategy.
 
-    ``max_pebbles`` is the budget of the bounded and exact strategies (an
-    int, or a float in ``(0, 1)`` as a fraction of the LUT count);
-    ``exact_time_budget`` caps the seconds the ``exact`` strategy spends
-    in SAT.  :func:`~repro.reversible.pebbling.make_schedule` rejects an
-    option the strategy does not take.
+    :func:`~repro.reversible.pebbling.make_schedule` rejects an option the
+    strategy does not take.
     """
     from repro.reversible.pebbling import make_schedule
 
@@ -472,7 +511,13 @@ def _stage_pebble(
     _add_metrics(context, **metrics)
 
 
-def _stage_lut_synthesis(context: Dict[str, Any], *, lut_synth="esop") -> None:
+def _stage_lut_synthesis(
+    context: Dict[str, Any],
+    *,
+    lut_synth: Annotated[
+        str, "per-LUT synthesizer, e.g. 'exact' (T-optimal, <= 4 inputs)"
+    ] = "esop",
+) -> None:
     """Per-LUT sub-synthesis (``esop``, ``exact`` or ``tbs``) of each step."""
     from repro.reversible.lut_synth import synthesize_schedule
 

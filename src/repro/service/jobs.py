@@ -75,7 +75,7 @@ def _parse_configurations(payload: Dict[str, Any]) -> List[FlowConfiguration]:
             configurations.extend(parse_sweep_spec(str(spec)).configurations())
         return configurations
     if "configurations" in payload:
-        configurations = []
+        configurations, flows = [], {}
         for entry in payload["configurations"]:
             if not isinstance(entry, dict) or "flow" not in entry:
                 raise ValueError(
@@ -84,10 +84,14 @@ def _parse_configurations(payload: Dict[str, Any]) -> List[FlowConfiguration]:
             parameters = entry.get("parameters", {})
             if not isinstance(parameters, dict):
                 raise ValueError("configuration 'parameters' must be an object")
+            name = str(entry["flow"])
+            flow = flows[name] = flows.get(name) or make_flow(name)
+            checked = {
+                name: flow.settable(name).check(value)
+                for name, value in parameters.items()
+            }
             configurations.append(
-                FlowConfiguration(
-                    str(entry["flow"]), tuple(sorted(parameters.items()))
-                )
+                FlowConfiguration(flow.name, tuple(sorted(checked.items())))
             )
         return configurations
     if "flow" in payload:
@@ -118,8 +122,8 @@ class JobSpec:
         default sweep) — defaulting to the paper's five configurations —
         plus ``verify``, ``cost_model``, ``jobs``, ``timeout`` and
         ``verilog`` (custom design source).  Raises ``ValueError`` on
-        malformed input, an unknown flow, a parameter no stage of its flow
-        declares or an unknown ``verify`` mode; nothing is executed yet.
+        malformed input, an unknown ``verify`` mode, or a parameter its
+        flow's declared schema rejects; nothing is executed yet.
         """
         if not isinstance(payload, dict):
             raise ValueError("job payload must be a JSON object")
@@ -158,11 +162,6 @@ class JobSpec:
             timeout=float(timeout) if timeout is not None else None,
             verilog=verilog,
         )
-        flows = {
-            name: make_flow(name) for name in {c.flow for c in spec.configurations}
-        }
-        for configuration in spec.configurations:
-            flows[configuration.flow].check_parameters(configuration.as_kwargs())
         spec.tasks()  # fail fast on an empty or inconsistent sweep
         return spec
 

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.explorer import parse_sweep_spec
+from repro.core.flows import available_flows, make_flow
+from repro.service import JobSpec
 
 
 class TestParser:
@@ -12,9 +17,9 @@ class TestParser:
 
     def test_flow_defaults(self):
         args = build_parser().parse_args(["flow", "--flow", "esop"])
-        args.bitwidth == 8
+        assert args.bitwidth == 8
         assert args.design == "intdiv"
-        assert args.factoring is None
+        assert args.parameters == {}  # the flow fills in its own defaults
 
     def test_unknown_flow_rejected(self):
         with pytest.raises(SystemExit):
@@ -391,3 +396,66 @@ class TestPassManagerCli:
         assert exit_code == 2
         err = capsys.readouterr().err
         assert "did you mean" in err and "xmg_strash" in err
+
+
+class TestDeclaredSchema:
+    @pytest.mark.parametrize("flow", sorted(available_flows()))
+    def test_flow_help_lists_exactly_the_flows_parameters(self, flow, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["flow", "--flow", flow, "--help"])
+        assert exited.value.code == 0
+        help_text = capsys.readouterr().out
+        section = help_text.split(f"parameters of the {flow} flow:", 1)[1]
+        listed = re.findall(r"^  (-{1,2}[a-z][a-z-]*) VALUE", section, re.MULTILINE)
+        declared = make_flow(flow).parameters()
+        names = sorted(set(declared) - {"aig", "verilog"})
+        assert listed == [
+            ("-" if len(name) == 1 else "--") + name.replace("_", "-") for name in names
+        ]
+        flat = " ".join(section.split())
+        for name in names:
+            default = declared[name].default
+            assert f"(default: {'unset' if default is None else default})" in flat
+
+    def test_hierarchical_lut_size_is_reachable(self, capsys):
+        exit_code = main(
+            ["flow", "--flow", "hierarchical", "--design", "intdiv", "-n", "3",
+             "--lut-size", "3"]
+        )
+        assert exit_code == 0
+        assert "hierarchical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sweep, value, expected", [
+        ("esop:p=true", True, "an int"),
+        ("esop:p=1.0", 1.0, "an int"),
+        ("lut:k=four", "four", "an int"),
+        ("lut:k=4.0", 4.0, "an int"),
+        ("symbolic:bidirectional=0", 0, "a bool"),
+    ])
+    def test_ill_typed_value_is_rejected_at_every_entry_point(
+        self, sweep, value, expected, capsys
+    ):
+        flow, _, setting = sweep.partition(":")
+        name, _, text = setting.partition("=")
+        fragments = [f"flow {flow!r}", f"parameter {name!r}", f"expects {expected}"]
+        exit_code = main(["explore", "-n", "3", "--sweep", sweep, "--quiet"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert all(fragment in err for fragment in fragments), err
+        payloads = [
+            {"sweeps": [sweep]},
+            {"configurations": [{"flow": flow, "parameters": {name: value}}]},
+        ]
+        for payload in payloads:
+            with pytest.raises(ValueError) as raised:
+                JobSpec.from_payload({"bitwidth": 3, **payload})
+            assert all(fragment in str(raised.value) for fragment in fragments)
+
+    def test_well_typed_values_coerce_as_declared(self):
+        values = lambda spec, name: [c.as_kwargs()[name] for c in parse_sweep_spec(spec)]
+        budgets = values("lut:strategy=bounded:max_pebbles=2,0.5", "max_pebbles")
+        assert budgets == [2, 0.5] and [type(b) for b in budgets] == [int, float]
+        assert values("esop:p=0,1", "p") == [0, 1]
+        assert values("symbolic:bidirectional=true,False", "bidirectional") == [True, False]
+        assert values("lut:strategy=exact:exact_time_budget=3", "exact_time_budget") == [3.0]
+        assert values("esop:rev_opt=none,rev-default", "rev_opt") == ["none", "rev-default"]

@@ -289,9 +289,16 @@ class TestStrategyDispatch:
         assert str(info.value).endswith(f"got {budget!r}")
 
     def test_bad_exact_time_budget_fails_the_same_through_a_sweep(self):
-        grid = parse_sweep_spec(
-            "lut:strategy=exact:exact_time_budget=true,inf,abc"
-        )
+        # A word or a bool is no number: the sweep parser rejects it by the
+        # declared type.  A number make_schedule refuses fails the same
+        # through a sweep as directly.
+        for word in ("true", "abc"):
+            with pytest.raises(
+                ValueError,
+                match="flow 'lut': parameter 'exact_time_budget' expects a number",
+            ):
+                parse_sweep_spec(f"lut:strategy=exact:exact_time_budget={word}")
+        grid = parse_sweep_spec("lut:strategy=exact:exact_time_budget=inf,0,-1")
         budgets = []
         for configuration in grid.configurations():
             parameters = configuration.as_kwargs()
@@ -304,4 +311,4 @@ class TestStrategyDispatch:
             assert str(flow.value).startswith(
                 "exact_time_budget must be a positive number"
             )
-        assert budgets == [True, float("inf"), "abc"]
+        assert budgets == [float("inf"), 0.0, -1.0]

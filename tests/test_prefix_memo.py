@@ -7,16 +7,19 @@ a result, never mutates a shared artefact, and never keeps an entry after
 its last reader.
 """
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 import repro.core.explorer as explorer_module
+from repro.core.cache import CACHE_FORMAT_VERSION, cache_key
 from repro.core.explorer import (
     ExplorationEngine,
     FlowConfiguration,
     build_sweep,
+    default_configurations,
     flow_default_configurations,
 )
 from repro.core.flow import Flow, FlowStage, PrefixMemo
@@ -122,6 +125,39 @@ def test_stage_declaration_comes_from_keyword_only_arguments():
     }
     optimize = make_flow("hierarchical").stages[1]
     assert optimize.params == {"opt": "(resyn2)*2", "opt_guard": "off"}
+
+
+def default_sweep_cache_keys_digest():
+    """SHA-256 over the cache key of every default configuration's run.
+
+    Covers each flow's default sweep and the paper's five configurations,
+    on INTDIV(4) and NEWTON(4), keyed as the engine keys them (``verify``
+    joins the parameters).
+    """
+    configurations = [
+        configuration
+        for flow in available_flows()
+        for configuration in flow_default_configurations(flow)
+    ] + default_configurations()
+    keys = []
+    for design in ("intdiv", "newton"):
+        source = design_source(design, 4)
+        for configuration in configurations:
+            parameters = {**configuration.as_kwargs(), "verify": "auto"}
+            flow = make_flow(configuration.flow)
+            prefix_key = flow.prefix_keys(design, 4, parameters)[-1]
+            keys.append(cache_key(source, configuration.flow, prefix_key))
+    return hashlib.sha256("\n".join(keys).encode()).hexdigest()
+
+
+def test_default_sweep_cache_keys_move_only_with_the_format_version():
+    # Stage declarations (defaults, body qualnames) feed every cache key:
+    # a change here orphans every cached result, so it must come with a
+    # CACHE_FORMAT_VERSION bump.  Update both halves of this pair together.
+    assert (CACHE_FORMAT_VERSION, default_sweep_cache_keys_digest()) == (
+        9,
+        "62ec5cc63e1e5835d00da47d82acef60a6a2a1bf91a49847cb5a6e8beba3c22a",
+    )
 
 
 # -- unknown parameters -----------------------------------------------------------

@@ -197,6 +197,44 @@ class TestJobSpec:
             "symbolic",
         ]
 
+    @pytest.mark.parametrize("parameter, value", [
+        # Another module's source would be synthesised and reported under
+        # the requested design's name.
+        ("verilog", "module other (input a, output y); assign y = a; endmodule"),
+        # The job's own mode would silently override it.
+        ("verify", "full"),
+        # A frontend seed, not a JSON value.
+        ("aig", 1),
+    ])
+    def test_configuration_cannot_set_a_reserved_parameter(self, parameter, value):
+        payload = {
+            "design": "intdiv",
+            "bitwidth": 3,
+            "configurations": [{"flow": "esop", "parameters": {parameter: value}}],
+        }
+        with pytest.raises(ValueError, match=f"reserved parameter name {parameter!r}"):
+            JobSpec.from_payload(payload)
+        with pytest.raises(ValueError, match=f"reserved parameter name {parameter!r}"):
+            JobSpec.from_payload(
+                {"design": "intdiv", "bitwidth": 3, "sweeps": [f"esop:{parameter}=1"]}
+            )
+
+    def test_configuration_values_are_checked_by_the_declared_type(self):
+        spec = JobSpec.from_payload({
+            "configurations": [
+                {"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": 2}},
+                {"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": 0.5}},
+                {"flow": "lut", "parameters": {"strategy": "exact", "exact_time_budget": 3}},
+            ],
+        })
+        values = [c.parameters[0][1] for c in spec.configurations]
+        assert values == [2, 0.5, 3.0]
+        assert [type(v) for v in values] == [int, float, float]
+        with pytest.raises(ValueError, match="'k' expects an int, got '4'"):
+            JobSpec.from_payload(
+                {"configurations": [{"flow": "lut", "parameters": {"k": "4"}}]}
+            )
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -279,23 +317,20 @@ class TestJobManager:
             shutdown_manager(manager)
 
     def test_word_or_bool_pebble_budget_fails_with_a_value_error(self):
-        # A sweep value that is a word or a boolean reaches the bounded
-        # scheduler as a str or bool; both must fail naming max_pebbles.
+        # A word or a boolean is no pebble budget: the declared type
+        # rejects the sweep at submission, naming max_pebbles.
         manager = JobManager(workers=1)
         try:
-            job = manager.submit(buf_payload(
-                sweeps=["lut:strategy=bounded:max_pebbles=half,true"]
-            ))
-            assert job.wait(timeout=30)
-            assert job.failed == job.num_tasks == 2
-            events, _ = job.events_since(0)
-            errors = [e["error"] for e in events if e["type"] == "outcome"]
-            assert len(errors) == 2
-            for error in errors:
-                assert error.startswith("ValueError: max_pebbles must be")
-            assert sorted(error.rsplit("got ", 1)[1] for error in errors) == [
-                "'half'", "True"
-            ]
+            for value in ("half", "true"):
+                with pytest.raises(ValueError) as raised:
+                    manager.submit(buf_payload(
+                        sweeps=[f"lut:strategy=bounded:max_pebbles={value}"]
+                    ))
+                assert str(raised.value) == (
+                    "flow 'lut': parameter 'max_pebbles' expects an int or a "
+                    f"number, got {value!r}"
+                )
+            assert manager.jobs() == []
         finally:
             shutdown_manager(manager)
 
@@ -506,6 +541,17 @@ class TestServer:
             service.url, "POST", "/jobs", {"bitwidths": ["x"]}
         )
         assert status == 400 and "error" in body
+
+    @pytest.mark.parametrize("parameter, value", [
+        ("verilog", BUF), ("verify", "full"), ("aig", 1),
+    ])
+    def test_reserved_configuration_parameter_is_a_400(self, service, parameter, value):
+        status, body = request(service.url, "POST", "/jobs", {
+            "design": "intdiv",
+            "bitwidth": 3,
+            "configurations": [{"flow": "esop", "parameters": {parameter: value}}],
+        })
+        assert status == 400 and f"reserved parameter name {parameter!r}" in body["error"]
 
     def test_rate_limit_rejects_with_429(self, tmp_path):
         handle = start_in_thread(
