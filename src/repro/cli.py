@@ -11,11 +11,14 @@ Examples::
     python -m repro flow --flow lut --help             # the lut flow's parameters
     python -m repro flow --flow esop --design intdiv -n 8 \
         --rev-opt rev-default --map-model rtof         # peephole + T-depth
-    python -m repro passes --target qc                 # Clifford+T passes
+    python -m repro passes                             # list optimisation passes
+    python -m repro passes --target qc                 # Clifford+T passes only
     python -m repro explore --design intdiv -n 8 --rev-opt none \
         --rev-opt rev-default                          # peephole sweep
+    python -m repro explore --design intdiv -n 6
     python -m repro explore --flow lut --design intdiv -n 8   # strategy sweep
     python -m repro explore --design intdiv -n 8 --opt "dc2*2" --opt "b;rw;rf"
+    python -m repro explore --design intdiv -n 8 --verify sampled
     python -m repro verify --design intdiv -n 4 --mode full --quantum
     python -m repro explore --designs intdiv newton --bitwidths 4 5 6 \
         --sweep esop:p=0,1 --sweep hierarchical:strategy=bennett,per_output \
@@ -79,7 +82,6 @@ def build_parser(shown: Optional[str] = None) -> argparse.ArgumentParser:
     flow.add_argument("--design", default="intdiv", help="intdiv / newton / isqrt or a name for --verilog")
     flow.add_argument("--verilog", type=Path, help="path to a Verilog file to synthesise")
     flow.add_argument("-n", "--bitwidth", type=int, default=8)
-    flow.add_argument("--no-verify", action="store_true", help="skip equivalence checking")
     flow.add_argument("--cost-model", default="rtof", choices=["rtof", "barenco"])
     flow.add_argument("--real", type=Path, help="write the reversible circuit as RevLib .real")
     flow.add_argument(
@@ -292,7 +294,7 @@ def _add_parameter_options(
     A one-letter name gets a one-dash flag; ``_`` becomes ``-``.  Every
     flow's options parse, so one the chosen flow does not declare fails in
     :meth:`~repro.core.flow.Flow.check_parameters` with its did-you-mean;
-    ``--help`` lists only the ``shown`` flow's, with its defaults.
+    ``--help`` lists only the ``shown`` flow's, with its choices and defaults.
     """
     flows = {name: make_flow(name) for name in available_flows()}
     listed = flows[shown].parameters() if shown in flows else {}
@@ -303,8 +305,11 @@ def _add_parameter_options(
     for name in sorted(names - FRONTEND_SEEDS):
         help_text = argparse.SUPPRESS
         if name in listed:
-            default = "unset" if listed[name].default is None else listed[name].default
-            help_text = f"{listed[name].help} (default: {default})".replace("%", "%%")
+            declared = listed[name]
+            default = "unset" if declared.default is None else declared.default
+            choices = ": " + ", ".join(declared.choices) if declared.choices else ""
+            help_text = f"{declared.help}{choices} (default: {default})"
+            help_text = help_text.replace("%", "%%")
         group.add_argument(
             ("-" if len(name) == 1 else "--") + name.replace("_", "-"),
             dest=name, action=_ParameterText, metavar="VALUE", help=help_text,
@@ -326,13 +331,14 @@ def _flow_named(argv: List[str]) -> Optional[str]:
 def _command_flow(args: argparse.Namespace) -> int:
     # Only the options the user set: the flow fills in its own defaults.
     texts = dict(args.parameters)
-    verify = texts.pop("verify", "false" if args.no_verify else "true")
+    verify = texts.pop("verify", None)
     try:
         flow = make_flow(args.flow)
         parameters = {
             name: flow.settable(name).parse(text) for name, text in texts.items()
         }
-        parameters["verify"] = flow.parameters()["verify"].parse(verify)
+        if verify is not None:
+            parameters["verify"] = flow.parameters()["verify"].parse(verify)
         if args.verilog is not None:
             parameters["verilog"] = args.verilog.read_text()
         result = run_flow(
@@ -416,11 +422,14 @@ def _command_explore(args: argparse.Namespace) -> int:
         # Crossing can collide with sweep points that already carried the
         # parameter (the default sweeps ship rev_opt points): run each
         # distinct configuration once, keeping first-seen order.
-        unique = {}
+        seen = set()
+        unique = []
         for configuration in configurations:
             key = (configuration.flow, tuple(sorted(configuration.parameters)))
-            unique.setdefault(key, configuration)
-        configurations = list(unique.values())
+            if key not in seen:
+                seen.add(key)
+                unique.append(configuration)
+        configurations = unique
     tasks = build_sweep(designs, bitwidths, configurations)
 
     progress = {"done": 0}
@@ -457,9 +466,17 @@ def _command_explore(args: argparse.Namespace) -> int:
                 if o.task.design == design and o.task.bitwidth == bitwidth
             ]
             print()
-            print(outcome_table(group, title=f"Design space of {design}({bitwidth})"))
+            print(
+                outcome_table(
+                    group, title=f"Design space of {design}({bitwidth})"
+                )
+            )
             front = pareto_front_of(
-                {o.task.configuration.label(): o.report for o in group if o.ok}
+                {
+                    o.task.configuration.label(): o.report
+                    for o in group
+                    if o.ok
+                }
             )
             rows = [(point.label(), point.qubits, point.t_count) for point in front]
             _print_front("Pareto front", rows)
@@ -470,7 +487,9 @@ def _command_explore(args: argparse.Namespace) -> int:
             f"cache: {engine.cache_hits} hit(s), {engine.executed} flow(s) executed"
         )
     if args.json is not None:
-        args.json.write_text(reports_to_json([o.report for o in outcomes if o.ok]))
+        args.json.write_text(
+            reports_to_json([o.report for o in outcomes if o.ok])
+        )
         print(f"wrote {args.json}")
     return 0 if engine.failures == 0 else 1
 
@@ -526,34 +545,47 @@ def _command_verify(args: argparse.Namespace) -> int:
             num_samples=args.samples,
             seed=args.seed,
         )
-        checks, skipped = [("aig = circuit", check)], []
+        failures += 0 if check.equivalent else 1
+        rows.append(
+            (
+                flow_name,
+                "aig = circuit",
+                check.num_patterns,
+                "full" if check.complete else "sampled",
+                "ok" if check.equivalent else f"FAIL: {check.message}",
+            )
+        )
         if args.quantum:
             quantum = map_to_clifford_t(result.circuit)
             if quantum.num_qubits > _QUANTUM_VERIFY_QUBIT_LIMIT:
-                reason = (
-                    f"skipped ({quantum.num_qubits} qubits > "
-                    f"{_QUANTUM_VERIFY_QUBIT_LIMIT})"
+                rows.append(
+                    (
+                        flow_name,
+                        "circuit = clifford+t",
+                        0,
+                        "-",
+                        f"skipped ({quantum.num_qubits} qubits > "
+                        f"{_QUANTUM_VERIFY_QUBIT_LIMIT})",
+                    )
                 )
-                skipped.append((flow_name, "circuit = clifford+t", 0, "-", reason))
-            else:
-                quantum_check = check_equivalent(
-                    result.circuit,
-                    mapped_circuit_simulator(quantum, result.circuit),
-                    mode="sampled",
-                    num_samples=min(args.samples, _QUANTUM_VERIFY_MAX_SAMPLES),
-                    seed=args.seed,
+                continue
+            quantum_check = check_equivalent(
+                result.circuit,
+                mapped_circuit_simulator(quantum, result.circuit),
+                mode="sampled",
+                num_samples=min(args.samples, _QUANTUM_VERIFY_MAX_SAMPLES),
+                seed=args.seed,
+            )
+            failures += 0 if quantum_check.equivalent else 1
+            rows.append(
+                (
+                    flow_name,
+                    "circuit = clifford+t",
+                    quantum_check.num_patterns,
+                    "full" if quantum_check.complete else "sampled",
+                    "ok" if quantum_check.equivalent else f"FAIL: {quantum_check.message}",
                 )
-                checks.append(("circuit = clifford+t", quantum_check))
-        for name, outcome in checks:
-            failures += 0 if outcome.equivalent else 1
-            rows.append((
-                flow_name,
-                name,
-                outcome.num_patterns,
-                "full" if outcome.complete else "sampled",
-                "ok" if outcome.equivalent else f"FAIL: {outcome.message}",
-            ))
-        rows.extend(skipped)
+            )
 
     design_label = args.design if args.verilog is None else args.verilog.name
     print(

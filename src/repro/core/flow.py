@@ -18,7 +18,8 @@ prefix key.  A stage body must therefore depend on nothing else: a
 closure that captures a setting exposes it as a parameter default.
 
 Each keyword-only argument is annotated ``Annotated[type, "help line"]``,
-the one parameter schema: :meth:`Flow.parameters` reads it, and every entry
+optionally followed by the owning module's choices of a string value, the
+one parameter schema: :meth:`Flow.parameters` reads it, and every entry
 point coerces user input through :meth:`Parameter.parse` (text) or
 :meth:`Parameter.check` (JSON), so bad input fails before any flow runs.
 """
@@ -58,10 +59,6 @@ FRONTEND_SEEDS = frozenset({"aig", "verilog"})
 RESERVED_PARAMETERS = FRONTEND_SEEDS | {
     "verify", "flow", "design", "bitwidth", "cost_model", "memo",
 }
-
-#: Resolved annotations per stage body, keyed by its code and annotation
-#: text, so every closure one stage factory makes resolves once.
-_HINTS: Dict[Any, Dict[str, Any]] = {}
 
 _TYPE_NAMES = {
     bool: "a bool",
@@ -123,13 +120,14 @@ def _coerce(kind: Any, value: Any, text: bool) -> Any:
 
 @dataclass(frozen=True)
 class Parameter:
-    """One declared parameter of a flow: its type, default and help line."""
+    """One declared parameter of a flow: its type, help line, default and choices."""
 
     flow: str
     name: str
     type: Any
     help: str
     default: Any
+    choices: Sequence[str] = ()
 
     def parse(self, text: str) -> Any:
         """The value written as ``text`` (a CLI option or a ``--sweep`` value)."""
@@ -141,7 +139,11 @@ class Parameter:
 
     def _coerce(self, value: Any, text: bool) -> Any:
         try:
-            return _coerce(self.type, value, text)
+            coerced = _coerce(self.type, value, text)
+            unlisted = isinstance(coerced, str) and coerced not in self.choices
+            if self.choices and unlisted:
+                raise ValueError(f"not one of {', '.join(self.choices)}")
+            return coerced
         except ValueError as exc:
             reason = f": {exc}" if str(exc) else ""
             raise ValueError(
@@ -177,13 +179,7 @@ class FlowStage:
 
     def declarations(self, flow: str) -> List[Parameter]:
         """The declared parameters with their annotated types and help lines."""
-        code = getattr(self.run, "__code__", None)
-        key = None if code is None else (code, str(self.run.__annotations__))
-        hints = _HINTS.get(key)
-        if hints is None:
-            hints = get_type_hints(self.run, include_extras=True)
-            if key is not None:
-                _HINTS[key] = hints
+        hints = get_type_hints(self.run, include_extras=True)
         declared = []
         for name, default in self.params.items():
             hint = hints.get(name)
@@ -195,7 +191,10 @@ class FlowStage:
                 raise TypeError(
                     f"stage {self.name!r}: {name!r} is not Annotated[type, help]"
                 )
-            declared.append(Parameter(flow, name, *get_args(hint)[:2], default))
+            kind, help_text, *choices = get_args(hint)
+            declared.append(
+                Parameter(flow, name, kind, help_text, default, *map(tuple, choices))
+            )
         return declared
 
 

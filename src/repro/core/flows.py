@@ -13,9 +13,11 @@ synthesis and hands the result to one of the reversible synthesis back-ends:
   XMG mapping, hierarchical synthesis (Table IV): the pebble game of
   :func:`lut_flow` with one gate block per XMG gate,
 * :func:`lut_flow`          — k-LUT covering of the optimised AIG, a
-  reversible pebble game scheduled over the LUT DAG under a ``strategy``
-  and an optional ``max_pebbles`` qubit budget, and per-LUT synthesis of
-  each schedule step (the paper's LUT-based hierarchical synthesis).
+  reversible pebble game scheduled over the LUT DAG (``strategy`` is one
+  of the pebbling strategies ``bennett`` / ``eager`` / ``bounded`` /
+  SAT-``exact``, with a ``max_pebbles`` qubit budget), and per-LUT
+  ESOP/exact-ESOP/TBS synthesis of each schedule step (the paper's
+  LUT-based hierarchical synthesis).
 
 All flows share a common tail: an optional reversible peephole pipeline
 (``rev_opt``, e.g. ``"rev-default"``) over the synthesised cascade,
@@ -37,9 +39,10 @@ from repro.logic.aig import Aig
 from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd, collapse_to_esop
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt import as_pipeline
+from repro.quantum.tcount import available_models
 from repro.reversible.embedding import optimum_embedding
 from repro.reversible.esop_synth import esop_synthesis
-from repro.reversible.lut_synth import hierarchical_synthesis
+from repro.reversible.lut_synth import LUT_SYNTHESIZERS, hierarchical_synthesis
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.verify.differential import (
     AUTO_FULL_LIMIT,
@@ -86,7 +89,7 @@ def design_source(design: str, bitwidth: int) -> str:
 
 #: Parameters more than one stage declares.
 OptGuard = Annotated[
-    str, "equivalence guard of each optimisation pass: " + ", ".join(VERIFY_MODES)
+    Union[bool, str], "equivalence guard of each optimisation pass", VERIFY_MODES
 ]
 XmgOpt = Annotated[
     Optional[PipelineSpec], "XMG optimisation pipeline, e.g. 'xmg-default'"
@@ -127,8 +130,11 @@ def frontend_artifacts(
 def _make_optimize_stage(script: str, rounds: int) -> FlowStage:
     """The AIG optimisation stage, a pass-manager pipeline.
 
-    ``opt`` defaults to the flow's ABC script ``(script)*rounds`` and may
-    also be a pre-built :class:`repro.opt.Pipeline`.
+    ``opt`` is a pipeline spec such as ``"b;rw;rf"`` or ``"dc2*3"``, or a
+    pre-built :class:`repro.opt.Pipeline`; it defaults to the flow's
+    historical ABC script ``(script)*rounds``, and ``"none"`` disables AIG
+    optimisation.  ``opt_guard`` optionally enables the per-pass
+    differential equivalence guard (``off``/``sampled``/``full``/``auto``).
     """
     default_spec = f"({script})*{rounds}"
 
@@ -157,9 +163,13 @@ def _make_optimize_stage(script: str, rounds: int) -> FlowStage:
 def _stage_xmg_opt(
     context: Dict[str, Any], *, xmg_opt: XmgOpt = None, opt_guard: OptGuard = "off"
 ) -> None:
-    """Optional XMG optimisation between mapping and synthesis.
+    """Optional XMG optimisation pipeline between mapping and synthesis.
 
-    Fewer MAJ gates mean fewer Toffoli blocks, so a lower T-count.
+    Disabled by default (``xmg_opt`` unset/None/"none"): pass a spec such
+    as ``"xmg-default"`` (the registered strash/Ω-rewrite/XOR/cut-refactor
+    pipeline) or any combination of the ``xmg_*`` passes to reduce the MAJ
+    count — and therefore the Toffoli blocks and T-count — of the
+    hierarchical synthesis back-end.
     """
     pipeline = as_pipeline(xmg_opt)
     if len(pipeline):
@@ -189,8 +199,11 @@ def _stage_rev_opt(
 ) -> None:
     """Optional peephole optimisation of the synthesised cascade.
 
-    Keep-best tracking runs under the lexicographic ``(T-count, gates)``
-    objective.
+    ``rev_opt`` is a pass-manager pipeline spec over the ``rev`` target —
+    e.g. ``"rev-default"`` (NOT merging and cancellation to a fixed point,
+    at most four rounds) or any combination of ``rn`` / ``rc`` — executed
+    with keep-best tracking under the lexicographic ``(T-count, gates)``
+    objective and the optional per-pass differential guard (``opt_guard``).
     """
     pipeline = as_pipeline(rev_opt)
     if not len(pipeline):
@@ -211,22 +224,29 @@ def _stage_resources(
     context: Dict[str, Any],
     *,
     map_model: Annotated[
-        Optional[str], "Clifford+T mapping of a resource estimate, e.g. 'rtof'"
+        Optional[str], "Clifford+T mapping of a resource estimate", available_models()
     ] = None,
     qc_opt: Annotated[
         Optional[PipelineSpec], "Clifford+T peephole pipeline, e.g. 'qc-default'"
     ] = None,
     qc_opt_guard: Annotated[
-        Optional[str], "qc_opt's guard; unset: opt_guard if small"
+        Optional[Union[bool, str]], "qc_opt's guard (unset: opt_guard if small)",
+        VERIFY_MODES,
     ] = None,
     opt_guard: OptGuard = "off",
 ) -> None:
     """Optional explicit Clifford+T mapping and resource estimation.
 
-    Each gate's expansion is asserted against the closed forms of
-    :mod:`repro.quantum.tcount`, and the
-    :class:`~repro.quantum.resources.ResourceEstimate` (T-depth, depth,
-    mapped qubits) joins the cost report.  ``qc_opt`` or ``qc_opt_guard``
+    ``map_model`` selects the decomposition model (``"rtof"`` — 4-T
+    relative-phase Toffoli chains — or ``"barenco"``); the cascade is
+    expanded into an explicit Clifford+T circuit whose per-gate T-count is
+    asserted against the closed forms of :mod:`repro.quantum.tcount`, an
+    optional ``qc_opt`` peephole pipeline (e.g. ``"qc-default"``) runs on
+    the mapped circuit, and the resulting
+    :class:`~repro.quantum.resources.ResourceEstimate` joins the flow's
+    :class:`~repro.core.cost.CostReport` (T-depth, total depth, mapped
+    qubits).  Skipped entirely when ``map_model`` is unset, so flows only
+    pay for the expansion when asked; ``qc_opt`` or ``qc_opt_guard``
     without a ``map_model`` is a ``ValueError``.
     """
     if map_model is None:
@@ -266,7 +286,7 @@ def _stage_verify(
     context: Dict[str, Any],
     *,
     verify: Annotated[
-        Union[bool, str], "equivalence check: a bool or " + ", ".join(VERIFY_MODES)
+        Union[bool, str], "equivalence check, true/false or a mode", VERIFY_MODES
     ] = True,
     verify_samples: Annotated[int, "patterns of a sampled check"] = 256,
     verify_seed: Annotated[int, "seed of a sampled check's patterns"] = 1,
@@ -276,8 +296,9 @@ def _stage_verify(
 ) -> None:
     """ABC ``cec`` analogue: differentially compare circuit and AIG.
 
-    The check is the bit-parallel differential checker of
-    :mod:`repro.verify`, which simulates the
+    ``verify`` is a bool (historical) or one of the named modes ``off`` /
+    ``sampled`` / ``full`` / ``auto``; the check itself is the bit-parallel
+    differential checker of :mod:`repro.verify`, which simulates the
     bit-blasted AIG and the synthesised reversible circuit on the same
     packed pattern batch.  The reference is ``spec_aig`` — the AIG *before*
     any optimisation pipeline touched it — so a buggy pass (or a buggy XMG
@@ -414,7 +435,13 @@ def _stage_hierarchical(
 
 
 def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flow:
-    """The hierarchical synthesis flow (Section IV-C / Table IV)."""
+    """The hierarchical synthesis flow (Section IV-C / Table IV).
+
+    Between XMG mapping and synthesis an optional XMG optimisation
+    pipeline (context key ``xmg_opt``, e.g. ``"xmg-default"``) reduces
+    the MAJ count that directly determines the Toffoli blocks of the
+    back-end.
+    """
     return Flow(
         "hierarchical",
         [
@@ -441,10 +468,15 @@ def _stage_xmg_roundtrip(
 ) -> None:
     """Optional XMG optimisation of the LUT flow's AIG (round-trip).
 
-    The optimised AIG is mapped into an XMG, optimised and expanded back
-    with :func:`~repro.logic.xmg_mapping.xmg_to_aig`; LUT covering packs the
-    XOR/MAJ structure the pipeline found into fewer, cheaper LUTs.
-    ``xmg_opt_k`` is independent of the covering size ``k``.
+    The LUT flow consumes an AIG, so the XMG pass library reaches it by
+    mapping the optimised AIG into an XMG, running the ``xmg_opt``
+    pipeline (same parameter as the hierarchical flow, e.g.
+    ``"xmg-default"``) and expanding the result back with
+    :func:`~repro.logic.xmg_mapping.xmg_to_aig`.  The round-tripped AIG
+    carries the XOR/MAJ structure the pipeline found, which LUT covering
+    packs into fewer, cheaper LUTs.  Disabled by default.  ``xmg_opt_k``
+    sizes the AIG->XMG mapping of the round-trip; it is deliberately
+    independent of the LUT covering size ``k`` downstream.
     """
     pipeline = as_pipeline(xmg_opt)
     if not len(pipeline):
@@ -462,7 +494,7 @@ def _stage_lut_map(
     max_cuts: Annotated[int, "priority cuts kept per node"] = 8,
     cut_selection: Annotated[str, "cut cost of the covering, e.g. 'depth'"] = "area",
 ) -> None:
-    """k-LUT covering of the AIG."""
+    """k-LUT covering of the AIG (``cut_selection``: ``area`` or ``depth``)."""
     from repro.logic.cuts import lut_map
 
     mapping = lut_map(context["aig"], k=k, max_cuts=max_cuts, selection=cut_selection)
@@ -485,8 +517,11 @@ def _stage_pebble(
 ) -> None:
     """Schedule the LUT DAG with a pebbling strategy.
 
-    :func:`~repro.reversible.pebbling.make_schedule` rejects an option the
-    strategy does not take.
+    ``max_pebbles`` is the budget of the bounded and exact strategies (an
+    int, or a float in ``(0, 1)`` as a fraction of the LUT count);
+    ``exact_time_budget`` caps the seconds the ``exact`` strategy spends
+    in SAT.  :func:`~repro.reversible.pebbling.make_schedule` rejects an
+    option the strategy does not take.
     """
     from repro.reversible.pebbling import make_schedule
 
@@ -515,7 +550,8 @@ def _stage_lut_synthesis(
     context: Dict[str, Any],
     *,
     lut_synth: Annotated[
-        str, "per-LUT synthesizer, e.g. 'exact' (T-optimal, <= 4 inputs)"
+        str, "per-LUT synthesizer (exact: T-optimal up to 4 inputs)",
+        LUT_SYNTHESIZERS,
     ] = "esop",
 ) -> None:
     """Per-LUT sub-synthesis (``esop``, ``exact`` or ``tbs``) of each step."""

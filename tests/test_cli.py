@@ -459,3 +459,29 @@ class TestDeclaredSchema:
         assert values("symbolic:bidirectional=true,False", "bidirectional") == [True, False]
         assert values("lut:strategy=exact:exact_time_budget=3", "exact_time_budget") == [3.0]
         assert values("esop:rev_opt=none,rev-default", "rev_opt") == ["none", "rev-default"]
+        assert values("esop:opt_guard=true,sampled", "opt_guard") == [True, "sampled"]
+        spec = JobSpec.from_payload({"configurations": [
+            {"flow": "esop", "parameters": {"opt_guard": True}},
+        ]})
+        assert spec.configurations[0].as_kwargs() == {"opt_guard": True}
+
+    @pytest.mark.parametrize("option, value, choice", [
+        ("--map-model", "bogus", "barenco, rtof"),
+        ("--lut-synth", "magic", "esop, exact, tbs, xmg"),
+        ("--opt-guard", "often", "off, sampled, full, auto"),
+        ("--verify", "maybe", "off, sampled, full, auto"),
+    ])
+    def test_value_outside_the_owners_choices_fails_before_the_run(
+        self, option, value, choice, capsys
+    ):
+        argv = ["flow", "--flow", "lut", "-n", "3", option, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"got {value!r}: not one of {choice}" in err
+        assert value in err and option[2:].replace("-", "_") in err
+
+    def test_flow_verify_option_sets_the_mode(self, capsys):
+        assert main(["flow", "--flow", "esop", "-n", "3"]) == 0
+        assert re.search(r"verified\s+1$", capsys.readouterr().out, re.MULTILINE)
+        assert main(["flow", "--flow", "esop", "-n", "3", "--verify", "false"]) == 0
+        assert re.search(r"verified\s+-$", capsys.readouterr().out, re.MULTILINE)

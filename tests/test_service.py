@@ -234,6 +234,10 @@ class TestJobSpec:
             JobSpec.from_payload(
                 {"configurations": [{"flow": "lut", "parameters": {"k": "4"}}]}
             )
+        with pytest.raises(ValueError, match="'bogus': not one of barenco, rtof"):
+            JobSpec.from_payload(
+                {"configurations": [{"flow": "esop", "parameters": {"map_model": "bogus"}}]}
+            )
 
     @pytest.mark.parametrize(
         "payload",
