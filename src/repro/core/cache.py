@@ -63,8 +63,12 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: so version-7 entries would serve the dearer circuits.  Version 9: the
 #: ``hierarchical`` flow became the shared pebble game, which replays
 #: uncompute blocks in reverse (NEWTON(3) Bennett rtof T-depth 903 -> 901;
-#: ``rev_opt`` now cancels per-output recomputation).
-CACHE_FORMAT_VERSION = 9
+#: ``rev_opt`` now cancels per-output recomputation).  Version 10: the
+#: SAT-backed ``strategy=exact`` pebbling, its ``exact_time_budget``
+#: parameter and its ``pebble_engine`` / ``pebble_optimal`` metrics were
+#: removed, so the ``lut`` pebble stage lost a declared default and every
+#: ``lut`` prefix key moved.
+CACHE_FORMAT_VERSION = 10
 
 
 def cache_key(

@@ -31,8 +31,8 @@ import inspect
 import time
 from dataclasses import dataclass, field
 from typing import (
-    AbstractSet, Annotated, Any, Callable, Dict, List, Mapping, NewType, Optional,
-    Sequence, Union, get_args, get_origin, get_type_hints,
+    AbstractSet, Annotated, Any, Callable, Dict, Iterable, List, Mapping, NewType,
+    Optional, Sequence, Union, get_args, get_origin, get_type_hints,
 )
 
 from repro.core.cost import CostReport
@@ -291,25 +291,29 @@ class Flow:
     def settable(self, name: str) -> Parameter:
         """The declaration of ``name``, which a configuration may set.
 
-        Rejects a reserved name and, with :meth:`check_parameters`'
-        did-you-mean, one no stage declares.
+        Rejects a reserved name, and one no stage declares with a
+        did-you-mean and a list of names that hold only the parameters a
+        configuration may set.
         """
         if name in RESERVED_PARAMETERS:
             raise ValueError(
                 f"reserved parameter name {name!r} for flow {self.name!r}: "
                 "the design entry and the run set it"
             )
-        self.check_parameters({name: None})
+        known = [n for n in self.parameter_names() if n not in RESERVED_PARAMETERS]
+        self._check_known([name], known)
         return self.parameters()[name]
 
     def check_parameters(self, parameters: Mapping[str, Any]) -> None:
         """Reject a parameter no stage declares, naming the closest declared one."""
-        known = self.parameter_names()
-        for name in (name for name in parameters if name not in known):
-            close = closest_name(name, known)
+        self._check_known(parameters, self.parameter_names())
+
+    def _check_known(self, names: Iterable[str], known: List[str]) -> None:
+        for name in (name for name in names if name not in known):
             raise ValueError(
                 f"unknown parameter {name!r} for flow {self.name!r}"
-                f"{did_you_mean(close)} (declared: {', '.join(known)})"
+                f"{did_you_mean(closest_name(name, known))} "
+                f"(declared: {', '.join(known)})"
             )
 
     def prefix_keys(

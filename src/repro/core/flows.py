@@ -14,8 +14,8 @@ synthesis and hands the result to one of the reversible synthesis back-ends:
   :func:`lut_flow` with one gate block per XMG gate,
 * :func:`lut_flow`          — k-LUT covering of the optimised AIG, a
   reversible pebble game scheduled over the LUT DAG (``strategy`` is one
-  of the pebbling strategies ``bennett`` / ``eager`` / ``bounded`` /
-  SAT-``exact``, with a ``max_pebbles`` qubit budget), and per-LUT
+  of the pebbling strategies ``bennett`` / ``eager`` / ``bounded``, the
+  last with a ``max_pebbles`` qubit budget), and per-LUT
   ESOP/exact-ESOP/TBS synthesis of each schedule step (the paper's
   LUT-based hierarchical synthesis).
 
@@ -508,42 +508,29 @@ def _stage_pebble(
     strategy: Strategy = "bennett",
     max_pebbles: Annotated[
         Optional[Union[int, float]],
-        "pebble budget of bounded and exact: a count, or a fraction in (0, 1) "
-        "of the LUTs",
-    ] = None,
-    exact_time_budget: Annotated[
-        Optional[float], "seconds exact may spend in SAT"
+        "pebble budget of bounded: a count, or a fraction in (0, 1) of the LUTs",
     ] = None,
 ) -> None:
     """Schedule the LUT DAG with a pebbling strategy.
 
-    ``max_pebbles`` is the budget of the bounded and exact strategies (an
-    int, or a float in ``(0, 1)`` as a fraction of the LUT count);
-    ``exact_time_budget`` caps the seconds the ``exact`` strategy spends
-    in SAT.  :func:`~repro.reversible.pebbling.make_schedule` rejects an
-    option the strategy does not take.
+    ``max_pebbles`` is the budget of the bounded strategy (an int, or a
+    float in ``(0, 1)`` as a fraction of the LUT count);
+    :func:`~repro.reversible.pebbling.make_schedule` rejects it for a
+    strategy that does not take it.
     """
     from repro.reversible.pebbling import make_schedule
 
     schedule = make_schedule(
-        context["lut_mapping"],
-        strategy=strategy,
-        max_pebbles=max_pebbles,
-        exact_time_budget=exact_time_budget,
+        context["lut_mapping"], strategy=strategy, max_pebbles=max_pebbles
     )
     stats = schedule.stats()  # cached from make_schedule's validation
     context["schedule"] = schedule
-    metrics: Dict[str, Any] = {
-        "pebble_peak": stats.pebble_peak,
-        "schedule_steps": stats.num_steps,
-        "recomputes": schedule.num_recomputes(),
-    }
-    if schedule.info:
-        # The exact engine's provenance: which SAT regime ran and whether
-        # move-optimality was proven within the time budget.
-        metrics["pebble_engine"] = schedule.info.get("engine")
-        metrics["pebble_optimal"] = bool(schedule.info.get("optimal"))
-    _add_metrics(context, **metrics)
+    _add_metrics(
+        context,
+        pebble_peak=stats.pebble_peak,
+        schedule_steps=stats.num_steps,
+        recomputes=schedule.num_recomputes(),
+    )
 
 
 def _stage_lut_synthesis(

@@ -13,10 +13,10 @@ design flows:
   sub-expression factoring (the REVS flow, parameter ``p``),
 * :mod:`repro.reversible.pebbling` / :mod:`repro.reversible.lut_synth` —
   hierarchical synthesis as a reversible pebble game: pebbling schedules
-  over a k-LUT cover or an XMG's gates (Bennett / eager / budget-bounded /
-  SAT-exact strategies, all dispatched by ``make_schedule``, with a
-  machine-checked schedule validator) and their execution via per-LUT ESOP/TBS blocks (the ``lut``
-  flow) or per-gate XMG blocks (the ``hierarchical`` flow).
+  over a k-LUT cover or an XMG's gates (Bennett / eager / budget-bounded
+  strategies, all dispatched by ``make_schedule``, with a machine-checked
+  schedule validator) and their execution via per-LUT ESOP/TBS blocks (the
+  ``lut`` flow) or per-gate XMG blocks (the ``hierarchical`` flow).
 
 Every synthesised circuit is checked against its irreversible
 specification by :func:`repro.verify.check_equivalent`.

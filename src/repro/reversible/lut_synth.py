@@ -68,8 +68,10 @@ __all__ = [
     "xmg_gate_mapping",
 ]
 
-#: The per-LUT sub-synthesizers understood by :func:`synthesize_schedule`.
-LUT_SYNTHESIZERS = ("esop", "exact", "tbs", "xmg")
+#: The sub-synthesizers of an arbitrary LUT function (the ``lut`` flow's
+#: choices).  :func:`synthesize_schedule` also takes ``"xmg"``, whose
+#: blocks realise XMG gates only, for :func:`hierarchical_synthesis`.
+LUT_SYNTHESIZERS = ("esop", "exact", "tbs")
 
 #: A gate as ``(care, polarity, target)`` masks (``ReversibleCircuit.
 #: extend_masks``): it fires when ``state & care == polarity``.
@@ -180,16 +182,16 @@ def synthesize_schedule(
     """Execute a pebble schedule into a reversible circuit.
 
     ``lut_synth`` selects the per-LUT sub-synthesizer (one of
-    :data:`LUT_SYNTHESIZERS`).  The schedule is validated first (disable
-    with ``validate=False`` only for schedules already validated); an
-    invalid schedule raises
+    :data:`LUT_SYNTHESIZERS`, or ``"xmg"`` for XMG gates).  The schedule
+    is validated first (disable with ``validate=False`` only for schedules
+    already validated); an invalid schedule raises
     :class:`~repro.reversible.pebbling.InvalidScheduleError` before any
     gate is emitted.
     """
     if lut_synth not in _BLOCK_BUILDERS:
         raise ValueError(
             f"unknown LUT synthesizer {lut_synth!r}; expected one of "
-            f"{', '.join(LUT_SYNTHESIZERS)}"
+            f"{', '.join(_BLOCK_BUILDERS)}"
         )
     if validate:
         validate_schedule(schedule)

@@ -15,9 +15,8 @@ number of live ancillas — i.e. the qubit count — while recomputation adds
 gates; scheduling the game therefore trades qubits against T-count.
 
 This module provides the schedule IR and three scheduling strategies
-(:mod:`repro.reversible.exact_pebbling` adds a fourth, SAT-``exact``;
-:func:`make_schedule` dispatches all four by name and is the one place
-that checks which strategy takes which option):
+(:func:`make_schedule` dispatches them by name and is the one place that
+checks which strategy takes which option):
 
 * :func:`bennett_schedule`  — compute every LUT once, copy all outputs,
   uncompute in reverse; pebble peak equals the number of LUTs, gate count
@@ -41,8 +40,6 @@ are left dirty at the end.  The executor
 from __future__ import annotations
 
 import heapq
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -124,10 +121,6 @@ class PebbleSchedule:
     _stats: Optional[ScheduleStats] = field(
         default=None, repr=False, compare=False
     )
-    #: Free-form provenance metadata: the exact engine records which SAT
-    #: mode produced the schedule, whether optimality was proven, and its
-    #: solver effort here.  Never interpreted by the executor.
-    info: Dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -650,7 +643,6 @@ _STRATEGY_NAMES = {
     "eager": "eager",
     "per_output": "eager",
     "bounded": "bounded",
-    "exact": "exact",
 }
 
 
@@ -670,21 +662,15 @@ def make_schedule(
     mapping: LutMapping,
     strategy: str = "bennett",
     max_pebbles=None,
-    exact_time_budget=None,
 ) -> PebbleSchedule:
     """Build and validate a schedule with the named strategy.
 
     ``strategy`` is the one strategy namespace of the ``hierarchical`` and
     ``lut`` flows: ``"bennett"``, ``"eager"`` (alias ``"per_output"``, the
-    paper's per-output cleanup), ``"bounded"`` or ``"exact"``
-    (:func:`repro.reversible.exact_pebbling.exact_schedule`); an unknown
-    name raises ``ValueError`` with a did-you-mean suggestion.
-    ``max_pebbles`` is the budget of ``"bounded"`` (default ``0.5``) and
-    ``"exact"`` (default: :func:`minimum_pebbles`); ``exact_time_budget``
-    caps the seconds ``"exact"`` spends in SAT.  Each option given to a
-    strategy that does not take it raises ``ValueError``, as does an
-    ``exact_time_budget`` that is not a positive, finite real number (a
-    boolean or a numeric string is not one).
+    paper's per-output cleanup) or ``"bounded"``; an unknown name raises
+    ``ValueError`` with a did-you-mean suggestion.  ``max_pebbles`` is the
+    budget of ``"bounded"`` (default ``0.5``); giving it to another
+    strategy raises ``ValueError``.
     """
     # A service payload can carry any JSON value, unhashable ones included.
     canonical = _STRATEGY_NAMES.get(strategy) if isinstance(strategy, str) else None
@@ -694,45 +680,19 @@ def make_schedule(
             f"parameter; expected one of {_known_strategies()}"
             f"{did_you_mean(closest_name(strategy, _STRATEGY_NAMES))}"
         )
-    if exact_time_budget is not None:
-        if canonical != "exact":
-            raise ValueError(
-                f"exact_time_budget={exact_time_budget!r} applies only to "
-                f"strategy='exact', not strategy={strategy!r}"
-            )
-        if (
-            isinstance(exact_time_budget, bool)
-            or not isinstance(exact_time_budget, numbers.Real)
-            or not 0 < exact_time_budget < math.inf
-        ):
-            raise ValueError(
-                f"exact_time_budget must be a positive number of seconds "
-                f"for strategy={strategy!r}, got {exact_time_budget!r}"
-            )
     if max_pebbles is not None and canonical in ("bennett", "eager"):
         raise ValueError(
             f"strategy {strategy!r} takes no pebble budget, got "
             f"max_pebbles={max_pebbles!r}; budgets apply to the 'bounded' "
-            f"and 'exact' strategies"
+            f"strategy"
         )
     if canonical == "bennett":
         schedule = bennett_schedule(mapping)
     elif canonical == "eager":
         schedule = eager_schedule(mapping)
-    elif canonical == "bounded":
+    else:
         schedule = bounded_schedule(
             mapping, 0.5 if max_pebbles is None else max_pebbles
-        )
-    else:
-        # Looked up at call time: exact_pebbling imports this module.
-        from repro.reversible import exact_pebbling
-
-        schedule = exact_pebbling.exact_schedule(
-            mapping,
-            max_pebbles=max_pebbles,
-            time_budget=exact_pebbling.DEFAULT_TIME_BUDGET
-            if exact_time_budget is None
-            else float(exact_time_budget),
         )
     schedule.stats()  # validate once; callers reuse the cached statistics
     return schedule

@@ -12,6 +12,5 @@ mask-native).  The property tests compare the two on random inputs:
   former kernel),
 * :mod:`oracles.circuits` — T-count, depth and resource sweeps, the
   reversible peephole passes, transformation-based synthesis and the
-  greedy bounded pebbling scheduler,
-* :mod:`oracles.sat` — the CDCL solver before its inner loop was tuned.
+  greedy bounded pebbling scheduler.
 """

@@ -114,6 +114,19 @@ class TestCommands:
         assert exit_code == 2
         assert "unknown parameter" in capsys.readouterr().err
 
+    def test_unknown_name_suggests_and_lists_only_settable_names(self, capsys):
+        # verify, aig and verilog are declared, but no configuration sets them.
+        argv = ["explore", "-n", "3", "--sweep", "esop:verif=auto", "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter 'verif'" in err and "'verify'" not in err
+        argv = ["flow", "--flow", "hierarchical", "-k", "6", "-n", "3"]
+        assert main(argv) == 2
+        declared = capsys.readouterr().err.partition("(declared: ")[2]
+        names = declared.strip().rstrip(")").split(", ")
+        assert "lut_size" in names
+        assert not {"aig", "verify", "verilog"} & set(names)
+
     def test_flow_command_rejects_budget_of_unbudgeted_strategy(self, capsys):
         exit_code = main(
             ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
@@ -129,36 +142,6 @@ class TestCommands:
         )
         assert exit_code == 2
         assert "minimum" in capsys.readouterr().err
-
-    def test_flow_command_misplaced_exact_time_budget_exits_2(self, capsys):
-        exit_code = main(
-            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
-             "--strategy", "bounded", "--max-pebbles", "0.5",
-             "--exact-time-budget", "3"]
-        )
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "exact_time_budget=3.0" in err and "'bounded'" in err
-
-    def test_flow_command_non_positive_exact_time_budget_exits_2(self, capsys):
-        exit_code = main(
-            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
-             "--strategy", "exact", "--max-pebbles", "0.5",
-             "--exact-time-budget", "-1"]
-        )
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "exact_time_budget must be a positive" in err and "-1.0" in err
-
-    def test_flow_command_exact_above_the_lut_limit_exits_2(self, capsys):
-        # INTDIV(6) maps to 75 LUTs, above the exact strategy's limit.
-        exit_code = main(
-            ["flow", "--flow", "lut", "--design", "intdiv", "-n", "6",
-             "--strategy", "exact"]
-        )
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "at most 12 LUTs" in err and "'bounded'" in err
 
     def test_explore_flow_lut_sweeps_strategies(self, capsys):
         exit_code = main(
@@ -457,7 +440,6 @@ class TestDeclaredSchema:
         assert budgets == [2, 0.5] and [type(b) for b in budgets] == [int, float]
         assert values("esop:p=0,1", "p") == [0, 1]
         assert values("symbolic:bidirectional=true,False", "bidirectional") == [True, False]
-        assert values("lut:strategy=exact:exact_time_budget=3", "exact_time_budget") == [3.0]
         assert values("esop:rev_opt=none,rev-default", "rev_opt") == ["none", "rev-default"]
         assert values("esop:opt_guard=true,sampled", "opt_guard") == [True, "sampled"]
         spec = JobSpec.from_payload({"configurations": [
@@ -467,7 +449,7 @@ class TestDeclaredSchema:
 
     @pytest.mark.parametrize("option, value, choice", [
         ("--map-model", "bogus", "barenco, rtof"),
-        ("--lut-synth", "magic", "esop, exact, tbs, xmg"),
+        ("--lut-synth", "magic", "esop, exact, tbs"),
         ("--opt-guard", "often", "off, sampled, full, auto"),
         ("--verify", "maybe", "off, sampled, full, auto"),
     ])

@@ -120,27 +120,6 @@ class TestLutFlow:
         result = run_flow("lut", "intdiv", 3, k=3, lut_synth="tbs")
         assert result.report.verified is True
 
-    @pytest.mark.parametrize("strategy", ["bennett", "eager", "bounded"])
-    def test_exact_time_budget_needs_the_exact_strategy(self, strategy):
-        with pytest.raises(ValueError, match=(
-            rf"exact_time_budget=3\.0 .*strategy='exact'.*'{strategy}'"
-        )):
-            run_flow("lut", "intdiv", 4, verify=False, strategy=strategy,
-                     max_pebbles=0.5, exact_time_budget=3.0)
-
-    @pytest.mark.parametrize("budget", [0, -1.0, float("nan")])
-    def test_exact_time_budget_must_be_positive(self, budget):
-        with pytest.raises(ValueError, match=(
-            r"exact_time_budget must be a positive .*'exact'"
-        )):
-            run_flow("lut", "intdiv", 4, verify=False, strategy="exact",
-                     max_pebbles=0.5, exact_time_budget=budget)
-
-    def test_exact_time_budget_with_the_exact_strategy(self):
-        result = run_flow("lut", "intdiv", 3, verify=False, strategy="exact",
-                          max_pebbles=0.5, exact_time_budget=3.0)
-        assert result.report.extra["pebble_engine"]
-
 
 class TestFlowTradeOffs:
     """The qualitative orderings the paper's experiments emphasise."""

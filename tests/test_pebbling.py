@@ -12,13 +12,22 @@ strategy-level invariants promised by the module:
   budget shrinks; every greedy run matches the plain oracle scheduler of
   :mod:`oracles.circuits` step for step.
 
+It also pins the strategy dispatch of :func:`make_schedule`: aliases,
+did-you-mean errors, one message per misplaced option whether the call
+comes directly or through a flow, and the rejection of the removed
+``exact`` strategy at every entry point.
+
 The LUT DAGs are seeded random AIGs (``repro.verify.fuzz``), so a failing
 case prints a seed that reproduces the exact structure.
 """
 
+import re
+
 import pytest
 
 from oracles.circuits import bounded_steps_reference
+from repro.cli import main
+from repro.core.flows import run_flow
 from repro.logic.aig import lit_node
 from repro.logic.cuts import LutMapping, lut_map
 from repro.reversible.lut_synth import synthesize_schedule
@@ -37,6 +46,7 @@ from repro.reversible.pebbling import (
     minimum_pebbles,
     validate_schedule,
 )
+from repro.service.jobs import JobSpec
 from repro.verify.differential import check_equivalent
 from repro.verify.fuzz import random_aig
 
@@ -256,6 +266,19 @@ class TestBoundedProperties:
         with pytest.raises(ValueError, match="takes no pebble budget"):
             make_schedule(mapping_for(0), strategy, max_pebbles=3)
 
+    @pytest.mark.parametrize("seed", (0, 4))
+    def test_half_budget_schedules_a_larger_dag(self, seed):
+        # Seeds 0 and 4 map to DAGs of more than 12 LUTs; half the LUT
+        # count pebbles them correctly, never above Bennett's peak.
+        aig = random_aig(seed, num_pis=4, num_gates=14, num_pos=3)
+        mapping = lut_map(aig, k=3)
+        assert mapping.num_luts() > 12
+        schedule = make_schedule(mapping, strategy="bounded", max_pebbles=0.5)
+        assert validate_schedule(schedule).pebble_peak <= schedule.max_pebbles
+        assert schedule.pebble_peak() <= bennett_schedule(mapping).pebble_peak()
+        check = check_equivalent(aig, synthesize_schedule(schedule), mode="full")
+        assert check.equivalent, f"seed {seed}: {check.message}"
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_full_budget_matches_bennett_gate_count(self, seed):
         # With the whole DAG's worth of pebbles the scheduler never has to
@@ -371,6 +394,116 @@ class TestScheduleExecution:
         circuit = lut_synthesis(aig, k=3, strategy=strategy, max_pebbles=budget)
         check = check_equivalent(aig, circuit, mode="full")
         assert check.equivalent, check.message
+
+
+class TestStrategyDispatch:
+    def test_alias_resolves_to_the_canonical_strategy(self):
+        mapping = mapping_for(1)
+        alias = make_schedule(mapping, strategy="per_output")
+        eager = make_schedule(mapping, strategy="eager")
+        assert alias.strategy == eager.strategy == "eager"
+        assert alias.steps == eager.steps
+
+    def test_unknown_name_raises_with_a_suggestion(self):
+        mapping = mapping_for(1)
+        with pytest.raises(ValueError, match="did you mean 'bounded'") as info:
+            make_schedule(mapping, strategy="bounde")
+        message = str(info.value)
+        assert message.startswith("unknown pebbling strategy 'bounde'")
+        for name in ("'bennett'", "'bounded'", "'eager' (alias 'per_output')"):
+            assert name in message
+
+    def test_unknown_strategy_is_a_value_error_in_make_schedule(self):
+        mapping = mapping_for(1)
+        with pytest.raises(ValueError, match="unknown pebbling strategy"):
+            make_schedule(mapping, strategy="exat")
+
+    def test_stray_keyword_is_a_type_error(self):
+        mapping = mapping_for(1)
+        with pytest.raises(TypeError):
+            make_schedule(mapping, strategy="bennett", time_budget=1.0)
+
+    @pytest.mark.parametrize("strategy", ["bennett", "eager", "per_output"])
+    def test_misplaced_option_message_is_the_same_through_a_flow(self, strategy):
+        with pytest.raises(ValueError, match="takes no pebble budget") as direct:
+            make_schedule(mapping_for(1), strategy, max_pebbles=3)
+        with pytest.raises(ValueError, match="takes no pebble budget") as flow:
+            run_flow("lut", "intdiv", 3, verify=False, strategy=strategy,
+                     max_pebbles=3)
+        assert str(direct.value) == str(flow.value)
+        assert f"{strategy!r}" in str(direct.value)
+
+    @pytest.mark.parametrize("budget", ["half", "3", True, False])
+    def test_word_or_bool_budget_is_a_value_error(self, budget):
+        with pytest.raises(ValueError, match="max_pebbles must be an integer"):
+            make_schedule(mapping_for(1), "bounded", max_pebbles=budget)
+
+    @pytest.mark.parametrize("strategy", [["bennett"], {"name": "exact"}, 3, None])
+    def test_non_string_strategy_is_a_value_error(self, strategy):
+        # A service payload can carry any JSON value as the strategy.
+        with pytest.raises(ValueError, match="unknown pebbling strategy") as info:
+            make_schedule(mapping_for(1), strategy)
+        assert "expected one of 'bennett'" in str(info.value)
+
+
+UNKNOWN_STRATEGY = (
+    "unknown pebbling strategy 'exact' for the 'strategy' parameter; "
+    "expected one of 'bennett', 'bounded', 'eager' (alias 'per_output')"
+)
+UNKNOWN_BUDGET = "unknown parameter 'exact_time_budget' for flow 'lut'"
+
+#: Entry point -> (a call that must raise ValueError, or a command line that
+#: must exit 2, and a fragment of its message).
+EXACT_REJECTIONS = {
+    "run_flow-lut": (
+        lambda: run_flow("lut", "intdiv", 3, verify=False, strategy="exact"),
+        UNKNOWN_STRATEGY,
+    ),
+    "run_flow-hierarchical": (
+        lambda: run_flow("hierarchical", "intdiv", 3, verify=False, strategy="exact"),
+        UNKNOWN_STRATEGY,
+    ),
+    "make_schedule": (lambda: make_schedule(mapping_for(1), "exact"), UNKNOWN_STRATEGY),
+    "run_flow-budget": (
+        lambda: run_flow("lut", "intdiv", 3, verify=False, exact_time_budget=3.0),
+        UNKNOWN_BUDGET,
+    ),
+    "job": (
+        lambda: JobSpec.from_payload({"configurations": [
+            {"flow": "lut", "parameters": {"exact_time_budget": 3}},
+        ]}),
+        UNKNOWN_BUDGET,
+    ),
+    "cli-strategy": (
+        ["flow", "--flow", "lut", "-n", "3", "--strategy", "exact"], UNKNOWN_STRATEGY
+    ),
+    "cli-budget": (
+        ["flow", "--flow", "lut", "-n", "3", "--exact-time-budget", "3"],
+        "unrecognized arguments: --exact-time-budget 3",
+    ),
+    "cli-sweep": (
+        ["explore", "-n", "3", "--sweep", "lut:exact_time_budget=3", "--quiet"],
+        UNKNOWN_BUDGET,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fragment", EXACT_REJECTIONS.values(), ids=list(EXACT_REJECTIONS)
+)
+def test_the_removed_exact_strategy_is_rejected(entry, fragment, capsys):
+    # Only bennett, eager and bounded remain, and no flow declares
+    # exact_time_budget: every entry point fails before synthesis.
+    if callable(entry):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            entry()
+        return
+    try:
+        code = main(entry)
+    except SystemExit as exc:  # argparse: an option no flow declares
+        code = exc.code
+    assert code == 2
+    assert fragment in capsys.readouterr().err
 
 
 class TestValidatorRejectsTamperedSchedules:

@@ -150,8 +150,8 @@ def test_cache_keys_are_unchanged():
         return cache_key(source, flow, chain[-1])
 
     assert key("symbolic", {"rev_opt": "rev-default"}) == (
-        "e06ce314cdfddba852bc43f5a5d5accc2537822f54024d7a1e788be60a689851"
+        "69e5ad26061e801c040c2ffb85227ba6d6d5f9fdd0b73cd5e00cc2495b79c001"
     )
     assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
-        "03910fa0ba2cdbd0574b2ebd25b2f735917cfd223d2773863b0a85a8cdc39a21"
+        "5e29ecd80848e86072511a2fa8d6ead74a69d7a2b9a41697f2bf031bcd0a730e"
     )

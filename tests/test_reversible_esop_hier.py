@@ -215,27 +215,6 @@ class TestHierarchicalSynthesis:
         assert bounded.qubits < per_output.qubits
         assert bounded.t_count < per_output.t_count
 
-    def test_exact_strategy_equals_bennett_on_a_one_gate_xmg(self):
-        from repro.core.flows import run_flow
-
-        xmg = run_flow("hierarchical", "newton", 2, verify=False).context["xmg"]
-        assert xmg.cleanup().num_gates() == 1
-        exact = hierarchical_synthesis(xmg, strategy="exact")
-        bennett = hierarchical_synthesis(xmg, strategy="bennett")
-        # Same cost; the SAT schedule may order the output copies differently.
-        assert (exact.num_lines(), exact.t_count(), exact.num_gates()) == (
-            bennett.num_lines(),
-            bennett.t_count(),
-            bennett.num_gates(),
-        )
-        assert check_equivalent(xmg, exact, mode="full")
-
-    def test_exact_strategy_rejects_a_large_xmg(self):
-        from repro.core.flows import run_flow
-
-        with pytest.raises(ValueError, match="use strategy='bounded'"):
-            run_flow("hierarchical", "intdiv", 6, verify=False, strategy="exact")
-
 
 def _xmg_tables(arity):
     """Truth tables the xmg block builder must accept, by arity."""

@@ -224,12 +224,11 @@ class TestJobSpec:
             "configurations": [
                 {"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": 2}},
                 {"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": 0.5}},
-                {"flow": "lut", "parameters": {"strategy": "exact", "exact_time_budget": 3}},
             ],
         })
         values = [c.parameters[0][1] for c in spec.configurations]
-        assert values == [2, 0.5, 3.0]
-        assert [type(v) for v in values] == [int, float, float]
+        assert values == [2, 0.5]
+        assert [type(v) for v in values] == [int, float]
         with pytest.raises(ValueError, match="'k' expects an int, got '4'"):
             JobSpec.from_payload(
                 {"configurations": [{"flow": "lut", "parameters": {"k": "4"}}]}
