@@ -165,7 +165,7 @@ def test_ablation_tbs_bidirectional():
     costs = {}
     for bidirectional in (False, True):
         gates = synthesize_permutation_gates(
-            embedding.permutation, embedding.num_lines, bidirectional=bidirectional
+            embedding.care_images, embedding.num_lines, bidirectional=bidirectional
         )
         t_count = sum(mct_t_count(g.num_controls()) for g in gates)
         costs[bidirectional] = t_count

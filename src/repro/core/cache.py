@@ -67,8 +67,11 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: SAT-backed ``strategy=exact`` pebbling, its ``exact_time_budget``
 #: parameter and its ``pebble_engine`` / ``pebble_optimal`` metrics were
 #: removed, so the ``lut`` pebble stage lost a declared default and every
-#: ``lut`` prefix key moved.
-CACHE_FORMAT_VERSION = 10
+#: ``lut`` prefix key moved.  Version 11: transformation-based synthesis
+#: works on the embedding's care rows only (INTDIV(8) ``symbolic``:
+#: 4,919,822 -> 20,478 T), so version-10 entries would serve the dearer
+#: circuits.
+CACHE_FORMAT_VERSION = 11
 
 
 def cache_key(

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet, Annotated, Any, Callable, Dict, Iterable, List, Mapping, NewType,
-    Optional, Sequence, Union, get_args, get_origin, get_type_hints,
+    Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
 )
 
 from repro.core.cost import CostReport
@@ -152,6 +152,13 @@ class Parameter:
             ) from None
 
 
+#: Each stage body's declared ``(type, help, choices)`` by parameter name,
+#: keyed by the body's code object: flows are rebuilt for every job and
+#: sweep, and resolving annotations is the costly part of reading them.  An
+#: optimisation stage body is a fresh closure per flow over one code object.
+_DECLARED: Dict[Any, Dict[str, Tuple[Any, ...]]] = {}
+
+
 @dataclass
 class FlowStage:
     """One stage of a flow: a name and a context transformer.
@@ -179,9 +186,20 @@ class FlowStage:
 
     def declarations(self, flow: str) -> List[Parameter]:
         """The declared parameters with their annotated types and help lines."""
-        hints = get_type_hints(self.run, include_extras=True)
-        declared = []
+        code = self.run.__code__
+        declared = _DECLARED.get(code)
+        if declared is None:
+            declared = _DECLARED[code] = self._read_annotations()
+        parameters = []
         for name, default in self.params.items():
+            kind, help_text, *choices = declared[name]
+            parameters.append(Parameter(flow, name, kind, help_text, default, *choices))
+        return parameters
+
+    def _read_annotations(self) -> Dict[str, Tuple[Any, ...]]:
+        hints = get_type_hints(self.run, include_extras=True)
+        declared = {}
+        for name in self.params:
             hint = hints.get(name)
             if get_origin(hint) is Union:
                 # Python < 3.11 wraps the hint of a None default in Optional.
@@ -192,9 +210,7 @@ class FlowStage:
                     f"stage {self.name!r}: {name!r} is not Annotated[type, help]"
                 )
             kind, help_text, *choices = get_args(hint)
-            declared.append(
-                Parameter(flow, name, kind, help_text, default, *map(tuple, choices))
-            )
+            declared[name] = (kind, help_text, *map(tuple, choices))
         return declared
 
 

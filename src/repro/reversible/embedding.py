@@ -10,9 +10,12 @@ Two embeddings are provided:
   coNP-complete in general [17]; as in the paper it is only applied to
   functions that have already been collapsed to an explicit representation.
 
-Both return an :class:`EmbeddedFunction`: a reversible specification (as a
-permutation over the embedding's lines) together with the line roles needed
-to build and verify circuits.
+Both return an :class:`EmbeddedFunction`: the images of the ``2^n`` input
+rows (the states whose constant lines hold 0) together with the line roles
+needed to build and verify circuits.  The other ``2^L - 2^n`` states are
+don't-cares that no circuit of the flow is ever applied to, so they are
+neither completed nor stored: the embedding is as large as the truth table
+it embeds, whatever the line count ``L``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.logic.truth_table import TruthTable
-from repro.reversible.tbs import MAX_TBS_LINES
 from repro.utils.bitops import clog2
 
 __all__ = [
@@ -33,21 +35,25 @@ __all__ = [
     "optimum_embedding",
 ]
 
+#: Care images are held as 64-bit integers.
+_MAX_EMBEDDING_LINES = 63
+
 
 @dataclass
 class EmbeddedFunction:
     """A reversible embedding of an irreversible function.
 
-    ``permutation[s]`` is the image of the full line state ``s`` (an integer
-    over ``num_lines`` bits, line 0 being bit 0).  ``input_lines[i]`` is the
-    line carrying input bit ``i`` at the circuit boundary, ``output_lines[j]``
-    the line carrying output bit ``j`` after the transformation, and
-    ``constant_lines`` maps ancilla lines to their required initial value.
-    The remaining output values are garbage.
+    Inputs sit on lines ``0..n-1`` and the constant lines above them are
+    initialised to 0, so the input word ``x`` is the line state ``x``.
+    ``care_images[x]`` is the image of that state (an integer over
+    ``num_lines`` bits, line 0 being bit 0); the images are distinct.
+    ``output_lines[j]`` is the line carrying output bit ``j`` after the
+    transformation and ``constant_lines`` maps ancilla lines to their
+    required initial value.  The remaining output values are garbage.
     """
 
     num_lines: int
-    permutation: np.ndarray
+    care_images: np.ndarray
     input_lines: List[int]
     output_lines: List[int]
     constant_lines: Dict[int, int]
@@ -67,34 +73,20 @@ class EmbeddedFunction:
         return self.num_lines - len(self.input_lines)
 
     def is_valid(self) -> bool:
-        """Check that the permutation is a bijection embedding the source."""
-        if sorted(self.permutation.tolist()) != list(range(1 << self.num_lines)):
+        """Check that the care images are distinct, fit the lines and embed f."""
+        images = self.care_images.tolist()
+        if len(images) != 1 << self.num_inputs() or len(set(images)) != len(images):
+            return False
+        if min(images) < 0 or max(images) >= 1 << self.num_lines:
             return False
         return self.check_embeds()
 
     def check_embeds(self) -> bool:
         """Check Eq. (1): with constants applied, the outputs realise f."""
-        for x in range(1 << self.source.num_inputs):
-            state = self.state_for_input(x)
-            image = int(self.permutation[state])
-            value = 0
-            for j, line in enumerate(self.output_lines):
-                if (image >> line) & 1:
-                    value |= 1 << j
-            if value != self.source.evaluate(x):
-                return False
-        return True
-
-    def state_for_input(self, input_word: int) -> int:
-        """Initial line state encoding a primary-input word."""
-        state = 0
-        for i, line in enumerate(self.input_lines):
-            if (input_word >> i) & 1:
-                state |= 1 << line
-        for line, value in self.constant_lines.items():
-            if value:
-                state |= 1 << line
-        return state
+        values = np.zeros_like(self.care_images)
+        for j, line in enumerate(self.output_lines):
+            values |= ((self.care_images >> line) & 1) << j
+        return np.array_equal(values, self.source.words.astype(np.int64))
 
 
 def minimum_additional_lines(table: TruthTable) -> int:
@@ -106,39 +98,26 @@ def minimum_additional_lines(table: TruthTable) -> int:
 
 
 def _check_embedding_lines(num_lines: int, kind: str) -> None:
-    if num_lines > MAX_TBS_LINES:
+    if num_lines > _MAX_EMBEDDING_LINES:
         raise ValueError(
-            f"{kind} embedding needs {num_lines} lines, i.e. an explicit "
-            f"2^{num_lines}-entry permutation table; the explicit flow is "
-            f"capped at MAX_TBS_LINES={MAX_TBS_LINES} lines"
+            f"{kind} embedding needs {num_lines} lines; its care images are "
+            f"64-bit integers, so at most {_MAX_EMBEDDING_LINES} lines"
         )
 
 
 def bennett_embedding(table: TruthTable) -> EmbeddedFunction:
     """Theorem 1: inputs preserved, outputs XORed onto fresh zero lines.
 
-    Raises :class:`ValueError` when ``n + m`` exceeds
-    :data:`repro.reversible.tbs.MAX_TBS_LINES` (the explicit permutation
-    table would not be allocatable).
+    The input ``x`` maps to ``x | f(x) << n``.
     """
     n = table.num_inputs
     m = table.num_outputs
     num_lines = n + m
     _check_embedding_lines(num_lines, "bennett")
-
-    states = np.arange(1 << num_lines, dtype=np.int64)
-    input_part = states & ((1 << n) - 1)
-    output_part = states >> n
-    images = np.array(
-        [int(table.words[x]) for x in range(1 << n)], dtype=np.int64
-    )
-    permutation = (input_part | ((output_part ^ images[input_part]) << n)).astype(
-        np.int64
-    )
-
+    inputs = np.arange(1 << n, dtype=np.int64)
     return EmbeddedFunction(
         num_lines=num_lines,
-        permutation=permutation,
+        care_images=inputs | (table.words.astype(np.int64) << n),
         input_lines=list(range(n)),
         output_lines=list(range(n, n + m)),
         constant_lines={line: 0 for line in range(n, n + m)},
@@ -154,15 +133,10 @@ def optimum_embedding(table: TruthTable, extra_lines: Optional[int] = None) -> E
     of Eq. (3).  The reversible function maps the state ``(x, 0)`` to a state
     whose top ``m`` lines carry ``f(x)`` and whose remaining lines carry the
     collision index of ``x`` within its output class (the garbage).  States
-    with non-zero ancilla inputs are completed to a bijection greedily.
+    with non-zero ancilla inputs are don't-cares and are not stored.
 
     ``extra_lines`` may force a larger number of additional lines (useful
     for experiments); it must be at least the minimum.
-
-    Raises :class:`ValueError` when the embedding needs more lines than
-    :data:`repro.reversible.tbs.MAX_TBS_LINES` (the explicit ``2^n``
-    permutation table would not be allocatable — previously this surfaced
-    as an opaque ``MemoryError`` or a machine grinding into swap).
     """
     n = table.num_inputs
     m = table.num_outputs
@@ -176,17 +150,14 @@ def optimum_embedding(table: TruthTable, extra_lines: Optional[int] = None) -> E
     num_lines = max(n, m + extra_lines)
     _check_embedding_lines(num_lines, "optimum")
     garbage_width = num_lines - m
-    size = 1 << num_lines
 
-    permutation = np.full(size, -1, dtype=np.int64)
-    used = np.zeros(size, dtype=bool)
-
-    # Assign the meaningful part of the domain: state (x padded with zero
-    # constants) maps to (garbage index, f(x)) with f on the top m lines.
-    # Among the free garbage indices of an output class we prefer the one
-    # matching the input's low bits: this keeps the embedded permutation
-    # close to the identity, which directly reduces the work (and therefore
-    # the T-count) of the downstream transformation-based synthesis.
+    # State (x padded with zero constants) maps to (garbage index, f(x)) with
+    # f on the top m lines.  Among the free garbage indices of an output
+    # class we prefer the one matching the input's low bits: this keeps the
+    # embedded function close to the identity, which directly reduces the
+    # work (and therefore the T-count) of the downstream
+    # transformation-based synthesis.
+    care_images = np.empty(1 << n, dtype=np.int64)
     garbage_used: Dict[int, set] = {}
     garbage_mask = (1 << garbage_width) - 1
     for x in range(1 << n):
@@ -202,30 +173,11 @@ def optimum_embedding(table: TruthTable, extra_lines: Optional[int] = None) -> E
             raise AssertionError(
                 "collision index exceeds garbage capacity; embedding bound violated"
             )
-        image = (value << garbage_width) | index
-        permutation[x] = image
-        used[image] = True
-
-    # Complete the permutation for the remaining (don't-care) input states:
-    # keep every state that is still free as a fixed point, then match the
-    # leftovers in order.  Fixed points are free for the synthesis algorithm.
-    deferred = []
-    for state in range(size):
-        if permutation[state] >= 0:
-            continue
-        if not used[state]:
-            permutation[state] = state
-            used[state] = True
-        else:
-            deferred.append(state)
-    free_images = np.nonzero(~used)[0]
-    assert len(free_images) == len(deferred)
-    for state, image in zip(deferred, free_images):
-        permutation[state] = image
+        care_images[x] = (value << garbage_width) | index
 
     return EmbeddedFunction(
         num_lines=num_lines,
-        permutation=permutation,
+        care_images=care_images,
         input_lines=list(range(n)),
         output_lines=list(range(garbage_width, num_lines)),
         constant_lines={line: 0 for line in range(n, num_lines)},

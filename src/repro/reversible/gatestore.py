@@ -1,8 +1,8 @@
 """Packed columnar storage of Toffoli-gate cascades.
 
 The symbolic flow produces cascades of hundreds of thousands of
-multiple-controlled Toffoli gates (211k gates for INTDIV(8), millions for
-n >= 10).  Holding one frozen :class:`~repro.reversible.gates.ToffoliGate`
+multiple-controlled Toffoli gates (467k gates for INTDIV(16); full-table
+TBS produced 211k already for INTDIV(8)).  Holding one frozen :class:`~repro.reversible.gates.ToffoliGate`
 dataclass per gate makes every cost sweep, peephole pass and replay an
 interpreted per-object loop — the bookkeeping, not the synthesis kernels,
 becomes the bit-width ceiling.

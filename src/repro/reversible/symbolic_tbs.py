@@ -4,30 +4,27 @@ synthesis (the RevKit ``tbs -s`` analogue).
 The paper's functional flow collapses the optimised AIG into a BDD, derives
 an optimum embedding from it and runs the SAT-based symbolic
 transformation-based algorithm [7].  Neither RevKit nor a SAT solver is
-available here, so this module substitutes an explicit permutation-based
-implementation of the same algorithm (see DESIGN.md): the produced circuits
+available here, so this module substitutes an explicit implementation of
+the same algorithm (see ``docs/architecture.md``): the produced circuits
 have the same structure (line-optimal, large multi-controlled Toffoli
-gates).  The permutation kernel
-(:func:`repro.reversible.tbs.synthesize_permutation_masks`) keeps both of
+gates).  Only the ``2^n`` input rows (constant lines at 0) of the ``2^L``-state embedding are
+ever used, so the embedding stores just their images and the kernel
+(:func:`repro.reversible.tbs.synthesize_permutation_masks`) stops once
+they are fixed; the other states are don't-cares.  The kernel keeps both of
 its tables bit-sliced over one index space and compacts the finished
 indices away as rows are fixed, and the BDD is expanded by one shared
-bottom-up sweep, so the explicit representation is no longer the flow's
-bottleneck up to :data:`repro.reversible.tbs.MAX_TBS_LINES` lines.  The emitted gates go
-straight into the circuit's columnar mask store
-(:mod:`repro.reversible.gatestore`) — no per-gate objects — and costing
-the multi-million-gate cascades is a vectorised popcount sweep, so the
-benchmark default sweep (n ≤ 9) is bounded by the synthesis kernel
-itself, not the cascade bookkeeping; the paper's n = 16 remains out of
-CI reach (the original needed 3.2 days on a server).
+bottom-up sweep.  :data:`repro.reversible.tbs.MAX_TBS_LINES` caps the
+number of inputs, not of lines, so the paper's INTDIV(16) (31 lines, 2^16
+care rows) runs end to end in seconds, where the original needed 3.2 days
+on a server.  The emitted gates go straight into the circuit's columnar
+mask store (:mod:`repro.reversible.gatestore`) — no per-gate objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional, Union
+from typing import Union
 
 from repro.logic.aig import Aig
-from repro.logic.bdd import BddManager
 from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd
 from repro.logic.truth_table import TruthTable
 from repro.reversible.circuit import ReversibleCircuit
@@ -90,7 +87,7 @@ def symbolic_tbs(
         raise TypeError(f"unsupported specification type {type(spec)!r}")
 
     masks = synthesize_permutation_masks(
-        spec.permutation, spec.num_lines, bidirectional=bidirectional
+        spec.care_images, spec.num_lines, bidirectional=bidirectional
     )
     # The annotated lines exist before the cascade is appended, so the
     # all-positive TBS gates land in the columnar store mask-natively (no

@@ -8,8 +8,13 @@ combined with an optimum embedding it yields line-optimal circuits — at the
 price of very large multiple-controlled Toffoli gates (and therefore a large
 T-count), exactly the trade-off reported in Table II.
 
-The kernel (:func:`synthesize_permutation_masks`) keeps two tables over one
-index space, the codomain of the input permutation ``P0``: the output-gate
+The kernel (:func:`synthesize_permutation_masks`) works on a care table: the
+images of the ``2^k`` rows that the circuit is ever applied to (for an
+embedding, the inputs with the constant lines at 0), not the whole
+``2^L``-state permutation, which is the special case ``k = L``.  Rows are
+fixed in ascending order and no gate fires on a finished row, so the kernel
+stops after row ``2^k - 1``.  It keeps two tables of ``2^k`` entries over
+one index space, the image set of the input table ``P0``: the output-gate
 cascade ``Z = Gout`` and ``Y = (P0 o Gin)^-1``, so the current function is
 ``Z o Y^-1``.  Each table is bit-sliced (one packed big-int bit column per
 line), so applying a Toffoli gate is a handful of word-parallel bitwise
@@ -42,12 +47,16 @@ __all__ = [
     "synthesize_permutation_gates",
 ]
 
-#: Hard cap on the number of circuit lines accepted by the explicit
-#: (truth-table) synthesis entry points.  The algorithm materialises the
-#: full ``2^n`` state table, so beyond this the allocation alone is tens of
-#: gigabytes; callers get a clear :class:`ValueError` up front instead of an
-#: opaque ``MemoryError`` (or a machine grinding into swap).
+#: Hard cap on the number ``k`` of care inputs accepted by the explicit
+#: (truth-table) synthesis entry points.  The kernel holds a ``2^k``-row
+#: table, so beyond this the allocation alone is gigabytes; callers get a
+#: clear :class:`ValueError` up front instead of an opaque ``MemoryError``
+#: (or a machine grinding into swap).  The line count is not capped by it:
+#: a care table of ``2^k`` rows over ``L > k`` lines costs the same.
 MAX_TBS_LINES = 24
+
+#: Line states are built from 64-bit integers.
+_MAX_KERNEL_LINES = 63
 
 #: Finished indices are compacted away only from columns at least this many
 #: bits long: below it the NumPy round trip costs more than the big-int work
@@ -67,15 +76,6 @@ def _mct_cost(num_controls: int) -> int:
     if cost is None:
         cost = _MCT_COST_MEMO[num_controls] = mct_t_count(num_controls)
     return cost
-
-
-def _check_num_lines(num_lines: int) -> None:
-    if num_lines > MAX_TBS_LINES:
-        raise ValueError(
-            f"transformation-based synthesis over {num_lines} lines would "
-            f"need a 2^{num_lines}-entry state table; the explicit kernel "
-            f"is capped at MAX_TBS_LINES={MAX_TBS_LINES} lines"
-        )
 
 
 def _reduced_controls_mask(available: int, protect_below: int) -> int:
@@ -224,10 +224,44 @@ def _complements(
     return full, ncol_z, [column ^ full for column in col_y]
 
 
+def _check_care_table(images: Sequence[int], num_lines: int) -> np.ndarray:
+    """Validate a care table; return it as an ``int64`` array."""
+    size = len(images)
+    num_inputs = size.bit_length() - 1
+    if size == 0 or size != 1 << num_inputs:
+        raise ValueError(f"the table has {size} entries, not a power of two")
+    if num_inputs > MAX_TBS_LINES:
+        raise ValueError(
+            f"transformation-based synthesis of 2^{num_inputs} care rows "
+            f"would need a 2^{num_inputs}-entry table; the explicit kernel "
+            f"is capped at MAX_TBS_LINES={MAX_TBS_LINES} care inputs"
+        )
+    if num_inputs > num_lines:
+        raise ValueError(
+            f"2^{num_inputs} care rows do not fit {num_lines} lines"
+        )
+    if num_lines > _MAX_KERNEL_LINES:
+        raise ValueError(
+            f"{num_lines} lines exceed the kernel's 64-bit line states "
+            f"(at most {_MAX_KERNEL_LINES} lines)"
+        )
+    values = [int(value) for value in images]
+    if len(set(values)) != size:
+        raise ValueError("the images are not distinct")
+    if min(values) < 0 or max(values) >= 1 << num_lines:
+        raise ValueError(f"an image lies outside 0..2^{num_lines} - 1")
+    return np.asarray(values, dtype=np.int64)
+
+
 def synthesize_permutation_masks(
-    permutation: Sequence[int], num_lines: int, bidirectional: bool = True
+    images: Sequence[int], num_lines: int, bidirectional: bool = True
 ) -> List[Tuple[int, int]]:
-    """Synthesise a Toffoli cascade realising ``permutation`` over ``num_lines``.
+    """Synthesise a Toffoli cascade realising ``images`` over ``num_lines``.
+
+    ``images`` is a care table: ``images[x]`` is the required image of the
+    line state ``x`` for the ``2^k`` care rows ``x < 2^k`` (``k <= num_lines``,
+    the images distinct); every other state is a don't-care.  A full
+    permutation is the case ``k = num_lines``.
 
     Returns ``(controls_mask, target_line)`` pairs in application order
     (first gate applied first) — every control is positive, so the pair is
@@ -237,18 +271,27 @@ def synthesize_permutation_masks(
     :func:`synthesize_permutation_gates` materialises the same cascade as
     gate objects.
 
+    Rows are fixed in ascending order, and every gate's control mask is at
+    least the current row, so no gate fires on a finished row: once row
+    ``2^k - 1`` is fixed, the cascade is correct on every care row and the
+    don't-care rows are never visited.
+
     The kernel is bit-sliced.  With ``Gout``/``Gin`` the output/input gate
     cascades collected so far, the current function is
     ``perm = Gout o P0 o Gin``.  The kernel keeps ``Z = Gout`` (initially
     the identity) and ``Y = (P0 o Gin)^-1`` (initially ``P0^-1``), both
-    indexed by the codomain of ``P0``, as ``num_lines`` packed bit columns
-    each (bit ``m`` of column ``j`` is bit ``j`` of the value at index
-    ``m``).  Then ``perm = Z o Y^-1``, so the image of a row is
+    indexed by the sorted image set of ``P0``, as ``num_lines`` packed bit
+    columns each (bit ``m`` of column ``j`` is bit ``j`` of the value at
+    index ``m``).  Then ``perm = Z o Y^-1``, so the image of a row is
     ``Z(Y^-1(row))`` and its preimage ``Y(Z^-1(row))``: an equality query on
     one table gives a one-hot ``match`` and the value is read from the other
-    table at that bit.  An all-positive Toffoli gate composes into ``Z``
-    from the left for an output gate (``perm <- g o perm``) and into ``Y``
-    for an input gate (``perm <- perm o g``, i.e. ``Y <- g o Y``), and costs
+    table at that bit.  A row that no care row currently maps to has no
+    preimage and takes the output side; a care-row preimage differs from
+    the row on input lines only, so the input-side gates target input
+    lines and keep ``Y`` a bijection onto the care rows.  An all-positive
+    Toffoli gate composes into ``Z`` from the left for an output gate
+    (``perm <- g o perm``) and into ``Y`` for an input gate
+    (``perm <- perm o g``, i.e. ``Y <- g o Y``), and costs
     ``match = AND(columns[control] for control in C); columns[t] ^= match``.
     The cascade is complete once ``Z == Y``.
 
@@ -259,23 +302,21 @@ def synthesize_permutation_masks(
     bits long, the finished ones are checked and dropped from both tables,
     so the big-int work shrinks with the rows still to do.  A cascade that
     breaks a fixed row or misses the identity raises :class:`RuntimeError`.
+
+    Raises :class:`ValueError` for a table that is not a care table over
+    ``num_lines`` lines or has more than :data:`MAX_TBS_LINES` care inputs.
     """
-    _check_num_lines(num_lines)
-    size = 1 << num_lines
-    perm0 = np.asarray(permutation, dtype=np.int64)
-    if perm0.shape != (size,):
-        raise ValueError(f"permutation must have {size} entries")
-    if sorted(perm0.tolist()) != list(range(size)):
-        raise ValueError("input is not a permutation")
+    perm0 = _check_care_table(images, num_lines)
+    size = len(perm0)
     if num_lines == 0:
         return []  # the one state is already fixed
 
-    states = np.arange(size, dtype=np.int64)
-    inv0 = np.empty(size, dtype=np.int64)
-    inv0[perm0] = states
+    # Index m of both tables is the m-th smallest image.
+    order = np.argsort(perm0)
+    codomain = perm0[order]
     shifts = np.arange(num_lines, dtype=np.int64)[:, None]
-    col_z = _to_columns(((states >> shifts) & 1).astype(np.uint8))
-    col_y = _to_columns(((inv0 >> shifts) & 1).astype(np.uint8))
+    col_z = _to_columns(((codomain >> shifts) & 1).astype(np.uint8))
+    col_y = _to_columns(((order >> shifts) & 1).astype(np.uint8))
     lines = range(num_lines)
     upper_lines = range(1, num_lines)
 
@@ -283,7 +324,8 @@ def synthesize_permutation_masks(
     full, ncol_z, ncol_y = _complements(col_z, col_y, length)
 
     def find(columns: List[int], ncolumns: List[int], value: int) -> int:
-        # Equality match over the packed columns: one-hot at the index.
+        # Equality match over the packed columns: one-hot at the index, 0
+        # when no index holds the value.
         match = columns[0] if value & 1 else ncolumns[0]
         for line in upper_lines:
             match &= columns[line] if (value >> line) & 1 else ncolumns[line]
@@ -320,7 +362,8 @@ def synthesize_permutation_masks(
         input_masks: List[Tuple[int, int]] = []
         use_input_side = False
         if bidirectional:
-            preimage = read(col_y, find(col_z, ncol_z, row))
+            match = find(col_z, ncol_z, row)
+            preimage = read(col_y, match) if match else row
             if preimage != row:
                 input_masks, input_cost = _gate_masks_transforming(row, preimage, row)
                 use_input_side = input_cost < output_cost
@@ -360,7 +403,7 @@ def synthesize_permutation_masks(
 
 
 def synthesize_permutation_gates(
-    permutation: Sequence[int], num_lines: int, bidirectional: bool = True
+    images: Sequence[int], num_lines: int, bidirectional: bool = True
 ) -> List[ToffoliGate]:
     """Gate-object view of :func:`synthesize_permutation_masks`.
 
@@ -369,7 +412,7 @@ def synthesize_permutation_gates(
     :class:`ToffoliGate` objects are memoised and shared across the
     cascade.
     """
-    masks = synthesize_permutation_masks(permutation, num_lines, bidirectional)
+    masks = synthesize_permutation_masks(images, num_lines, bidirectional)
     gate_memo: Dict[Tuple[int, int], ToffoliGate] = {}
     gates: List[ToffoliGate] = []
     for controls_mask, target in masks:
@@ -383,22 +426,21 @@ def synthesize_permutation_gates(
 
 
 def transformation_based_synthesis(
-    permutation: Sequence[int],
+    images: Sequence[int],
     num_lines: int,
     bidirectional: bool = True,
     name: str = "tbs",
 ) -> ReversibleCircuit:
-    """Synthesise a :class:`ReversibleCircuit` for a permutation.
+    """Synthesise a :class:`ReversibleCircuit` for a permutation or care table.
 
     The circuit has ``num_lines`` anonymous lines; callers that synthesised
     an embedding should annotate the boundary roles afterwards (as
     :func:`repro.reversible.symbolic_tbs.symbolic_tbs` does).
 
-    Raises :class:`ValueError` if ``num_lines`` exceeds :data:`MAX_TBS_LINES`
-    (the explicit ``2^n`` state table would not be allocatable).
+    Raises :class:`ValueError` if the table has more than
+    :data:`MAX_TBS_LINES` care inputs (it would not be allocatable).
     """
-    _check_num_lines(num_lines)
-    masks = synthesize_permutation_masks(permutation, num_lines, bidirectional)
+    masks = synthesize_permutation_masks(images, num_lines, bidirectional)
     circuit = ReversibleCircuit(name)
     for line in range(num_lines):
         circuit.add_line(f"x{line}")

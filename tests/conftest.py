@@ -7,5 +7,5 @@ from repro.core.flows import run_flow
 
 @pytest.fixture(scope="session")
 def intdiv8_symbolic_cascade():
-    """The 211,583-gate Table II cascade of INTDIV(8) (collapse, embedding, TBS)."""
+    """The 967-gate Table II cascade of INTDIV(8) (collapse, embedding, TBS)."""
     return run_flow("symbolic", "intdiv", 8, verify="off").circuit

@@ -175,13 +175,13 @@ class TestExactCoverProperties:
         truth = sample_truth(7)
         assert exact_esop_cubes(truth, 4, 0.0) == exact_esop_cubes(truth, 4)
 
-    def test_covers_never_call_the_sat_solver(self, fresh_memo, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("exact ESOP must not call the SAT solver")
-
-        monkeypatch.setattr(exact_esop_module, "solve", refuse)
+    def test_covers_cost_what_the_table_says(self, fresh_memo):
+        # The walk down the cost table returns covers whose weighted cost
+        # (T * 64 + cubes) is the table's entry for their function.
         for num_vars, truth in INTDIV8_COSTS:
-            exact_esop_cubes(truth, num_vars)
+            cubes = exact_esop_cubes(truth, num_vars)
+            weighted = cover_cost(cubes) * 64 + len(cubes)
+            assert weighted == exact_esop_module._cost_table(num_vars)[truth]
 
 
 class TestOptimality:

@@ -16,27 +16,27 @@ from repro.core.flows import run_flow
 
 #: (design, bitwidth, flow, parameters) -> (qubits, T-count under "rtof").
 GOLDEN_COSTS = [
-    ("intdiv", 3, "symbolic", {}, 5, 290),
+    ("intdiv", 3, "symbolic", {}, 5, 29),
     ("intdiv", 3, "esop", {"p": 0}, 6, 36),
     ("intdiv", 3, "esop", {"p": 1}, 6, 36),
     ("intdiv", 3, "hierarchical", {"strategy": "bennett"}, 51, 532),
     ("intdiv", 3, "hierarchical", {"strategy": "per_output"}, 49, 868),
-    ("intdiv", 4, "symbolic", {}, 7, 2959),
+    ("intdiv", 4, "symbolic", {}, 7, 170),
     ("intdiv", 4, "esop", {"p": 0}, 8, 142),
     ("intdiv", 4, "esop", {"p": 1}, 12, 120),
     ("intdiv", 4, "hierarchical", {"strategy": "bennett"}, 115, 1190),
     ("intdiv", 4, "hierarchical", {"strategy": "per_output"}, 112, 2688),
-    ("intdiv", 5, "symbolic", {}, 9, 25264),
+    ("intdiv", 5, "symbolic", {}, 9, 688),
     ("intdiv", 5, "esop", {"p": 0}, 10, 336),
     ("intdiv", 5, "esop", {"p": 1}, 15, 248),
     ("intdiv", 5, "hierarchical", {"strategy": "bennett"}, 188, 1960),
     ("intdiv", 5, "hierarchical", {"strategy": "per_output"}, 184, 5432),
-    ("newton", 2, "symbolic", {}, 3, 28),
+    ("newton", 2, "symbolic", {}, 3, 7),
     ("newton", 2, "esop", {"p": 0}, 4, 7),
     ("newton", 2, "esop", {"p": 1}, 4, 7),
     ("newton", 2, "hierarchical", {"strategy": "bennett"}, 5, 14),
     ("newton", 2, "hierarchical", {"strategy": "per_output"}, 4, 14),
-    ("newton", 3, "symbolic", {}, 5, 282),
+    ("newton", 3, "symbolic", {}, 5, 28),
     ("newton", 3, "esop", {"p": 0}, 6, 44),
     ("newton", 3, "esop", {"p": 1}, 7, 43),
     ("newton", 3, "hierarchical", {"strategy": "bennett"}, 635, 6370),
@@ -58,7 +58,7 @@ GOLDEN_COSTS = [
 #: The T-count column must equal the closed-form column of GOLDEN_COSTS for
 #: the same configuration — the explicit expansion realizes the model.
 GOLDEN_RTOF_RESOURCES = [
-    ("intdiv", 3, "symbolic", {}, 290, 175, 7),
+    ("intdiv", 3, "symbolic", {}, 29, 16, 6),
     ("intdiv", 3, "esop", {"p": 0}, 36, 19, 7),
     ("intdiv", 3, "hierarchical", {"strategy": "bennett"}, 532, 192, 51),
     ("intdiv", 3, "lut", {"strategy": "bennett", "k": 3}, 58, 31, 10),
@@ -66,7 +66,7 @@ GOLDEN_RTOF_RESOURCES = [
     ("intdiv", 4, "esop", {"p": 1}, 120, 49, 13),
     ("intdiv", 4, "hierarchical", {"strategy": "bennett"}, 1190, 322, 115),
     ("intdiv", 4, "lut", {"strategy": "bennett", "k": 3}, 1088, 487, 56),
-    ("newton", 2, "symbolic", {}, 28, 16, 3),
+    ("newton", 2, "symbolic", {}, 7, 4, 3),
     ("newton", 3, "esop", {"p": 0}, 44, 26, 7),
     ("newton", 3, "hierarchical", {"strategy": "bennett"}, 6370, 901, 635),
 ]

@@ -79,7 +79,7 @@ def test_rev_default_stops_after_one_round_on_the_table2_cascade(
         "rev_cancel",
     ]
     assert _columns(result.network) == _columns(_four_reference_rounds(circuit))
-    assert result.network.num_gates() == 211583
+    assert result.network.num_gates() == 967
 
 
 def test_fuzzed_cascades_match_four_full_rounds():
@@ -150,8 +150,8 @@ def test_cache_keys_are_unchanged():
         return cache_key(source, flow, chain[-1])
 
     assert key("symbolic", {"rev_opt": "rev-default"}) == (
-        "69e5ad26061e801c040c2ffb85227ba6d6d5f9fdd0b73cd5e00cc2495b79c001"
+        "b995c98de5837dc8f30f5a942d870756d89bcf93c486130ef2f95c04338f9af4"
     )
     assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
-        "5e29ecd80848e86072511a2fa8d6ead74a69d7a2b9a41697f2bf031bcd0a730e"
+        "769fa6e7befc6dada8c2e4c45d731f17a4b78258f975b6feaee194a86ccd79df"
     )

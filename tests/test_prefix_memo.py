@@ -155,8 +155,8 @@ def test_default_sweep_cache_keys_move_only_with_the_format_version():
     # a change here orphans every cached result, so it must come with a
     # CACHE_FORMAT_VERSION bump.  Update both halves of this pair together.
     assert (CACHE_FORMAT_VERSION, default_sweep_cache_keys_digest()) == (
-        10,
-        "9aa5a7a8f5f5e542b955ac99b0f7150de4a23529713ec746c5e4c92a7925c25b",
+        11,
+        "046e6e2e146ad17d61957f0977ed63468ed9aed7a550cc0bbae1e67fccae4a46",
     )
 
 

@@ -1,17 +1,22 @@
 """Unit tests for transformation-based synthesis (functional flow)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.reversible.tbs as tbs_module
 from repro.hdl.designs import intdiv_reference
 from repro.hdl.synthesize import synthesize_reciprocal_design
 from repro.logic.truth_table import TruthTable
 from repro.reversible.embedding import optimum_embedding
+from repro.reversible.lut_synth import _tbs_block
 from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import (
     synthesize_permutation_gates,
+    synthesize_permutation_masks,
     transformation_based_synthesis,
 )
 from repro.verify.differential import check_equivalent
@@ -23,9 +28,15 @@ def apply_gates(gates, state):
     return state
 
 
-def check_realizes(gates, permutation, num_lines):
-    for state in range(1 << num_lines):
-        assert apply_gates(gates, state) == permutation[state]
+def check_realizes(gates, images):
+    """The gates map every care row ``x < len(images)`` to ``images[x]``."""
+    for state, image in enumerate(images):
+        assert apply_gates(gates, state) == image
+
+
+def random_care_table(rng, num_inputs, num_lines):
+    """``2^num_inputs`` distinct images drawn from ``2^num_lines`` states."""
+    return rng.choice(1 << num_lines, size=1 << num_inputs, replace=False)
 
 
 class TestPermutationSynthesis:
@@ -38,7 +49,7 @@ class TestPermutationSynthesis:
         gates = synthesize_permutation_gates(
             permutation, num_lines, bidirectional=bidirectional
         )
-        check_realizes(gates, permutation, num_lines)
+        check_realizes(gates, permutation)
 
     def test_identity_needs_no_gates(self):
         gates = synthesize_permutation_gates(list(range(8)), 3)
@@ -48,7 +59,7 @@ class TestPermutationSynthesis:
         permutation = list(range(8))
         permutation[6], permutation[7] = 7, 6
         gates = synthesize_permutation_gates(permutation, 3)
-        check_realizes(gates, permutation, 3)
+        check_realizes(gates, permutation)
 
     def test_not_a_permutation_rejected(self):
         with pytest.raises(ValueError):
@@ -71,8 +82,147 @@ class TestPermutationSynthesis:
         permutation = rng.permutation(32)
         uni = synthesize_permutation_gates(permutation, 5, bidirectional=False)
         bi = synthesize_permutation_gates(permutation, 5, bidirectional=True)
-        check_realizes(uni, permutation, 5)
-        check_realizes(bi, permutation, 5)
+        check_realizes(uni, permutation)
+        check_realizes(bi, permutation)
+
+
+class TestLutBlockCascades:
+    def test_tbs_blocks_are_pinned(self):
+        # The lut flow's lut_synth='tbs' blocks are full permutations (every
+        # row is a care row): their cascades are pinned by the SHA-256 of
+        # every block of arity 0-3 and 300 seeded arity-4 blocks, taken
+        # from the kernel that synthesised the whole 2^L-state table.
+        blocks = [
+            (arity, truth)
+            for arity in range(4)
+            for truth in range(1 << (1 << arity))
+        ]
+        rng = np.random.default_rng(2017)
+        blocks += [(4, int(truth)) for truth in rng.integers(0, 1 << 16, size=300)]
+        digest = hashlib.sha256()
+        for arity, truth in blocks:
+            digest.update(repr(_tbs_block(truth, arity)).encode())
+        assert digest.hexdigest() == (
+            "14fbe1695d137fca91e0acef12833779046e80a22afeb8689a9107e526616cbd"
+        )
+
+
+class TestCareTableSynthesis:
+    """``2^k`` care rows over ``L >= k`` lines; other states are don't-cares."""
+
+    @given(st.integers(min_value=0, max_value=100000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_care_tables(self, seed, bidirectional):
+        rng = np.random.default_rng(seed)
+        num_lines = int(rng.integers(1, 8))
+        num_inputs = int(rng.integers(0, num_lines))
+        images = random_care_table(rng, num_inputs, num_lines)
+        gates = synthesize_permutation_gates(images, num_lines, bidirectional)
+        check_realizes(gates, images)
+
+    @pytest.mark.parametrize("num_inputs,num_lines", [(11, 12), (11, 14)])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_care_tables_above_the_compaction_floor(
+        self, monkeypatch, num_inputs, num_lines, bidirectional
+    ):
+        compactions = []
+        compact = tbs_module._compact
+
+        def counting_compact(*args):
+            compactions.append(args[-1])
+            return compact(*args)
+
+        monkeypatch.setattr(tbs_module, "_compact", counting_compact)
+        rng = np.random.default_rng(num_lines)
+        images = random_care_table(rng, num_inputs, num_lines)
+        circuit = transformation_based_synthesis(images, num_lines, bidirectional)
+        assert len(compactions) >= 2
+        # The circuit simulator, independent of the kernel's tables.
+        realized = circuit.to_permutation()
+        assert np.array_equal(realized[: len(images)], images)
+
+    def test_input_side_gates_target_input_lines(self, monkeypatch):
+        # An input-side candidate transforms the row into its preimage
+        # (start == protect_below); an output-side one maps the image to
+        # the row (goal == protect_below, start != goal).
+        original = tbs_module._gate_masks_transforming
+        input_targets = []
+
+        def builder(start, goal, protect_below):
+            masks, cost = original(start, goal, protect_below)
+            if start == protect_below:
+                input_targets.extend(target for _, target in masks)
+            return masks, cost
+
+        monkeypatch.setattr(tbs_module, "_gate_masks_transforming", builder)
+        num_inputs, num_lines = 4, 7
+        rng = np.random.default_rng(5)
+        sides_differ = False
+        for _ in range(20):
+            images = random_care_table(rng, num_inputs, num_lines)
+            bi = synthesize_permutation_masks(images, num_lines, True)
+            uni = synthesize_permutation_masks(images, num_lines, False)
+            sides_differ |= bi != uni
+            check_realizes(
+                synthesize_permutation_gates(images, num_lines), images
+            )
+        assert sides_differ  # the input side was taken
+        assert input_targets and max(input_targets) < num_inputs
+
+    @pytest.mark.parametrize(
+        "images,num_lines,message",
+        [
+            ([1, 1], 3, "not distinct"),
+            ([0, 1, 2], 3, "not a power of two"),
+            ([], 3, "not a power of two"),
+            (list(range(8)), 2, "do not fit"),
+            ([0, 8], 3, "outside"),
+            ([-1, 0], 3, "outside"),
+        ],
+    )
+    def test_invalid_care_tables_rejected(self, images, num_lines, message):
+        with pytest.raises(ValueError, match=message):
+            synthesize_permutation_masks(images, num_lines)
+
+    @staticmethod
+    def _patch_row_one(monkeypatch, edit):
+        # Rewrite the output gates the kernel builds for row 1.
+        original = tbs_module._gate_masks_transforming
+
+        def builder(start, goal, protect_below):
+            masks, cost = original(start, goal, protect_below)
+            if protect_below == 1:
+                masks = edit(masks)
+            return masks, cost
+
+        monkeypatch.setattr(tbs_module, "_gate_masks_transforming", builder)
+
+    @pytest.mark.parametrize(
+        "num_inputs,num_lines,message",
+        [
+            (4, 6, "did not reach the identity"),
+            # Long enough to compact: the compaction check fires first.
+            (11, 13, "broke a row below"),
+        ],
+    )
+    def test_a_broken_fixed_row_is_caught(
+        self, monkeypatch, num_inputs, num_lines, message
+    ):
+        # A NOT on line 0 after row 1's gates swaps the values of rows 0
+        # and 1; only the final or the compaction check can notice.
+        self._patch_row_one(monkeypatch, lambda masks: masks + [(0, 0)])
+        images = random_care_table(
+            np.random.default_rng(3), num_inputs, num_lines
+        )
+        assert images[1] != 1  # row 1 does get gates
+        with pytest.raises(RuntimeError, match=message):
+            synthesize_permutation_masks(images, num_lines, bidirectional=False)
+
+    def test_a_dropped_gate_is_caught(self, monkeypatch):
+        self._patch_row_one(monkeypatch, lambda masks: masks[:-1])
+        images = random_care_table(np.random.default_rng(3), 4, 6)
+        with pytest.raises(RuntimeError):
+            synthesize_permutation_masks(images, 6, bidirectional=False)
 
 
 class TestSymbolicTbs:

@@ -247,11 +247,11 @@ class TestTbsBitslicedVsReference:
         table = TruthTable.from_callable(lambda x: intdiv_reference(7, x), 7, 7)
         embedding = optimum_embedding(table)
         masks = synthesize_permutation_masks(
-            embedding.permutation, embedding.num_lines
+            embedding.care_images, embedding.num_lines
         )
-        assert (embedding.num_lines, len(masks)) == (13, 43374)
+        assert (embedding.num_lines, len(masks)) == (13, 419)
         assert hashlib.sha256(repr(masks).encode()).hexdigest() == (
-            "dcaf22b072c7eb3872c15cdeeb296e88ec23f5d68e5bbe5b9ef0f87cfdb8d11b"
+            "7afbe7fe07ffeada12999f9e9831dee09217ce0b3dc1d03a10ab37fc0df800ef"
         )
 
     def test_circuit_applies_the_permutation(self):
@@ -282,16 +282,28 @@ class TestTbsGuards:
                 range(1 << (MAX_TBS_LINES + 1)), MAX_TBS_LINES + 1
             )
 
-    def test_embeddings_reject_unallocatable_tables(self, monkeypatch):
-        import repro.reversible.embedding as embedding_module
-
-        monkeypatch.setattr(embedding_module, "MAX_TBS_LINES", 4)
+    def test_the_cap_counts_care_inputs_not_lines(self, monkeypatch):
+        # A 3-input function embedded over 5 lines: 2^3 care rows.
         table = TruthTable.from_columns([0b10110110, 0b01011100], 3)
-        # bennett needs n + m = 5 lines, optimum max(n, m + l) lines.
-        with pytest.raises(ValueError, match="MAX_TBS_LINES=4"):
-            bennett_embedding(table)
-        with pytest.raises(ValueError, match="MAX_TBS_LINES=4"):
-            optimum_embedding(table, extra_lines=3)
+        embedding = bennett_embedding(table)
+        monkeypatch.setattr(tbs_module, "MAX_TBS_LINES", 3)
+        assert synthesize_permutation_masks(
+            embedding.care_images, embedding.num_lines
+        )
+        monkeypatch.setattr(tbs_module, "MAX_TBS_LINES", 2)
+        with pytest.raises(ValueError, match="MAX_TBS_LINES=2"):
+            synthesize_permutation_masks(
+                embedding.care_images, embedding.num_lines
+            )
+
+    def test_embeddings_reject_lines_beyond_64_bit_images(self):
+        table = TruthTable.from_columns([0b0110, 0b1000], 2)
+        with pytest.raises(ValueError, match="at most 63 lines"):
+            optimum_embedding(table, extra_lines=62)
+        with pytest.raises(ValueError, match="at most 63 lines"):
+            bennett_embedding(TruthTable.from_columns([0b0110] * 62, 2))
+        with pytest.raises(ValueError, match="at most 63 lines"):
+            synthesize_permutation_masks([0, 1], 64)
 
     def test_embeddings_within_the_cap_still_work(self):
         table = TruthTable.from_columns([0b0110, 0b1000], 2)
