@@ -111,6 +111,7 @@ def test_table3_much_cheaper_than_symbolic(table3_reports):
     ESOP-based synthesis costs fewer T gates than the functional flow at
     every width, and the gap widens with n: the symbolic/ESOP T ratio is
     about 2 at INTDIV(5) and 13 at INTDIV(9) here, 7 and 70 in the paper.
+    At the widest swept width ESOP stays more than 3x cheaper.
     """
     ratios = []
     for esop in sorted(table3_reports["INTDIV p=0"], key=lambda r: r.bitwidth):
@@ -119,6 +120,7 @@ def test_table3_much_cheaper_than_symbolic(table3_reports):
         ratios.append(symbolic.t_count / esop.t_count)
     assert min(ratios) > 1
     assert ratios == sorted(ratios)
+    assert ratios[-1] > 3
 
 
 def test_table3_magnitude_vs_paper(table3_reports):

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.logic.truth_table import TruthTable
+from repro.reversible.tbs import MAX_STATE_LINES, _check_care_table
 from repro.utils.bitops import clog2
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "bennett_embedding",
     "optimum_embedding",
 ]
-
-#: Care images are held as 64-bit integers.
-_MAX_EMBEDDING_LINES = 63
 
 
 @dataclass
@@ -74,10 +72,11 @@ class EmbeddedFunction:
 
     def is_valid(self) -> bool:
         """Check that the care images are distinct, fit the lines and embed f."""
-        images = self.care_images.tolist()
-        if len(images) != 1 << self.num_inputs() or len(set(images)) != len(images):
+        if len(self.care_images) != 1 << self.num_inputs():
             return False
-        if min(images) < 0 or max(images) >= 1 << self.num_lines:
+        try:
+            _check_care_table(self.care_images, self.num_lines)
+        except ValueError:
             return False
         return self.check_embeds()
 
@@ -98,10 +97,10 @@ def minimum_additional_lines(table: TruthTable) -> int:
 
 
 def _check_embedding_lines(num_lines: int, kind: str) -> None:
-    if num_lines > _MAX_EMBEDDING_LINES:
+    if num_lines > MAX_STATE_LINES:
         raise ValueError(
             f"{kind} embedding needs {num_lines} lines; its care images are "
-            f"64-bit integers, so at most {_MAX_EMBEDDING_LINES} lines"
+            f"64-bit integers, so at most {MAX_STATE_LINES} lines"
         )
 
 

@@ -55,8 +55,9 @@ __all__ = [
 #: a care table of ``2^k`` rows over ``L > k`` lines costs the same.
 MAX_TBS_LINES = 24
 
-#: Line states are built from 64-bit integers.
-_MAX_KERNEL_LINES = 63
+#: Line states and care images are 64-bit integers; the embeddings share
+#: this cap.
+MAX_STATE_LINES = 63
 
 #: Finished indices are compacted away only from columns at least this many
 #: bits long: below it the NumPy round trip costs more than the big-int work
@@ -230,20 +231,14 @@ def _check_care_table(images: Sequence[int], num_lines: int) -> np.ndarray:
     num_inputs = size.bit_length() - 1
     if size == 0 or size != 1 << num_inputs:
         raise ValueError(f"the table has {size} entries, not a power of two")
-    if num_inputs > MAX_TBS_LINES:
-        raise ValueError(
-            f"transformation-based synthesis of 2^{num_inputs} care rows "
-            f"would need a 2^{num_inputs}-entry table; the explicit kernel "
-            f"is capped at MAX_TBS_LINES={MAX_TBS_LINES} care inputs"
-        )
     if num_inputs > num_lines:
         raise ValueError(
             f"2^{num_inputs} care rows do not fit {num_lines} lines"
         )
-    if num_lines > _MAX_KERNEL_LINES:
+    if num_lines > MAX_STATE_LINES:
         raise ValueError(
-            f"{num_lines} lines exceed the kernel's 64-bit line states "
-            f"(at most {_MAX_KERNEL_LINES} lines)"
+            f"{num_lines} lines exceed the 64-bit line states "
+            f"(at most {MAX_STATE_LINES} lines)"
         )
     values = [int(value) for value in images]
     if len(set(values)) != size:
@@ -306,6 +301,12 @@ def synthesize_permutation_masks(
     Raises :class:`ValueError` for a table that is not a care table over
     ``num_lines`` lines or has more than :data:`MAX_TBS_LINES` care inputs.
     """
+    if len(images) > 1 << MAX_TBS_LINES:
+        raise ValueError(
+            f"transformation-based synthesis of {len(images)} care rows would "
+            f"need a table as large; the explicit kernel is capped at "
+            f"MAX_TBS_LINES={MAX_TBS_LINES} care inputs"
+        )
     perm0 = _check_care_table(images, num_lines)
     size = len(perm0)
     if num_lines == 0:

@@ -184,46 +184,6 @@ class TestCareTableSynthesis:
         with pytest.raises(ValueError, match=message):
             synthesize_permutation_masks(images, num_lines)
 
-    @staticmethod
-    def _patch_row_one(monkeypatch, edit):
-        # Rewrite the output gates the kernel builds for row 1.
-        original = tbs_module._gate_masks_transforming
-
-        def builder(start, goal, protect_below):
-            masks, cost = original(start, goal, protect_below)
-            if protect_below == 1:
-                masks = edit(masks)
-            return masks, cost
-
-        monkeypatch.setattr(tbs_module, "_gate_masks_transforming", builder)
-
-    @pytest.mark.parametrize(
-        "num_inputs,num_lines,message",
-        [
-            (4, 6, "did not reach the identity"),
-            # Long enough to compact: the compaction check fires first.
-            (11, 13, "broke a row below"),
-        ],
-    )
-    def test_a_broken_fixed_row_is_caught(
-        self, monkeypatch, num_inputs, num_lines, message
-    ):
-        # A NOT on line 0 after row 1's gates swaps the values of rows 0
-        # and 1; only the final or the compaction check can notice.
-        self._patch_row_one(monkeypatch, lambda masks: masks + [(0, 0)])
-        images = random_care_table(
-            np.random.default_rng(3), num_inputs, num_lines
-        )
-        assert images[1] != 1  # row 1 does get gates
-        with pytest.raises(RuntimeError, match=message):
-            synthesize_permutation_masks(images, num_lines, bidirectional=False)
-
-    def test_a_dropped_gate_is_caught(self, monkeypatch):
-        self._patch_row_one(monkeypatch, lambda masks: masks[:-1])
-        images = random_care_table(np.random.default_rng(3), 4, 6)
-        with pytest.raises(RuntimeError):
-            synthesize_permutation_masks(images, 6, bidirectional=False)
-
 
 class TestSymbolicTbs:
     @pytest.mark.parametrize("n", [3, 4, 5])

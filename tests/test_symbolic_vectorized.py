@@ -330,34 +330,53 @@ class TestTbsCorrectnessChecks:
         monkeypatch.setattr(tbs_module, "_gate_masks_transforming", builder)
         return edited
 
-    def test_a_dropped_gate_is_caught(self, monkeypatch):
-        # Row 1 is left unfixed, so a later row finds its image below
-        # itself and no control set can protect the fixed rows.
+    @staticmethod
+    def _table(num_inputs, num_lines):
+        # A full permutation when num_inputs == num_lines, else a care table.
+        perm = np.random.default_rng(3).permutation(1 << num_lines)
+        return perm[: 1 << num_inputs]
+
+    @pytest.mark.parametrize(
+        "num_inputs,num_lines,message",
+        [
+            # Row 1 is left unfixed, so a later row finds its image below
+            # itself and no control set can protect the fixed rows.
+            (4, 4, "safe control set"),
+            # Over 6 lines the unfixed row goes unnoticed until the end
+            # check.
+            (4, 6, "did not reach the identity"),
+        ],
+    )
+    def test_a_dropped_gate_is_caught(
+        self, monkeypatch, num_inputs, num_lines, message
+    ):
         edited = self._patch_row_one(monkeypatch, lambda masks: masks[:-1])
-        perm = np.random.default_rng(3).permutation(16)
-        with pytest.raises(RuntimeError, match="safe control set"):
-            synthesize_permutation_masks(perm, 4, bidirectional=False)
+        images = self._table(num_inputs, num_lines)
+        with pytest.raises(RuntimeError, match=message):
+            synthesize_permutation_masks(images, num_lines, bidirectional=False)
         assert edited
 
     @pytest.mark.parametrize(
-        "num_lines,message",
+        "num_inputs,num_lines,message",
         [
-            (4, "did not reach the identity"),
+            (4, 4, "did not reach the identity"),
+            (4, 6, "did not reach the identity"),
             # Long enough to compact: the compaction check fires first.
-            (11, "broke a row below"),
+            (11, 11, "broke a row below"),
+            (11, 13, "broke a row below"),
         ],
     )
     def test_a_gate_that_breaks_fixed_rows_is_caught(
-        self, monkeypatch, num_lines, message
+        self, monkeypatch, num_inputs, num_lines, message
     ):
         # A NOT on line 0 after row 1's output gates swaps the values of
         # rows 0 and 1 and keeps every later row reachable, so synthesis
         # runs to the end and only the final or the compaction check can
         # notice.
         edited = self._patch_row_one(monkeypatch, lambda masks: masks + [(0, 0)])
-        perm = np.random.default_rng(3).permutation(1 << num_lines)
+        images = self._table(num_inputs, num_lines)
         with pytest.raises(RuntimeError, match=message):
-            synthesize_permutation_masks(perm, num_lines, bidirectional=False)
+            synthesize_permutation_masks(images, num_lines, bidirectional=False)
         assert edited
 
 
