@@ -249,23 +249,29 @@ class Aig:
         """
         return operands[0] & operands[1]
 
+    def _level_list(self) -> List[int]:
+        """Logic level of every node, indexed by node."""
+        fanin0 = self._fanin0
+        fanin1 = self._fanin1
+        level = [0] * len(fanin0)
+        for node in range(1, len(fanin0)):
+            f0 = fanin0[node]
+            if f0 >= 0:  # an AND node; the constant and PIs store -1
+                level0 = level[f0 >> 1]
+                level1 = level[fanin1[node] >> 1]
+                level[node] = 1 + (level0 if level0 > level1 else level1)
+        return level
+
     def levels(self) -> Dict[int, int]:
         """Logic level of every node (PIs and constant at level 0)."""
-        level = {0: 0}
-        for node in self._pis:
-            level[node] = 0
-        for node in range(len(self._fanin0)):
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                level[node] = 1 + max(level[lit_node(f0)], level[lit_node(f1)])
-        return level
+        return dict(enumerate(self._level_list()))
 
     def depth(self) -> int:
         """Number of logic levels on the longest PI-to-PO path."""
         if not self._pos:
             return 0
-        level = self.levels()
-        return max(level[lit_node(po)] for po in self._pos)
+        level = self._level_list()
+        return max(level[po >> 1] for po in self._pos)
 
     def fanout_counts(self) -> List[int]:
         """Number of fanouts of every node (POs count as fanouts)."""
@@ -402,25 +408,39 @@ class Aig:
         through :meth:`create_and`, so the copy is strashed and free of
         trivial ANDs.  The copy is a fresh object that shares no state with
         ``self``.
+
+        A *clean* network — every AND node reachable and the inputs at
+        nodes ``1..k`` — is returned as a plain :meth:`copy`.  Every node
+        was made by :meth:`create_and`, so its fanins are already
+        canonical, and renumbering keeps every node where it is: the
+        rebuild would reproduce the network node for node.  (The rebuild
+        keeps every input, so an unreachable input does not stop this.)
         """
         fanin0 = self._fanin0
         fanin1 = self._fanin1
         num_nodes = len(fanin0)
         reachable = bytearray(num_nodes)
-        stack = [po >> 1 for po in self._pos]
-        while stack:
-            node = stack.pop()
+        for po in self._pos:
+            reachable[po >> 1] = 1
+        # Fanins have smaller indices, so one downward sweep marks them all.
+        reachable_ands = 0
+        for node in range(num_nodes - 1, 0, -1):
             if reachable[node]:
-                continue
-            reachable[node] = 1
-            f0 = fanin0[node]
-            if f0 >= 0:  # an AND node; the constant and PIs store -1
-                stack.append(f0 >> 1)
-                stack.append(fanin1[node] >> 1)
+                f0 = fanin0[node]
+                if f0 >= 0:  # an AND node; the constant and PIs store -1
+                    reachable_ands += 1
+                    reachable[f0 >> 1] = 1
+                    reachable[fanin1[node] >> 1] = 1
+
+        pis = self._pis
+        if reachable_ands == num_nodes - 1 - len(pis) and (
+            not pis or pis[-1] == len(pis)
+        ):
+            return self.copy()
 
         result = Aig(self.name)
         mapping = [0] * num_nodes  # node 0 maps to the constant-0 literal
-        for node, name in zip(self._pis, self._pi_names):
+        for node, name in zip(pis, self._pi_names):
             mapping[node] = result.add_pi(name)
         create_and = result.create_and
         for node in range(1, num_nodes):

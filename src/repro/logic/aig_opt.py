@@ -34,9 +34,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.logic.aig import Aig
 from repro.logic.lits import lit_is_compl, lit_node, lit_not_cond
-from repro.logic.network import collect_cone, cone_truth_table
 from repro.logic.sop import Expression, expression_literal_count, factor_cubes, isop
-from repro.logic.truth_table import tt_mask
+from repro.logic.truth_table import tt_mask, tt_var
 
 __all__ = [
     "balance",
@@ -61,59 +60,142 @@ def _map_lit(mapping: Dict[int, int], lit: int) -> int:
 def _materialization_roots(aig: Aig, include_complemented: bool = True) -> Set[int]:
     """Nodes that must exist as explicit nodes in the rebuilt AIG.
 
-    A node is a root if it drives a primary output or has more than one
-    fanout.  When ``include_complemented`` is true (needed by balancing,
-    which can only absorb non-complemented fanins into AND trees), nodes
-    referenced through a complemented edge are also roots.
+    A node is a root if it is an AND node that drives a primary output or
+    has more than one fanout.  When ``include_complemented`` is true
+    (needed by balancing, which can only absorb non-complemented fanins
+    into AND trees), AND nodes referenced through a complemented edge are
+    also roots.
     """
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
     fanouts = aig.fanout_counts()
-    roots: Set[int] = set()
-    for po in aig.pos():
-        roots.add(lit_node(po))
-    for node in aig.nodes():
-        if not aig.is_and(node):
+    # fanin0 is -1 for the constant and the PIs, so ">= 0" means "an AND".
+    roots = {po >> 1 for po in aig._pos if fanin0[po >> 1] >= 0}
+    for node in range(1, len(fanin0)):
+        f0 = fanin0[node]
+        if f0 < 0:
             continue
         if fanouts[node] > 1:
             roots.add(node)
         if include_complemented:
-            for fanin in aig.fanins(node):
-                if lit_is_compl(fanin) and aig.is_and(lit_node(fanin)):
-                    roots.add(lit_node(fanin))
-    roots.discard(0)
-    return {node for node in roots if aig.is_and(node)}
+            if f0 & 1 and fanin0[f0 >> 1] >= 0:
+                roots.add(f0 >> 1)
+            f1 = fanin1[node]
+            if f1 & 1 and fanin0[f1 >> 1] >= 0:
+                roots.add(f1 >> 1)
+    return roots
 
 
-# Cone collection and truth-table extraction are the protocol-level
-# helpers of :mod:`repro.logic.network`, shared with the XMG passes.
-_collect_cone = collect_cone
-_cone_truth_table = cone_truth_table
+def _collect_cone(
+    aig: Aig, root: int, stops: Set[int]
+) -> Tuple[List[int], List[int]]:
+    """Leaves and internal nodes of the cone of the AND node ``root``.
+
+    The walk stops at primary inputs and at any node in ``stops`` other
+    than the root.  Both lists are sorted ascending, which is topological
+    order for the internal nodes.
+    """
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    leaves: List[int] = []
+    internal: List[int] = [root]
+    seen = {root}
+    stack = [fanin0[root] >> 1, fanin1[root] >> 1]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        f0 = fanin0[node]
+        if f0 < 0 or node in stops:
+            leaves.append(node)
+            continue
+        internal.append(node)
+        stack.append(f0 >> 1)
+        stack.append(fanin1[node] >> 1)
+    internal.sort()
+    leaves.sort()
+    return leaves, internal
+
+
+def _cone_truth_table(
+    aig: Aig, root: int, leaves: Sequence[int], internal: Sequence[int]
+) -> int:
+    """Truth table of ``root`` over its cone leaves (leaf ``i`` = variable ``i``).
+
+    ``internal`` lists the cone's AND nodes in topological order, as
+    :func:`_collect_cone` returns them.
+    """
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    num_vars = len(leaves)
+    mask = tt_mask(num_vars)
+    tables = {leaf: tt_var(i, num_vars) for i, leaf in enumerate(leaves)}
+    for node in internal:
+        f0 = fanin0[node]
+        f1 = fanin1[node]
+        table0 = tables[f0 >> 1]
+        if f0 & 1:
+            table0 ^= mask
+        table1 = tables[f1 >> 1]
+        if f1 & 1:
+            table1 ^= mask
+        tables[node] = table0 & table1
+    return tables[root]
 
 
 def _build_expression(aig: Aig, expr: Expression, leaf_lits: Sequence[int]) -> int:
-    """Instantiate a factored expression tree in ``aig``."""
+    """Instantiate a factored expression tree in ``aig``.
+
+    Each AND/OR node becomes a balanced tree of two-input ANDs, paired
+    level by level as :meth:`Aig.create_and_multi` does; an OR is the
+    complemented AND of its complemented operands (De Morgan), which is
+    how :meth:`Aig.create_or` builds it.
+    """
     tag = expr[0]
-    if tag == "const":
-        return Aig.CONST1 if expr[1] else Aig.CONST0
     if tag == "lit":
         _, var, positive = expr
-        return lit_not_cond(leaf_lits[var], not positive)
-    children = [_build_expression(aig, child, leaf_lits) for child in expr[1]]
+        return leaf_lits[var] if positive else leaf_lits[var] ^ 1
+    if tag == "const":
+        return Aig.CONST1 if expr[1] else Aig.CONST0
     if tag == "and":
-        return aig.create_and_multi(children)
-    if tag == "or":
-        return aig.create_or_multi(children)
-    raise ValueError(f"unknown expression tag {tag!r}")  # pragma: no cover
+        invert = 0
+    elif tag == "or":
+        invert = 1
+    else:  # pragma: no cover
+        raise ValueError(f"unknown expression tag {tag!r}")
+    operands = [
+        _build_expression(aig, child, leaf_lits) ^ invert for child in expr[1]
+    ]
+    if not operands:
+        return Aig.CONST1 ^ invert
+    create_and = aig.create_and
+    while len(operands) > 1:
+        paired = [
+            create_and(operands[i], operands[i + 1])
+            for i in range(0, len(operands) - 1, 2)
+        ]
+        if len(operands) % 2:
+            paired.append(operands[-1])
+        operands = paired
+    return operands[0] ^ invert
 
 
 def _copy_structural(
     aig: Aig, new: Aig, mapping: Dict[int, int], internal: Sequence[int]
 ) -> None:
     """Structurally copy cone-internal nodes into the rebuilt AIG."""
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    create_and = new.create_and
     for node in internal:
         if node in mapping:
             continue
-        f0, f1 = aig.fanins(node)
-        mapping[node] = new.create_and(_map_lit(mapping, f0), _map_lit(mapping, f1))
+        f0 = fanin0[node]
+        f1 = fanin1[node]
+        mapping[node] = create_and(
+            mapping[f0 >> 1] ^ (f0 & 1), mapping[f1 >> 1] ^ (f1 & 1)
+        )
 
 
 def _finish(aig: Aig, new: Aig, mapping: Dict[int, int]) -> Aig:
@@ -125,9 +207,7 @@ def _finish(aig: Aig, new: Aig, mapping: Dict[int, int]) -> Aig:
 def _init_rebuild(aig: Aig) -> Tuple[Aig, Dict[int, int]]:
     new = Aig(aig.name)
     mapping: Dict[int, int] = {0: Aig.CONST0}
-    for node, name in zip(
-        [lit_node(lit) for lit in aig.pis()], aig.pi_names()
-    ):
+    for node, name in zip(aig._pis, aig._pi_names):
         mapping[node] = new.add_pi(name)
     return new, mapping
 
@@ -144,43 +224,45 @@ def balance(aig: Aig) -> Aig:
     minimises the depth of the rebuilt tree.
     """
     aig = aig.cleanup()
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
     roots = _materialization_roots(aig)
     new, mapping = _init_rebuild(aig)
-    new_level: Dict[int, int] = {0: 0}
-    for node in [lit_node(lit) for lit in aig.pis()]:
-        new_level[lit_node(mapping[node])] = 0
+    create_and = new.create_and
+    new_level: Dict[int, int] = {0: 0}  # absent nodes (the PIs) sit at level 0
+    level_get = new_level.get
 
     def level_of(lit: int) -> int:
-        return new_level.get(lit_node(lit), 0)
+        return level_get(lit >> 1, 0)
 
-    for node in aig.nodes():
-        if not aig.is_and(node) or node not in roots:
-            continue
-        leaves, internal = _collect_cone(aig, node, roots)
-        # Collect the AND-tree leaf *literals* (an internal node contributes
-        # its fanin literals; complemented edges to AND nodes were forced to
+    for node in sorted(roots):
+        # Collect the AND-tree leaf *literals*: the tree descends through
+        # non-complemented edges into non-root AND nodes, and every other
+        # fanin is a leaf (complemented edges to AND nodes were forced to
         # be roots so every leaf literal maps cleanly).
         leaf_lits: List[int] = []
-        internal_set = set(internal)
         stack = [node]
         while stack:
             current = stack.pop()
-            for fanin in aig.fanins(current):
-                if lit_node(fanin) in internal_set and not lit_is_compl(fanin):
-                    stack.append(lit_node(fanin))
+            for fanin in (fanin0[current], fanin1[current]):
+                child = fanin >> 1
+                if not fanin & 1 and fanin0[child] >= 0 and child not in roots:
+                    stack.append(child)
                 else:
-                    leaf_lits.append(_map_lit(mapping, fanin))
+                    leaf_lits.append(mapping[child] ^ (fanin & 1))
         # Huffman-style balanced conjunction.
         operands = sorted(leaf_lits, key=level_of, reverse=True)
         while len(operands) > 1:
             a = operands.pop()
             b = operands.pop()
-            combined = new.create_and(a, b)
-            new_level[lit_node(combined)] = 1 + max(level_of(a), level_of(b))
+            combined = create_and(a, b)
+            level_a = level_get(a >> 1, 0)
+            level_b = level_get(b >> 1, 0)
+            level = 1 + (level_a if level_a > level_b else level_b)
+            new_level[combined >> 1] = level
             # Keep the list sorted by descending level (insert at position).
-            level = new_level[lit_node(combined)]
             index = len(operands)
-            while index > 0 and level_of(operands[index - 1]) < level:
+            while index > 0 and level_get(operands[index - 1] >> 1, 0) < level:
                 index -= 1
             operands.insert(index, combined)
         mapping[node] = operands[0] if operands else Aig.CONST1
@@ -267,9 +349,7 @@ def refactor(aig: Aig, max_leaves: int = 10) -> Aig:
     roots = _materialization_roots(aig, include_complemented=False)
     new, mapping = _init_rebuild(aig)
 
-    for node in aig.nodes():
-        if not aig.is_and(node) or node not in roots:
-            continue
+    for node in sorted(roots):
         leaves, internal = _collect_cone(aig, node, roots)
         if not leaves or len(leaves) > max_leaves:
             _copy_structural(aig, new, mapping, internal)
@@ -282,7 +362,7 @@ def refactor(aig: Aig, max_leaves: int = 10) -> Aig:
             _copy_structural(aig, new, mapping, internal)
             continue
 
-        leaf_lits = [_map_lit(mapping, leaf * 2) for leaf in leaves]
+        leaf_lits = [mapping[leaf] for leaf in leaves]
         literal = _build_expression(new, expr, leaf_lits)
         mapping[node] = lit_not_cond(literal, use_complement)
     return _finish(aig, new, mapping)

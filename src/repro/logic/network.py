@@ -7,10 +7,6 @@ topological order and expose the same traversal surface.  This module pins
 that contract down as the :class:`LogicNetwork` protocol and builds the
 generic graph algorithms on top of it:
 
-* :func:`collect_cone` — iterative cone collection bounded by stop nodes,
-* :func:`cone_truth_table` — iterative truth-table extraction of a cone
-  (no recursion, so reconvergent cones deeper than the Python recursion
-  limit are fine),
 * :func:`transitive_fanin` — reachable gate set of a root set,
 * :func:`network_stats` / :func:`network_cost` — uniform size/depth
   accounting; the cost tuple is the lexicographic objective every
@@ -42,14 +38,11 @@ except ImportError:  # pragma: no cover - ancient interpreters only
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
-from repro.logic.lits import lit_is_compl, lit_node
-from repro.logic.truth_table import tt_mask, tt_var
+from repro.logic.lits import lit_node
 
 __all__ = [
     "LogicNetwork",
     "NetworkStats",
-    "collect_cone",
-    "cone_truth_table",
     "network_cost",
     "network_kind",
     "network_stats",
@@ -167,70 +160,6 @@ def network_cost(network: LogicNetwork) -> Tuple[int, ...]:
     if network_kind(network) == "xmg":
         return (network.num_maj(), network.num_gates(), network.depth())
     return (network.num_gates(), network.depth())
-
-
-def collect_cone(
-    network: LogicNetwork, root: int, stops: Set[int]
-) -> Tuple[List[int], List[int]]:
-    """Leaves and internal nodes of the cone of ``root``.
-
-    The traversal stops at primary inputs, the constant node and at any
-    node in ``stops`` (other than the root itself).  Both lists are sorted
-    ascending, which is topological order for internal nodes.  The
-    constant node is never reported as a leaf — it is not a cone
-    variable; :func:`cone_truth_table` evaluates it as the fixed value 0.
-    XMGs reach it routinely (MAJ with a constant operand is how AND/OR
-    are represented), so reporting it would silently inflate the cone
-    arity.
-    """
-    leaves: List[int] = []
-    internal: List[int] = []
-    seen: Set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node != root and (node in stops or not network.is_gate(node)):
-            if not network.is_const(node):
-                leaves.append(node)
-            continue
-        internal.append(node)
-        for fanin in network.fanins(node):
-            stack.append(lit_node(fanin))
-    internal.sort()
-    leaves.sort()
-    return leaves, internal
-
-
-def cone_truth_table(
-    network: LogicNetwork,
-    root: int,
-    leaves: Sequence[int],
-    internal: Sequence[int],
-) -> int:
-    """Truth table of ``root`` over its cone leaves (leaf ``i`` = variable ``i``).
-
-    ``internal`` must contain every gate between the leaves and the root in
-    topological (ascending) order — exactly what :func:`collect_cone`
-    returns.  Evaluation is iterative and dispatches per-node through
-    :meth:`LogicNetwork.eval_gate`, so it works for AND, MAJ and XOR nodes
-    alike.
-    """
-    num_vars = len(leaves)
-    mask = tt_mask(num_vars)
-    tables: Dict[int, int] = {0: 0}
-    for i, leaf in enumerate(leaves):
-        tables[leaf] = tt_var(i, num_vars)
-
-    for node in internal:
-        operands = [
-            tables[lit_node(f)] ^ (mask if lit_is_compl(f) else 0)
-            for f in network.fanins(node)
-        ]
-        tables[node] = network.eval_gate(node, operands) & mask
-    return tables[root]
 
 
 def transitive_fanin(

@@ -237,11 +237,11 @@ class Xmg:
 
     def num_maj(self) -> int:
         """Number of majority nodes (including AND/OR specialisations)."""
-        return sum(1 for n in self.nodes() if self.is_maj(n))
+        return self._kind.count(self._KIND_MAJ)
 
     def num_xor(self) -> int:
         """Number of XOR nodes."""
-        return sum(1 for n in self.nodes() if self.is_xor(n))
+        return self._kind.count(self._KIND_XOR)
 
     def num_gates(self) -> int:
         """Total number of gate nodes."""
@@ -257,23 +257,24 @@ class Xmg:
             counts[lit_node(po)] += 1
         return counts
 
+    def _level_list(self) -> List[int]:
+        """Logic level of every node, indexed by node."""
+        level = [0] * len(self._kind)
+        for node, fanins in enumerate(self._fanins):
+            if fanins:
+                level[node] = 1 + max([level[f >> 1] for f in fanins])
+        return level
+
     def levels(self) -> Dict[int, int]:
         """Logic level of every node."""
-        level: Dict[int, int] = {}
-        for node in self.nodes():
-            fanins = self._fanins[node]
-            if not fanins:
-                level[node] = 0
-            else:
-                level[node] = 1 + max(level[lit_node(f)] for f in fanins)
-        return level
+        return dict(enumerate(self._level_list()))
 
     def depth(self) -> int:
         """Number of logic levels on the longest PI-to-PO path."""
         if not self._pos:
             return 0
-        level = self.levels()
-        return max(level[lit_node(po)] for po in self._pos)
+        level = self._level_list()
+        return max(level[po >> 1] for po in self._pos)
 
     def _check_lit(self, lit: int) -> None:
         node = lit_node(lit)
@@ -348,34 +349,66 @@ class Xmg:
     # -- maintenance -------------------------------------------------------------
 
     def cleanup(self) -> "Xmg":
-        """Return a copy containing only nodes reachable from the outputs."""
-        reachable = set()
-        stack = [lit_node(po) for po in self._pos]
-        while stack:
-            node = stack.pop()
-            if node in reachable or self.is_const(node):
-                continue
-            reachable.add(node)
-            for fanin in self._fanins[node]:
-                stack.append(lit_node(fanin))
+        """Return a copy containing only nodes reachable from the outputs.
+
+        Primary inputs come first, in their original order; the reachable
+        gates follow in their original (topological) order, rebuilt through
+        :meth:`create_maj` / :meth:`create_xor`.  The copy is a fresh object
+        that shares no state with ``self``.
+
+        A *clean* network — every gate reachable and the inputs at nodes
+        ``1..k`` — is returned as a plain :meth:`copy`: its gates were made
+        by the canonicalising constructors and keep their node numbers, so
+        the rebuild would reproduce it node for node.
+        """
+        kinds = self._kind
+        fanins = self._fanins
+        num_nodes = len(kinds)
+        reachable = bytearray(num_nodes)
+        for po in self._pos:
+            reachable[po >> 1] = 1
+        # Fanins have smaller indices, so one downward sweep marks them all.
+        reachable_gates = 0
+        for node in range(num_nodes - 1, 0, -1):
+            if reachable[node]:
+                node_fanins = fanins[node]
+                if node_fanins:  # a gate; the constant and PIs have none
+                    reachable_gates += 1
+                    for fanin in node_fanins:
+                        reachable[fanin >> 1] = 1
+
+        pis = self._pis
+        if reachable_gates == num_nodes - 1 - len(pis) and (
+            not pis or pis[-1] == len(pis)
+        ):
+            return self.copy()
 
         result = Xmg(self.name)
-        mapping: Dict[int, int] = {0: Xmg.CONST0}
-        for node, name in zip(self._pis, self._pi_names):
+        mapping = [0] * num_nodes  # node 0 maps to the constant-0 literal
+        for node, name in zip(pis, self._pi_names):
             mapping[node] = result.add_pi(name)
-        for node in self.nodes():
-            if node not in reachable or self.is_pi(node) or self.is_const(node):
-                continue
-            fanins = [
-                lit_not_cond(mapping[lit_node(f)], lit_is_compl(f))
-                for f in self._fanins[node]
-            ]
-            if self.is_maj(node):
-                mapping[node] = result.create_maj(*fanins)
-            else:
-                mapping[node] = result.create_xor(*fanins)
+        for node in range(1, num_nodes):
+            node_fanins = fanins[node]
+            if node_fanins and reachable[node]:
+                operands = [mapping[f >> 1] ^ (f & 1) for f in node_fanins]
+                if kinds[node] == self._KIND_MAJ:
+                    mapping[node] = result.create_maj(*operands)
+                else:
+                    mapping[node] = result.create_xor(*operands)
         for po, name in zip(self._pos, self._po_names):
-            result.add_po(lit_not_cond(mapping[lit_node(po)], lit_is_compl(po)), name)
+            result.add_po(mapping[po >> 1] ^ (po & 1), name)
+        return result
+
+    def copy(self) -> "Xmg":
+        """Deep copy of the XMG (including dangling nodes)."""
+        result = Xmg(self.name)
+        result._kind = list(self._kind)
+        result._fanins = list(self._fanins)  # the fanin tuples are immutable
+        result._pis = list(self._pis)
+        result._pi_names = list(self._pi_names)
+        result._pos = list(self._pos)
+        result._po_names = list(self._po_names)
+        result._strash = dict(self._strash)
         return result
 
     def __repr__(self) -> str:

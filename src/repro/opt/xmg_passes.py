@@ -78,7 +78,9 @@ def xmg_strash(xmg: Xmg) -> Xmg:
     The constructors fold constant fanins, duplicate and complementary
     operands and keep complement marks canonical, so a rebuild cascades
     any simplification enabled by an earlier pass and drops dangling
-    nodes.  :meth:`Xmg.cleanup` performs exactly this rebuild.
+    nodes.  :meth:`Xmg.cleanup` returns exactly the result of this
+    rebuild; on an already clean network it gets there by copying, since
+    the rebuild would reproduce that network node for node.
     """
     return xmg.cleanup()
 

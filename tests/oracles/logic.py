@@ -1,5 +1,6 @@
-"""Oracles for the logic-level kernels: cut tables, PSDKRO, minimum-cost
-ESOPs, BDDs, collapse, and AIG cleanup and refactoring."""
+"""Oracles for the logic-level kernels: protocol cone walks, cut tables,
+PSDKRO, minimum-cost ESOPs, BDDs, collapse, AIG cleanup and refactoring,
+and XMG cleanup."""
 
 import heapq
 import itertools
@@ -10,7 +11,7 @@ from repro.logic.bdd import BddManager
 from repro.logic.cube import Cube
 from repro.logic.cuts import Cut
 from repro.logic.lits import lit_not_cond
-from repro.logic.network import LogicNetwork, collect_cone, cone_truth_table
+from repro.logic.network import LogicNetwork
 from repro.logic.sop import Expression, expression_literal_count, factor_cubes, isop
 from repro.logic.truth_table import (
     tt_cofactor0,
@@ -19,7 +20,82 @@ from repro.logic.truth_table import (
     tt_support,
     tt_var,
 )
+from repro.logic.xmg import Xmg
 from repro.quantum.tcount import mct_t_count
+
+# ---------------------------------------------------------------------------
+# protocol cone walks
+# ---------------------------------------------------------------------------
+#
+# The generic cone collection and cone truth table over the LogicNetwork
+# protocol, one method call per node visit.  The AIG passes walk their
+# cones on the flat fanin arrays instead; the reference passes below use
+# these.
+
+
+def collect_cone(
+    network: LogicNetwork, root: int, stops: Set[int]
+) -> Tuple[List[int], List[int]]:
+    """Leaves and internal nodes of the cone of ``root``.
+
+    The traversal stops at primary inputs, the constant node and at any
+    node in ``stops`` (other than the root itself).  Both lists are sorted
+    ascending, which is topological order for internal nodes.  The
+    constant node is never reported as a leaf — it is not a cone
+    variable; :func:`cone_truth_table` evaluates it as the fixed value 0.
+    XMGs reach it routinely (MAJ with a constant operand is how AND/OR
+    are represented), so reporting it would silently inflate the cone
+    arity.
+    """
+    leaves: List[int] = []
+    internal: List[int] = []
+    seen: Set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if node != root and (node in stops or not network.is_gate(node)):
+            if not network.is_const(node):
+                leaves.append(node)
+            continue
+        internal.append(node)
+        for fanin in network.fanins(node):
+            stack.append(lit_node(fanin))
+    internal.sort()
+    leaves.sort()
+    return leaves, internal
+
+
+def cone_truth_table(
+    network: LogicNetwork,
+    root: int,
+    leaves: Sequence[int],
+    internal: Sequence[int],
+) -> int:
+    """Truth table of ``root`` over its cone leaves (leaf ``i`` = variable ``i``).
+
+    ``internal`` must contain every gate between the leaves and the root in
+    topological (ascending) order — exactly what :func:`collect_cone`
+    returns.  Evaluation is iterative and dispatches per-node through
+    :meth:`LogicNetwork.eval_gate`, so it works for AND, MAJ and XOR nodes
+    alike.
+    """
+    num_vars = len(leaves)
+    mask = tt_mask(num_vars)
+    tables: Dict[int, int] = {0: 0}
+    for i, leaf in enumerate(leaves):
+        tables[leaf] = tt_var(i, num_vars)
+
+    for node in internal:
+        operands = [
+            tables[lit_node(f)] ^ (mask if lit_is_compl(f) else 0)
+            for f in network.fanins(node)
+        ]
+        tables[node] = network.eval_gate(node, operands) & mask
+    return tables[root]
+
 
 # ---------------------------------------------------------------------------
 # cut truth tables
@@ -607,3 +683,44 @@ def resyn2_reference(aig: Aig) -> Aig:
     aig = refactor_reference(aig, max_leaves=5)
     aig = refactor_reference(aig, max_leaves=12)
     return balance_reference(aig)
+
+
+# ---------------------------------------------------------------------------
+# XMG cleanup
+# ---------------------------------------------------------------------------
+
+
+def xmg_cleanup_reference(xmg: Xmg) -> Xmg:
+    """Copy of ``xmg`` with only the nodes reachable from the outputs.
+
+    Every reachable gate is rebuilt through the hashing constructors, with
+    no shortcut for networks that are already clean.
+    """
+    reachable = set()
+    stack = [lit_node(po) for po in xmg._pos]
+    while stack:
+        node = stack.pop()
+        if node in reachable or xmg.is_const(node):
+            continue
+        reachable.add(node)
+        for fanin in xmg._fanins[node]:
+            stack.append(lit_node(fanin))
+
+    result = Xmg(xmg.name)
+    mapping: Dict[int, int] = {0: Xmg.CONST0}
+    for node, name in zip(xmg._pis, xmg._pi_names):
+        mapping[node] = result.add_pi(name)
+    for node in xmg.nodes():
+        if node not in reachable or xmg.is_pi(node) or xmg.is_const(node):
+            continue
+        fanins = [
+            lit_not_cond(mapping[lit_node(f)], lit_is_compl(f))
+            for f in xmg._fanins[node]
+        ]
+        if xmg.is_maj(node):
+            mapping[node] = result.create_maj(*fanins)
+        else:
+            mapping[node] = result.create_xor(*fanins)
+    for po, name in zip(xmg._pos, xmg._po_names):
+        result.add_po(lit_not_cond(mapping[lit_node(po)], lit_is_compl(po)), name)
+    return result

@@ -4,6 +4,7 @@ import pytest
 
 import repro.logic.aig as aig_module
 import repro.logic.xmg as xmg_module
+from oracles.logic import collect_cone, cone_truth_table
 from repro.logic import lits
 from repro.logic.aig import Aig
 from repro.logic.cuts import cut_truth_table, lut_map
@@ -11,8 +12,6 @@ from repro.logic.lits import lit_is_compl, lit_node
 from repro.logic.network import (
     LogicNetwork,
     NetworkStats,
-    collect_cone,
-    cone_truth_table,
     network_cost,
     network_kind,
     network_stats,
