@@ -12,12 +12,12 @@ Checks (the paper's observations):
 * runtimes grow steeply (the paper needed 3.2 days for n = 16 on a
   server).  Transformation-based synthesis works on the embedding's care
   rows only (the ``2^n`` inputs, not the ``2^(2n-1)``-state permutation),
-  so INTDIV(16) takes seconds here; NEWTON's cost at large n is the BDD
-  collapse of its larger AIG.
+  and ``collapse`` reads the function off the AIG by exhaustive simulation,
+  so INTDIV(16) and NEWTON(16) take seconds here.
 
 Every point is verified exhaustively against the bit-blasted design.
-Default sweep: n = 4..9; ``REPRO_BENCH_LARGE=1`` adds n = 10..16, for
-NEWTON up to :data:`NEWTON_MAX_BITWIDTH`.
+Default sweep: n = 4..9; ``REPRO_BENCH_LARGE=1`` adds n = 10..16 for both
+designs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ PAPER_TABLE2 = {
 }
 
 
-#: NEWTON's BDD collapse outgrows a small machine above this width:
-#: NEWTON(13) takes 59 s and 3.6 GB in ``collapse``, against 0.15 s in TBS.
-NEWTON_MAX_BITWIDTH = 12
-
-
 def _bitwidths():
     widths = [4, 5, 6, 7, 8, 9]
     if large_benchmarks_enabled():
@@ -56,8 +51,6 @@ def table2_reports():
     reports = {"INTDIV": [], "NEWTON": []}
     for n in _bitwidths():
         for design, key in (("intdiv", "INTDIV"), ("newton", "NEWTON")):
-            if design == "newton" and n > NEWTON_MAX_BITWIDTH:
-                continue
             result = run_flow("symbolic", design, n, verify="full")
             reports[key].append(result.report)
     return reports

@@ -9,9 +9,9 @@ The package is organised in layers that mirror Fig. 1 of the paper:
     subset) and bit-blasts them into and-inverter graphs.
 
 ``repro.logic``
-    Classical logic synthesis substrate (logic synthesis level): AIGs, BDDs,
-    ESOP covers, XOR-majority graphs, optimisation scripts and equivalence
-    checking.
+    Classical logic synthesis substrate (logic synthesis level): AIGs,
+    truth tables, ESOP covers, XOR-majority graphs, optimisation scripts
+    and equivalence checking.
 
 ``repro.reversible``
     Reversible circuits and the three synthesis back-ends of the paper

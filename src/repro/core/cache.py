@@ -70,8 +70,10 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: ``lut`` prefix key moved.  Version 11: transformation-based synthesis
 #: works on the embedding's care rows only (INTDIV(8) ``symbolic``:
 #: 4,919,822 -> 20,478 T), so version-10 entries would serve the dearer
-#: circuits.
-CACHE_FORMAT_VERSION = 11
+#: circuits.  Version 12: the symbolic ``collapse`` stage simulates the AIG
+#: instead of building BDDs, and reports no ``bdd_nodes`` metric; a
+#: version-11 entry would still carry it.
+CACHE_FORMAT_VERSION = 12
 
 
 def cache_key(

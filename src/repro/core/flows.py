@@ -36,7 +36,7 @@ from repro.core.flow import Flow, FlowResult, FlowStage, PipelineSpec, PrefixMem
 from repro.hdl.designs import intdiv_verilog, newton_verilog
 from repro.hdl.synthesize import synthesize_verilog
 from repro.logic.aig import Aig
-from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd, collapse_to_esop
+from repro.logic.collapse import collapse_to_esop
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt import as_pipeline
 from repro.quantum.tcount import available_models
@@ -335,11 +335,25 @@ def _tail_stages() -> List[FlowStage]:
 # -- symbolic functional flow -----------------------------------------------------
 
 
-def _stage_collapse_bdd(context: Dict[str, Any]) -> None:
-    manager, roots = collapse_to_bdd(context["aig"])
-    context["bdd"] = (manager, roots)
-    context["function"] = bdd_to_truth_table(manager, roots)
-    _add_metrics(context, bdd_nodes=manager.node_count(roots))
+def _stage_collapse(context: Dict[str, Any]) -> None:
+    """ABC ``collapse``: the explicit function, by exhaustive AIG simulation."""
+    context["function"] = context["aig"].to_truth_table()
+
+
+def _removed_bdd_collapse(*args, **kwargs):
+    """Stand-in for the removed BDD collapse; it raises if called.
+
+    ``collapse_to_bdd`` and ``bdd_to_truth_table`` exist only because
+    ``perfbench/spans.py`` binds both names of this module by attribute;
+    the ``collapse`` stage never calls them.  ROADMAP item 4(b) removes
+    them together with those wrappers.
+    """
+    raise NotImplementedError(
+        "the BDD collapse was removed; the collapse stage simulates the AIG"
+    )
+
+
+collapse_to_bdd = bdd_to_truth_table = _removed_bdd_collapse
 
 
 def _stage_embed(context: Dict[str, Any]) -> None:
@@ -365,7 +379,7 @@ def symbolic_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flo
         [
             FlowStage("frontend", _stage_frontend),
             _make_optimize_stage("dc2", optimization_rounds),
-            FlowStage("collapse", _stage_collapse_bdd),
+            FlowStage("collapse", _stage_collapse),
             FlowStage("embed", _stage_embed),
             FlowStage("tbs", _stage_tbs),
             *_tail_stages(),

@@ -3,7 +3,8 @@
 The AIG is the central multi-level representation of the logic synthesis
 level (Fig. 1 of the paper): the Verilog front-end bit-blasts into an AIG,
 ABC-style optimisation scripts operate on it, and the three reversible flows
-consume it (directly, collapsed into a BDD/ESOP, or mapped into an XMG).
+consume it (simulated into a truth table, collapsed into an ESOP, or
+mapped into an XMG).
 
 Representation
 --------------

@@ -1,7 +1,7 @@
 """AIG optimisation passes: the ABC ``dc2``/``resyn2`` analogues.
 
 The paper optimises the bit-blasted designs with ABC command sequences
-(``dc2`` for the BDD flow, ``satclp; sop; fx; strash; dc2`` for the ESOP
+(``dc2`` for the symbolic flow, ``satclp; sop; fx; strash; dc2`` for the ESOP
 flow, repeated ``resyn2`` for the XMG flow) before handing the network to
 reversible synthesis.  This module provides the same *kind* of passes:
 

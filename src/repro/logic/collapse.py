@@ -1,124 +1,17 @@
 """Collapsing multi-level networks into two-level / functional representations.
 
-This corresponds to ABC's ``collapse`` (AIG to BDD, used by the symbolic
-functional flow) and to the truth-table expansion used for embedding and
-verification of small designs.
+This corresponds to ABC's ``collapse`` (the explicit function the symbolic
+flow embeds, by exhaustive simulation of the AIG) and to ``&exorcism``'s
+ESOP extraction used by the ESOP-based flow.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from repro.logic.aig import Aig, lit_is_compl, lit_node
-from repro.logic.bdd import BddManager
+from repro.logic.aig import Aig
 from repro.logic.esop import EsopCover, esop_from_columns, minimize_esop
 from repro.logic.truth_table import TruthTable
 
-__all__ = [
-    "collapse_to_bdd",
-    "collapse_to_truth_table",
-    "collapse_to_esop",
-    "bdd_to_truth_table",
-]
-
-
-def collapse_to_bdd(aig: Aig) -> Tuple[BddManager, List[int]]:
-    """Collapse an AIG into one BDD per primary output.
-
-    Returns the manager and the list of root handles (one per PO, in PO
-    order).  The BDD variable order follows the primary input order of the
-    AIG.
-
-    The AIG is processed level by level (the manager's apply walks are
-    iterative, so deep cones cost no Python recursion), and the BDD handle
-    of an internal node is dropped as soon as its last fanout has been
-    collapsed: only the active frontier of the sweep holds references,
-    which keeps the ``values`` map proportional to the cut between levels
-    rather than to the whole network.
-
-    AND *supergates* are collapsed in one batch: an AND node whose single
-    consumer references it non-complemented as another AND's fanin is an
-    internal node of a wider conjunction, so instead of materialising its
-    BDD (one full apply walk per 2-input node of a deep cone) the sweep
-    gathers the supergate's leaf literals and hands them to the balanced
-    reduction of :meth:`~repro.logic.bdd.BddManager.apply_and_many`.  BDDs
-    are canonical, so the roots represent the same functions as a
-    sequential per-node apply chain would.
-    """
-    manager = BddManager(aig.num_pis(), aig.pi_names())
-    values = {0: manager.false()}
-    for i, pi in enumerate(aig.pis()):
-        values[lit_node(pi)] = manager.variable(i)
-
-    def lit_bdd(lit: int) -> int:
-        node = values[lit_node(lit)]
-        return manager.apply_not(node) if lit_is_compl(lit) else node
-
-    # Remaining-fanout counts of every node (POs count as consumers) drive
-    # the frontier pruning; PIs are kept alive for the whole sweep.
-    # plain_refs counts only non-complemented AND-fanin references — a node
-    # whose single consumer is such a reference is supergate-internal.
-    remaining: Dict[int, int] = {}
-    plain_refs: Dict[int, int] = {}
-    for node in aig.nodes():
-        if aig.is_and(node):
-            for fanin in aig.fanins(node):
-                fanin_node = lit_node(fanin)
-                remaining[fanin_node] = remaining.get(fanin_node, 0) + 1
-                if not lit_is_compl(fanin):
-                    plain_refs[fanin_node] = plain_refs.get(fanin_node, 0) + 1
-    for po in aig.pos():
-        remaining[lit_node(po)] = remaining.get(lit_node(po), 0) + 1
-    keep = {0} | {lit_node(pi) for pi in aig.pis()}
-
-    internal = {
-        node
-        for node in aig.nodes()
-        if aig.is_and(node)
-        and remaining.get(node) == 1
-        and plain_refs.get(node) == 1
-    }
-
-    levels = aig.levels()
-    by_level: Dict[int, List[int]] = {}
-    for node in aig.nodes():
-        if aig.is_and(node) and node not in internal:
-            by_level.setdefault(levels[node], []).append(node)
-
-    for level in sorted(by_level):
-        for node in by_level[level]:
-            # Gather the supergate's leaf literals: expand non-complemented
-            # fanins that are internal AND nodes, stop at everything else.
-            leaves: List[int] = []
-            stack = list(aig.fanins(node))
-            while stack:
-                lit = stack.pop()
-                fanin_node = lit_node(lit)
-                if fanin_node in internal and not lit_is_compl(lit):
-                    remaining[fanin_node] -= 1
-                    stack.extend(aig.fanins(fanin_node))
-                else:
-                    leaves.append(lit)
-            values[node] = manager.apply_and_many(lit_bdd(lit) for lit in leaves)
-            for lit in leaves:
-                fanin_node = lit_node(lit)
-                remaining[fanin_node] -= 1
-                if remaining[fanin_node] == 0 and fanin_node not in keep:
-                    del values[fanin_node]
-
-    roots = [lit_bdd(po) for po in aig.pos()]
-    return manager, roots
-
-
-def bdd_to_truth_table(manager: BddManager, roots: List[int]) -> TruthTable:
-    """Expand a list of BDD roots into an explicit multi-output truth table.
-
-    All roots share one memoised bottom-up sweep
-    (:meth:`~repro.logic.bdd.BddManager.to_truth_tables`): a node reachable
-    from several outputs is expanded once, not once per output.
-    """
-    columns = manager.to_truth_tables(roots)
-    return TruthTable.from_columns(columns, manager.num_vars)
+__all__ = ["collapse_to_truth_table", "collapse_to_esop"]
 
 
 def collapse_to_truth_table(aig: Aig) -> TruthTable:

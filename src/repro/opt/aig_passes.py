@@ -1,7 +1,7 @@
 """AIG pass library: the :mod:`repro.logic.aig_opt` scripts as registered passes.
 
 These are the ABC analogues the paper's flows iterate (``dc2`` for the
-BDD/ESOP flows, ``resyn2`` for the XMG flow), exposed under their
+symbolic/ESOP flows, ``resyn2`` for the XMG flow), exposed under their
 canonical names and the ABC short aliases (``b`` / ``rw`` / ``rf``) so
 pipeline specs read like ABC scripts: ``"b;rw;rf"``, ``"dc2*3"``.
 """

@@ -1,8 +1,8 @@
 """Symbolic functional synthesis: optimum embedding + transformation-based
 synthesis (the RevKit ``tbs -s`` analogue).
 
-The paper's functional flow collapses the optimised AIG into a BDD, derives
-an optimum embedding from it and runs the SAT-based symbolic
+The paper's functional flow collapses the optimised AIG (ABC ``collapse``),
+derives an optimum embedding from it and runs the SAT-based symbolic
 transformation-based algorithm [7].  Neither RevKit nor a SAT solver is
 available here, so this module substitutes an explicit implementation of
 the same algorithm (see ``docs/architecture.md``): the produced circuits
@@ -12,8 +12,8 @@ ever used, so the embedding stores just their images and the kernel
 (:func:`repro.reversible.tbs.synthesize_permutation_masks`) stops once
 they are fixed; the other states are don't-cares.  The kernel keeps both of
 its tables bit-sliced over one index space and compacts the finished
-indices away as rows are fixed, and the BDD is expanded by one shared
-bottom-up sweep.  :data:`repro.reversible.tbs.MAX_TBS_LINES` caps the
+indices away as rows are fixed, and the function is read off the AIG by one
+exhaustive bit-parallel simulation.  :data:`repro.reversible.tbs.MAX_TBS_LINES` caps the
 number of inputs, not of lines, so the paper's INTDIV(16) (31 lines, 2^16
 care rows) runs end to end in seconds, where the original needed 3.2 days
 on a server.  The emitted gates go straight into the circuit's columnar
@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Union
 
 from repro.logic.aig import Aig
-from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd
 from repro.logic.truth_table import TruthTable
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.embedding import EmbeddedFunction, optimum_embedding
@@ -67,9 +66,8 @@ def symbolic_tbs(
 
     ``spec`` may be
 
-    * an :class:`~repro.logic.aig.Aig` — it is collapsed into a BDD and then
-      into an explicit function (mirroring ABC's ``collapse`` step of the
-      flow),
+    * an :class:`~repro.logic.aig.Aig` — it is simulated exhaustively into
+      an explicit function (the flow's ``collapse`` step),
     * a :class:`~repro.logic.truth_table.TruthTable` — an optimum embedding
       is computed first,
     * an :class:`~repro.reversible.embedding.EmbeddedFunction` — used as-is.
@@ -79,8 +77,7 @@ def symbolic_tbs(
     behaviour described in Section IV-A.
     """
     if isinstance(spec, Aig):
-        manager, roots = collapse_to_bdd(spec)
-        spec = bdd_to_truth_table(manager, roots)
+        spec = spec.to_truth_table()
     if isinstance(spec, TruthTable):
         spec = optimum_embedding(spec)
     if not isinstance(spec, EmbeddedFunction):

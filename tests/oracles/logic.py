@@ -1,19 +1,19 @@
 """Oracles for the logic-level kernels: protocol cone walks, cut tables,
-PSDKRO, minimum-cost ESOPs, BDDs, collapse, AIG cleanup and refactoring,
-and XMG cleanup."""
+PSDKRO, minimum-cost ESOPs, collapse by per-minterm evaluation, AIG cleanup
+and refactoring, and XMG cleanup."""
 
 import heapq
 import itertools
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.logic.aig import Aig, lit_is_compl, lit_node, lit_not, make_lit
-from repro.logic.bdd import BddManager
 from repro.logic.cube import Cube
 from repro.logic.cuts import Cut
 from repro.logic.lits import lit_not_cond
 from repro.logic.network import LogicNetwork
 from repro.logic.sop import Expression, expression_literal_count, factor_cubes, isop
 from repro.logic.truth_table import (
+    TruthTable,
     tt_cofactor0,
     tt_cofactor1,
     tt_mask,
@@ -322,137 +322,28 @@ def psdkro_cubes_reference(truth: int, num_vars: int) -> List[Cube]:
 
 
 # ---------------------------------------------------------------------------
-# BDD manager walks (recursive)
+# AIG collapse (per-minterm evaluation)
 # ---------------------------------------------------------------------------
 
 
-def apply_reference(manager: BddManager, op: str, f: int, g: int) -> int:
-    """Recursive binary connective sharing the manager's apply cache."""
-    terminal = manager._terminal_case(op, f, g)
-    if terminal is not None:
-        return terminal
-    if g < f:
-        f, g = g, f
-    key = (op, f, g)
-    cached = manager._apply_cache.get(key)
-    if cached is not None:
-        return cached
-    var_f, var_g = manager.node_var(f), manager.node_var(g)
-    var = min(var_f, var_g)
-    f0, f1 = (manager.node_low(f), manager.node_high(f)) if var_f == var else (f, f)
-    g0, g1 = (manager.node_low(g), manager.node_high(g)) if var_g == var else (g, g)
-    result = manager._make_node(
-        var,
-        apply_reference(manager, op, f0, g0),
-        apply_reference(manager, op, f1, g1),
-    )
-    manager._apply_cache[key] = result
-    return result
+def truth_table_by_minterms_reference(aig: Aig) -> TruthTable:
+    """Evaluate the AIG node by node on one input assignment at a time."""
 
+    def evaluate(minterm: int) -> int:
+        value = {0: False}
+        for i, pi in enumerate(aig.pis()):
+            value[lit_node(pi)] = bool((minterm >> i) & 1)
 
-def apply_not_reference(manager: BddManager, f: int) -> int:
-    """Recursive complement with a private memo."""
-    cache = {manager.FALSE: manager.TRUE, manager.TRUE: manager.FALSE}
+        def lit_value(lit: int) -> bool:
+            return value[lit_node(lit)] != lit_is_compl(lit)
 
-    def rec(node: int) -> int:
-        if node not in cache:
-            cache[node] = manager._make_node(
-                manager.node_var(node),
-                rec(manager.node_low(node)),
-                rec(manager.node_high(node)),
-            )
-        return cache[node]
+        for node in aig.nodes():
+            if aig.is_and(node):
+                f0, f1 = aig.fanins(node)
+                value[node] = lit_value(f0) and lit_value(f1)
+        return sum(lit_value(po) << j for j, po in enumerate(aig.pos()))
 
-    return rec(f)
-
-
-def apply_and_many_reference(manager: BddManager, fs: Iterable[int]) -> int:
-    """Sequential-fold conjunction."""
-    result = manager.TRUE
-    for f in fs:
-        result = manager.apply_and(result, f)
-    return result
-
-
-def restrict_reference(manager: BddManager, f: int, var: int, value: bool) -> int:
-    """Recursive cofactor ``f|var=value``."""
-    if not 0 <= var < manager.num_vars:
-        raise ValueError(f"variable index {var} out of range")
-    cache: Dict[int, int] = {}
-
-    def rec(node: int) -> int:
-        if manager.is_terminal(node) or manager.node_var(node) > var:
-            return node
-        if node not in cache:
-            if manager.node_var(node) == var:
-                branch = manager.node_high if value else manager.node_low
-                cache[node] = branch(node)
-            else:
-                cache[node] = manager._make_node(
-                    manager.node_var(node),
-                    rec(manager.node_low(node)),
-                    rec(manager.node_high(node)),
-                )
-        return cache[node]
-
-    return rec(f)
-
-
-def satcount_reference(manager: BddManager, f: int) -> int:
-    """Recursive model count over all ``num_vars`` variables."""
-    if f == manager.FALSE:
-        return 0
-    if f == manager.TRUE:
-        return 1 << manager.num_vars
-    cache: Dict[int, int] = {manager.FALSE: 0, manager.TRUE: 1}
-
-    def rec(node: int) -> int:
-        # Assignments of the variables at the node's level and below.
-        if node not in cache:
-            var = manager.node_var(node)
-            cache[node] = sum(
-                rec(child) << (manager.node_var(child) - var - 1)
-                for child in (manager.node_low(node), manager.node_high(node))
-            )
-        return cache[node]
-
-    return rec(f) << manager.node_var(f)
-
-
-def to_truth_table_reference(manager: BddManager, f: int) -> int:
-    """Per-assignment expansion of one root."""
-    result = 0
-    for x in range(1 << manager.num_vars):
-        if manager.evaluate(f, x):
-            result |= 1 << x
-    return result
-
-
-# ---------------------------------------------------------------------------
-# AIG-to-BDD collapse
-# ---------------------------------------------------------------------------
-
-
-def collapse_to_bdd_reference(aig: Aig) -> Tuple[BddManager, List[int]]:
-    """One ``apply_and`` per AND node, in topological order.
-
-    Root handles are not comparable across managers; compare through
-    truth-table expansion.
-    """
-    manager = BddManager(aig.num_pis(), aig.pi_names())
-    values = {0: manager.false()}
-    for i, pi in enumerate(aig.pis()):
-        values[lit_node(pi)] = manager.variable(i)
-
-    def lit_bdd(lit: int) -> int:
-        node = values[lit_node(lit)]
-        return manager.apply_not(node) if lit_is_compl(lit) else node
-
-    for node in aig.nodes():
-        if aig.is_and(node):
-            f0, f1 = aig.fanins(node)
-            values[node] = manager.apply_and(lit_bdd(f0), lit_bdd(f1))
-    return manager, [lit_bdd(po) for po in aig.pos()]
+    return TruthTable.from_callable(evaluate, aig.num_pis(), aig.num_pos())
 
 
 # ---------------------------------------------------------------------------

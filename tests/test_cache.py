@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+import repro.core.cache as cache_module
 from repro.core.cache import CACHE_FORMAT_VERSION, ResultCache, cache_key
 from repro.core.cost import CostReport
 from repro.core.explorer import (
@@ -146,9 +147,26 @@ class TestCanonicalisation:
         # pinned result must come with a CACHE_FORMAT_VERSION bump: update
         # both halves of this pair together.
         assert (CACHE_FORMAT_VERSION, pinned_results_digest()) == (
-            11,
+            12,
             "2a74299927b928d2e27cef59bc232e66a05022575d2341f90bd638ca5e955557",
         )
+
+    def test_entry_of_the_previous_format_version_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # Prefix keys name stage bodies but do not hash them: the version is
+        # what keeps an entry computed by an older stage body from serving.
+        key = key_of({}, flow="symbolic")
+        monkeypatch.setattr(
+            cache_module, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION - 1
+        )
+        old_key = key_of({}, flow="symbolic")
+        ResultCache(tmp_path).put(old_key, make_report(flow="symbolic"))
+        monkeypatch.undo()
+        cache = ResultCache(tmp_path)
+        assert old_key != key and old_key in cache
+        assert cache.get(key) is None
+        assert hits_and_misses(cache) == (0, 1)
 
 
 class TestCorruptEntries:

@@ -2,9 +2,9 @@
 
 The packed :class:`~repro.reversible.gatestore.GateStore` and every
 vectorised kernel built on it (T-count, histograms, depth, resource
-estimation, the peephole passes, permutation replay, the batched BDD
-collapse) must be indistinguishable from the per-gate-object oracles of
-:mod:`oracles` — on random cascades including duplicate and unsorted
+estimation, the peephole passes, permutation replay) must be
+indistinguishable from the per-gate-object oracles of :mod:`oracles` — on
+random cascades including duplicate and unsorted
 controls and >64-line (multi-word mask) circuits, and across a pickle
 round-trip.  Gates are canonical on construction, so a gate rebuilt from
 its masks equals the stored object on every entry point into the store.
@@ -24,12 +24,8 @@ from oracles.circuits import (
     reversible_depth_reference,
     t_count_histogram_reference,
 )
-from oracles.logic import apply_and_many_reference, collapse_to_bdd_reference
 from repro.core.flows import frontend_artifacts
 from repro.io.realfmt import read_real, write_real
-from repro.logic.aig import Aig
-from repro.logic.bdd import BddManager
-from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd
 from repro.opt import as_pipeline
 from repro.opt.targets import reversible_depth
 from repro.quantum.circuit import SUPPORTED_GATES, QuantumCircuit
@@ -361,70 +357,6 @@ class TestQuantumResourcesAgree:
                 circuit.add(name, *rng.sample(range(num_qubits), arity))
             assert estimate_resources(circuit) == estimate_resources_reference(
                 circuit
-            )
-
-
-class TestBatchedCollapseAgrees:
-    @staticmethod
-    def _random_aig(rng, num_pis, num_ands, num_pos):
-        aig = Aig()
-        lits = [aig.add_pi() for _ in range(num_pis)]
-        lits.append(0)  # constant-false literal
-        for _ in range(num_ands):
-            a, b = rng.sample(lits, 2)
-            if rng.random() < 0.5:
-                a ^= 1
-            if rng.random() < 0.5:
-                b ^= 1
-            lits.append(aig.create_and(a, b))
-        for _ in range(num_pos):
-            po = rng.choice(lits)
-            if rng.random() < 0.5:
-                po ^= 1
-            aig.add_po(po)
-        return aig
-
-    def test_apply_and_many_matches_sequential_fold(self):
-        rng = random.Random(41)
-        for _ in range(100):
-            num_vars = rng.randint(1, 6)
-            manager = BddManager(num_vars, [f"v{i}" for i in range(num_vars)])
-            conjuncts = []
-            for _ in range(rng.randint(0, 8)):
-                f = manager.variable(rng.randrange(num_vars))
-                for _ in range(rng.randint(0, 3)):
-                    g = manager.variable(rng.randrange(num_vars))
-                    if rng.random() < 0.5:
-                        g = manager.apply_not(g)
-                    f = manager._apply(rng.choice(["and", "or", "xor"]), f, g)
-                conjuncts.append(f)
-            if rng.random() < 0.1:
-                conjuncts.append(manager.false())
-            if rng.random() < 0.2:
-                conjuncts.append(manager.true())
-            rng.shuffle(conjuncts)
-            assert manager.apply_and_many(conjuncts) == apply_and_many_reference(
-                manager, conjuncts
-            )
-
-    def test_apply_and_many_trivial_cases(self):
-        manager = BddManager(2, ["a", "b"])
-        assert manager.apply_and_many([]) == manager.true()
-        assert manager.apply_and_many([manager.false()]) == manager.false()
-        a = manager.variable(0)
-        assert manager.apply_and_many([a, manager.true()]) == a
-        assert manager.apply_and_many([a, manager.apply_not(a)]) == manager.false()
-
-    def test_collapse_matches_reference_truth_tables(self):
-        rng = random.Random(53)
-        for _ in range(60):
-            aig = self._random_aig(
-                rng, rng.randint(1, 6), rng.randint(0, 25), rng.randint(1, 4)
-            )
-            fast_manager, fast_roots = collapse_to_bdd(aig)
-            ref_manager, ref_roots = collapse_to_bdd_reference(aig)
-            assert bdd_to_truth_table(fast_manager, fast_roots) == bdd_to_truth_table(
-                ref_manager, ref_roots
             )
 
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from repro.logic.aig import Aig, lit_node, lit_not
 from repro.logic.aig_opt import balance, dc2, refactor
-from repro.logic.collapse import collapse_to_bdd, collapse_to_esop
-from repro.logic.truth_table import tt_mask
+from repro.logic.collapse import collapse_to_esop
 from repro.verify.differential import check_equivalent
 
 
@@ -105,15 +104,9 @@ class TestOptimisationQuality:
 class TestCollapseConsistency:
     @given(columns_strategy)
     @settings(max_examples=25, deadline=None)
-    def test_bdd_and_esop_agree_with_simulation(self, columns):
+    def test_esop_agrees_with_simulation(self, columns):
         aig = build_function_aig(columns, 4)
-        manager, roots = collapse_to_bdd(aig)
-        cover = collapse_to_esop(aig)
-        table = aig.to_truth_table()
-        mask = tt_mask(4)
-        for j, root in enumerate(roots):
-            assert manager.to_truth_table(root) == table.column(j) & mask
-        assert cover.to_truth_table() == table
+        assert collapse_to_esop(aig).to_truth_table() == aig.to_truth_table()
 
     @given(columns_strategy)
     @settings(max_examples=20, deadline=None)

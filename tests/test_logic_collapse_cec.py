@@ -1,15 +1,10 @@
-"""Unit tests for collapsing (AIG -> BDD/ESOP/TT) and equivalence checking."""
+"""Unit tests for collapsing (AIG -> ESOP/TT) and equivalence checking."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.aig import Aig, lit_not
-from repro.logic.collapse import (
-    bdd_to_truth_table,
-    collapse_to_bdd,
-    collapse_to_esop,
-    collapse_to_truth_table,
-)
+from repro.logic.collapse import collapse_to_esop, collapse_to_truth_table
 from repro.logic.truth_table import TruthTable
 from repro.verify.differential import check_equivalent
 
@@ -31,13 +26,6 @@ def build_comparator(width=3):
 
 
 class TestCollapse:
-    def test_collapse_to_bdd_matches_truth_table(self):
-        aig = build_comparator(3)
-        manager, roots = collapse_to_bdd(aig)
-        assert len(roots) == 2
-        table = bdd_to_truth_table(manager, roots)
-        assert table == aig.to_truth_table()
-
     def test_collapse_to_truth_table(self):
         aig = build_comparator(2)
         table = collapse_to_truth_table(aig)

@@ -150,8 +150,8 @@ def test_cache_keys_are_unchanged():
         return cache_key(source, flow, chain[-1])
 
     assert key("symbolic", {"rev_opt": "rev-default"}) == (
-        "b995c98de5837dc8f30f5a942d870756d89bcf93c486130ef2f95c04338f9af4"
+        "6425e0ab38cb571651458236289ff27779cf28e7581e417c1d3188361cd2bdf3"
     )
     assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
-        "769fa6e7befc6dada8c2e4c45d731f17a4b78258f975b6feaee194a86ccd79df"
+        "bd6e2635322f3a1a3b1fd343f9a6e41993e9054cff983a41041e27112078e49b"
     )

@@ -155,8 +155,8 @@ def test_default_sweep_cache_keys_move_only_with_the_format_version():
     # a change here orphans every cached result, so it must come with a
     # CACHE_FORMAT_VERSION bump.  Update both halves of this pair together.
     assert (CACHE_FORMAT_VERSION, default_sweep_cache_keys_digest()) == (
-        11,
-        "046e6e2e146ad17d61957f0977ed63468ed9aed7a550cc0bbae1e67fccae4a46",
+        12,
+        "855b98d60c9f4449cc12bd542033fbb974d200e2ed37216ce94c099a26f51098",
     )
 
 

@@ -1,11 +1,12 @@
 """Property tests pinning the vectorised symbolic kernels to their oracles.
 
-The BDD manager's iterative walks and memoised truth-table sweep, the
+The ``collapse`` stage's exhaustive bit-parallel simulation, the
 bit-sliced transformation-based synthesis kernel and the structural-prefix
-cut-enumeration cache are rewrites of the recursive / scanning originals
+cut-enumeration cache are rewrites of the per-minterm / scanning originals
 kept as oracles in :mod:`oracles`.  These tests cross-check the
-rewrites on *random* inputs — random functions through the BDD manager,
-random AIGs through the collapse pipeline, random permutations through TBS
+rewrites on *random* inputs — random AIGs through the collapse and
+``symbolic_tbs``, plus the symbolic flow's own ``collapse`` stage on Table II
+points, random permutations through TBS
 (gate for gate, also on tables long enough to compact), random XMGs through
 the cut cache — plus the golden INTDIV(8) refactoring pipeline, the pinned
 INTDIV(7) TBS cascade, the explicit-table allocation guards, the TBS
@@ -22,27 +23,21 @@ from hypothesis import strategies as st
 
 import repro.reversible.tbs as tbs_module
 from oracles.circuits import synthesize_permutation_gates_reference
-from oracles.logic import (
-    apply_not_reference,
-    apply_reference,
-    restrict_reference,
-    satcount_reference,
-    to_truth_table_reference,
-)
+from oracles.logic import truth_table_by_minterms_reference
+from repro.core.flows import run_flow
 from repro.hdl.designs import intdiv_reference
 from repro.logic.aig import Aig
-from repro.logic.bdd import BddManager
-from repro.logic.collapse import bdd_to_truth_table, collapse_to_bdd
 from repro.logic.cuts import (
     clear_cut_enumeration_cache,
     cut_enumeration_cache_stats,
     enumerate_cuts,
 )
-from repro.logic.truth_table import TruthTable, tt_mask
+from repro.logic.truth_table import TruthTable
 from repro.logic.xmg import Xmg
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt.xmg_passes import xmg_refactor
 from repro.reversible.embedding import bennett_embedding, optimum_embedding
+from repro.reversible.symbolic_tbs import symbolic_tbs
 from repro.reversible.tbs import (
     MAX_TBS_LINES,
     synthesize_permutation_gates,
@@ -103,80 +98,34 @@ _XMG_GATES = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# BDD: iterative walks vs the recursive oracles
+# collapse: exhaustive simulation vs per-minterm evaluation
 # ---------------------------------------------------------------------------
 
-class TestBddIterativeVsRecursive:
+class TestCollapseBySimulation:
     @settings(max_examples=60, deadline=None)
-    @given(
-        op=st.sampled_from(["and", "or", "xor"]),
-        num_vars=st.integers(1, 7),
-        data=st.data(),
+    @given(num_pis=st.integers(1, 8), gates=_AIG_GATES)
+    def test_truth_table_matches_minterm_evaluation(self, num_pis, gates):
+        aig = _random_aig(num_pis, gates)
+        assert aig.to_truth_table() == truth_table_by_minterms_reference(aig)
+
+    @pytest.mark.parametrize(
+        "design, n", [("intdiv", 4), ("intdiv", 6), ("newton", 4), ("newton", 5)]
     )
-    def test_apply_matches_reference(self, op, num_vars, data):
-        fa = data.draw(st.integers(0, tt_mask(num_vars)))
-        fb = data.draw(st.integers(0, tt_mask(num_vars)))
-        # Two fresh managers so neither path sees the other's cache entries.
-        fast = BddManager(num_vars)
-        slow = BddManager(num_vars)
-        fast_node = fast._apply(
-            op, fast.from_truth_table(fa), fast.from_truth_table(fb)
+    def test_collapse_stage_matches_minterm_evaluation(self, design, n):
+        context = run_flow("symbolic", design, n, verify=False).context
+        assert context["function"] == truth_table_by_minterms_reference(
+            context["aig"]
         )
-        slow_node = apply_reference(
-            slow, op, slow.from_truth_table(fa), slow.from_truth_table(fb)
-        )
-        assert to_truth_table_reference(fast, fast_node) == \
-            to_truth_table_reference(slow, slow_node)
-
-    @settings(max_examples=60, deadline=None)
-    @given(num_vars=st.integers(1, 7), data=st.data())
-    def test_not_restrict_satcount_match_references(self, num_vars, data):
-        func = data.draw(st.integers(0, tt_mask(num_vars)))
-        manager = BddManager(num_vars)
-        node = manager.from_truth_table(func)
-        assert manager.apply_not(node) == apply_not_reference(manager, node)
-        assert manager.satcount(node) == satcount_reference(manager, node)
-        for var in range(num_vars):
-            for value in (False, True):
-                assert manager.restrict(node, var, value) == \
-                    restrict_reference(manager, node, var, value)
-
-    @settings(max_examples=60, deadline=None)
-    @given(num_vars=st.integers(0, 8), data=st.data())
-    def test_truth_table_sweep_matches_reference(self, num_vars, data):
-        funcs = data.draw(
-            st.lists(st.integers(0, tt_mask(num_vars)), min_size=1, max_size=5)
-        )
-        manager = BddManager(num_vars)
-        roots = [manager.from_truth_table(f) for f in funcs]
-        # The shared sweep must agree with the per-root recursive oracle and
-        # round-trip the constructing functions.
-        assert manager.to_truth_tables(roots) == [
-            to_truth_table_reference(manager, r) for r in roots
-        ] == funcs
-        for root, func in zip(roots, funcs):
-            assert manager.to_truth_table(root) == func
 
     @settings(max_examples=20, deadline=None)
-    @given(num_vars=st.integers(6, 9), data=st.data())
-    def test_wide_sweep_matches_reference(self, num_vars, data):
-        # Multi-word widths (64+ minterms) through the big-int sweep.
-        funcs = data.draw(
-            st.lists(st.integers(0, tt_mask(num_vars)), min_size=1, max_size=4)
-        )
-        manager = BddManager(num_vars)
-        roots = [manager.from_truth_table(f) for f in funcs]
-        assert manager.to_truth_tables(roots) == [
-            to_truth_table_reference(manager, r) for r in roots
-        ] == funcs
-
-    @settings(max_examples=25, deadline=None)
-    @given(num_pis=st.integers(2, 7), gates=_AIG_GATES)
-    def test_collapse_pipeline_matches_direct_expansion(self, num_pis, gates):
+    @given(num_pis=st.integers(1, 5), gates=_AIG_GATES)
+    def test_symbolic_tbs_of_an_aig_realises_its_table(self, num_pis, gates):
         aig = _random_aig(num_pis, gates)
-        manager, roots = collapse_to_bdd(aig)
-        assert bdd_to_truth_table(manager, roots).words.tolist() == \
-            aig.to_truth_table().words.tolist()
+        table = truth_table_by_minterms_reference(aig)
+        circuit = symbolic_tbs(aig)
+        assert [circuit.evaluate(x) for x in range(1 << num_pis)] == [
+            table.evaluate(x) for x in range(1 << num_pis)
+        ]
 
 
 # ---------------------------------------------------------------------------
