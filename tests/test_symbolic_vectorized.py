@@ -109,7 +109,8 @@ class TestCollapseBySimulation:
         assert aig.to_truth_table() == truth_table_by_minterms_reference(aig)
 
     @pytest.mark.parametrize(
-        "design, n", [("intdiv", 4), ("intdiv", 6), ("newton", 4), ("newton", 5)]
+        "design, n",
+        [("intdiv", n) for n in range(4, 10)] + [("newton", n) for n in range(4, 8)],
     )
     def test_collapse_stage_matches_minterm_evaluation(self, design, n):
         context = run_flow("symbolic", design, n, verify=False).context
