@@ -370,14 +370,45 @@ class Aig:
         return tables
 
     def output_columns(self) -> List[int]:
-        """Integer truth tables of every primary output."""
+        """Integer truth tables of every primary output.
+
+        One pass over the fanin arrays in node order.  A node's table is
+        dropped once its last fanout has read it (the reference counts are
+        :meth:`fanout_counts`, outputs included), so the live tables track
+        the AIG's width, not its size: memory is about ``width * 2**num_pis``
+        bits instead of ``num_nodes * 2**num_pis``.
+        """
         num_vars = len(self._pis)
         mask = tt_mask(num_vars)
-        tables = self.node_truth_tables()
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        remaining = self.fanout_counts()
+        tables: List[Optional[int]] = [None] * len(fanin0)
+        tables[0] = 0
+        for i, node in enumerate(self._pis):
+            tables[node] = tt_var(i, num_vars)
+        for node in range(len(fanin0)):
+            f0 = fanin0[node]
+            if f0 < 0:  # the constant or a PI
+                continue
+            f1 = fanin1[node]
+            n0, n1 = f0 >> 1, f1 >> 1
+            table0, table1 = tables[n0], tables[n1]
+            if f0 & 1:
+                table0 ^= mask
+            if f1 & 1:
+                table1 ^= mask
+            remaining[n0] -= 1
+            if not remaining[n0]:
+                tables[n0] = None
+            remaining[n1] -= 1
+            if not remaining[n1]:
+                tables[n1] = None
+            if remaining[node]:  # a dangling node needs no table
+                tables[node] = table0 & table1
         columns = []
         for po in self._pos:
-            table = tables[lit_node(po)]
-            if lit_is_compl(po):
+            table = tables[po >> 1]
+            if po & 1:
                 table ^= mask
             columns.append(table)
         return columns

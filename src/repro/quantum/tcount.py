@@ -20,10 +20,10 @@ expansion produced by :mod:`repro.quantum.mapping` for *both* models —
 gate, and the golden-cost tables pin the resulting resource vectors.
 
 :func:`circuit_t_count` and :func:`t_count_histogram` are vectorised over
-the packed columnar gate store of
-:class:`~repro.reversible.circuit.ReversibleCircuit`: the popcount of each
-care mask is the gate's control count, and the per-arity sums collapse
-into one ``np.bincount``.
+the columnar gate store of
+:class:`~repro.reversible.circuit.ReversibleCircuit`: its cached control
+counts (the popcount of each care mask) collapse into per-arity sums with
+one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -78,16 +78,15 @@ def _model_cost_vector(max_controls: int, model: str) -> np.ndarray:
 
 def _per_arity_costs(circuit, model: str):
     """``(gate counts, model costs)`` indexed by control count."""
-    packed = circuit.gate_store().packed(circuit.num_lines())
-    counts = np.bincount(packed.num_controls)
+    counts = np.bincount(circuit.gate_store().control_counts())
     return counts, _model_cost_vector(len(counts) - 1, model)
 
 
 def circuit_t_count(circuit, model: str = "rtof") -> int:
     """Total T-count of a :class:`~repro.reversible.circuit.ReversibleCircuit`.
 
-    One vectorised popcount + ``np.bincount`` sweep over the packed mask
-    columns, memoised on the gate store until the cascade mutates.
+    One ``np.bincount`` over the store's cached control counts, memoised
+    on the gate store until the cascade mutates.
     """
     store = circuit.gate_store()
     if len(store) == 0:

@@ -307,8 +307,8 @@ class ReversibleCircuit:
         return len(self._store)
 
     def _control_counts(self) -> np.ndarray:
-        """Control count of every gate (cached packed view)."""
-        return self._store.packed(len(self._lines)).num_controls
+        """Control count of every gate (cached on the gate store)."""
+        return self._store.control_counts()
 
     def gate_histogram(self) -> Dict[int, int]:
         """Histogram mapping control count to number of gates."""

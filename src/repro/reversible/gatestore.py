@@ -12,8 +12,7 @@ becomes the bit-width ceiling.
 * ``targets`` — the target line of every gate,
 * ``care`` / ``polarity`` — the control masks of every gate, as Python
   big-ints (width-agnostic: lines may be added to a circuit after gates
-  exist, so the word width is only fixed when a packed NumPy view is
-  requested),
+  exist, so no word width is ever fixed),
 * an optional parallel list of lazily materialised gate objects, so the
   object API (``gates()``, pickling, equality against hand-built circuits)
   is preserved without paying for objects on the mask-native hot path.
@@ -26,13 +25,12 @@ the object the caller supplied, and mask equality coincides with object
 equality — the invariant the mask-native peephole passes of
 :mod:`repro.reversible.optimize` rely on.
 
-:meth:`packed` exposes the columns as cached NumPy arrays — ``(G,)``
-targets / control counts and ``(G, W)`` ``uint64`` mask words (multi-word
-past 64 lines) — which is what the vectorised T-count, depth and pass
-kernels consume.  The cache and the derived statistics (:attr:`stats`) are
-invalidated on mutation and shared across :meth:`copy`, so a pipeline that
-threads an unchanged cascade through several passes computes each
-statistic once.
+:meth:`control_counts` caches the ``(G,)`` NumPy array of control counts
+(the popcount of each care mask), which the vectorised T-count and gate
+histograms consume.  That cache and the derived statistics
+(:attr:`stats`) are invalidated on mutation and shared across
+:meth:`copy`, so a pipeline that threads an unchanged cascade through
+several passes computes each statistic once.
 """
 
 from __future__ import annotations
@@ -42,49 +40,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.reversible.gates import ToffoliGate
+from repro.utils.bitops import bit_count
 
-__all__ = ["GateStore", "PackedGates", "popcount_words"]
-
-_WORD_BITS = 64
-
-
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a ``(G, W)`` ``uint64`` word matrix."""
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-
-def _pack_mask_column(values: List[int], num_words: int) -> np.ndarray:
-    """Pack a list of Python-int masks into a ``(G, W)`` ``uint64`` matrix."""
-    count = len(values)
-    if num_words == 1:
-        return np.fromiter(values, dtype=np.uint64, count=count).reshape(count, 1)
-    width = num_words * 8
-    buffer = b"".join(value.to_bytes(width, "little") for value in values)
-    packed = np.frombuffer(buffer, dtype="<u8").reshape(count, num_words)
-    return packed.astype(np.uint64, copy=False)
-
-
-class PackedGates:
-    """Cached NumPy view of a :class:`GateStore` (read-only by convention)."""
-
-    __slots__ = ("num_words", "targets", "care", "polarity", "num_controls")
-
-    def __init__(
-        self,
-        num_words: int,
-        targets: np.ndarray,
-        care: np.ndarray,
-        polarity: np.ndarray,
-    ):
-        self.num_words = num_words
-        self.targets = targets
-        self.care = care
-        self.polarity = polarity
-        #: Control count of every gate: the popcount of its care mask.
-        self.num_controls = popcount_words(care)
-
-    def __len__(self) -> int:
-        return len(self.targets)
+__all__ = ["GateStore"]
 
 
 class GateStore:
@@ -97,7 +55,7 @@ class GateStore:
         "_objects",
         "_pending_front",
         "_memo",
-        "_packed",
+        "_control_counts",
         "_stats",
     )
 
@@ -114,7 +72,7 @@ class GateStore:
         #: (care, polarity, target) -> materialised gate; shared across
         #: copies (content-keyed and append-only, so sharing is safe).
         self._memo: Dict[Tuple[int, int, int], ToffoliGate] = {}
-        self._packed: Optional[PackedGates] = None
+        self._control_counts: Optional[np.ndarray] = None
         #: Derived statistics (t_count per model, depth, ...) keyed by the
         #: consumers; cleared on every mutation, carried across copies.
         self._stats: Dict[object, object] = {}
@@ -135,7 +93,7 @@ class GateStore:
     # -- invariants and caches ------------------------------------------------
 
     def _invalidate(self) -> None:
-        self._packed = None
+        self._control_counts = None
         if self._stats:
             self._stats = {}
 
@@ -279,28 +237,16 @@ class GateStore:
         self._consolidate()
         return self._targets, self._care, self._polarity
 
-    def packed(self, num_lines: int) -> PackedGates:
-        """Cached NumPy view of the columns, ``W`` words per mask.
-
-        ``num_lines`` fixes the word width (lines may be added to a circuit
-        after gates exist, so the width cannot be frozen at append time);
-        the cache is keyed on the resulting word count and invalidated on
-        every mutation.
-        """
+    def control_counts(self) -> np.ndarray:
+        """Cached ``(G,)`` control count of every gate (its care popcount)."""
         self._consolidate()
-        num_words = max(1, -(-num_lines // _WORD_BITS))
-        cached = self._packed
-        if cached is not None and cached.num_words == num_words:
-            return cached
-        count = len(self._targets)
-        packed = PackedGates(
-            num_words,
-            np.fromiter(self._targets, dtype=np.int64, count=count),
-            _pack_mask_column(self._care, num_words),
-            _pack_mask_column(self._polarity, num_words),
-        )
-        self._packed = packed
-        return packed
+        counts = self._control_counts
+        if counts is None:
+            counts = np.fromiter(
+                map(bit_count, self._care), dtype=np.int64, count=len(self._care)
+            )
+            self._control_counts = counts
+        return counts
 
     # -- copies ---------------------------------------------------------------
 
@@ -313,7 +259,7 @@ class GateStore:
         new._objects = list(self._objects) if self._objects is not None else None
         new._pending_front = list(self._pending_front)
         new._memo = self._memo
-        new._packed = self._packed
+        new._control_counts = self._control_counts
         new._stats = dict(self._stats)
         return new
 
@@ -331,7 +277,7 @@ class GateStore:
         new._objects = self._objects[::-1] if self._objects is not None else None
         new._pending_front = []
         new._memo = self._memo
-        new._packed = None
+        new._control_counts = None
         new._stats = {
             key: value
             for key, value in self._stats.items()
@@ -360,7 +306,7 @@ class GateStore:
         self._objects = state["objects"]
         self._pending_front = []
         self._memo = {}
-        self._packed = None
+        self._control_counts = None
         self._stats = {}
 
     def __repr__(self) -> str:

@@ -10,11 +10,14 @@ computed is a cache hit for every later job, across processes and across
 server restarts (the cache is a directory of files).
 
 Execution and observation are decoupled: workers append outcome events to
-the job under a condition variable, and any number of observers (the
-streaming HTTP endpoint, the blocking :meth:`Job.wait` used by tests)
-consume them at their own pace via cursors.  Each event carries the
-job-so-far Pareto front per design instance, so a streaming client watches
-the front tighten configuration by configuration.
+the job under a condition variable, and observers read them at their own
+pace through :meth:`Job.events_since` cursors.  After every append the
+worker calls the job's *listeners* (outside the lock): the streaming HTTP
+endpoint registers one that wakes its event loop, so each event is pushed
+to the client as soon as it exists.  :meth:`Job.wait` blocks on the
+condition until the job ends (the manager's drain uses it).  Each event
+carries the job-so-far Pareto front per design instance, so a streaming
+client watches the front tighten configuration by configuration.
 
 Shutdown is graceful by default: the manager stops accepting submissions,
 lets queued and running jobs finish (*drain*), and only then stops its
@@ -31,7 +34,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import ResultCache
 from repro.core.cost import CostReport
@@ -205,10 +208,11 @@ def _pareto_groups(
 class Job:
     """One submitted sweep: spec, lifecycle state, streamed outcome events.
 
-    Observers read :attr:`events` through :meth:`events_since` /
-    :meth:`wait_events` cursors; the worker appends under the condition
-    variable and notifies.  All mutation happens through the ``_``-methods
-    called by the owning :class:`JobManager` worker.
+    Observers read :attr:`events` through :meth:`events_since` cursors;
+    the worker appends under the condition variable, notifies, and then
+    calls every listener added with :meth:`add_listener`.  All mutation
+    happens through the ``_``-methods called by the owning
+    :class:`JobManager` worker.
     """
 
     def __init__(self, job_id: str, spec: JobSpec, num_tasks: int) -> None:
@@ -227,6 +231,10 @@ class Job:
         self.events: List[Dict[str, Any]] = []
         self._reports: Dict[Tuple[str, int], Dict[str, CostReport]] = {}
         self._condition = threading.Condition()
+        #: Called with no arguments after every appended event, on the
+        #: worker thread and outside the lock.  Replaced, never mutated, so
+        #: the worker iterates a snapshot without locking.
+        self._listeners: Tuple[Callable[[], None], ...] = ()
 
     # -- worker side -----------------------------------------------------------
 
@@ -234,6 +242,11 @@ class Job:
         with self._condition:
             self.events.append(event)
             self._condition.notify_all()
+        self._notify_listeners()
+
+    def _notify_listeners(self) -> None:
+        for listener in self._listeners:
+            listener()
 
     def _mark_running(self) -> None:
         with self._condition:
@@ -284,6 +297,7 @@ class Job:
                 }
             )
             self._condition.notify_all()
+        self._notify_listeners()
 
     # -- observer side ---------------------------------------------------------
 
@@ -297,16 +311,21 @@ class Job:
             events = self.events[cursor:]
         return events, cursor + len(events)
 
-    def wait_events(
-        self, cursor: int, timeout: Optional[float] = None
-    ) -> Tuple[List[Dict[str, Any]], int]:
-        """Block until events past ``cursor`` exist, the job ends, or timeout."""
+    def add_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after every event appended from now on.
+
+        It runs on the worker thread, so it must be quick, thread-safe and
+        must not raise.
+        """
         with self._condition:
-            self._condition.wait_for(
-                lambda: len(self.events) > cursor or self.done, timeout
+            self._listeners = self._listeners + (listener,)
+
+    def remove_listener(self, listener: Callable[[], None]) -> None:
+        """Stop calling ``listener`` (a no-op if it is not registered)."""
+        with self._condition:
+            self._listeners = tuple(
+                other for other in self._listeners if other != listener
             )
-            events = self.events[cursor:]
-        return events, cursor + len(events)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job reaches a terminal state; returns success."""
@@ -457,8 +476,8 @@ class JobManager:
 
     def _run_job(self, job: Job) -> None:
         if self._cancel_event.is_set():
-            job._finish(CANCELLED, "cancelled before start")
             self.metrics.incr("jobs_cancelled")
+            job._finish(CANCELLED, "cancelled before start")
             return
         job._mark_running()
         self.metrics.incr("jobs_started")
@@ -485,16 +504,18 @@ class JobManager:
                 clock = now
                 job._record(outcome)
         except Exception as exc:  # job isolation: a worker must survive
-            job._finish(FAILED, f"{type(exc).__name__}: {exc}")
             self.metrics.incr("jobs_failed")
+            job._finish(FAILED, f"{type(exc).__name__}: {exc}")
             return
+        # Count before finishing: a client that has read the ``done``
+        # event (it is pushed at once) must find it in ``/metrics``.
         self.metrics.observe("job_seconds", time.monotonic() - started)
         if job.cancelled:
-            job._finish(CANCELLED, "cancelled by shutdown")
             self.metrics.incr("jobs_cancelled")
+            job._finish(CANCELLED, "cancelled by shutdown")
         else:
-            job._finish(DONE)
             self.metrics.incr("jobs_done")
+            job._finish(DONE)
 
     # -- shutdown --------------------------------------------------------------
 

@@ -35,9 +35,9 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.service.jobs import JobManager, ServiceClosed
+from repro.service.jobs import Job, JobManager, ServiceClosed
 from repro.service.metrics import ServiceMetrics
 from repro.service.ratelimit import RateLimiter
 
@@ -62,6 +62,26 @@ _REASONS = {
 }
 
 
+def threadsafe_listener(
+    loop: asyncio.AbstractEventLoop, callback: Callable[[], None]
+) -> Callable[[], None]:
+    """A :meth:`Job.add_listener` callable that runs ``callback`` on ``loop``.
+
+    The job calls its listeners on the worker thread, so the callback is
+    handed over with ``call_soon_threadsafe``.  Once ``loop`` has closed
+    nobody is left to wake and the ``RuntimeError`` is swallowed: a
+    listener must never raise into the worker that appends events.
+    """
+
+    def listener() -> None:
+        try:
+            loop.call_soon_threadsafe(callback)
+        except RuntimeError:
+            pass
+
+    return listener
+
+
 class _HttpError(Exception):
     """Internal: aborts request handling with a status + message."""
 
@@ -80,14 +100,12 @@ class SynthesisServer:
         host: str = "127.0.0.1",
         port: int = 0,
         ratelimiter: Optional[RateLimiter] = None,
-        stream_poll_seconds: float = 0.05,
     ) -> None:
         self.manager = manager
         self.metrics: ServiceMetrics = manager.metrics
         self.ratelimiter = ratelimiter if ratelimiter is not None else RateLimiter(None)
         self.host = host
         self.port = port
-        self.stream_poll_seconds = stream_poll_seconds
         self.started_at = time.time()
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown_requested: Optional[asyncio.Event] = None
@@ -331,8 +349,14 @@ class SynthesisServer:
         else:
             raise _HttpError(404, f"no such endpoint: {path}")
 
-    async def _stream_job(self, job, writer: asyncio.StreamWriter) -> None:
-        """Chunked response: one JSON event per line until the job ends."""
+    async def _stream_job(self, job: Job, writer: asyncio.StreamWriter) -> None:
+        """Chunked response: one JSON event per line until the job ends.
+
+        The worker pushes: a job listener sets ``wake`` on this loop after
+        every appended event, and the handler sleeps on ``wake`` in
+        between.  ``wake`` is cleared before each read of the cursor, so
+        an event appended while the handler writes is never missed.
+        """
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: application/x-ndjson\r\n"
@@ -342,20 +366,27 @@ class SynthesisServer:
         ).encode("latin-1")
         writer.write(head)
         await writer.drain()
-        cursor = 0
-        finished = False
-        while not finished:
-            events, cursor = job.events_since(cursor)
-            for event in events:
-                if event.get("type") == "done":
-                    finished = True
-                chunk = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-                writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
-                writer.write(chunk + b"\r\n")
-            if events:
-                await writer.drain()
-            if not finished:
-                await asyncio.sleep(self.stream_poll_seconds)
+        wake = asyncio.Event()
+        listener = threadsafe_listener(asyncio.get_running_loop(), wake.set)
+        job.add_listener(listener)
+        try:
+            cursor = 0
+            finished = False
+            while not finished:
+                wake.clear()
+                events, cursor = job.events_since(cursor)
+                for event in events:
+                    if event.get("type") == "done":
+                        finished = True
+                    chunk = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+                    writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
+                    writer.write(chunk + b"\r\n")
+                if events:
+                    await writer.drain()
+                if not finished:
+                    await wake.wait()
+        finally:
+            job.remove_listener(listener)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -1,6 +1,6 @@
 """Property tests: the columnar gate store agrees with the object path.
 
-The packed :class:`~repro.reversible.gatestore.GateStore` and every
+The columnar :class:`~repro.reversible.gatestore.GateStore` and every
 vectorised kernel built on it (T-count, histograms, depth, resource
 estimation, the peephole passes, permutation replay) must be
 indistinguishable from the per-gate-object oracles of :mod:`oracles` — on
@@ -33,7 +33,7 @@ from repro.quantum.resources import estimate_resources
 from repro.quantum.tcount import circuit_t_count, t_count_histogram
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
-from repro.reversible.gatestore import GateStore, popcount_words
+from repro.reversible.gatestore import GateStore
 from repro.reversible.optimize import cancel_adjacent_gates, merge_not_gates
 from repro.reversible.symbolic_tbs import symbolic_tbs
 
@@ -67,7 +67,7 @@ def _circuit_cases():
     cases = []
     for _ in range(25):
         cases.append(_random_circuit(rng, rng.randint(2, 7), rng.randint(0, 50)))
-    # Multi-word masks: >64 lines forces the W > 1 packing path.
+    # Masks wider than one 64-bit word (>64 lines).
     for _ in range(5):
         cases.append(_random_circuit(rng, 70, 60))
     cases.append(_random_circuit(rng, 3, 0))  # empty cascade
@@ -87,6 +87,30 @@ class TestCostKernelsAgree:
             assert t_count_histogram(circuit, model) == t_count_histogram_reference(
                 circuit, model
             )
+
+    @pytest.mark.parametrize("model", ["rtof", "barenco"])
+    def test_control_counts_across_mask_words(self, model):
+        # Gates with up to 100 controls over 130 lines: each care mask
+        # spans three 64-bit words, so a per-word count would fall short.
+        rng = random.Random(11)
+        circuit = ReversibleCircuit()
+        for line in range(130):
+            circuit.add_line(f"l{line}")
+        for arity in (0, 1, 2, 63, 64, 65, 100):
+            target = rng.randrange(130)
+            lines = rng.sample([l for l in range(130) if l != target], arity)
+            controls = tuple((line, rng.random() < 0.5) for line in sorted(lines))
+            circuit.append(ToffoliGate(controls, target))
+        assert circuit_t_count(circuit, model) == circuit_t_count_reference(
+            circuit, model
+        )
+        assert t_count_histogram(circuit, model) == t_count_histogram_reference(
+            circuit, model
+        )
+        assert circuit.max_controls() == 100
+        assert circuit.gate_histogram() == {
+            k: 1 for k in (0, 1, 2, 63, 64, 65, 100)
+        }
 
     def test_depth(self):
         for circuit in CASES:
@@ -213,11 +237,7 @@ class TestStoreMechanics:
         object_path.extend(gates)
         mask_path.extend_controls((gate.controls, gate.target) for gate in gates)
         assert mask_path.gates() == object_path.gates()
-        packed_a = object_path.gate_store().packed(5)
-        packed_b = mask_path.gate_store().packed(5)
-        assert np.array_equal(packed_a.care, packed_b.care)
-        assert np.array_equal(packed_a.polarity, packed_b.polarity)
-        assert np.array_equal(packed_a.targets, packed_b.targets)
+        assert mask_path.gate_store().columns() == object_path.gate_store().columns()
 
     def test_append_masks_validation(self):
         circuit = ReversibleCircuit()
@@ -231,17 +251,6 @@ class TestStoreMechanics:
             circuit.append_masks(0b010, 0b100, 0)  # polarity outside care
         with pytest.raises(ValueError):
             circuit.append_masks(0b010, 0b010, 5)  # target beyond lines
-
-    def test_popcount_words_matches_bin_count(self):
-        rng = random.Random(3)
-        words = np.array(
-            [[rng.getrandbits(64) for _ in range(2)] for _ in range(50)],
-            dtype=np.uint64,
-        )
-        expected = [
-            bin(int(a)).count("1") + bin(int(b)).count("1") for a, b in words
-        ]
-        assert popcount_words(words).tolist() == expected
 
     def test_inverse_reverses_gates(self):
         circuit = _random_circuit(random.Random(21), 5, 15, messy=False)

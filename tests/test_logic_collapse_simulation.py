@@ -10,6 +10,7 @@ collapse.
 """
 
 import importlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,32 @@ class TestOutputColumns:
         x = tt_xor(tt_var(0, 3), tt_var(1, 3))
         assert aig.output_columns() == [
             x, tt_and(x, tt_var(2, 3)), tt_or(x, tt_var(2, 3))
+        ]
+
+    def test_long_chain_keeps_few_tables_alive(self):
+        # 1,516 AND nodes over 16 inputs: every table is 2**16 bits (8 KiB),
+        # so holding all of them would take about 12 MB; a table dropped
+        # after its last fanout leaves a few dozen alive at any time.
+        aig = Aig()
+        pis = [aig.add_pi() for _ in range(16)]
+        chain = pis[0]
+        for i in range(500):
+            term = aig.create_and(pis[i % 16], pis[(i + 1) % 16])
+            chain = aig.create_xor(chain, term)
+            if i % 50 == 49:
+                aig.add_po(chain)
+        assert aig.num_gates() == 1516
+        tracemalloc.start()
+        try:
+            columns = aig.output_columns()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        tables = aig.node_truth_tables()
+        mask = tt_mask(16)
+        assert columns == [
+            tables[lit_node(po)] ^ (mask if po & 1 else 0) for po in aig.pos()
         ]
 
     def test_collapse_to_truth_table_is_the_aig_table(self):

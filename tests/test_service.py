@@ -8,6 +8,7 @@ graceful shutdown, asserting the streamed Pareto front equals a direct
 :class:`ExplorationEngine` run of the same sweep.
 """
 
+import asyncio
 import http.client
 import json
 import threading
@@ -30,8 +31,11 @@ from repro.service import (
     TokenBucket,
     start_in_thread,
 )
+import repro.core.explorer as explorer_mod
+import repro.service.server as server_mod
 from repro.service.jobs import CANCELLED, DONE, ServiceClosed
 from repro.service.metrics import LatencyReservoir, quantile
+from repro.service.server import threadsafe_listener
 
 #: A trivially fast design so service tests measure the service, not flows.
 BUF = "module buf (input a, output y); assign y = a; endmodule\n"
@@ -268,6 +272,25 @@ def shutdown_manager(manager, **kwargs):
     assert manager.shutdown(timeout=30, **kwargs) is not None
 
 
+def hold_configuration(monkeypatch, p):
+    """Hold the worker in the ``esop:p=<p>`` configuration until released.
+
+    Returns ``(reached, release)``: ``reached`` is set once the worker
+    enters that configuration, which then waits for ``release``.
+    """
+    reached, release = threading.Event(), threading.Event()
+    real_execute = explorer_mod._execute_task
+
+    def held(spec, frontends=None):
+        if dict(spec["parameters"]).get("p") == p:
+            reached.set()
+            release.wait(30)
+        return real_execute(spec, frontends)
+
+    monkeypatch.setattr(explorer_mod, "_execute_task", held)
+    return reached, release
+
+
 class TestJobManager:
     def test_job_runs_to_done_with_streamed_events(self):
         manager = JobManager(workers=1)
@@ -364,19 +387,7 @@ class TestJobManager:
     def test_non_drain_shutdown_cancels_between_configurations(
         self, monkeypatch
     ):
-        import repro.core.explorer as explorer_mod
-
-        release = threading.Event()
-        blocked = threading.Event()
-        real_execute = explorer_mod._execute_task
-
-        def gated(spec, frontends=None):
-            if dict(spec["parameters"]).get("p") == 1:
-                blocked.set()
-                release.wait(30)
-            return real_execute(spec, frontends)
-
-        monkeypatch.setattr(explorer_mod, "_execute_task", gated)
+        blocked, release = hold_configuration(monkeypatch, p=1)
         manager = JobManager(workers=1)
         running = manager.submit(
             buf_payload(sweeps=["esop:p=0,1,2,3"])
@@ -403,6 +414,28 @@ class TestJobManager:
         assert running.failed == 0
         assert queued.state == CANCELLED
         assert queued.completed == 0
+
+    def test_listener_of_a_closed_loop_never_raises_into_the_worker(
+        self, monkeypatch
+    ):
+        reached, release = hold_configuration(monkeypatch, p=0)
+        loop = asyncio.new_event_loop()
+        loop.close()
+        calls = []
+        manager = JobManager(workers=1)
+        try:
+            job = manager.submit(buf_payload())
+            assert reached.wait(30)  # no event appended yet
+            job.add_listener(threadsafe_listener(loop, lambda: None))
+            job.add_listener(lambda: calls.append(len(job.events)))
+            release.set()
+            assert job.wait(timeout=30)
+            assert job.state == DONE
+            assert job.completed == job.num_tasks == 3
+            # Every append reached the listener after the closed loop's.
+            assert calls == [1, 2, 3, 4]
+        finally:
+            shutdown_manager(manager)
 
     def test_stats_shape(self, tmp_path):
         manager = JobManager(cache=str(tmp_path), workers=1)
@@ -508,6 +541,57 @@ class TestServer:
         assert done["pareto"] == [
             {"design": "buf", "bitwidth": 1, "points": expected}
         ]
+
+    def test_stream_is_pushed_not_polled(self, service, monkeypatch):
+        def no_sleep(*args, **kwargs):
+            raise AssertionError("the stream handler slept")
+
+        monkeypatch.setattr(server_mod.asyncio, "sleep", no_sleep)
+        reached, release = hold_configuration(monkeypatch, p=1)
+        _, accepted = request(service.url, "POST", "/jobs", buf_payload())
+        host, port = service.url.split("//", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            conn.request("GET", accepted["stream_url"])
+            response = conn.getresponse()
+            # The p=0 outcome, read while the worker holds p=1: the rest
+            # of the job must reach the waiting handler by a push.
+            lines = [response.readline()]
+            assert reached.wait(30)
+            release.set()
+            lines.extend(iter(response.readline, b""))
+        finally:
+            conn.close()
+        events = [json.loads(line) for line in lines]
+        assert [e["type"] for e in events] == ["outcome"] * 3 + ["done"]
+        job = service.manager.get(accepted["id"])
+        assert events == json.loads(json.dumps(job.events))
+
+    def test_client_closing_mid_job_leaves_no_listener(self, service, monkeypatch):
+        reached, release = hold_configuration(monkeypatch, p=1)
+        _, accepted = request(service.url, "POST", "/jobs", buf_payload())
+        job = service.manager.get(accepted["id"])
+        host, port = service.url.split("//", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            conn.request("GET", accepted["stream_url"])
+            response = conn.getresponse()
+            assert json.loads(response.readline())["type"] == "outcome"
+            assert reached.wait(30)
+            assert len(job._listeners) == 1
+            response.close()
+        finally:
+            conn.close()
+        release.set()
+        assert job.wait(timeout=30)
+        assert job.state == DONE
+        assert job.completed == job.num_tasks
+        # The handler ends by the done event at the latest; its listener
+        # goes with it.
+        deadline = time.monotonic() + 30
+        while job._listeners and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert job._listeners == ()
 
     def test_status_and_listing_endpoints(self, service):
         _, accepted = request(service.url, "POST", "/jobs", buf_payload())
