@@ -31,6 +31,12 @@ from repro.logic.truth_table import TruthTable, tt_mask, tt_var
 
 __all__ = ["Xmg"]
 
+# Node kinds, stored per node in ``Xmg._kind``.
+_KIND_CONST = 0
+_KIND_PI = 1
+_KIND_MAJ = 2
+_KIND_XOR = 3
+
 
 class Xmg:
     """A combinational XOR-majority graph."""
@@ -42,27 +48,25 @@ class Xmg:
     #: protocol (the pass manager keys pass applicability on it).
     network_type = "xmg"
 
-    _KIND_CONST = 0
-    _KIND_PI = 1
-    _KIND_MAJ = 2
-    _KIND_XOR = 3
-
     def __init__(self, name: str = "xmg"):
         self.name = name
-        self._kind: List[int] = [self._KIND_CONST]
+        self._kind: List[int] = [_KIND_CONST]
         self._fanins: List[Tuple[int, ...]] = [()]
         self._pis: List[int] = []
         self._pi_names: List[str] = []
         self._pos: List[int] = []
         self._po_names: List[str] = []
         self._strash: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        # ``((node count, PO count), depth)`` of the last :meth:`depth`
+        # call; networks only grow, so the counts identify the structure.
+        self._depth_cache: Optional[Tuple[Tuple[int, int], int]] = None
 
     # -- construction --------------------------------------------------------
 
     def add_pi(self, name: Optional[str] = None) -> int:
         """Create a primary input and return its literal."""
         node = len(self._kind)
-        self._kind.append(self._KIND_PI)
+        self._kind.append(_KIND_PI)
         self._fanins.append(())
         self._pis.append(node)
         self._pi_names.append(name if name is not None else f"pi{len(self._pis) - 1}")
@@ -75,47 +79,57 @@ class Xmg:
         self._po_names.append(name if name is not None else f"po{len(self._pos) - 1}")
         return len(self._pos) - 1
 
-    def _new_node(self, kind: int, fanins: Tuple[int, ...]) -> int:
-        key = (kind, fanins)
-        node = self._strash.get(key)
-        if node is None:
-            node = len(self._kind)
-            self._kind.append(kind)
-            self._fanins.append(fanins)
-            self._strash[key] = node
-        return make_lit(node)
-
     def create_maj(self, a: int, b: int, c: int) -> int:
-        """Create (or reuse) a majority-of-three node."""
-        for lit in (a, b, c):
-            self._check_lit(lit)
-        # Simplifications: equal / complementary operands.
-        if a == b:
-            return a
-        if a == c:
+        """Create (or reuse) a majority-of-three node.
+
+        Equal and complementary operand pairs fold; otherwise the fanins
+        are stored sorted and, since MAJ is self-dual, with at most one of
+        them complemented (two or more complemented fanins are flipped
+        together with the output).  Constant fanins stay: ``MAJ(a, b, 0)``
+        is how the XMG flows see ``a AND b``, ``MAJ(a, b, 1)`` ``a OR b``.
+        """
+        kinds = self._kind
+        num_lits = 2 * len(kinds)
+        if not 0 <= a < num_lits:
+            self._check_lit(a)
+        if not 0 <= b < num_lits:
+            self._check_lit(b)
+        if not 0 <= c < num_lits:
+            self._check_lit(c)
+        if a == b or a == c:
             return a
         if b == c:
             return b
-        if a == lit_not(b):
+        if a == b ^ 1:
             return c
-        if a == lit_not(c):
+        if a == c ^ 1:
             return b
-        if b == lit_not(c):
+        if b == c ^ 1:
             return a
-        # Constant propagation: MAJ(a, b, 0) = a AND b, MAJ(a, b, 1) = a OR b
-        # are kept as MAJ nodes with a constant fanin (this is exactly how
-        # the XMG-based flow sees AND/OR gates), but double constants fold.
-        fanins = sorted([a, b, c])
-        # Canonical complementation: MAJ is self-dual, so if two or more
-        # fanins are complemented we complement all of them and the output.
-        num_compl = sum(lit_is_compl(lit) for lit in fanins)
-        output_compl = False
-        if num_compl >= 2:
-            fanins = [lit_not(lit) for lit in fanins]
-            output_compl = True
-            fanins.sort()
-        node_lit = self._new_node(self._KIND_MAJ, tuple(fanins))
-        return lit_not_cond(node_lit, output_compl)
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        # The three fanins sit on distinct nodes now, so flipping every
+        # complement bit keeps them sorted.
+        output_compl = 0
+        if (a & 1) + (b & 1) + (c & 1) >= 2:
+            a ^= 1
+            b ^= 1
+            c ^= 1
+            output_compl = 1
+        fanins = (a, b, c)
+        key = (_KIND_MAJ, fanins)
+        strash = self._strash
+        node = strash.get(key)
+        if node is None:
+            node = len(kinds)
+            kinds.append(_KIND_MAJ)
+            self._fanins.append(fanins)
+            strash[key] = node
+        return (node << 1) | output_compl
 
     def create_and(self, a: int, b: int) -> int:
         """AND as majority with a constant-0 fanin."""
@@ -126,26 +140,37 @@ class Xmg:
         return self.create_maj(a, b, self.CONST1)
 
     def create_xor(self, a: int, b: int) -> int:
-        """Create (or reuse) a two-input XOR node."""
-        self._check_lit(a)
-        self._check_lit(b)
+        """Create (or reuse) a two-input XOR node.
+
+        Equal, complementary and constant operands fold; otherwise both
+        fanins are stored uncomplemented and sorted, with their complements
+        pushed to the output (``XOR(a', b) = XOR(a, b)'``).
+        """
+        kinds = self._kind
+        num_lits = 2 * len(kinds)
+        if not 0 <= a < num_lits:
+            self._check_lit(a)
+        if not 0 <= b < num_lits:
+            self._check_lit(b)
         if a == b:
             return self.CONST0
-        if a == lit_not(b):
+        if a == b ^ 1:
             return self.CONST1
-        if a == self.CONST0:
-            return b
-        if b == self.CONST0:
-            return a
-        if a == self.CONST1:
-            return lit_not(b)
-        if b == self.CONST1:
-            return lit_not(a)
-        # Push complements to the output: XOR(a', b) = XOR(a, b)'.
-        output_compl = lit_is_compl(a) ^ lit_is_compl(b)
-        fanins = tuple(sorted((a & ~1, b & ~1)))
-        node_lit = self._new_node(self._KIND_XOR, fanins)
-        return lit_not_cond(node_lit, output_compl)
+        if a < 2 or b < 2:  # a constant operand complements the other
+            return a ^ b
+        output_compl = (a ^ b) & 1
+        a &= ~1
+        b &= ~1
+        fanins = (a, b) if a < b else (b, a)
+        key = (_KIND_XOR, fanins)
+        strash = self._strash
+        node = strash.get(key)
+        if node is None:
+            node = len(kinds)
+            kinds.append(_KIND_XOR)
+            self._fanins.append(fanins)
+            strash[key] = node
+        return (node << 1) | output_compl
 
     def create_xor3(self, a: int, b: int, c: int) -> int:
         """Three-input XOR as two cascaded XOR nodes."""
@@ -190,19 +215,19 @@ class Xmg:
 
     def is_pi(self, node: int) -> bool:
         """True if the node is a primary input."""
-        return self._kind[node] == self._KIND_PI
+        return self._kind[node] == _KIND_PI
 
     def is_maj(self, node: int) -> bool:
         """True if the node is a majority node."""
-        return self._kind[node] == self._KIND_MAJ
+        return self._kind[node] == _KIND_MAJ
 
     def is_xor(self, node: int) -> bool:
         """True if the node is an XOR node."""
-        return self._kind[node] == self._KIND_XOR
+        return self._kind[node] == _KIND_XOR
 
     def is_const(self, node: int) -> bool:
         """True if the node is the constant node."""
-        return self._kind[node] == self._KIND_CONST
+        return self._kind[node] == _KIND_CONST
 
     def fanins(self, node: int) -> Tuple[int, ...]:
         """Fanin literals of a node (empty for PIs and the constant)."""
@@ -214,7 +239,7 @@ class Xmg:
 
     def is_gate(self, node: int) -> bool:
         """True if the node is an internal gate (MAJ or XOR)."""
-        return self._kind[node] in (self._KIND_MAJ, self._KIND_XOR)
+        return self._kind[node] in (_KIND_MAJ, _KIND_XOR)
 
     def gate_nodes(self) -> List[int]:
         """Indices of all MAJ/XOR nodes in topological order."""
@@ -237,11 +262,11 @@ class Xmg:
 
     def num_maj(self) -> int:
         """Number of majority nodes (including AND/OR specialisations)."""
-        return self._kind.count(self._KIND_MAJ)
+        return self._kind.count(_KIND_MAJ)
 
     def num_xor(self) -> int:
         """Number of XOR nodes."""
-        return self._kind.count(self._KIND_XOR)
+        return self._kind.count(_KIND_XOR)
 
     def num_gates(self) -> int:
         """Total number of gate nodes."""
@@ -270,11 +295,21 @@ class Xmg:
         return dict(enumerate(self._level_list()))
 
     def depth(self) -> int:
-        """Number of logic levels on the longest PI-to-PO path."""
-        if not self._pos:
-            return 0
-        level = self._level_list()
-        return max(level[po >> 1] for po in self._pos)
+        """Number of logic levels on the longest PI-to-PO path.
+
+        Computed once per network state: nodes and outputs are only ever
+        appended, so the node and PO counts key the cached value.
+        """
+        key = (len(self._kind), len(self._pos))
+        cached = self._depth_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        depth = 0
+        if self._pos:
+            level = self._level_list()
+            depth = max(level[po >> 1] for po in self._pos)
+        self._depth_cache = (key, depth)
+        return depth
 
     def _check_lit(self, lit: int) -> None:
         node = lit_node(lit)
@@ -391,13 +426,31 @@ class Xmg:
             node_fanins = fanins[node]
             if node_fanins and reachable[node]:
                 operands = [mapping[f >> 1] ^ (f & 1) for f in node_fanins]
-                if kinds[node] == self._KIND_MAJ:
+                if kinds[node] == _KIND_MAJ:
                     mapping[node] = result.create_maj(*operands)
                 else:
                     mapping[node] = result.create_xor(*operands)
         for po, name in zip(self._pos, self._po_names):
             result.add_po(mapping[po >> 1] ^ (po & 1), name)
         return result
+
+    def same_structure(self, other: "Xmg") -> bool:
+        """True if ``other`` equals this network node for node.
+
+        Compares the name, the node kinds and fanins, and the inputs and
+        outputs with their names; the strash table follows from the kinds
+        and fanins.  This is not ``__eq__``, which would make networks
+        unhashable.
+        """
+        return (
+            self._kind == other._kind
+            and self._fanins == other._fanins
+            and self._pis == other._pis
+            and self._pos == other._pos
+            and self._pi_names == other._pi_names
+            and self._po_names == other._po_names
+            and self.name == other.name
+        )
 
     def copy(self) -> "Xmg":
         """Deep copy of the XMG (including dangling nodes)."""
@@ -409,6 +462,7 @@ class Xmg:
         result._pos = list(self._pos)
         result._po_names = list(self._po_names)
         result._strash = dict(self._strash)
+        result._depth_cache = self._depth_cache  # same structure, same depth
         return result
 
     def __repr__(self) -> str:

@@ -25,11 +25,17 @@ downstream circuit.  Four passes, composable into pipelines:
   XOR chains and single-MAJ realisations; the rebuilt network replaces
   the input only when it wins under
   :func:`~repro.logic.network.network_cost`.
+
+Every pass hands back its input object when its result equals that input
+node for node (:meth:`~repro.logic.xmg.Xmg.same_structure`), and builds a
+new network otherwise, so the fixed-point exit of
+:meth:`repro.opt.pipeline.Pipeline.run` skips the passes that have
+converged.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Dict, List
 
 from repro.logic.cuts import lut_map
@@ -67,6 +73,15 @@ def _finish(xmg: Xmg, new: Xmg, mapping: Dict[int, int]) -> Xmg:
     return new.cleanup()
 
 
+def _unchanged_or(xmg: Xmg, result: Xmg) -> Xmg:
+    """``xmg`` itself if ``result`` equals it node for node, else ``result``.
+
+    Handing back the input object is what lets the fixed-point exit of
+    :meth:`repro.opt.pipeline.Pipeline.run` skip a pass that has converged.
+    """
+    return xmg if result.same_structure(xmg) else result
+
+
 # ---------------------------------------------------------------------------
 # Structural strashing
 # ---------------------------------------------------------------------------
@@ -80,9 +95,10 @@ def xmg_strash(xmg: Xmg) -> Xmg:
     any simplification enabled by an earlier pass and drops dangling
     nodes.  :meth:`Xmg.cleanup` returns exactly the result of this
     rebuild; on an already clean network it gets there by copying, since
-    the rebuild would reproduce that network node for node.
+    the rebuild would reproduce that network node for node, and hands
+    back ``xmg`` itself.
     """
-    return xmg.cleanup()
+    return _unchanged_or(xmg, xmg.cleanup())
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +119,21 @@ def _effective_fanins(xmg: Xmg, lit: int) -> tuple:
 
 def _create_maj_omega(new: Xmg, a: int, b: int, c: int) -> int:
     """``create_maj`` with the absorption Ω-rules applied first."""
-    # Degenerate operand pairs are the constructors' business.
-    if a == b or a == c or b == c:
-        return new.create_maj(a, b, c)
-    if a == lit_not(b) or a == lit_not(c) or b == lit_not(c):
+    # Equal and complementary operand pairs (two operands on one node)
+    # are the constructors' business.
+    if a >> 1 == b >> 1 or a >> 1 == c >> 1 or b >> 1 == c >> 1:
         return new.create_maj(a, b, c)
     for inner, x, y in ((a, b, c), (b, a, c), (c, a, b)):
         if not new.is_maj(lit_node(inner)):
             continue
         effective = _effective_fanins(new, inner)
-        fanin_set = set(effective)
         # Absorption: M(x, y, M(x, y, z)) = M(x, y, z).
-        if x in fanin_set and y in fanin_set:
+        if x in effective and y in effective:
             return inner
         # Complementary absorption: M(x, y, M(x', y', z)) = M(x, y, z).
-        if lit_not(x) in fanin_set and lit_not(y) in fanin_set:
-            rest = [f for f in effective if f not in (lit_not(x), lit_not(y))]
+        not_x, not_y = lit_not(x), lit_not(y)
+        if not_x in effective and not_y in effective:
+            rest = [f for f in effective if f != not_x and f != not_y]
             if len(rest) == 1:
                 return new.create_maj(x, y, rest[0])
     return new.create_maj(a, b, c)
@@ -127,16 +142,15 @@ def _create_maj_omega(new: Xmg, a: int, b: int, c: int) -> int:
 def xmg_rewrite(xmg: Xmg) -> Xmg:
     """Algebraic MAJ rewriting: one topological sweep of the Ω absorption
     rules over a structurally hashed rebuild."""
-    xmg = xmg.cleanup()
-    new, mapping = _init_rebuild(xmg)
-    for node in xmg.nodes():
-        if xmg.is_maj(node):
-            a, b, c = (_map_lit(mapping, f) for f in xmg.fanins(node))
-            mapping[node] = _create_maj_omega(new, a, b, c)
-        elif xmg.is_xor(node):
-            a, b = (_map_lit(mapping, f) for f in xmg.fanins(node))
-            mapping[node] = new.create_xor(a, b)
-    return _finish(xmg, new, mapping)
+    cleaned = xmg.cleanup()
+    new, mapping = _init_rebuild(cleaned)
+    for node in cleaned.gate_nodes():
+        operands = [mapping[f >> 1] ^ (f & 1) for f in cleaned.fanins(node)]
+        if cleaned.is_maj(node):
+            mapping[node] = _create_maj_omega(new, *operands)
+        else:
+            mapping[node] = new.create_xor(*operands)
+    return _unchanged_or(xmg, _finish(cleaned, new, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -151,42 +165,44 @@ def xmg_xor_simplify(xmg: Xmg) -> Xmg:
     multiset, drop pairs (``a ⊕ a = 0``), fold leaf polarities into one
     output complement (``¬a = a ⊕ 1``) and rebuild as a balanced XOR tree.
     """
-    xmg = xmg.cleanup()
-    fanouts = xmg.fanout_counts()
-    gate_consumers = defaultdict(list)
-    for node in xmg.nodes():
-        for fanin in xmg.fanins(node):
-            gate_consumers[lit_node(fanin)].append(node)
+    cleaned = xmg.cleanup()
+    fanouts = cleaned.fanout_counts()
+    # How many gate fanins read each node, and the last gate reading it.
+    gate_reads = [0] * len(fanouts)
+    reader = [0] * len(fanouts)
+    for node in cleaned.gate_nodes():
+        for fanin in cleaned.fanins(node):
+            gate_reads[fanin >> 1] += 1
+            reader[fanin >> 1] = node
+    absorbed = [
+        cleaned.is_xor(node)
+        and fanouts[node] == 1
+        and gate_reads[node] == 1
+        and cleaned.is_xor(reader[node])
+        for node in cleaned.nodes()
+    ]
 
-    def absorbed(node: int) -> bool:
-        return (
-            xmg.is_xor(node)
-            and fanouts[node] == 1
-            and len(gate_consumers[node]) == 1
-            and xmg.is_xor(gate_consumers[node][0])
-        )
-
-    new, mapping = _init_rebuild(xmg)
-    for node in xmg.nodes():
-        if xmg.is_maj(node):
-            fanins = [_map_lit(mapping, f) for f in xmg.fanins(node)]
+    new, mapping = _init_rebuild(cleaned)
+    for node in cleaned.gate_nodes():
+        if cleaned.is_maj(node):
+            fanins = [mapping[f >> 1] ^ (f & 1) for f in cleaned.fanins(node)]
             mapping[node] = new.create_maj(*fanins)
             continue
-        if not xmg.is_xor(node) or absorbed(node):
+        if absorbed[node]:
             # Absorbed XOR nodes are expanded inside their consumer's
             # tree below and never referenced otherwise.
             continue
         parity = 0
         leaf_counts: Counter = Counter()
-        stack = list(xmg.fanins(node))
+        stack = list(cleaned.fanins(node))
         while stack:
             lit = stack.pop()
             if lit_is_compl(lit):
                 parity ^= 1
                 lit = lit_not(lit)
             leaf = lit_node(lit)
-            if absorbed(leaf):
-                stack.extend(xmg.fanins(leaf))
+            if absorbed[leaf]:
+                stack.extend(cleaned.fanins(leaf))
             else:
                 leaf_counts[leaf] += 1
         operands: List[int] = [
@@ -205,7 +221,7 @@ def xmg_xor_simplify(xmg: Xmg) -> Xmg:
             operands = next_level
         literal = operands[0] if operands else Xmg.CONST0
         mapping[node] = lit_not_cond(literal, bool(parity))
-    return _finish(xmg, new, mapping)
+    return _unchanged_or(xmg, _finish(cleaned, new, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +244,7 @@ def xmg_refactor(xmg: Xmg, k: int = 4, max_cuts: int = 8) -> Xmg:
     pipelines re-cover only the part of the network the preceding passes
     actually changed.
     """
-    cleaned = xmg.cleanup()
+    cleaned = _unchanged_or(xmg, xmg.cleanup())
     if cleaned.num_gates() == 0:
         return cleaned
     from repro.logic.xmg_mapping import synthesize_lut_into_xmg

@@ -6,7 +6,8 @@ mask-native).  The property tests compare the two on random inputs:
 
 * :mod:`oracles.logic` — cut truth tables, PSDKRO extraction, the AIG's
   truth table by per-minterm evaluation, ``Aig.create_and`` and
-  ``Aig.cleanup``, and the refactor/balance scripts before the
+  ``Aig.cleanup``, ``Xmg.create_maj`` / ``create_xor`` and
+  ``Xmg.cleanup``, and the refactor/balance scripts before the
   factored-form memo, plus the minimum-cost
   ESOP of every small function by shortest path (a quality bound, not a
   former kernel),

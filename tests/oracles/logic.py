@@ -1,6 +1,6 @@
 """Oracles for the logic-level kernels: protocol cone walks, cut tables,
 PSDKRO, minimum-cost ESOPs, collapse by per-minterm evaluation, AIG cleanup
-and refactoring, and XMG cleanup."""
+and refactoring, and the XMG constructors and cleanup."""
 
 import heapq
 import itertools
@@ -20,6 +20,8 @@ from repro.logic.truth_table import (
     tt_support,
     tt_var,
 )
+from repro.logic.xmg import _KIND_MAJ as XMG_KIND_MAJ
+from repro.logic.xmg import _KIND_XOR as XMG_KIND_XOR
 from repro.logic.xmg import Xmg
 from repro.quantum.tcount import mct_t_count
 
@@ -577,15 +579,78 @@ def resyn2_reference(aig: Aig) -> Aig:
 
 
 # ---------------------------------------------------------------------------
-# XMG cleanup
+# XMG constructors and cleanup
 # ---------------------------------------------------------------------------
+
+
+def add_xmg_node_reference(xmg: Xmg, kind: int, fanins: Tuple[int, ...]) -> int:
+    """Hash ``(kind, fanins)`` into ``xmg`` as given, with no folding."""
+    key = (kind, fanins)
+    node = xmg._strash.get(key)
+    if node is None:
+        node = len(xmg._kind)
+        xmg._kind.append(kind)
+        xmg._fanins.append(fanins)
+        xmg._strash[key] = node
+    return make_lit(node)
+
+
+def create_maj_reference(xmg: Xmg, a: int, b: int, c: int) -> int:
+    """``Xmg.create_maj`` through the literal helpers, on ``xmg``'s arrays."""
+    for lit in (a, b, c):
+        xmg._check_lit(lit)
+    if a == b:
+        return a
+    if a == c:
+        return a
+    if b == c:
+        return b
+    if a == lit_not(b):
+        return c
+    if a == lit_not(c):
+        return b
+    if b == lit_not(c):
+        return a
+    fanins = sorted([a, b, c])
+    # MAJ is self-dual: two or more complemented fanins flip all of them
+    # and the output.
+    num_compl = sum(lit_is_compl(lit) for lit in fanins)
+    output_compl = False
+    if num_compl >= 2:
+        fanins = [lit_not(lit) for lit in fanins]
+        output_compl = True
+        fanins.sort()
+    node_lit = add_xmg_node_reference(xmg, XMG_KIND_MAJ, tuple(fanins))
+    return lit_not_cond(node_lit, output_compl)
+
+
+def create_xor_reference(xmg: Xmg, a: int, b: int) -> int:
+    """``Xmg.create_xor`` through the literal helpers, on ``xmg``'s arrays."""
+    xmg._check_lit(a)
+    xmg._check_lit(b)
+    if a == b:
+        return Xmg.CONST0
+    if a == lit_not(b):
+        return Xmg.CONST1
+    if a == Xmg.CONST0:
+        return b
+    if b == Xmg.CONST0:
+        return a
+    if a == Xmg.CONST1:
+        return lit_not(b)
+    if b == Xmg.CONST1:
+        return lit_not(a)
+    output_compl = lit_is_compl(a) ^ lit_is_compl(b)
+    fanins = tuple(sorted((a & ~1, b & ~1)))
+    node_lit = add_xmg_node_reference(xmg, XMG_KIND_XOR, fanins)
+    return lit_not_cond(node_lit, output_compl)
 
 
 def xmg_cleanup_reference(xmg: Xmg) -> Xmg:
     """Copy of ``xmg`` with only the nodes reachable from the outputs.
 
-    Every reachable gate is rebuilt through the hashing constructors, with
-    no shortcut for networks that are already clean.
+    Every reachable gate is rebuilt through the reference constructors,
+    with no shortcut for networks that are already clean.
     """
     reachable = set()
     stack = [lit_node(po) for po in xmg._pos]
@@ -609,9 +674,9 @@ def xmg_cleanup_reference(xmg: Xmg) -> Xmg:
             for f in xmg._fanins[node]
         ]
         if xmg.is_maj(node):
-            mapping[node] = result.create_maj(*fanins)
+            mapping[node] = create_maj_reference(result, *fanins)
         else:
-            mapping[node] = result.create_xor(*fanins)
+            mapping[node] = create_xor_reference(result, *fanins)
     for po, name in zip(xmg._pos, xmg._po_names):
         result.add_po(lit_not_cond(mapping[lit_node(po)], lit_is_compl(po)), name)
     return result

@@ -155,21 +155,28 @@ class TestXmgCleanupMatchesOracle:
 
 @pytest.fixture
 def constructor_calls(monkeypatch):
-    """Counts of ``Aig.create_and`` and ``Xmg._new_node`` calls."""
+    """Counts of ``Aig.create_and`` and ``Xmg.create_maj``/``create_xor``
+    calls."""
     calls = {"aig": 0, "xmg": 0}
     create_and = Aig.create_and
-    new_node = Xmg._new_node
+    create_maj = Xmg.create_maj
+    create_xor = Xmg.create_xor
 
     def counting_create_and(self, a, b):
         calls["aig"] += 1
         return create_and(self, a, b)
 
-    def counting_new_node(self, kind, fanins):
+    def counting_create_maj(self, a, b, c):
         calls["xmg"] += 1
-        return new_node(self, kind, fanins)
+        return create_maj(self, a, b, c)
+
+    def counting_create_xor(self, a, b):
+        calls["xmg"] += 1
+        return create_xor(self, a, b)
 
     monkeypatch.setattr(Aig, "create_and", counting_create_and)
-    monkeypatch.setattr(Xmg, "_new_node", counting_new_node)
+    monkeypatch.setattr(Xmg, "create_maj", counting_create_maj)
+    monkeypatch.setattr(Xmg, "create_xor", counting_create_xor)
     return calls
 
 

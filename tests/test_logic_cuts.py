@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.logic import (
+    XMG_KIND_MAJ,
+    add_xmg_node_reference,
     cut_truth_table_reference,
     enumerate_cuts_reference,
     filter_dominated_cuts_reference,
@@ -310,7 +312,7 @@ class TestSignatureEnumerationMatchesReference:
         # them.  The empty cut dominates every cut, the trivial one too.
         xmg = Xmg()
         a = xmg.add_pi()
-        const = xmg._new_node(Xmg._KIND_MAJ, (0, 0, 1))
+        const = add_xmg_node_reference(xmg, XMG_KIND_MAJ, (0, 0, 1))
         xmg.add_po(xmg.create_xor(a, const))
         node = lit_node(const)
         for selection in ("depth", "area"):

@@ -1,7 +1,9 @@
 """The fixed-point exit of :meth:`repro.opt.pipeline.Pipeline.run`.
 
 A pass that handed back the current target object itself is skipped
-until some pass returns a different object.  Passes are pure, so the
+until some pass returns a different object.  The reversible passes and
+the XMG passes hand back their input exactly when their result equals it
+(AIG passes always build a new network).  Passes are pure, so the
 skipped runs would have returned that same object: the exit must give
 exactly the result of running every listed pass, while ``str(pipeline)``,
 labels and cache keys stay as they were.
@@ -16,14 +18,22 @@ from oracles.circuits import (
     merge_not_gates_reference,
 )
 from repro.core.cache import cache_key
-from repro.core.flows import make_flow
+from repro.core.flows import frontend_artifacts, make_flow
 from repro.hdl.designs import intdiv_verilog
 from repro.hdl.synthesize import synthesize_reciprocal_design
 from repro.io.aiger import write_aiger
+from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt import Pass, Pipeline, as_pipeline, parse_pipeline
+from repro.opt.xmg_passes import (
+    xmg_refactor,
+    xmg_rewrite,
+    xmg_strash,
+    xmg_xor_simplify,
+)
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
 from repro.reversible.optimize import cancel_adjacent_gates, merge_not_gates
+from repro.verify.fuzz import random_xmg
 
 REV_DEFAULT_NAMES = "rev_not_merge;rev_cancel;" * 3 + "rev_not_merge;rev_cancel"
 
@@ -155,3 +165,95 @@ def test_cache_keys_are_unchanged():
     assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
         "bd6e2635322f3a1a3b1fd343f9a6e41993e9054cff983a41041e27112078e49b"
     )
+
+
+# ---------------------------------------------------------------------------
+# XMG passes: the input object comes back exactly when nothing changed
+# ---------------------------------------------------------------------------
+
+XMG_PASSES = {
+    "xmg_strash": xmg_strash,
+    "xmg_rewrite": xmg_rewrite,
+    "xmg_xor": xmg_xor_simplify,
+    "xmg_refactor": xmg_refactor,
+}
+
+XMG_DEFAULT_NAMES = ["xmg_strash", "xmg_rewrite", "xmg_xor", "xmg_refactor"] * 2
+
+
+def _xmg_structure(xmg):
+    return (
+        xmg.name,
+        list(xmg._kind),
+        list(xmg._fanins),
+        xmg.pis(),
+        xmg.pi_names(),
+        xmg.pos(),
+        xmg.po_names(),
+        sorted(xmg._strash.items()),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(XMG_PASSES))
+def test_xmg_passes_return_their_input_exactly_when_unchanged(name):
+    func = XMG_PASSES[name]
+    kept = changed = 0
+    for seed in range(40):
+        fuzzed = random_xmg(seed, num_pis=5, num_gates=30, num_pos=3)
+        for xmg in (fuzzed, fuzzed.cleanup(), func(fuzzed)):
+            before = _xmg_structure(xmg)
+            expected = _xmg_structure(func(xmg.copy()))
+            result = func(xmg)
+            assert _xmg_structure(xmg) == before  # the input is not mutated
+            assert _xmg_structure(result) == expected
+            assert (result is xmg) == (expected == before)
+            kept += result is xmg
+            changed += result is not xmg
+    assert kept and changed
+
+
+def _without_fixed_point_exit(pipeline):
+    """The same passes, each handing back a fresh object every time."""
+    return Pipeline(
+        [
+            Pass(p.name, lambda xmg, p=p: p.apply(xmg).copy(), network_types=("xmg",))
+            for p in pipeline
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fuzzed_xmgs_match_every_xmg_default_pass(seed):
+    xmg = random_xmg(seed, num_pis=5, num_gates=40, num_pos=3)
+    pipeline = as_pipeline("xmg-default")
+    result = pipeline.run(xmg)
+    every_pass = _without_fixed_point_exit(pipeline).run(xmg)
+    assert [report.pass_name for report in every_pass.reports] == XMG_DEFAULT_NAMES
+    assert _xmg_structure(result.network) == _xmg_structure(every_pass.network)
+    assert result.cost == every_pass.cost
+
+
+@pytest.fixture(scope="module")
+def structural_xmgs():
+    """The XMGs the hierarchical flow optimises on INTDIV(8), NEWTON(6)."""
+    xmgs = {}
+    for design, bitwidth in (("intdiv", 8), ("newton", 6)):
+        aig = frontend_artifacts(design, bitwidth)["aig"]
+        resyn2 = as_pipeline("(resyn2)*2").run(aig).network
+        xmgs[design] = aig_to_xmg(resyn2, k=4)
+    return xmgs
+
+
+def test_xmg_default_skips_the_converged_refactor_on_newton6(structural_xmgs):
+    # Round 1 renumbers NEWTON(6)'s XOR trees, so round 2 reruns the three
+    # cheap passes; xmg_refactor lost in round 1 and nothing changed since.
+    xmg = structural_xmgs["newton"]
+    result = as_pipeline("xmg-default").run(xmg)
+    assert [report.pass_name for report in result.reports] == XMG_DEFAULT_NAMES[:7]
+    every_pass = _without_fixed_point_exit(as_pipeline("xmg-default")).run(xmg)
+    assert _xmg_structure(result.network) == _xmg_structure(every_pass.network)
+
+
+def test_xmg_default_runs_all_passes_on_intdiv8(structural_xmgs):
+    result = as_pipeline("xmg-default").run(structural_xmgs["intdiv"])
+    assert [report.pass_name for report in result.reports] == XMG_DEFAULT_NAMES
