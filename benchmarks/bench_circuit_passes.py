@@ -65,7 +65,7 @@ def test_rev_pipeline_verified_gate_reduction(benchmark):
         # The reduction only counts if the optimised circuit still computes
         # the design: exhaustive differential check against the
         # pre-optimisation AIG (the flow's specification).
-        spec = result.context.get("spec_aig") or result.context["aig"]
+        spec = result.context["spec_aig"]
         check = check_equivalent(spec, optimized, mode="full")
         assert check.equivalent, f"{label}: {check.message}"
 

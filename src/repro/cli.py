@@ -17,7 +17,8 @@ Examples::
         --rev-opt rev-default                          # peephole sweep
     python -m repro explore --design intdiv -n 6
     python -m repro explore --flow lut --design intdiv -n 8   # strategy sweep
-    python -m repro explore --design intdiv -n 8 --opt "dc2*2" --opt "b;rw;rf"
+    python -m repro explore --design intdiv -n 8 \
+        --opt "dc2*2" --opt "b;rw;rf"                  # AIG sweep, hierarchical
     python -m repro explore --design intdiv -n 8 --verify sampled
     python -m repro verify --design intdiv -n 4 --mode full --quantum
     python -m repro explore --designs intdiv newton --bitwidths 4 5 6 \
@@ -51,7 +52,7 @@ from repro.core.explorer import (
 )
 from repro.core.flow import FRONTEND_SEEDS
 from repro.core.flows import available_flows, design_source, make_flow, run_flow
-from repro.core.reports import outcome_table, reports_to_json
+from repro.core.reports import outcome_table, reports_to_json, verification_label
 from repro.io.qasm import write_qasm
 from repro.io.realfmt import write_real
 from repro.quantum.mapping import map_to_clifford_t
@@ -107,8 +108,9 @@ def build_parser(shown: Optional[str] = None) -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--opt", action="append", default=[], metavar="PIPELINE",
-        help="optimisation pipeline applied to every configuration; "
-        "repeat to sweep pipelines (e.g. --opt 'dc2*2' --opt 'b;rw;rf')",
+        help="AIG optimisation pipeline applied to every configuration whose "
+        "flow optimises the AIG (hierarchical, lut); repeat to sweep "
+        "pipelines (e.g. --opt 'dc2*2' --opt 'b;rw;rf')",
     )
     explore.add_argument(
         "--rev-opt", action="append", default=[], metavar="PIPELINE",
@@ -361,6 +363,7 @@ def _command_flow(args: argparse.Namespace) -> int:
         ("max controls", report.max_controls),
         ("runtime [s]", f"{report.runtime_seconds:.3f}"),
         ("verified", report.verified),
+        ("check", verification_label(report)),
     ]
     if report.t_depth is not None:
         rows[5:5] = [
@@ -396,6 +399,8 @@ def _command_explore(args: argparse.Namespace) -> int:
             configurations = default_configurations()
         # Cross the configuration list with every requested pipeline sweep
         # (--opt for the AIG stage, --rev-opt for the reversible cascade).
+        # A configuration whose flow does not declare the parameter (the
+        # functional flows run no AIG optimisation) stays as it is.
         crossed = False
         flows = {name: make_flow(name) for name in available_flows()}
         for parameter, specs in (("opt", args.opt), ("rev_opt", args.rev_opt)):
@@ -407,10 +412,17 @@ def _command_explore(args: argparse.Namespace) -> int:
                     expanded.extend(entry.configurations())
                 else:
                     expanded.append(entry)
+            declaring = {
+                c.flow for c in expanded if parameter in flows[c.flow].parameters()
+            }
+            if not declaring:  # settable raises the unknown-parameter error
+                flows[expanded[0].flow].settable(parameter)
             configurations = [
                 configuration.with_parameter(
                     parameter, flows[configuration.flow].settable(parameter).parse(spec)
                 )
+                if configuration.flow in declaring
+                else configuration
                 for spec in specs
                 for configuration in expanded
             ]
@@ -419,9 +431,10 @@ def _command_explore(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if crossed:
-        # Crossing can collide with sweep points that already carried the
-        # parameter (the default sweeps ship rev_opt points): run each
-        # distinct configuration once, keeping first-seen order.
+        # Crossing repeats the configurations it leaves as they are, and can
+        # collide with sweep points that already carried the parameter (the
+        # default sweeps ship rev_opt points): run each distinct
+        # configuration once, keeping first-seen order.
         seen = set()
         unique = []
         for configuration in configurations:
@@ -537,9 +550,8 @@ def _command_verify(args: argparse.Namespace) -> int:
         )
         # Check against the pre-optimisation AIG so a buggy pipeline pass
         # cannot corrupt both sides of the comparison.
-        aig = result.context.get("spec_aig") or result.context["aig"]
         check = check_equivalent(
-            aig,
+            result.context["spec_aig"],
             result.circuit,
             mode=args.mode,
             num_samples=args.samples,

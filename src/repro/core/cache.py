@@ -72,8 +72,11 @@ __all__ = ["ResultCache", "cache_key", "CACHE_FORMAT_VERSION"]
 #: 4,919,822 -> 20,478 T), so version-10 entries would serve the dearer
 #: circuits.  Version 12: the symbolic ``collapse`` stage simulates the AIG
 #: instead of building BDDs, and reports no ``bdd_nodes`` metric; a
-#: version-11 entry would still carry it.
-CACHE_FORMAT_VERSION = 12
+#: version-11 entry would still carry it.  Version 13: the ``symbolic`` and
+#: ``esop`` flows run no AIG optimisation (no ``opt_pipeline`` /
+#: ``opt_gates`` metrics), and every report carries ``verify_complete`` and
+#: ``verify_patterns``, which a version-12 entry lacks.
+CACHE_FORMAT_VERSION = 13
 
 
 def cache_key(

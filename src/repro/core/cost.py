@@ -35,6 +35,10 @@ class CostReport:
     max_controls: int
     runtime_seconds: float
     verified: Optional[bool] = None
+    #: Whether the check covered every input pattern (``None``: not checked).
+    verify_complete: Optional[bool] = None
+    #: How many input patterns the check simulated (``None``: not checked).
+    verify_patterns: Optional[int] = None
     #: Greedy T-depth of the explicit Clifford+T mapping (``None`` when the
     #: flow did not map; cf. :func:`repro.quantum.resources.estimate_resources`).
     t_depth: Optional[int] = None
@@ -54,6 +58,8 @@ class CostReport:
         runtime_seconds: float,
         model: str = "rtof",
         verified: Optional[bool] = None,
+        verify_complete: Optional[bool] = None,
+        verify_patterns: Optional[int] = None,
         resources: Optional["ResourceEstimate"] = None,
         extra: Optional[Dict[str, float]] = None,
     ) -> "CostReport":
@@ -81,6 +87,8 @@ class CostReport:
             max_controls=circuit.max_controls(),
             runtime_seconds=runtime_seconds,
             verified=verified,
+            verify_complete=verify_complete,
+            verify_patterns=verify_patterns,
             t_depth=t_depth,
             qc_depth=qc_depth,
             qc_qubits=qc_qubits,

@@ -154,8 +154,7 @@ class Parameter:
 
 #: Each stage body's declared ``(type, help, choices)`` by parameter name,
 #: keyed by the body's code object: flows are rebuilt for every job and
-#: sweep, and resolving annotations is the costly part of reading them.  An
-#: optimisation stage body is a fresh closure per flow over one code object.
+#: sweep, and resolving annotations is the costly part of reading them.
 _DECLARED: Dict[Any, Dict[str, Tuple[Any, ...]]] = {}
 
 
@@ -342,7 +341,7 @@ class Flow:
         stage up to its own, the stage name, the qualified name of its body,
         its declared defaults and its resolved parameter values.  The
         defaults keep apart same-named stages of different flows that read
-        an unset parameter differently (the ``optimize`` scripts).  A stage
+        an unset parameter differently.  A stage
         whose values are not plain (a pre-built pipeline, a seeded ``aig``),
         or whose body has no qualified name, ends the shareable prefix.
         """
@@ -410,6 +409,7 @@ class Flow:
             raise RuntimeError(
                 f"flow {self.name!r} did not produce a reversible circuit"
             )
+        check = context.get("verification")  # the verify stage's DifferentialResult
         report = CostReport.from_circuit(
             circuit,
             design=design,
@@ -418,6 +418,8 @@ class Flow:
             runtime_seconds=total_runtime,
             model=self.cost_model,
             verified=context.get("verified"),
+            verify_complete=None if check is None else check.complete,
+            verify_patterns=None if check is None else check.num_patterns,
             resources=context.get("resources"),
             extra=context.get("extra_metrics"),
         )

@@ -4,11 +4,11 @@ Every flow starts from a Verilog description (the generated ``INTDIV(n)`` /
 ``NEWTON(n)`` designs or user-provided source), performs classical logic
 synthesis and hands the result to one of the reversible synthesis back-ends:
 
-* :func:`symbolic_flow`     — ABC ``dc2`` + ``collapse`` analogue, optimum
-  embedding, transformation-based synthesis (Table II),
-* :func:`esop_flow`         — AIG optimisation, ESOP extraction and
-  exorcism-style minimisation, REVS-style ESOP synthesis with the factoring
-  parameter ``p`` (Table III),
+* :func:`symbolic_flow`     — ABC ``collapse`` analogue, optimum embedding,
+  transformation-based synthesis (Table II),
+* :func:`esop_flow`         — ESOP extraction and exorcism-style
+  minimisation, REVS-style ESOP synthesis with the factoring parameter ``p``
+  (Table III),
 * :func:`hierarchical_flow` — repeated ``resyn2`` analogue, ``xmglut``-style
   XMG mapping, hierarchical synthesis (Table IV): the pebble game of
   :func:`lut_flow` with one gate block per XMG gate,
@@ -26,6 +26,9 @@ analogue), and an optional explicit Clifford+T mapping (``map_model``,
 ``"rtof"`` / ``"barenco"``) whose resource vector — T-count, T-depth,
 total depth, mapped qubits — joins the cost report.  Each stage parameter
 is annotated ``Annotated[type, "help"]``: the schema of :mod:`repro.core.flow`.
+
+The functional flows read only the design AIG's function, so they skip the
+paper's ``dc2``: it only kept ABC's collapse BDDs small.
 """
 
 from __future__ import annotations
@@ -110,13 +113,17 @@ def _stage_frontend(
     verilog: Annotated[Optional[str], "Verilog source of the design"] = None,
     aig: Annotated[Optional[Aig], "a pre-built design AIG"] = None,
 ) -> None:
-    """Design entry: bit-blast the (generated) Verilog; a seeded ``aig`` is kept."""
-    if aig is not None:
-        return
-    if verilog is None:
-        verilog = design_source(context["design"], context["bitwidth"])
-        context["verilog"] = verilog
-    context["aig"] = synthesize_verilog(verilog)
+    """Design entry: bit-blast the (generated) Verilog; a seeded ``aig`` is kept.
+
+    The design AIG is also ``spec_aig``, the verify stage's reference, which
+    no optimisation pass can corrupt.
+    """
+    if aig is None:
+        if verilog is None:
+            verilog = design_source(context["design"], context["bitwidth"])
+            context["verilog"] = verilog
+        context["aig"] = synthesize_verilog(verilog)
+    context["spec_aig"] = context["aig"]
 
 
 def frontend_artifacts(
@@ -127,37 +134,28 @@ def frontend_artifacts(
     return {"verilog": source, "aig": synthesize_verilog(source)}
 
 
-def _make_optimize_stage(script: str, rounds: int) -> FlowStage:
+def _stage_optimize(
+    context: Dict[str, Any],
+    *,
+    opt: Annotated[
+        Optional[PipelineSpec], "AIG optimisation pipeline, e.g. 'b;rw;rf'"
+    ] = "(resyn2)*2",
+    opt_guard: OptGuard = "off",
+) -> None:
     """The AIG optimisation stage, a pass-manager pipeline.
 
     ``opt`` is a pipeline spec such as ``"b;rw;rf"`` or ``"dc2*3"``, or a
-    pre-built :class:`repro.opt.Pipeline`; it defaults to the flow's
-    historical ABC script ``(script)*rounds``, and ``"none"`` disables AIG
+    pre-built :class:`repro.opt.Pipeline`; it defaults to ABC's
+    ``(resyn2)*2`` (also when unset), and ``"none"`` disables AIG
     optimisation.  ``opt_guard`` optionally enables the per-pass
     differential equivalence guard (``off``/``sampled``/``full``/``auto``).
     """
-    default_spec = f"({script})*{rounds}"
-
-    def optimize(
-        context: Dict[str, Any],
-        *,
-        opt: Annotated[
-            Optional[PipelineSpec], "AIG optimisation pipeline, e.g. 'b;rw;rf'"
-        ] = default_spec,
-        opt_guard: OptGuard = "off",
-    ) -> None:
-        pipeline = as_pipeline(default_spec if opt is None else opt)
-        # The pre-optimisation AIG is the specification the verify stage
-        # checks against; keeping it aside means a buggy optimisation
-        # pass corrupts the implementation but never the reference.
-        context["spec_aig"] = context["aig"]
-        result = pipeline.run(context["aig"], guard=opt_guard)
-        context["aig"] = result.network
-        context["opt_reports"] = result.reports
-        gates = result.network.num_gates()
-        _add_metrics(context, opt_pipeline=str(pipeline), opt_gates=gates)
-
-    return FlowStage("optimize", optimize)
+    pipeline = as_pipeline("(resyn2)*2" if opt is None else opt)
+    result = pipeline.run(context["aig"], guard=opt_guard)
+    context["aig"] = result.network
+    context["opt_reports"] = result.reports
+    gates = result.network.num_gates()
+    _add_metrics(context, opt_pipeline=str(pipeline), opt_gates=gates)
 
 
 def _stage_xmg_opt(
@@ -320,6 +318,7 @@ def _stage_verify(
     if not result:
         raise RuntimeError(f"flow verification failed: {result.message}")
     context["verified"] = True
+    context["verification"] = result
     context["verify_complete"] = result.complete
 
 
@@ -372,13 +371,12 @@ def _stage_tbs(
     )
 
 
-def symbolic_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flow:
+def symbolic_flow(cost_model: str = "rtof") -> Flow:
     """The symbolic functional synthesis flow (Section IV-A / Table II)."""
     return Flow(
         "symbolic",
         [
             FlowStage("frontend", _stage_frontend),
-            _make_optimize_stage("dc2", optimization_rounds),
             FlowStage("collapse", _stage_collapse),
             FlowStage("embed", _stage_embed),
             FlowStage("tbs", _stage_tbs),
@@ -410,13 +408,12 @@ def _stage_esop_synthesis(
     )
 
 
-def esop_flow(cost_model: str = "rtof", optimization_rounds: int = 1) -> Flow:
+def esop_flow(cost_model: str = "rtof") -> Flow:
     """The ESOP-based (REVS) synthesis flow (Section IV-B / Table III)."""
     return Flow(
         "esop",
         [
             FlowStage("frontend", _stage_frontend),
-            _make_optimize_stage("dc2", optimization_rounds),
             FlowStage("exorcism", _stage_esop_extract),
             FlowStage("esop-synthesis", _stage_esop_synthesis),
             *_tail_stages(),
@@ -448,7 +445,7 @@ def _stage_hierarchical(
     )
 
 
-def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flow:
+def hierarchical_flow(cost_model: str = "rtof") -> Flow:
     """The hierarchical synthesis flow (Section IV-C / Table IV).
 
     Between XMG mapping and synthesis an optional XMG optimisation
@@ -460,7 +457,7 @@ def hierarchical_flow(cost_model: str = "rtof", optimization_rounds: int = 2) ->
         "hierarchical",
         [
             FlowStage("frontend", _stage_frontend),
-            _make_optimize_stage("resyn2", optimization_rounds),
+            FlowStage("optimize", _stage_optimize),
             FlowStage("xmglut", _stage_xmg_map),
             FlowStage("xmg-opt", _stage_xmg_opt),
             FlowStage("hierarchical-synthesis", _stage_hierarchical),
@@ -566,13 +563,13 @@ def _stage_lut_synthesis(
     )
 
 
-def lut_flow(cost_model: str = "rtof", optimization_rounds: int = 2) -> Flow:
+def lut_flow(cost_model: str = "rtof") -> Flow:
     """The LUT-based hierarchical flow with a reversible pebbling scheduler."""
     return Flow(
         "lut",
         [
             FlowStage("frontend", _stage_frontend),
-            _make_optimize_stage("resyn2", optimization_rounds),
+            FlowStage("optimize", _stage_optimize),
             FlowStage("xmg-opt", _stage_xmg_roundtrip),
             FlowStage("lut-map", _stage_lut_map),
             FlowStage("pebble", _stage_pebble),

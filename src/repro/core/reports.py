@@ -19,6 +19,7 @@ __all__ = [
     "ratio_summary",
     "flow_graph_description",
     "outcome_table",
+    "verification_label",
     "reports_to_json",
     "reports_from_json",
 ]
@@ -77,6 +78,14 @@ def ratio_summary(
     return rows
 
 
+def verification_label(report: CostReport) -> str:
+    """How a report's circuit was checked, e.g. ``"sampled, 256 patterns"``."""
+    if report.verify_patterns is None:
+        return "off"
+    kind = "exhaustive" if report.verify_complete else "sampled"
+    return f"{kind}, {report.verify_patterns} patterns"
+
+
 def outcome_table(outcomes: Sequence, title: str = "") -> str:
     """Render engine outcomes — including failures and cache hits — as a table.
 
@@ -96,13 +105,14 @@ def outcome_table(outcomes: Sequence, title: str = "") -> str:
                     report.qubits,
                     report.t_count,
                     f"{report.runtime_seconds:.3f}",
+                    verification_label(report),
                     status,
                 )
             )
         else:
-            rows.append((outcome.label(), "-", "-", "-", f"error: {outcome.error}"))
+            rows.append((outcome.label(), "-", "-", "-", "-", f"error: {outcome.error}"))
     return format_table(
-        ["configuration", "qubits", "T-count", "runtime [s]", "status"],
+        ["configuration", "qubits", "T-count", "runtime [s]", "check", "status"],
         rows,
         title=title,
     )

@@ -15,8 +15,8 @@ algorithms that the paper obtains from ABC and CirKit:
   graphs and LUT-based mapping from AIGs,
 * :mod:`repro.logic.cuts` — protocol-generic k-feasible cut enumeration
   and LUT covering,
-* :mod:`repro.logic.collapse` — collapsing AIGs into truth tables (by
-  exhaustive simulation) or ESOP covers.
+* :mod:`repro.logic.collapse` — collapsing AIGs into ESOP covers (an AIG's
+  truth table is :meth:`~repro.logic.aig.Aig.to_truth_table`).
 
 Combinational equivalence checking (the paper's ABC ``cec``) lives in
 :mod:`repro.verify`.

@@ -1,22 +1,16 @@
 """Collapsing multi-level networks into two-level / functional representations.
 
-This corresponds to ABC's ``collapse`` (the explicit function the symbolic
-flow embeds, by exhaustive simulation of the AIG) and to ``&exorcism``'s
-ESOP extraction used by the ESOP-based flow.
+This corresponds to ``&exorcism``'s ESOP extraction used by the ESOP-based
+flow.  ABC's ``collapse`` (the explicit function the symbolic flow embeds)
+is :meth:`repro.logic.aig.Aig.to_truth_table`, by exhaustive simulation.
 """
 
 from __future__ import annotations
 
 from repro.logic.aig import Aig
 from repro.logic.esop import EsopCover, esop_from_columns, minimize_esop
-from repro.logic.truth_table import TruthTable
 
-__all__ = ["collapse_to_truth_table", "collapse_to_esop"]
-
-
-def collapse_to_truth_table(aig: Aig) -> TruthTable:
-    """Expand an AIG into an explicit multi-output truth table."""
-    return aig.to_truth_table()
+__all__ = ["collapse_to_esop"]
 
 
 def collapse_to_esop(aig: Aig, minimize: bool = True) -> EsopCover:

@@ -3,8 +3,11 @@
 A pass is a *purely functional* transformation of an optimisation target:
 it receives a target — a :class:`~repro.logic.network.LogicNetwork`
 (``aig`` / ``xmg``), a reversible Toffoli cascade (``rev``) or an explicit
-Clifford+T circuit (``qc``) — returns a new target of the same type and
-never mutates its input.  The class wraps the bare function with the
+Clifford+T circuit (``qc``) — returns a target of the same type and never
+mutates its input.  When nothing changed, a pass may return its input
+object itself (the reversible and XMG passes do), and
+:meth:`repro.opt.pipeline.Pipeline.run`'s fixed-point exit relies on that
+identity.  The class wraps the bare function with the
 metadata the registry, the pipelines and the CLI need — name, aliases,
 applicable target types, a one-line description — and with uniform
 before/after accounting (:class:`PassReport`).

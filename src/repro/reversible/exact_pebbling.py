@@ -6,7 +6,7 @@
 ``sweep_child.py`` wraps :func:`solve` and reads
 :data:`DEFAULT_TIME_BUDGET`, and ``spans.py`` wraps :func:`minimum_pebbles`
 and :func:`exact_schedule`.  No module of the package imports this one.
-These stand-ins go with perfbench's wrappers (ROADMAP item 3(b)).
+These stand-ins go with perfbench's wrappers (ROADMAP item 4(b)).
 """
 
 from repro.reversible.pebbling import minimum_pebbles

@@ -134,7 +134,8 @@ class TestCanonicalisation:
         # A pre-built pipeline has no identifying repr: no prefix key, so
         # the run computes its report but never stores one.
         opt = as_pipeline("b;rw")
-        tasks = build_sweep("intdiv", 3, [FlowConfiguration("esop", (("opt", opt),))])
+        configuration = FlowConfiguration("hierarchical", (("opt", opt),))
+        tasks = build_sweep("intdiv", 3, [configuration])
         for _ in range(2):
             engine = ExplorationEngine(cache=str(tmp_path), verify=False)
             (outcome,) = engine.run(tasks)
@@ -147,7 +148,7 @@ class TestCanonicalisation:
         # pinned result must come with a CACHE_FORMAT_VERSION bump: update
         # both halves of this pair together.
         assert (CACHE_FORMAT_VERSION, pinned_results_digest()) == (
-            12,
+            13,
             "2a74299927b928d2e27cef59bc232e66a05022575d2341f90bd638ca5e955557",
         )
 

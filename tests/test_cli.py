@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,15 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "T-count" in output
         assert "verified" in output
+        assert re.search(r"check +exhaustive, 16 patterns", output)
+
+    def test_flow_command_says_when_the_check_was_sampled(self, capsys):
+        argv = ["flow", "--flow", "esop", "-n", "8", "--verify", "sampled",
+                "--verify-samples", "64"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"verified +1", output)
+        assert re.search(r"check +sampled, 64 patterns", output)
 
     def test_flow_command_writes_real_and_qasm(self, tmp_path, capsys):
         real_path = tmp_path / "circuit.real"
@@ -178,7 +188,9 @@ class TestCommands:
              "--sweep", "esop:p=0", "--verify", "full", "--quiet"]
         )
         assert exit_code == 0
-        assert "esop(p=0)" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "esop(p=0)" in output
+        assert re.search(r"esop\(p=0\) .* exhaustive, 8 patterns +ok", output)
 
     def test_explore_rejects_unknown_verify_mode(self):
         with pytest.raises(SystemExit):
@@ -253,11 +265,16 @@ class TestPassManagerCli:
 
     def test_flow_opt_override(self, capsys):
         exit_code = main(
-            ["flow", "--flow", "esop", "--design", "intdiv", "-n", "3",
+            ["flow", "--flow", "hierarchical", "--design", "intdiv", "-n", "3",
              "--opt", "b;rw;rf"]
         )
         assert exit_code == 0
         assert "T-count" in capsys.readouterr().out
+
+    def test_functional_flow_has_no_opt(self, capsys):
+        exit_code = main(["flow", "--flow", "esop", "-n", "3", "--opt", "dc2"])
+        assert exit_code == 2
+        assert "unknown parameter 'opt' for flow 'esop'" in capsys.readouterr().err
 
     def test_flow_xmg_opt_improves_t_count(self, capsys):
         assert main(
@@ -280,7 +297,7 @@ class TestPassManagerCli:
 
     def test_flow_unknown_opt_fails_with_suggestion(self, capsys):
         exit_code = main(
-            ["flow", "--flow", "esop", "--design", "intdiv", "-n", "3",
+            ["flow", "--flow", "hierarchical", "--design", "intdiv", "-n", "3",
              "--opt", "rewritee"]
         )
         assert exit_code == 2
@@ -363,13 +380,39 @@ class TestPassManagerCli:
     def test_explore_opt_sweeps_pipelines(self, capsys):
         exit_code = main(
             ["explore", "--design", "intdiv", "-n", "3", "--no-verify",
-             "--quiet", "--sweep", "esop:p=0",
+             "--quiet", "--sweep", "hierarchical:strategy=bennett",
              "--opt", "dc2", "--opt", "b;rw;rf"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "opt=dc2" in output
         assert "opt=b;rw;rf" in output
+
+    def test_explore_opt_crosses_only_the_flows_that_optimise(self, capsys):
+        exit_code = main(
+            ["explore", "--design", "intdiv", "-n", "3", "--no-verify",
+             "--opt", "dc2", "--opt", "b;rw;rf"]
+        )
+        assert exit_code == 0
+        labels = re.findall(
+            r"^\[\d+/\d+\] intdiv\(3\)/(.*): \d+ qubits",
+            capsys.readouterr().out, re.MULTILINE,
+        )
+        assert len(labels) == len(set(labels)) == 7
+        assert Counter(label.split("(")[0] for label in labels) == {
+            "symbolic": 1, "esop": 2, "hierarchical": 4,
+        }
+        for strategy in ("bennett", "per_output"):
+            for spec in ("dc2", "b;rw;rf"):
+                assert f"hierarchical(strategy={strategy}, opt={spec})" in labels
+
+    def test_explore_opt_no_flow_declares_fails(self, capsys):
+        exit_code = main(
+            ["explore", "--design", "intdiv", "-n", "3", "--no-verify",
+             "--quiet", "--sweep", "esop:p=0,1", "--opt", "dc2"]
+        )
+        assert exit_code == 2
+        assert "unknown parameter 'opt' for flow 'esop'" in capsys.readouterr().err
 
     def test_explore_unknown_opt_fails_fast(self, capsys):
         exit_code = main(

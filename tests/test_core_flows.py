@@ -11,9 +11,11 @@ from repro.core.reports import (
     paper_table,
     ratio_summary,
     side_by_side_table,
+    verification_label,
 )
 from repro.hdl.designs import intdiv_reference
 from repro.hdl.synthesize import synthesize_reciprocal_design
+from repro.opt import parse_pipeline
 from repro.verify.differential import check_equivalent
 
 
@@ -90,6 +92,56 @@ class TestEsopFlow:
     def test_newton_design(self):
         result = run_flow("esop", "newton", 4, p=0)
         assert result.report.verified is True
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("design", ["intdiv", "newton"])
+@pytest.mark.parametrize(
+    "flow, parameters", [("symbolic", {}), ("esop", {"p": 0}), ("esop", {"p": 1})]
+)
+def test_functional_flows_ignore_aig_optimisation(flow, parameters, design, n):
+    """Why the functional flows run no AIG optimisation.
+
+    Both read only the design AIG's function, and ``dc2`` never changes
+    it: the paper's ``(dc2)*2`` AIG gives the same cascade, gate for gate.
+    """
+    raw = run_flow(flow, design, n, verify=False, **parameters)
+    spec = raw.context["spec_aig"]
+    optimised = parse_pipeline("(dc2)*2").run(spec).network
+    assert optimised.num_gates() < spec.num_gates()
+    seeded = run_flow(flow, optimised, n, verify=False, **parameters)
+    assert seeded.circuit.num_lines() == raw.circuit.num_lines()
+    assert seeded.circuit.gate_store().columns() == raw.circuit.gate_store().columns()
+
+
+class TestVerificationLabel:
+    """Each report says how its circuit was checked."""
+
+    @pytest.mark.parametrize(
+        "verify, complete, patterns",
+        [("auto", True, 256), ("sampled", False, 64), ("off", None, None)],
+    )
+    def test_report_carries_the_check(self, verify, complete, patterns):
+        result = run_flow("esop", "intdiv", 8, verify=verify, verify_samples=64)
+        report = result.report
+        assert (report.verify_complete, report.verify_patterns) == (complete, patterns)
+        assert report.verified is (None if verify == "off" else True)
+        for data in (report.to_dict(), report.metrics()):
+            assert data["verify_complete"] is complete
+            assert data["verify_patterns"] == patterns
+        if verify != "off":
+            assert result.context["verify_complete"] is complete
+
+    def test_label_names_the_kind_and_the_pattern_count(self):
+        def label(verify, samples):
+            result = run_flow("esop", "intdiv", 8, verify=verify, verify_samples=samples)
+            return verification_label(result.report)
+
+        assert label("full", 64) == "exhaustive, 256 patterns"
+        assert label("sampled", 64) == "sampled, 64 patterns"
+        # A sample as large as the input space is the exhaustive check.
+        assert label("sampled", 256) == "exhaustive, 256 patterns"
+        assert label("off", 64) == "off"
 
 
 class TestHierarchicalFlow:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.aig import Aig, lit_not
-from repro.logic.collapse import collapse_to_esop, collapse_to_truth_table
+from repro.logic.collapse import collapse_to_esop
 from repro.logic.truth_table import TruthTable
 from repro.verify.differential import check_equivalent
 
@@ -28,7 +28,7 @@ def build_comparator(width=3):
 class TestCollapse:
     def test_collapse_to_truth_table(self):
         aig = build_comparator(2)
-        table = collapse_to_truth_table(aig)
+        table = aig.to_truth_table()
         for x in range(16):
             va = x & 3
             vb = (x >> 2) & 3

@@ -21,7 +21,6 @@ from oracles.logic import truth_table_by_minterms_reference
 from repro.core import flows
 from repro.core.flows import run_flow
 from repro.logic.aig import Aig, lit_node, lit_not
-from repro.logic.collapse import collapse_to_truth_table
 from repro.logic.truth_table import (
     tt_and,
     tt_cofactor0,
@@ -171,11 +170,11 @@ class TestOutputColumns:
             tables[lit_node(po)] ^ (mask if po & 1 else 0) for po in aig.pos()
         ]
 
-    def test_collapse_to_truth_table_is_the_aig_table(self):
+    def test_truth_table_is_the_minterm_table(self):
         aig, lits = _random_pool(4, [(0, 1, False, True), (2, 4, True, False)])
         aig.add_po(lits[-1])
         aig.add_po(lits[-2])
-        assert collapse_to_truth_table(aig) == aig.to_truth_table()
+        assert aig.to_truth_table() == truth_table_by_minterms_reference(aig)
 
     @settings(max_examples=40, deadline=None)
     @given(num_pis=st.integers(1, 6), gates=_GATES)

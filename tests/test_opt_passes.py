@@ -429,11 +429,16 @@ class TestPipelineExecution:
 
 class TestFlowIntegration:
     def test_opt_parameter_overrides_default(self):
-        default = run_flow("esop", "intdiv", 3, verify="full")
-        raw = run_flow("esop", "intdiv", 3, verify="full", opt="none")
-        override = run_flow("esop", "intdiv", 3, verify="full", opt="b;rw;rf")
+        default = run_flow("hierarchical", "intdiv", 3, verify="full")
+        raw = run_flow("hierarchical", "intdiv", 3, verify="full", opt="none")
+        override = run_flow(
+            "hierarchical", "intdiv", 3, verify="full", opt="b;rw;rf"
+        )
         for result in (default, raw, override):
             assert result.report.verified is True
+        assert default.context["extra_metrics"]["opt_pipeline"] == str(
+            parse_pipeline("(resyn2)*2")
+        )
         assert raw.context["extra_metrics"]["opt_pipeline"] == ""
         assert (
             override.context["extra_metrics"]["opt_pipeline"]
@@ -442,7 +447,7 @@ class TestFlowIntegration:
 
     def test_unknown_opt_raises_value_error(self):
         with pytest.raises(ValueError, match="did you mean"):
-            run_flow("esop", "intdiv", 3, verify="off", opt="dc3")
+            run_flow("hierarchical", "intdiv", 3, verify="off", opt="dc3")
 
     def test_hierarchical_xmg_opt_reduces_t_count(self):
         plain = run_flow(
@@ -543,7 +548,7 @@ class TestFlowIntegration:
         try:
             with pytest.raises(RuntimeError, match="verification failed"):
                 run_flow(
-                    "esop", "intdiv", 3, verify="full",
+                    "hierarchical", "intdiv", 3, verify="full",
                     opt="dc2;tmp_corrupt_aig",
                 )
             with pytest.raises(RuntimeError, match="verification failed"):

@@ -17,7 +17,7 @@ from oracles.circuits import (
     cancel_adjacent_gates_reference,
     merge_not_gates_reference,
 )
-from repro.core.cache import cache_key
+from repro.core.cache import CACHE_FORMAT_VERSION, cache_key
 from repro.core.flows import frontend_artifacts, make_flow
 from repro.hdl.designs import intdiv_verilog
 from repro.hdl.synthesize import synthesize_reciprocal_design
@@ -159,11 +159,16 @@ def test_cache_keys_are_unchanged():
         )
         return cache_key(source, flow, chain[-1])
 
+    # Pinned at CACHE_FORMAT_VERSION 13: a version bump moves every key.
+    assert CACHE_FORMAT_VERSION == 13
     assert key("symbolic", {"rev_opt": "rev-default"}) == (
-        "6425e0ab38cb571651458236289ff27779cf28e7581e417c1d3188361cd2bdf3"
+        "8390b30f53745379144384565e9a56663acaf2b01e20a33a4d09a5ac29d8ed7b"
     )
     assert key("esop", {"p": 0, "rev_opt": "(rn;rc)*4"}) == (
-        "bd6e2635322f3a1a3b1fd343f9a6e41993e9054cff983a41041e27112078e49b"
+        "fca05dff34a469e42fb25fd4c0c198ce28bdb28e513ebd82001f9fbbacac53d7"
+    )
+    assert key("hierarchical", {"strategy": "bennett", "rev_opt": "rev-default"}) == (
+        "e6431e72b399e6333583611759f5cef66ccc2a0124aa33c603bdf8fb61f0d4c9"
     )
 
 

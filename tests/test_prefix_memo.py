@@ -155,8 +155,8 @@ def test_default_sweep_cache_keys_move_only_with_the_format_version():
     # a change here orphans every cached result, so it must come with a
     # CACHE_FORMAT_VERSION bump.  Update both halves of this pair together.
     assert (CACHE_FORMAT_VERSION, default_sweep_cache_keys_digest()) == (
-        12,
-        "855b98d60c9f4449cc12bd542033fbb974d200e2ed37216ce94c099a26f51098",
+        13,
+        "ab87e9585b1ca3f554fc9e475ef877f9f5c182f242b9b71434c40f829eccc32d",
     )
 
 
@@ -173,6 +173,9 @@ def test_parameter_of_another_flow_is_rejected():
         run_flow("lut", "intdiv", 3, p=3)
     with pytest.raises(ValueError, match="unknown parameter 'xmg_opt' for flow 'esop'"):
         run_flow("esop", "intdiv", 3, xmg_opt="xmg-default")
+    for flow in ("esop", "symbolic"):  # the functional flows optimise no AIG
+        with pytest.raises(ValueError, match=f"unknown parameter 'opt' for flow '{flow}'"):
+            run_flow(flow, "intdiv", 3, opt="dc2")
 
 
 def test_run_level_seeds_are_accepted():
@@ -219,19 +222,19 @@ def test_prefix_keys_share_exactly_the_common_stages():
     p1 = esop.prefix_keys("intdiv", 4, {"p": 1})
     twin = esop.prefix_keys("intdiv", 4, {"p": 0, "rev_opt": "rev-default"})
     names = esop.stage_names()
-    assert names.index("esop-synthesis") == 3
-    assert p0[:3] == p1[:3] and p0[3] != p1[3]
-    assert p0[:4] == twin[:4] and p0[4] != twin[4]
+    assert names.index("esop-synthesis") == 2
+    assert p0[:2] == p1[:2] and p0[2] != p1[2]
+    assert p0[:3] == twin[:3] and p0[3] != twin[3]
     assert esop.prefix_keys("newton", 4, {"p": 0})[0] != p0[0]
     assert esop.prefix_keys("intdiv", 5, {"p": 0})[0] != p0[0]
 
 
 def test_unplain_parameters_end_the_shareable_prefix():
-    esop = make_flow("esop")
-    aig = esop.run("intdiv", 3, verify=False).context["spec_aig"]
-    assert esop.prefix_keys("intdiv", 3, {"aig": aig}) == [None] * len(esop.stages)
-    piped = esop.prefix_keys("intdiv", 3, {"opt": as_pipeline("b;rw")})
-    assert piped[0] is not None and piped[1:] == [None] * (len(esop.stages) - 1)
+    flow = make_flow("hierarchical")
+    aig = flow.run("intdiv", 3, verify=False).context["spec_aig"]
+    assert flow.prefix_keys("intdiv", 3, {"aig": aig}) == [None] * len(flow.stages)
+    piped = flow.prefix_keys("intdiv", 3, {"opt": as_pipeline("b;rw")})
+    assert piped[0] is not None and piped[1:] == [None] * (len(flow.stages) - 1)
 
 
 def memo_keeping(flow, design, bitwidth, **parameters):
@@ -241,14 +244,18 @@ def memo_keeping(flow, design, bitwidth, **parameters):
 
 
 def test_unset_parameter_keys_by_the_flows_own_default():
-    # ``opt=None`` means the flow's own script: dc2 for esop and symbolic
-    # (one and two rounds), resyn2 twice for hierarchical and lut.
-    optimize = {
-        flow: make_flow(flow).prefix_keys("intdiv", 4, {"opt": None})[1]
+    # ``opt=None`` means resyn2 twice, the one script of hierarchical and
+    # lut; the functional flows share only the frontend with them.
+    keys = {
+        flow: make_flow(flow).prefix_keys("intdiv", 4, {"opt": None})
         for flow in ("esop", "symbolic", "hierarchical", "lut")
     }
-    assert len({optimize["esop"], optimize["symbolic"], optimize["hierarchical"]}) == 3
-    assert optimize["hierarchical"] == optimize["lut"]
+    assert len({chain[0] for chain in keys.values()}) == 1
+    assert keys["hierarchical"][1] == keys["lut"][1]
+    other = make_flow("lut").prefix_keys("intdiv", 4, {"opt": "dc2"})
+    assert other[1] != keys["lut"][1]
+    for flow in ("esop", "symbolic"):
+        assert "optimize" not in make_flow(flow).stage_names()
 
 
 def test_same_named_stages_with_other_bodies_never_share():
@@ -266,26 +273,32 @@ def test_same_named_stages_with_other_bodies_never_share():
 
 
 def test_unset_parameter_sweep_equals_fresh_runs():
+    # The functional flows share the frontend, and so the design AIG,
+    # with flows that optimise it.
     configurations = [
-        FlowConfiguration(flow, (("opt", None),))
-        for flow in ("esop", "hierarchical", "symbolic", "lut")
+        FlowConfiguration("esop"),
+        FlowConfiguration("hierarchical", (("opt", None),)),
+        FlowConfiguration("symbolic"),
+        FlowConfiguration("lut", (("opt", None),)),
     ]
     tasks = build_sweep("intdiv", 4, configurations)
     outcomes = ExplorationEngine(jobs=1, verify=True).run(tasks)
     for outcome in outcomes:
-        fresh = run_flow(outcome.task.configuration.flow, "intdiv", 4, opt=None)
+        configuration = outcome.task.configuration
+        fresh = run_flow(configuration.flow, "intdiv", 4, **configuration.as_kwargs())
         assert comparable(outcome.report) == comparable(fresh.report), outcome.label()
 
 
 def test_memo_served_stages_are_skipped():
-    memo = memo_keeping("esop", "intdiv", 3, verify=False, p=0)
-    first = run_flow("esop", "intdiv", 3, verify=False, p=0, memo=memo)
+    flow = "hierarchical"
+    memo = memo_keeping(flow, "intdiv", 3, verify=False, strategy="bennett")
+    first = run_flow(flow, "intdiv", 3, verify=False, strategy="bennett", memo=memo)
     assert not first.skipped_stages
-    second = run_flow("esop", "intdiv", 3, verify=False, p=1, memo=memo)
-    assert second.skipped_stages == ["frontend", "optimize", "exorcism"]
+    second = run_flow(flow, "intdiv", 3, verify=False, strategy="per_output", memo=memo)
+    assert second.skipped_stages == ["frontend", "optimize", "xmglut", "xmg-opt"]
     assert all(second.stage_runtimes[name] == 0.0 for name in second.skipped_stages)
-    assert set(second.stage_runtimes) == set(make_flow("esop").stage_names())
-    fresh = run_flow("esop", "intdiv", 3, verify=False, p=1)
+    assert set(second.stage_runtimes) == set(make_flow(flow).stage_names())
+    fresh = run_flow(flow, "intdiv", 3, verify=False, strategy="per_output")
     assert second.report.metrics() == fresh.report.metrics()
     assert second.context.keys() == fresh.context.keys()
 
@@ -327,9 +340,15 @@ def test_pipeline_runs_once_per_design_and_script(monkeypatch):
         return original(self, network, *args, **kwargs)
 
     monkeypatch.setattr(Pipeline, "run", counting)
-    configurations = flow_default_configurations("esop") + flow_default_configurations(
-        "hierarchical"
-    )
+    # hierarchical and lut share the resyn2 prefix; esop optimises nothing.
+    configurations = [
+        FlowConfiguration("esop", (("p", 0),)),
+        FlowConfiguration("hierarchical", (("strategy", "bennett"),)),
+        FlowConfiguration("hierarchical", (("strategy", "per_output"),)),
+        FlowConfiguration("hierarchical", (("opt", "dc2"),)),
+        FlowConfiguration("lut", (("strategy", "bennett"),)),
+        FlowConfiguration("lut", (("strategy", "bennett"), ("opt", "dc2"))),
+    ]
     tasks = build_sweep(["intdiv", "newton"], 4, configurations)
     outcomes = ExplorationEngine(jobs=1, verify=False).run(tasks)
     assert all(outcome.ok for outcome in outcomes)
@@ -459,7 +478,7 @@ def test_stage_set_does_not_depend_on_task_order(monkeypatch):
     # flow runs it depends on the order; how often each stage runs does not.
     assert counts[0] == counts[1] == counts[2]
     assert counts[0]["frontend"] == 2  # one per design
-    assert counts[0]["optimize"] == 4  # dc2 and resyn2 per design
+    assert counts[0]["optimize"] == 2  # resyn2 per design; esop has no optimize
     assert counts[0]["xmglut"] == 2
     assert counts[0]["xmg-opt"] == 4  # unset and xmg-default per design
     assert counts[0]["esop-synthesis"] == 4  # p=0 and p=1 per design
