@@ -17,7 +17,10 @@ the cut sets of its fanins; the trivial cut ``{node}`` is always kept (last)
 and counts against the bound.  Dominated cuts — cuts whose leaf set is a
 strict superset of another cut's leaves at the same node — are filtered out
 before the priority truncation: they can never lead to a better cover and
-would otherwise crowd useful cuts out of the bounded priority list.
+would otherwise crowd useful cuts out of the bounded priority list.  A
+node's list lives only until its last gate fanout has merged it, so
+enumeration and covering hold the cuts of the network's frontier, not of
+the whole network.
 
 Truth-table extraction (:func:`cut_truth_tables`) simulates *all* cuts of
 a batch column-parallel over the whole network in one NumPy value matrix:
@@ -31,7 +34,7 @@ with :class:`TypeError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,7 +48,6 @@ __all__ = [
     "enumerate_cuts",
     "cut_truth_table",
     "cut_truth_tables",
-    "clear_cut_enumeration_cache",
     "cut_enumeration_cache_stats",
     "LutMapping",
     "lut_map",
@@ -65,71 +67,38 @@ class Cut:
 
 
 # ---------------------------------------------------------------------------
-# Incremental cut enumeration
+# Frontier-memory cut enumeration
 #
-# Optimisation pipelines re-enumerate near-identical networks over and over:
-# every xmg_refactor invocation of an iterated pipeline sees the previous
-# iteration's network with, at most, a few rewritten windows.  A node's cut
-# set depends only on the cut sets of its fanins, so two densely-indexed
-# networks that agree on a structural prefix (same fanin literals, node for
-# node, in topological order) have identical cut sets over that prefix.  The
-# small cache below keeps the last few enumerations (keyed by the
-# (k, max_cuts, selection) parameters) and reuses the longest matching
-# prefix, recomputing only from the first structurally-changed node on —
-# i.e. invalidation is exactly "everything at and above the first level a
-# rewrite touched".
+# A node's cut set depends only on the cut sets of its fanins, so one
+# topological sweep computes every node's priority list and can forget a
+# list as soon as its last gate fanout has merged it, as ABC's priority cuts
+# do.  :func:`_selected_cuts` is that sweep: it hands each node's selected
+# cuts to its consumer and keeps only the lists still to be merged, so its
+# memory follows the frontier of the network, not its size.
+# :func:`lut_map` keeps one leaf tuple per gate from it and builds
+# :class:`Cut` objects for the chosen LUTs only; :func:`enumerate_cuts`
+# collects every list.  Nothing outlives a call.
 #
 # Merging screens cuts on *leaf signatures*, as ABC's priority cuts do: one
 # 64-bit word ORing ``1 << (leaf & 63)`` over a cut's leaves.  More than k
 # bits in the OR of two signatures prove their union too large, and a cut
 # whose signature is not a subset of another's cannot dominate it, so most
 # fanin combinations and dominance pairs never touch a leaf tuple (INTDIV(8)
-# cold: 131 -> 40 ms, see docs/architecture.md).  The cache keeps only Cut
-# lists; a reused node's signatures are rebuilt when a fanout merges it.
+# cold: 131 -> 40 ms, see docs/architecture.md).
 # ---------------------------------------------------------------------------
-
-_ENUM_CACHE_SIZE = 4
-
-#: Cached enumerations, newest last.  Each entry is
-#: ``(params, structure, cuts, best_area)`` where ``structure[node]`` is
-#: the node's fanin-literal tuple (or the PI marker) and ``cuts``/
-#: ``best_area`` are the per-node results, list-indexed by node.
-_ENUM_CACHE: List[Tuple[Tuple, List, List, List]] = []
 
 _ENUM_STATS = {"hits": 0, "misses": 0, "nodes_reused": 0, "nodes_computed": 0}
 
-_PI_MARKER = ("pi",)
-
-
-def clear_cut_enumeration_cache() -> None:
-    """Drop all cached cut enumerations and reset the statistics."""
-    _ENUM_CACHE.clear()
-    for key in _ENUM_STATS:
-        _ENUM_STATS[key] = 0
-
 
 def cut_enumeration_cache_stats() -> Dict[str, int]:
-    """Counters of the structural-prefix enumeration cache.
+    """Counters of the cut enumerations run in this process.
 
-    ``hits`` counts calls that reused a non-empty prefix, ``misses`` calls
-    that enumerated from scratch; ``nodes_reused``/``nodes_computed`` count
-    per-node work avoided and performed.
+    ``misses`` counts enumerations and ``nodes_computed`` the nodes they
+    processed (every node but the constant).  Enumerations share nothing,
+    so ``hits`` and ``nodes_reused`` stay 0; the keys keep the shape
+    benchmark reports read.
     """
     return dict(_ENUM_STATS)
-
-
-def _network_structure(network: LogicNetwork) -> Optional[List]:
-    """Per-node fanin tuples (PI marker), or ``None`` if not densely indexed."""
-    node_list = list(network.nodes())
-    if node_list != list(range(len(node_list))):
-        return None
-    structure: List = [None] * len(node_list)
-    for node in node_list:
-        if network.is_gate(node):
-            structure[node] = tuple(network.fanins(node))
-        elif network.is_pi(node):
-            structure[node] = _PI_MARKER
-    return structure
 
 
 #: A cut as the enumerator merges it: ``(signature, leaves, level)``, with
@@ -189,6 +158,60 @@ def _priority_cuts(
     return kept[: max_cuts - 1] + [trivial]
 
 
+def _selected_cuts(
+    network: LogicNetwork, k: int, max_cuts: int, selection: str
+) -> Iterator[Tuple[int, List[_CutView]]]:
+    """Yield ``(node, selected cuts)`` for every node in topological order.
+
+    The enumeration body of :func:`enumerate_cuts` (same contract); a
+    node's list is dropped once its last gate fanout has merged it, and
+    the yielded lists must not be mutated.
+    """
+    if k < 2:
+        raise ValueError("cut size must be at least 2")
+    if max_cuts < 1:
+        raise ValueError("max_cuts must be at least 1")
+    if selection not in ("depth", "area"):
+        raise ValueError(
+            f"unknown cut selection policy {selection!r}; "
+            "expected 'depth' or 'area'"
+        )
+    _ENUM_STATS["misses"] += 1
+    levels = network.levels()
+    # Area flow of the best cut of every processed node (PIs cost nothing).
+    best_area: Optional[Dict[int, int]] = {0: 0} if selection == "area" else None
+    # Gate fanouts still to merge each node's list; outputs never read one.
+    fanouts = network.fanout_counts()
+    for po in network.pos():
+        fanouts[lit_node(po)] -= 1
+    views: Dict[int, List[_CutView]] = {0: [(0, (), 0)]}
+    yield 0, views[0]
+
+    for node in network.nodes():
+        if node == 0:
+            continue
+        _ENUM_STATS["nodes_computed"] += 1
+        trivial = _cut_view((node,), levels)
+        if network.is_pi(node):
+            selected = [trivial]
+            if best_area is not None:
+                best_area[node] = 0
+        else:
+            candidates: Optional[List[_CutView]] = None
+            for fanin in map(lit_node, network.fanins(node)):
+                fanouts[fanin] -= 1
+                view = views[fanin] if fanouts[fanin] else views.pop(fanin)
+                candidates = view if candidates is None else _merge(candidates, view, k)
+            selected = _priority_cuts(candidates, trivial, max_cuts, best_area)
+            if best_area is not None:
+                # Area flow of the best cut; the trivial cut (its own leaf) costs 1.
+                best = selected[0][1]
+                best_area[node] = 1 + sum([best_area[leaf] for leaf in best if leaf != node])
+        if fanouts[node] > 0:
+            views[node] = selected
+        yield node, selected
+
+
 def enumerate_cuts(
     network: LogicNetwork, k: int = 4, max_cuts: int = 8, selection: str = "depth"
 ) -> Dict[int, List[Cut]]:
@@ -213,92 +236,13 @@ def enumerate_cuts(
       leaves), so the best cut genuinely minimises LUT count and the LUT
       size ``k`` becomes an area knob.
 
-    Densely-indexed networks go through the structural-prefix cache: the
-    longest prefix agreeing node-for-node with a recently enumerated
-    network reuses its cut lists, and only later nodes are recomputed.
-    The returned cut lists may be shared and must not be mutated.
+    Builds a :class:`Cut` for every kept cut of every node; :func:`lut_map`
+    runs the same enumeration but keeps only each gate's best cut.
     """
-    if k < 2:
-        raise ValueError("cut size must be at least 2")
-    if max_cuts < 1:
-        raise ValueError("max_cuts must be at least 1")
-    if selection not in ("depth", "area"):
-        raise ValueError(
-            f"unknown cut selection policy {selection!r}; "
-            "expected 'depth' or 'area'"
-        )
-    structure = _network_structure(network)
-    params = (k, max_cuts, selection)
-    prefix = 0
-    cached_cuts: Optional[List] = None
-    cached_area: Optional[List] = None
-    entry_index = -1
-    if structure is not None:
-        for index, entry in enumerate(_ENUM_CACHE):
-            entry_params, entry_structure, entry_cuts, entry_area = entry
-            if entry_params != params:
-                continue
-            limit = min(len(entry_structure), len(structure))
-            common = 0
-            while common < limit and entry_structure[common] == structure[common]:
-                common += 1
-            if common > prefix:
-                prefix = common
-                cached_cuts, cached_area = entry_cuts, entry_area
-                entry_index = index
-        _ENUM_STATS["hits" if prefix else "misses"] += 1
-        _ENUM_STATS["nodes_reused"] += prefix
-
-    cuts: Dict[int, List[Cut]] = {0: [Cut(0, ())]}
-    levels = network.levels()
-    # Area flow of the best cut of every processed node (PIs cost nothing).
-    best_area: Dict[int, int] = {0: 0}
-    for node in range(1, prefix):
-        node_cuts = cached_cuts[node]
-        if node_cuts is not None:
-            cuts[node] = node_cuts
-            best_area[node] = cached_area[node]
-    views: Dict[int, List[_CutView]] = {0: [(0, (), 0)]}
-    fanouts = network.fanout_counts()  # a view is dropped after its last read
-    area_of = best_area if selection == "area" else None
-
-    for node in network.nodes():
-        if node < prefix or node == 0:
-            continue
-        if structure is not None:
-            _ENUM_STATS["nodes_computed"] += 1
-        trivial = _cut_view((node,), levels)
-        if network.is_pi(node):
-            views[node] = [trivial]
-            cuts[node] = [Cut(node, (node,))]
-            best_area[node] = 0
-            continue
-        candidates: Optional[List[_CutView]] = None
-        for fanin in map(lit_node, network.fanins(node)):
-            if fanin not in views:  # a node reused from the cache
-                views[fanin] = [_cut_view(c.leaves, levels) for c in cuts[fanin]]
-            fanouts[fanin] -= 1
-            view = views[fanin] if fanouts[fanin] else views.pop(fanin)
-            candidates = view if candidates is None else _merge(candidates, view, k)
-        views[node] = selected = _priority_cuts(candidates, trivial, max_cuts, area_of)
-        cuts[node] = [Cut(node, leaves) for _, leaves, _ in selected]
-        # Area flow of the best cut; the trivial cut (its own leaf) costs 1.
-        best = selected[0][1]
-        best_area[node] = 1 + sum([best_area[leaf] for leaf in best if leaf != node])
-
-    if structure is not None:
-        num = len(structure)
-        if entry_index >= 0 and prefix == num == len(_ENUM_CACHE[entry_index][1]):
-            # Identical network re-enumerated: refresh recency only.
-            _ENUM_CACHE.append(_ENUM_CACHE.pop(entry_index))
-        else:
-            _ENUM_CACHE.append((
-                params, structure, [cuts.get(n) for n in range(num)],
-                [best_area.get(n) for n in range(num)],
-            ))
-            if len(_ENUM_CACHE) > _ENUM_CACHE_SIZE:
-                _ENUM_CACHE.pop(0)
-    return cuts
+    return {
+        node: [Cut(node, leaves) for _, leaves, _ in selected]
+        for node, selected in _selected_cuts(network, k, max_cuts, selection)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -757,32 +701,36 @@ def lut_map(
       what makes the LUT size ``k`` an actual area knob for the LUT-based
       pebbling flow and for the cut-based XMG refactoring pass.
 
+    The enumeration streams into the cover: only the leaves of each
+    gate's best cut outlive the sweep, and :class:`Cut` objects are built
+    for the chosen LUTs only, so covering memory follows the network's
+    frontier (see the module notes).
+
     ``cleanup=False`` skips the initial dead-node sweep; callers passing an
-    already-cleaned network (the XMG refactoring pass) avoid rebuilding it,
-    which also keeps node indices stable for the structural-prefix cut
-    cache.
+    already-cleaned network (the XMG refactoring pass) avoid rebuilding it.
     """
     if cleanup:
         network = network.cleanup()
-    cuts = enumerate_cuts(network, k=k, max_cuts=max_cuts, selection=selection)
 
-    best_cut: Dict[int, Cut] = {}
-    for node in network.nodes():
-        if network.is_gate(node):
-            # Prefer non-trivial cuts; the enumeration could otherwise
-            # select the trivial single-leaf cut.
-            node_cuts = [c for c in cuts[node] if c.leaves != (node,)]
-            if not node_cuts:
-                # Only the self-cut is left: the gate's fanin arity
-                # exceeds k, so no cover can express it (a cover through
-                # an ancestor cut would need a non-trivial cut here too).
-                # Fail loudly instead of emitting a self-referential LUT.
-                raise ValueError(
-                    f"cut size k={k} cannot cover node {node} with "
-                    f"{len(network.fanins(node))} fanins; increase k to "
-                    "at least the largest gate arity"
-                )
-            best_cut[node] = node_cuts[0]
+    best_leaves: Dict[int, Tuple[int, ...]] = {}
+    for node, selected in _selected_cuts(network, k, max_cuts, selection):
+        if not network.is_gate(node):
+            continue
+        # Prefer non-trivial cuts; the enumeration could otherwise
+        # select the trivial single-leaf cut.
+        trivial = (node,)
+        leaves = next((cut for _, cut, _ in selected if cut != trivial), None)
+        if leaves is None:
+            # Only the self-cut is left: the gate's fanin arity
+            # exceeds k, so no cover can express it (a cover through
+            # an ancestor cut would need a non-trivial cut here too).
+            # Fail loudly instead of emitting a self-referential LUT.
+            raise ValueError(
+                f"cut size k={k} cannot cover node {node} with "
+                f"{len(network.fanins(node))} fanins; increase k to "
+                "at least the largest gate arity"
+            )
+        best_leaves[node] = leaves
 
     required: Set[int] = set()
     stack = [lit_node(po) for po in network.pos()]
@@ -792,10 +740,9 @@ def lut_map(
         if node in required or node == 0 or network.is_pi(node):
             continue
         required.add(node)
-        cut = best_cut[node]
-        chosen.append(cut)
-        for leaf in cut.leaves:
-            stack.append(leaf)
+        leaves = best_leaves[node]
+        chosen.append(Cut(node, leaves))
+        stack.extend(leaves)
 
     # One column-parallel batch instead of one big-int cone walk per LUT.
     tables = cut_truth_tables(network, chosen)

@@ -239,10 +239,10 @@ def xmg_refactor(xmg: Xmg, k: int = 4, max_cuts: int = 8) -> Xmg:
     ``(MAJ, gates, depth)`` cost, so the pass never regresses.
 
     The covering runs on the already-cleaned network (``cleanup=False``
-    below avoids a second rebuild) and its cut enumeration goes through the
-    structural-prefix cache of :mod:`repro.logic.cuts`, so iterated
-    pipelines re-cover only the part of the network the preceding passes
-    actually changed.
+    below avoids a second rebuild).  Each call enumerates cuts afresh; an
+    iterated pipeline skips the pass once it has returned its input and
+    nothing changed since (the fixed-point exit of
+    :meth:`repro.opt.pipeline.Pipeline.run`).
     """
     cleaned = _unchanged_or(xmg, xmg.cleanup())
     if cleaned.num_gates() == 0:

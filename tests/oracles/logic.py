@@ -175,7 +175,7 @@ def enumerate_cuts_reference(
 
     Same contract as :func:`repro.logic.cuts.enumerate_cuts` (best cut
     first, trivial cut last, at most ``max_cuts`` cuts per node), without
-    the leaf-signature filter and the structural-prefix cache: every
+    the leaf-signature filter and the frontier-only memory: every
     fanin combination builds its leaf set, every candidate becomes a
     :class:`Cut`, and dominance is filtered pairwise over Python sets.
     """

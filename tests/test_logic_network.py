@@ -217,7 +217,7 @@ class TestGenericCuts:
         xmg = Xmg()
         a, b, c = xmg.add_pi(), xmg.add_pi(), xmg.add_pi()
         xmg.add_po(xmg.create_maj(a, b, c))
-        with pytest.raises(ValueError, match="cannot cover"):
+        with pytest.raises(ValueError, match="cannot cover node 4 with 3 fanins"):
             lut_map(xmg, k=2)
         # k=3 covers it fine.
         assert lut_map(xmg, k=3).num_luts() == 1

@@ -1,14 +1,13 @@
 """Property tests pinning the vectorised symbolic kernels to their oracles.
 
-The ``collapse`` stage's exhaustive bit-parallel simulation, the
-bit-sliced transformation-based synthesis kernel and the structural-prefix
-cut-enumeration cache are rewrites of the per-minterm / scanning originals
-kept as oracles in :mod:`oracles`.  These tests cross-check the
-rewrites on *random* inputs — random AIGs through the collapse and
-``symbolic_tbs``, plus the symbolic flow's own ``collapse`` stage on Table II
-points, random permutations through TBS
-(gate for gate, also on tables long enough to compact), random XMGs through
-the cut cache — plus the golden INTDIV(8) refactoring pipeline, the pinned
+The ``collapse`` stage's exhaustive bit-parallel simulation and the
+bit-sliced transformation-based synthesis kernel are rewrites of the
+per-minterm / scanning originals kept as oracles in :mod:`oracles`.  These
+tests cross-check the rewrites on *random* inputs — random AIGs through the
+collapse and ``symbolic_tbs``, plus the symbolic flow's own ``collapse``
+stage on Table II points, random permutations through TBS
+(gate for gate, also on tables long enough to compact) — plus the golden
+INTDIV(8) refactoring pass (equivalent and deterministic), the pinned
 INTDIV(7) TBS cascade, the explicit-table allocation guards, the TBS
 correctness checks and the MCT-cost memoisation regression.
 """
@@ -27,13 +26,7 @@ from oracles.logic import truth_table_by_minterms_reference
 from repro.core.flows import run_flow
 from repro.hdl.designs import intdiv_reference
 from repro.logic.aig import Aig
-from repro.logic.cuts import (
-    clear_cut_enumeration_cache,
-    cut_enumeration_cache_stats,
-    enumerate_cuts,
-)
 from repro.logic.truth_table import TruthTable
-from repro.logic.xmg import Xmg
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.opt.xmg_passes import xmg_refactor
 from repro.reversible.embedding import bennett_embedding, optimum_embedding
@@ -63,21 +56,6 @@ def _random_aig(num_pis, gate_choices):
     return aig
 
 
-def _random_xmg(num_pis, gate_choices):
-    """An XMG mixing MAJ and XOR gates over random complemented fanins."""
-    xmg = Xmg("random")
-    lits = [xmg.add_pi() for _ in range(num_pis)]
-    for use_maj, a_pick, b_pick, c_pick, a_neg, b_neg, c_neg in gate_choices:
-        a = lits[a_pick % len(lits)] ^ (1 if a_neg else 0)
-        b = lits[b_pick % len(lits)] ^ (1 if b_neg else 0)
-        c = lits[c_pick % len(lits)] ^ (1 if c_neg else 0)
-        lits.append(
-            xmg.create_maj(a, b, c) if use_maj else xmg.create_xor(a, b)
-        )
-    xmg.add_po(lits[-1])
-    return xmg
-
-
 _AIG_GATES = st.lists(
     st.tuples(
         st.integers(0, 63), st.integers(0, 63), st.booleans(), st.booleans()
@@ -85,17 +63,6 @@ _AIG_GATES = st.lists(
     min_size=1,
     max_size=40,
 )
-
-_XMG_GATES = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.integers(0, 63), st.integers(0, 63), st.integers(0, 63),
-        st.booleans(), st.booleans(), st.booleans(),
-    ),
-    min_size=2,
-    max_size=24,
-)
-
 
 # ---------------------------------------------------------------------------
 # collapse: exhaustive simulation vs per-minterm evaluation
@@ -352,56 +319,8 @@ class TestMctCostHoisting:
 
 
 # ---------------------------------------------------------------------------
-# cut-enumeration cache and the batch-cut refactoring path
+# the batch-cut refactoring path
 # ---------------------------------------------------------------------------
-
-class TestCutEnumerationCache:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        num_pis=st.integers(2, 5),
-        gates=_XMG_GATES,
-        split=st.integers(1, 23),
-    )
-    def test_warm_cache_matches_cold_enumeration(self, num_pis, gates, split):
-        # Enumerate a prefix network first (filling the cache), then the
-        # full network warm; the result must equal a cold enumeration.
-        split = min(split, len(gates) - 1)
-        prefix_xmg = _random_xmg(num_pis, gates[:split] + gates[-1:])
-        full_xmg = _random_xmg(num_pis, gates)
-        clear_cut_enumeration_cache()
-        cold = enumerate_cuts(full_xmg, k=4)
-        clear_cut_enumeration_cache()
-        enumerate_cuts(prefix_xmg, k=4)
-        warm = enumerate_cuts(full_xmg, k=4)
-        assert warm == cold
-
-    def test_repeat_enumeration_reuses_every_node(self):
-        xmg = _random_xmg(4, [(True, 0, 1, 2, False, True, False),
-                              (False, 3, 4, 0, True, False, False),
-                              (True, 4, 5, 1, False, False, True)])
-        clear_cut_enumeration_cache()
-        first = enumerate_cuts(xmg, k=4)
-        stats = cut_enumeration_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 0
-        second = enumerate_cuts(xmg, k=4)
-        stats = cut_enumeration_cache_stats()
-        assert stats["hits"] == 1
-        assert stats["nodes_reused"] >= len(list(xmg.nodes())) - 1
-        assert second == first
-
-    def test_different_parameters_do_not_share_entries(self):
-        xmg = _random_xmg(3, [(True, 0, 1, 2, False, False, False),
-                              (False, 2, 3, 0, True, False, False)])
-        clear_cut_enumeration_cache()
-        by_depth = enumerate_cuts(xmg, k=4, selection="depth")
-        by_area = enumerate_cuts(xmg, k=4, selection="area")
-        stats = cut_enumeration_cache_stats()
-        assert stats["misses"] == 2  # parameter mismatch never hits
-        clear_cut_enumeration_cache()
-        assert enumerate_cuts(xmg, k=4, selection="area") == by_area
-        clear_cut_enumeration_cache()
-        assert enumerate_cuts(xmg, k=4, selection="depth") == by_depth
-
 
 class TestRefactorGolden:
     def test_intdiv8_refactor_is_equivalent_and_deterministic(self):
@@ -409,13 +328,10 @@ class TestRefactorGolden:
         from repro.hdl.designs import intdiv_verilog
 
         xmg = aig_to_xmg(synthesize_verilog(intdiv_verilog(8)))
-        clear_cut_enumeration_cache()
-        cold = xmg_refactor(xmg)
-        warm = xmg_refactor(xmg)  # second run reuses the cached enumeration
-        for candidate in (cold, warm):
+        first = xmg_refactor(xmg)
+        second = xmg_refactor(xmg)
+        for candidate in (first, second):
             result = check_equivalent(xmg, candidate)
             assert result.equivalent, result.message
-        # The cache must not change what the pass produces.
-        assert (cold.num_maj(), cold.num_xor(), cold.num_gates()) == \
-            (warm.num_maj(), warm.num_xor(), warm.num_gates())
-        assert cut_enumeration_cache_stats()["hits"] >= 1
+        assert (first.num_maj(), first.num_xor(), first.num_gates()) == \
+            (second.num_maj(), second.num_xor(), second.num_gates())
