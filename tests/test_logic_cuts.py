@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,35 @@ class TestSignatureEnumerationMatchesReference:
         network = _random_network(kind, num_pis, gates)
         expected = enumerate_cuts_reference(network, k, max_cuts, selection)
         assert enumerate_cuts(network, k, max_cuts, selection) == expected
+
+    @pytest.mark.parametrize("kind", ["aig", "xmg"])
+    def test_signatures_past_64_nodes(self, kind):
+        # 248 nodes with leaves reaching far back: distinct leaves share
+        # signature bits, so only the exact leaf check keeps cuts apart.
+        rng = random.Random(7)
+        gates = [
+            (rng.random() < 0.5,
+             tuple(8 + i - 1 - rng.randrange(min(8 + i, 10)) for _ in range(3)),
+             tuple(rng.random() < 0.5 for _ in range(3)))
+            for i in range(240)
+        ]
+        network = _random_network(kind, 8, gates)
+        for k, selection in ((4, "area"), (6, "depth")):
+            assert enumerate_cuts(network, k, 8, selection) == \
+                enumerate_cuts_reference(network, k, 8, selection)
+
+    def test_streamed_cover_uses_the_collected_best_cuts(self):
+        # lut_map consumes the enumeration without collecting it; each LUT
+        # root must get the first non-trivial cut enumerate_cuts returns,
+        # whatever enumerations ran before it.
+        aig = build_adder_aig(4)
+        for selection in ("area", "depth", "area"):
+            cuts = enumerate_cuts(aig, 4, 8, selection)
+            assert cuts == enumerate_cuts_reference(aig, 4, 8, selection)
+            mapping = lut_map(aig, k=4, selection=selection, cleanup=False)
+            for root in mapping.order:
+                best = next(c for c in cuts[root] if c.leaves != (root,))
+                assert mapping.luts[root][0] == best.leaves
 
     def test_area_order_never_needs_to_evict_a_kept_cut(self, monkeypatch):
         # The adder's carry chain reconverges: the area order ranks a
