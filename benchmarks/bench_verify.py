@@ -1,14 +1,15 @@
 """Verification micro-benchmark: bit-parallel vs per-input simulation.
 
-The verify subsystem's reason to exist is that packing 64 test vectors per
-``uint64`` word makes the ABC-``cec``-style check ~64x cheaper per
-simulation call.  This bench measures exactly that on an 8-input design
-(the paper's default bit-width): the exhaustive 256-pattern check of the
-synthesised reversible circuit and of the bit-blasted AIG, once with the
-legacy per-input loop (``circuit.evaluate`` / ``aig.simulate_minterm``)
-and once with :mod:`repro.verify.bitsim`.  The acceptance bar is a >= 10x
-speedup on the reversible-circuit check; in practice the margin is much
-larger.
+The verify subsystem's reason to exist is that simulating every test
+vector of a batch in one int per signal makes the ABC-``cec``-style check
+much cheaper than one pass per input.  This bench measures exactly that on
+an 8-input design (the paper's default bit-width): the exhaustive
+256-pattern check of the synthesised reversible circuit and of the
+bit-blasted AIG, once per input (``circuit.evaluate``, and
+``aig.simulate_words`` on 1-bit patterns) and once on the whole batch
+(:mod:`repro.verify.bitsim`, ``aig.simulate_words`` on 256-bit patterns).
+The acceptance bar is a >= 10x speedup on the reversible-circuit check; in
+practice the margin is much larger.
 """
 
 from __future__ import annotations
@@ -55,11 +56,17 @@ def test_bit_parallel_vs_per_input(benchmark):
         bitsim.output_word_at(outputs, x) for x in range(num_patterns)
     ] == loop_words
 
-    aig_loop_seconds, aig_words = _best_of(
-        REPEATS, lambda: [aig.simulate_minterm(x) for x in range(num_patterns)]
-    )
+    def aig_per_input():
+        words = []
+        for x in range(num_patterns):
+            bits = [(x >> i) & 1 for i in range(aig.num_pis())]
+            outputs = aig.simulate_words(bits, 1)
+            words.append(sum(bit << j for j, bit in enumerate(outputs)))
+        return words
+
+    aig_loop_seconds, aig_words = _best_of(REPEATS, aig_per_input)
     aig_parallel_seconds, aig_outputs = _best_of(
-        REPEATS, lambda: bitsim.simulate_aig(aig, batch)
+        REPEATS, lambda: aig.simulate_words(batch.inputs, batch.num_patterns)
     )
     assert [
         bitsim.output_word_at(aig_outputs, x) for x in range(num_patterns)

@@ -52,7 +52,12 @@ from repro.core.explorer import (
 )
 from repro.core.flow import FRONTEND_SEEDS
 from repro.core.flows import available_flows, design_source, make_flow, run_flow
-from repro.core.reports import outcome_table, reports_to_json, verification_label
+from repro.core.reports import (
+    check_label,
+    outcome_table,
+    reports_to_json,
+    verification_label,
+)
 from repro.io.qasm import write_qasm
 from repro.io.realfmt import write_real
 from repro.quantum.mapping import map_to_clifford_t
@@ -562,8 +567,7 @@ def _command_verify(args: argparse.Namespace) -> int:
             (
                 flow_name,
                 "aig = circuit",
-                check.num_patterns,
-                "full" if check.complete else "sampled",
+                check_label(check.complete, check.num_patterns),
                 "ok" if check.equivalent else f"FAIL: {check.message}",
             )
         )
@@ -574,7 +578,6 @@ def _command_verify(args: argparse.Namespace) -> int:
                     (
                         flow_name,
                         "circuit = clifford+t",
-                        0,
                         "-",
                         f"skipped ({quantum.num_qubits} qubits > "
                         f"{_QUANTUM_VERIFY_QUBIT_LIMIT})",
@@ -593,8 +596,7 @@ def _command_verify(args: argparse.Namespace) -> int:
                 (
                     flow_name,
                     "circuit = clifford+t",
-                    quantum_check.num_patterns,
-                    "full" if quantum_check.complete else "sampled",
+                    check_label(quantum_check.complete, quantum_check.num_patterns),
                     "ok" if quantum_check.equivalent else f"FAIL: {quantum_check.message}",
                 )
             )
@@ -602,7 +604,7 @@ def _command_verify(args: argparse.Namespace) -> int:
     design_label = args.design if args.verilog is None else args.verilog.name
     print(
         format_table(
-            ["flow", "check", "patterns", "coverage", "result"],
+            ["flow", "pair", "check", "result"],
             rows,
             title=f"Differential verification of {design_label}({args.bitwidth})",
         )

@@ -298,7 +298,8 @@ def _stage_verify(
     ``sampled`` / ``full`` / ``auto``; the check itself is the bit-parallel
     differential checker of :mod:`repro.verify`, which simulates the
     bit-blasted AIG and the synthesised reversible circuit on the same
-    packed pattern batch.  The reference is ``spec_aig`` — the AIG *before*
+    pattern batches, one int per signal (a full check in chunks of
+    ``2**16`` patterns).  The reference is ``spec_aig`` — the AIG *before*
     any optimisation pipeline touched it — so a buggy pass (or a buggy XMG
     round-trip) makes verification fail instead of silently verifying the
     circuit against its own corrupted input.

@@ -18,6 +18,7 @@ __all__ = [
     "side_by_side_table",
     "ratio_summary",
     "flow_graph_description",
+    "check_label",
     "outcome_table",
     "verification_label",
     "reports_to_json",
@@ -78,12 +79,17 @@ def ratio_summary(
     return rows
 
 
+def check_label(complete: bool, num_patterns: int) -> str:
+    """How a check ran, e.g. ``"sampled, 256 patterns"``."""
+    kind = "exhaustive" if complete else "sampled"
+    return f"{kind}, {num_patterns} patterns"
+
+
 def verification_label(report: CostReport) -> str:
-    """How a report's circuit was checked, e.g. ``"sampled, 256 patterns"``."""
+    """How a report's circuit was checked, or ``"off"``; see :func:`check_label`."""
     if report.verify_patterns is None:
         return "off"
-    kind = "exhaustive" if report.verify_complete else "sampled"
-    return f"{kind}, {report.verify_patterns} patterns"
+    return check_label(report.verify_complete, report.verify_patterns)
 
 
 def outcome_table(outcomes: Sequence, title: str = "") -> str:

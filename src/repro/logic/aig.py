@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.logic.lits import (  # noqa: F401  (re-exported for compatibility)
     lit_is_compl,
     lit_node,
@@ -32,7 +30,7 @@ from repro.logic.lits import (  # noqa: F401  (re-exported for compatibility)
     lit_not_cond,
     make_lit,
 )
-from repro.logic.truth_table import TruthTable, tt_mask, tt_var
+from repro.logic.truth_table import TruthTable, tt_var
 
 __all__ = ["Aig", "lit_not", "lit_is_compl", "lit_node", "make_lit"]
 
@@ -292,143 +290,70 @@ class Aig:
 
     # -- simulation -------------------------------------------------------------
 
-    def simulate_words(self, input_words: Sequence[int], num_bits: int) -> List[int]:
-        """Bit-parallel simulation with arbitrary-precision integer patterns.
+    def simulate_words(self, patterns: Sequence[int], num_bits: int) -> List[int]:
+        """Bit-parallel simulation with one arbitrary-precision int per signal.
 
-        ``input_words[i]`` is the simulation pattern of primary input ``i``;
+        ``patterns[i]`` is the simulation pattern of primary input ``i``;
         bit ``t`` of each pattern belongs to test vector ``t`` and only the
         lowest ``num_bits`` bits are significant.  Returns the pattern of
         every primary output, masked to ``num_bits`` bits.
+
+        One pass over the fanin arrays in node order.  A node's value is
+        dropped once its last fanout has read it (the reference counts are
+        :meth:`fanout_counts`, outputs included), so the live values track
+        the AIG's width, not its size: memory is about ``width * num_bits``
+        bits instead of ``num_nodes * num_bits``.
         """
-        if len(input_words) != len(self._pis):
+        if len(patterns) != len(self._pis):
             raise ValueError(
-                f"expected {len(self._pis)} input patterns, got {len(input_words)}"
+                f"expected {len(self._pis)} input patterns, got {len(patterns)}"
             )
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
         mask = (1 << num_bits) - 1
-        values: List[int] = [0] * len(self._fanin0)
-
-        for node, pattern in zip(self._pis, input_words):
-            values[node] = pattern & mask
-
-        def lit_value(lit: int) -> int:
-            value = values[lit_node(lit)]
-            if lit_is_compl(lit):
-                value ^= mask
-            return value
-
-        for node in range(len(self._fanin0)):
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                values[node] = lit_value(f0) & lit_value(f1)
-
-        return [lit_value(po) for po in self._pos]
-
-    def simulate_minterm(self, minterm: int) -> int:
-        """Evaluate the AIG on one input assignment; returns the output word."""
-        values: List[bool] = [False] * len(self._fanin0)
-        for i, node in enumerate(self._pis):
-            values[node] = bool((minterm >> i) & 1)
-
-        def lit_value(lit: int) -> bool:
-            return values[lit_node(lit)] ^ lit_is_compl(lit)
-
-        for node in range(len(self._fanin0)):
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                values[node] = lit_value(f0) and lit_value(f1)
-
-        word = 0
-        for j, po in enumerate(self._pos):
-            if lit_value(po):
-                word |= 1 << j
-        return word
-
-    def node_truth_tables(self) -> List[int]:
-        """Integer truth tables (over all PIs) of every node.
-
-        Only sensible for a moderate number of inputs (the table of each node
-        has ``2**num_pis`` bits).
-        """
-        num_vars = len(self._pis)
-        mask = tt_mask(num_vars)
-        tables: List[int] = [0] * len(self._fanin0)
-        for i, node in enumerate(self._pis):
-            tables[node] = tt_var(i, num_vars)
-
-        def lit_table(lit: int) -> int:
-            table = tables[lit_node(lit)]
-            if lit_is_compl(lit):
-                table ^= mask
-            return table
-
-        for node in range(len(self._fanin0)):
-            if self.is_and(node):
-                f0, f1 = self.fanins(node)
-                tables[node] = lit_table(f0) & lit_table(f1)
-        return tables
-
-    def output_columns(self) -> List[int]:
-        """Integer truth tables of every primary output.
-
-        One pass over the fanin arrays in node order.  A node's table is
-        dropped once its last fanout has read it (the reference counts are
-        :meth:`fanout_counts`, outputs included), so the live tables track
-        the AIG's width, not its size: memory is about ``width * 2**num_pis``
-        bits instead of ``num_nodes * 2**num_pis``.
-        """
-        num_vars = len(self._pis)
-        mask = tt_mask(num_vars)
         fanin0, fanin1 = self._fanin0, self._fanin1
         remaining = self.fanout_counts()
-        tables: List[Optional[int]] = [None] * len(fanin0)
-        tables[0] = 0
-        for i, node in enumerate(self._pis):
-            tables[node] = tt_var(i, num_vars)
+        values: List[Optional[int]] = [None] * len(fanin0)
+        values[0] = 0
+        for node, pattern in zip(self._pis, patterns):
+            values[node] = pattern & mask
         for node in range(len(fanin0)):
             f0 = fanin0[node]
             if f0 < 0:  # the constant or a PI
                 continue
             f1 = fanin1[node]
             n0, n1 = f0 >> 1, f1 >> 1
-            table0, table1 = tables[n0], tables[n1]
+            value0, value1 = values[n0], values[n1]
             if f0 & 1:
-                table0 ^= mask
+                value0 ^= mask
             if f1 & 1:
-                table1 ^= mask
+                value1 ^= mask
             remaining[n0] -= 1
             if not remaining[n0]:
-                tables[n0] = None
+                values[n0] = None
             remaining[n1] -= 1
             if not remaining[n1]:
-                tables[n1] = None
-            if remaining[node]:  # a dangling node needs no table
-                tables[node] = table0 & table1
-        columns = []
+                values[n1] = None
+            if remaining[node]:  # a dangling node needs no value
+                values[node] = value0 & value1
+        outputs = []
         for po in self._pos:
-            table = tables[po >> 1]
+            value = values[po >> 1]
             if po & 1:
-                table ^= mask
-            columns.append(table)
-        return columns
+                value ^= mask
+            outputs.append(value)
+        return outputs
+
+    def output_columns(self) -> List[int]:
+        """Integer truth tables of every primary output."""
+        num_vars = len(self._pis)
+        return self.simulate_words(
+            [tt_var(i, num_vars) for i in range(num_vars)], 1 << num_vars
+        )
 
     def to_truth_table(self) -> TruthTable:
         """Expand the AIG into an explicit multi-output truth table."""
         return TruthTable.from_columns(self.output_columns(), len(self._pis))
-
-    def simulate_random(self, num_patterns: int, seed: int = 1) -> List[int]:
-        """Simulate ``num_patterns`` random vectors; returns PO patterns."""
-        rng = np.random.default_rng(seed)
-        patterns = []
-        for _ in self._pis:
-            bits = rng.integers(0, 2, size=num_patterns)
-            word = 0
-            for t, bit in enumerate(bits):
-                if bit:
-                    word |= 1 << t
-            patterns.append(word)
-        return self.simulate_words(patterns, num_patterns)
 
     # -- rebuilding --------------------------------------------------------------
 

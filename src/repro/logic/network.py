@@ -87,7 +87,9 @@ class LogicNetwork(Protocol):
 
     # -- evaluation ------------------------------------------------------------
     def eval_gate(self, node: int, operands: Sequence[int]) -> int: ...
-    def simulate_minterm(self, minterm: int) -> int: ...
+    def simulate_words(
+        self, patterns: Sequence[int], num_bits: int
+    ) -> List[int]: ...
 
     # -- maintenance ------------------------------------------------------------
     def cleanup(self) -> "LogicNetwork": ...

@@ -27,7 +27,7 @@ from repro.logic.lits import (  # noqa: F401  (re-exported for compatibility)
     lit_not_cond,
     make_lit,
 )
-from repro.logic.truth_table import TruthTable, tt_mask, tt_var
+from repro.logic.truth_table import TruthTable, tt_var
 
 __all__ = ["Xmg"]
 
@@ -318,68 +318,64 @@ class Xmg:
 
     # -- simulation -------------------------------------------------------------
 
-    def node_truth_tables(self) -> List[int]:
-        """Integer truth tables (over all PIs) of every node."""
-        num_vars = len(self._pis)
-        mask = tt_mask(num_vars)
-        tables: List[int] = [0] * len(self._kind)
-        for i, node in enumerate(self._pis):
-            tables[node] = tt_var(i, num_vars)
+    def simulate_words(self, patterns: Sequence[int], num_bits: int) -> List[int]:
+        """Bit-parallel simulation with one arbitrary-precision int per signal.
 
-        def lit_table(lit: int) -> int:
-            table = tables[lit_node(lit)]
-            if lit_is_compl(lit):
-                table ^= mask
-            return table
-
-        for node in self.nodes():
-            if self.is_maj(node):
-                a, b, c = (lit_table(f) for f in self._fanins[node])
-                tables[node] = (a & b) | (a & c) | (b & c)
-            elif self.is_xor(node):
-                a, b = (lit_table(f) for f in self._fanins[node])
-                tables[node] = a ^ b
-        return tables
+        The contract and the memory bound are those of
+        :meth:`repro.logic.aig.Aig.simulate_words`: one pass in node order,
+        each node's value dropped after its last fanout (outputs included)
+        has read it, one ``num_bits``-bit pattern per primary output back.
+        """
+        if len(patterns) != len(self._pis):
+            raise ValueError(
+                f"expected {len(self._pis)} input patterns, got {len(patterns)}"
+            )
+        if num_bits <= 0:
+            raise ValueError("num_bits must be positive")
+        mask = (1 << num_bits) - 1
+        kinds = self._kind
+        remaining = self.fanout_counts()
+        values: List[Optional[int]] = [None] * len(kinds)
+        values[0] = 0
+        for node, pattern in zip(self._pis, patterns):
+            values[node] = pattern & mask
+        for node, fanins in enumerate(self._fanins):
+            if not fanins:  # the constant or a PI
+                continue
+            operands = []
+            for fanin in fanins:
+                value = values[fanin >> 1]
+                operands.append(value ^ mask if fanin & 1 else value)
+            for fanin in fanins:
+                fanin_node = fanin >> 1
+                remaining[fanin_node] -= 1
+                if not remaining[fanin_node]:
+                    values[fanin_node] = None
+            if not remaining[node]:  # a dangling node needs no value
+                continue
+            if kinds[node] == _KIND_MAJ:
+                a, b, c = operands
+                values[node] = (a & b) | (c & (a | b))
+            else:
+                values[node] = operands[0] ^ operands[1]
+        outputs = []
+        for po in self._pos:
+            value = values[po >> 1]
+            if po & 1:
+                value ^= mask
+            outputs.append(value)
+        return outputs
 
     def output_columns(self) -> List[int]:
         """Integer truth tables of every primary output."""
         num_vars = len(self._pis)
-        mask = tt_mask(num_vars)
-        tables = self.node_truth_tables()
-        columns = []
-        for po in self._pos:
-            table = tables[lit_node(po)]
-            if lit_is_compl(po):
-                table ^= mask
-            columns.append(table)
-        return columns
+        return self.simulate_words(
+            [tt_var(i, num_vars) for i in range(num_vars)], 1 << num_vars
+        )
 
     def to_truth_table(self) -> TruthTable:
         """Expand the XMG into an explicit multi-output truth table."""
         return TruthTable.from_columns(self.output_columns(), self.num_pis())
-
-    def simulate_minterm(self, minterm: int) -> int:
-        """Evaluate the XMG on one input assignment; returns the output word."""
-        values: List[bool] = [False] * len(self._kind)
-        for i, node in enumerate(self._pis):
-            values[node] = bool((minterm >> i) & 1)
-
-        def lit_value(lit: int) -> bool:
-            return values[lit_node(lit)] ^ lit_is_compl(lit)
-
-        for node in self.nodes():
-            if self.is_maj(node):
-                a, b, c = (lit_value(f) for f in self._fanins[node])
-                values[node] = (a and b) or (a and c) or (b and c)
-            elif self.is_xor(node):
-                a, b = (lit_value(f) for f in self._fanins[node])
-                values[node] = a ^ b
-
-        word = 0
-        for j, po in enumerate(self._pos):
-            if lit_value(po):
-                word |= 1 << j
-        return word
 
     # -- maintenance -------------------------------------------------------------
 

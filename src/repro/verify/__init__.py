@@ -5,16 +5,17 @@ its irreversible specification.  This package turns that check into a
 first-class, fast subsystem shared by every layer of the reproduction:
 
 ``repro.verify.bitsim``
-    The shared simulation core: AIGs, XMGs and reversible circuits are
-    evaluated on batches of input patterns packed 64-per-``uint64`` word,
-    so one pass over the structure simulates 64 test vectors at once
-    (exhaustive packing for small input counts, seeded random batches for
-    large ones).
+    Pattern batches hold one Python int per primary input (bit ``t`` is
+    test vector ``t``): exhaustive enumeration in chunks of ``2**16``
+    patterns for complete checks, seeded random batches for large input
+    counts.  Truth tables and reversible circuits are simulated here; AIGs
+    and XMGs by their own reference-counted ``simulate_words``, so one
+    pass over a structure evaluates a whole batch.
 
 ``repro.verify.differential``
     The one equivalence checker: any two of {truth table, AIG, XMG,
     reversible circuit, Clifford+T circuit interpreted as a permutation}
-    are compared on the same pattern batch and a concrete counterexample
+    are compared on the same pattern batches and a concrete counterexample
     minterm is reported on disagreement.  A reversible circuit must also
     return every ancilla line that is neither an output nor garbage to its
     initial value.
@@ -28,14 +29,11 @@ first-class, fast subsystem shared by every layer of the reproduction:
 from repro.verify.bitsim import (
     PatternBatch,
     exhaustive_batch,
-    pack_bits,
+    exhaustive_chunks,
     random_batch,
-    simulate_aig,
     simulate_reversible,
     simulate_reversible_states,
     simulate_truth_table,
-    simulate_xmg,
-    unpack_bits,
 )
 from repro.verify.differential import (
     DifferentialResult,
@@ -57,18 +55,15 @@ __all__ = [
     "check_equivalent",
     "check_quantum_equivalent",
     "exhaustive_batch",
+    "exhaustive_chunks",
     "mapped_circuit_simulator",
-    "pack_bits",
     "random_aig",
     "random_batch",
     "random_hdl_design",
     "random_truth_table",
     "random_xmg",
-    "simulate_aig",
     "simulate_reversible",
     "simulate_reversible_states",
     "simulate_truth_table",
-    "simulate_xmg",
     "simulator_for",
-    "unpack_bits",
 ]

@@ -5,14 +5,16 @@ and an implementation — any of :class:`~repro.logic.truth_table.TruthTable`,
 :class:`~repro.logic.aig.Aig`, :class:`~repro.logic.xmg.Xmg`,
 :class:`~repro.reversible.circuit.ReversibleCircuit` or a mapped Clifford+T
 :class:`~repro.quantum.circuit.QuantumCircuit` (via
-:func:`mapped_circuit_simulator`) — are evaluated on the *same* bit-parallel
-pattern batch and compared word-by-word.  On disagreement the first
-differing minterm is reconstructed and reported together with both output
-words, which is what makes a failing fuzz run actionable.
+:func:`mapped_circuit_simulator`) — are evaluated on the *same* pattern
+batch, one int per signal, and their outputs compared as ints.  On
+disagreement the first differing minterm is reported together with both
+output words, which is what makes a failing fuzz run actionable.
 
 Three modes mirror the paper's ``cec`` regimes:
 
-* ``"full"``    — exhaustive over all ``2**n`` minterms (complete),
+* ``"full"``    — exhaustive over all ``2**n`` minterms (complete), in
+  chunks of ``2**16`` patterns in ascending minterm order, so memory is
+  bounded by the networks' width times 8 KB whatever ``n`` is,
 * ``"sampled"`` — a seeded random batch (falsification only),
 * ``"auto"``    — full when the input count permits, sampled otherwise.
 """
@@ -20,7 +22,7 @@ Three modes mirror the paper's ``cec`` regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from repro.logic.xmg import Xmg
 from repro.quantum.circuit import QuantumCircuit
 from repro.reversible.circuit import ReversibleCircuit
 from repro.verify import bitsim
-from repro.verify.bitsim import PatternBatch, exhaustive_batch, random_batch
+from repro.verify.bitsim import PatternBatch, exhaustive_chunks, random_batch
 
 __all__ = [
     "DifferentialResult",
@@ -111,7 +113,8 @@ class _Simulator:
         self._run = run
         self.kind = kind
 
-    def simulate(self, batch: PatternBatch) -> np.ndarray:
+    def simulate(self, batch: PatternBatch) -> List[int]:
+        """One int per output: bit ``t`` is the output in pattern ``t``."""
         return self._run(batch)
 
 
@@ -133,19 +136,12 @@ def simulator_for(obj: Any) -> _Simulator:
             lambda batch: bitsim.simulate_truth_table(obj, batch),
             "truth-table",
         )
-    if isinstance(obj, Aig):
+    if isinstance(obj, (Aig, Xmg)):
         return _Simulator(
             obj.num_pis(),
             obj.num_pos(),
-            lambda batch: bitsim.simulate_aig(obj, batch),
-            "aig",
-        )
-    if isinstance(obj, Xmg):
-        return _Simulator(
-            obj.num_pis(),
-            obj.num_pos(),
-            lambda batch: bitsim.simulate_xmg(obj, batch),
-            "xmg",
+            lambda batch: obj.simulate_words(batch.inputs, batch.num_patterns),
+            obj.network_type,
         )
     if isinstance(obj, ReversibleCircuit):
         return _reversible_simulator(obj)
@@ -169,23 +165,17 @@ def _reversible_simulator(circuit: ReversibleCircuit) -> _Simulator:
         for line, info in enumerate(circuit.lines())
         if info.is_constant() and not info.is_output() and not info.garbage
     ]
-    rows = np.array([line for line, _ in ancillas], dtype=np.intp)
-    ones = np.array([bool(value) for _, value in ancillas], dtype=bool)
 
-    def run(batch: PatternBatch) -> np.ndarray:
+    def run(batch: PatternBatch) -> List[int]:
         states = bitsim.simulate_reversible_states(circuit, batch)
-        initial = np.where(ones[:, np.newaxis], batch.tail_mask(), 0)
-        diff = states[rows] ^ initial
-        dirty_rows, dirty_words = np.nonzero(diff)
-        if dirty_rows.size:
-            row, word = int(dirty_rows[0]), int(dirty_words[0])
-            bits = int(diff[row, word])
-            bit = (bits & -bits).bit_length() - 1
-            minterm = batch.minterm(word * 64 + bit)
-            raise MappedCircuitError(
-                minterm,
-                f"ancilla line {int(rows[row])} not restored on input {minterm}",
-            )
+        for line, constant in ancillas:
+            dirty = states[line] ^ (batch.mask if constant else 0)
+            if dirty:
+                minterm = batch.minterm((dirty & -dirty).bit_length() - 1)
+                raise MappedCircuitError(
+                    minterm,
+                    f"ancilla line {line} not restored on input {minterm}",
+                )
         return bitsim.outputs_from_states(circuit, states)
 
     return _Simulator(
@@ -216,10 +206,8 @@ def mapped_circuit_simulator(
     output_lines = reversible.output_lines()
     ordered_outputs = [output_lines[j] for j in sorted(output_lines)]
 
-    def run(batch: PatternBatch) -> np.ndarray:
-        columns = np.zeros(
-            (len(ordered_outputs), batch.num_patterns), dtype=bool
-        )
+    def run(batch: PatternBatch) -> List[int]:
+        outputs = [0] * len(ordered_outputs)
         for t in range(batch.num_patterns):
             minterm = batch.minterm(t)
             initial = reversible.initial_state(minterm)
@@ -240,8 +228,8 @@ def mapped_circuit_simulator(
                     f"{minterm}",
                 )
             for j, line in enumerate(ordered_outputs):
-                columns[j, t] = bool((final >> line) & 1)
-        return bitsim.pack_bits(columns)
+                outputs[j] |= ((final >> line) & 1) << t
+        return outputs
 
     return _Simulator(
         reversible.num_inputs(), reversible.num_outputs(), run, "clifford+t"
@@ -326,25 +314,23 @@ def check_quantum_equivalent(
     return DifferentialResult(True, complete, len(basis_states), message="ok")
 
 
-def _make_batch(
+def _plan_batches(
     num_inputs: int,
     mode: str,
     num_samples: int,
     seed: int,
     auto_full_limit: int,
-) -> PatternBatch:
+) -> Tuple[Iterable[PatternBatch], int, bool]:
+    """The batches of one check, its pattern count and whether it is complete."""
     if mode == "auto":
         mode = "full" if num_inputs <= auto_full_limit else "sampled"
-    if mode == "full":
-        return exhaustive_batch(num_inputs)
-    if mode == "sampled":
-        total = 1 << num_inputs if num_inputs < 63 else None
-        if total is not None and num_samples >= total:
-            # Sampling at least the whole input space degrades to the
-            # exhaustive batch: no duplicate draws, and the verdict is
-            # complete.
-            return exhaustive_batch(num_inputs)
-        return random_batch(num_inputs, num_samples, seed=seed)
+    if mode == "sampled" and (num_inputs >= 63 or num_samples < 1 << num_inputs):
+        batch = random_batch(num_inputs, num_samples, seed=seed)
+        return [batch], num_samples, False
+    if mode in ("full", "sampled"):
+        # Sampling at least the whole input space degrades to the exhaustive
+        # check: no duplicate draws, and the verdict is complete.
+        return exhaustive_chunks(num_inputs), 1 << num_inputs, True
     raise ValueError(
         f"unknown verification mode {mode!r}; expected one of "
         f"{', '.join(m for m in VERIFY_MODES if m != 'off')}"
@@ -363,8 +349,10 @@ def check_equivalent(
 
     ``spec`` and ``impl`` are any mix of truth table / AIG / XMG /
     reversible circuit / :func:`mapped_circuit_simulator` views.  Both are
-    simulated on the same pattern batch; the result carries the first
-    differing minterm and both output words on disagreement.  A reversible
+    simulated on the same pattern batches (an exhaustive check runs in
+    chunks of ``2**16`` patterns, in ascending minterm order); the result
+    carries the first differing minterm and both output words on
+    disagreement.  A reversible
     circuit must also return every constant line that is neither an output
     nor garbage to its initial value; a dirty one fails the check with that
     line and the offending minterm in the message.
@@ -394,37 +382,37 @@ def check_equivalent(
             ),
         )
 
-    batch = _make_batch(
+    batches, num_patterns, complete = _plan_batches(
         spec_sim.num_inputs, mode, num_samples, seed, auto_full_limit
     )
-    try:
-        spec_out = spec_sim.simulate(batch)
-        impl_out = impl_sim.simulate(batch)
-    except MappedCircuitError as exc:
+    for batch in batches:
+        try:
+            spec_out = spec_sim.simulate(batch)
+            impl_out = impl_sim.simulate(batch)
+        except MappedCircuitError as exc:
+            return DifferentialResult(
+                False,
+                complete,
+                num_patterns,
+                counterexample=exc.minterm,
+                message=str(exc),
+            )
+        index = bitsim.first_difference(spec_out, impl_out)
+        if index is None:
+            continue
+        minterm = batch.minterm(index)
+        spec_word = bitsim.output_word_at(spec_out, index)
+        impl_word = bitsim.output_word_at(impl_out, index)
         return DifferentialResult(
             False,
-            batch.exhaustive,
-            batch.num_patterns,
-            counterexample=exc.minterm,
-            message=str(exc),
+            complete,
+            num_patterns,
+            counterexample=minterm,
+            spec_word=spec_word,
+            impl_word=impl_word,
+            message=(
+                f"output mismatch on input {minterm}: {impl_sim.kind} produced "
+                f"{impl_word}, {spec_sim.kind} expected {spec_word}"
+            ),
         )
-    index = bitsim.first_difference(spec_out, impl_out, batch)
-    if index is None:
-        return DifferentialResult(
-            True, batch.exhaustive, batch.num_patterns, message="ok"
-        )
-    minterm = batch.minterm(index)
-    spec_word = bitsim.output_word_at(spec_out, index)
-    impl_word = bitsim.output_word_at(impl_out, index)
-    return DifferentialResult(
-        False,
-        batch.exhaustive,
-        batch.num_patterns,
-        counterexample=minterm,
-        spec_word=spec_word,
-        impl_word=impl_word,
-        message=(
-            f"output mismatch on input {minterm}: {impl_sim.kind} produced "
-            f"{impl_word}, {spec_sim.kind} expected {spec_word}"
-        ),
-    )
+    return DifferentialResult(True, complete, num_patterns, message="ok")

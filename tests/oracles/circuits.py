@@ -7,9 +7,10 @@ Every costing, peephole and TBS oracle here walks
 way the code did before the cascades moved into packed mask columns.  The
 simulation oracle replays a cascade with NumPy operations on ``uint64``
 word rows, the way ``bitsim`` did before it kept each line as one big
-int.  The pebbling oracle walks every LUT cone and re-tests every live
-pebble on each eviction, the way the greedy scheduler did before it kept
-the DAG structure per mapping and the evictable pebbles incrementally.
+int, and reads each row back as the int ``bitsim`` returns.  The pebbling
+oracle walks every LUT cone and re-tests every live pebble on each
+eviction, the way the greedy scheduler did before it kept the DAG
+structure per mapping and the evictable pebbles incrementally.
 """
 
 from typing import Dict, List, Optional, Sequence, Set
@@ -146,12 +147,16 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 def simulate_reversible_states_reference(
     circuit: ReversibleCircuit, batch: PatternBatch
-) -> np.ndarray:
-    """Per-gate NumPy replay on ``(num_lines, W)`` word rows."""
-    state = np.zeros((circuit.num_lines(), batch.num_words), dtype=np.uint64)
+) -> List[int]:
+    """Per-gate NumPy replay on ``uint64`` word rows, read back as ints."""
+    num_words = (batch.num_patterns + 63) // 64
+    state = np.zeros((circuit.num_lines(), num_words), dtype=np.uint64)
     for line, info in enumerate(circuit.lines()):
         if info.input_index is not None:
-            state[line] = batch.inputs[info.input_index]
+            pattern = batch.inputs[info.input_index]
+            state[line] = np.frombuffer(
+                pattern.to_bytes(8 * num_words, "little"), dtype="<u8"
+            )
         elif info.constant:
             state[line] = _ALL_ONES
     targets, cares, polarities = circuit.gate_store().columns()
@@ -172,7 +177,10 @@ def simulate_reversible_states_reference(
                 state[line] if (polarity >> line) & 1 else state[line] ^ _ALL_ONES
             )
         state[target] ^= trigger
-    return state & batch.tail_mask()
+    return [
+        int.from_bytes(row.astype("<u8").tobytes(), "little") & batch.mask
+        for row in state
+    ]
 
 
 # ---------------------------------------------------------------------------

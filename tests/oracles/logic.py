@@ -1,6 +1,7 @@
 """Oracles for the logic-level kernels: protocol cone walks, cut tables,
-PSDKRO, minimum-cost ESOPs, collapse by per-minterm evaluation, AIG cleanup
-and refactoring, and the XMG constructors and cleanup."""
+PSDKRO, minimum-cost ESOPs, network simulation by per-minterm walks and
+by every node's truth table, AIG cleanup and refactoring, and the XMG
+constructors and cleanup."""
 
 import heapq
 import itertools
@@ -324,28 +325,57 @@ def psdkro_cubes_reference(truth: int, num_vars: int) -> List[Cube]:
 
 
 # ---------------------------------------------------------------------------
-# AIG collapse (per-minterm evaluation)
+# network simulation (per-minterm walks and every node's truth table)
 # ---------------------------------------------------------------------------
+#
+# The walks ``Aig`` and ``Xmg`` carried before one reference-counted
+# ``simulate_words`` replaced them: one method call per node, every node's
+# value kept until the end.
 
 
-def truth_table_by_minterms_reference(aig: Aig) -> TruthTable:
-    """Evaluate the AIG node by node on one input assignment at a time."""
+def simulate_minterm(network: LogicNetwork, minterm: int) -> int:
+    """Evaluate a network on one input assignment; returns the output word."""
+    value = {0: 0}
+    for i, pi in enumerate(network.pis()):
+        value[lit_node(pi)] = (minterm >> i) & 1
 
-    def evaluate(minterm: int) -> int:
-        value = {0: False}
-        for i, pi in enumerate(aig.pis()):
-            value[lit_node(pi)] = bool((minterm >> i) & 1)
+    def lit_value(lit: int) -> int:
+        return value[lit_node(lit)] ^ lit_is_compl(lit)
 
-        def lit_value(lit: int) -> bool:
-            return value[lit_node(lit)] != lit_is_compl(lit)
+    for node in network.nodes():
+        if network.is_gate(node):
+            value[node] = network.eval_gate(
+                node, [lit_value(f) for f in network.fanins(node)]
+            )
+    return sum(lit_value(po) << j for j, po in enumerate(network.pos()))
 
-        for node in aig.nodes():
-            if aig.is_and(node):
-                f0, f1 = aig.fanins(node)
-                value[node] = lit_value(f0) and lit_value(f1)
-        return sum(lit_value(po) << j for j, po in enumerate(aig.pos()))
 
-    return TruthTable.from_callable(evaluate, aig.num_pis(), aig.num_pos())
+def node_truth_tables(network: LogicNetwork) -> List[int]:
+    """Integer truth tables (over all PIs) of every node, none dropped."""
+    num_vars = network.num_pis()
+    mask = tt_mask(num_vars)
+    tables = [0] * len(network.nodes())
+    for i, pi in enumerate(network.pis()):
+        tables[lit_node(pi)] = tt_var(i, num_vars)
+
+    def lit_table(lit: int) -> int:
+        return tables[lit_node(lit)] ^ (mask if lit_is_compl(lit) else 0)
+
+    for node in network.nodes():
+        if network.is_gate(node):
+            tables[node] = network.eval_gate(
+                node, [lit_table(f) for f in network.fanins(node)]
+            )
+    return tables
+
+
+def truth_table_by_minterms_reference(network: LogicNetwork) -> TruthTable:
+    """The network's truth table by :func:`simulate_minterm` on every minterm."""
+    return TruthTable.from_callable(
+        lambda minterm: simulate_minterm(network, minterm),
+        network.num_pis(),
+        network.num_pos(),
+    )
 
 
 # ---------------------------------------------------------------------------

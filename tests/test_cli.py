@@ -203,9 +203,14 @@ class TestCommands:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Differential verification of intdiv(3)" in output
-        assert "aig = circuit" in output
-        for flow in ("symbolic", "esop", "hierarchical"):
-            assert flow in output
+        header = output.splitlines()[1].split()
+        assert header == ["flow", "pair", "check", "result"]
+        for flow in ("symbolic", "esop", "hierarchical", "lut"):
+            assert re.search(
+                rf"^ *{flow} +aig = circuit +exhaustive, 8 patterns +ok *$",
+                output,
+                re.MULTILINE,
+            ), output
         assert "FAIL" not in output
 
     def test_verify_command_quantum_leg(self, capsys):
@@ -215,7 +220,11 @@ class TestCommands:
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "circuit = clifford+t" in output
+        assert re.search(
+            r"^ *esop +circuit = clifford\+t +sampled, 4 patterns +ok *$",
+            output,
+            re.MULTILINE,
+        ), output
 
     def test_verify_command_with_verilog_file(self, tmp_path, capsys):
         source = tmp_path / "buffer.v"

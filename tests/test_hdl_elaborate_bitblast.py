@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.logic import simulate_minterm
 from repro.hdl.bitblast import bitblast
 from repro.hdl.elaborator import elaborate
 from repro.hdl.errors import ElaborationError
@@ -18,7 +19,7 @@ def simulate_aig(aig, input_widths, values):
     for name, width in input_widths:
         minterm |= (values[name] & ((1 << width) - 1)) << offset
         offset += width
-    word = aig.simulate_minterm(minterm)
+    word = simulate_minterm(aig, minterm)
     outputs = {}
     offset = 0
     for po_name in aig.po_names():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.logic import simulate_minterm
 from repro.logic.aig import Aig, lit_is_compl, lit_node, lit_not, make_lit
 
 
@@ -73,7 +74,7 @@ class TestSemantics:
             a, b, cin = x & 1, (x >> 1) & 1, (x >> 2) & 1
             total = a + b + cin
             expected = (total & 1) | ((total >> 1) << 1)
-            assert aig.simulate_minterm(x) == expected
+            assert simulate_minterm(aig, x) == expected
 
     def test_gate_primitives(self):
         aig = Aig()
@@ -87,7 +88,7 @@ class TestSemantics:
         aig.add_po(aig.create_maj(a, b, c), "maj")
         for x in range(8):
             va, vb, vc = x & 1, (x >> 1) & 1, (x >> 2) & 1
-            word = aig.simulate_minterm(x)
+            word = simulate_minterm(aig, x)
             assert (word >> 0) & 1 == (va | vb)
             assert (word >> 1) & 1 == (va ^ vb)
             assert (word >> 2) & 1 == 1 - (va ^ vb)
@@ -104,7 +105,7 @@ class TestSemantics:
         aig.add_po(aig.create_xor_multi(lits), "xor")
         for x in range(32):
             bits = [(x >> i) & 1 for i in range(5)]
-            word = aig.simulate_minterm(x)
+            word = simulate_minterm(aig, x)
             assert (word >> 0) & 1 == int(all(bits))
             assert (word >> 1) & 1 == int(any(bits))
             assert (word >> 2) & 1 == sum(bits) % 2
@@ -119,7 +120,7 @@ class TestSemantics:
         aig = build_full_adder()
         table = aig.to_truth_table()
         for x in range(8):
-            assert table.evaluate(x) == aig.simulate_minterm(x)
+            assert table.evaluate(x) == simulate_minterm(aig, x)
 
     def test_simulate_words(self):
         aig = build_full_adder()
@@ -176,7 +177,7 @@ class TestStructure:
         assert cleaned.num_nodes() == 1
         assert cleaned.num_pis() == 3
         for x in range(8):
-            assert cleaned.simulate_minterm(x) == aig.simulate_minterm(x)
+            assert simulate_minterm(cleaned, x) == simulate_minterm(aig, x)
 
     def test_copy_is_independent(self):
         aig = build_full_adder()

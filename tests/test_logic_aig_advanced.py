@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.logic.aig import Aig, lit_node, lit_not
 from repro.logic.aig_opt import balance, dc2, refactor
 from repro.logic.collapse import collapse_to_esop
+from repro.verify.bitsim import random_batch
 from repro.verify.differential import check_equivalent
 
 
@@ -112,15 +113,10 @@ class TestCollapseConsistency:
     @settings(max_examples=20, deadline=None)
     def test_random_simulation_agrees_with_exhaustive(self, columns):
         aig = build_function_aig(columns, 4)
-        patterns = aig.simulate_random(64, seed=7)
+        batch = random_batch(aig.num_pis(), 64, seed=7)
+        patterns = aig.simulate_words(batch.inputs, batch.num_patterns)
         table = aig.to_truth_table()
-        # Reconstruct the same random inputs and compare output bits.
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        bits = [rng.integers(0, 2, size=64) for _ in range(aig.num_pis())]
-        for t in range(64):
-            minterm = sum(int(bits[i][t]) << i for i in range(aig.num_pis()))
+        for t, minterm in enumerate(batch.minterms()):
             expected = table.evaluate(minterm)
             actual = sum(((patterns[j] >> t) & 1) << j for j in range(aig.num_pos()))
             assert actual == expected

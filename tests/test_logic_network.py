@@ -4,7 +4,7 @@ import pytest
 
 import repro.logic.aig as aig_module
 import repro.logic.xmg as xmg_module
-from oracles.logic import collect_cone, cone_truth_table
+from oracles.logic import collect_cone, cone_truth_table, node_truth_tables
 from repro.logic import lits
 from repro.logic.aig import Aig
 from repro.logic.cuts import cut_truth_table, lut_map
@@ -141,7 +141,7 @@ class TestTraversal:
         only; its truth table re-indexed through the leaf columns must
         reproduce the root's global truth table on every minterm.
         """
-        tables = network.node_truth_tables()
+        tables = node_truth_tables(network)
         for po in network.pos():
             root = lit_node(po)
             if not network.is_gate(root):
@@ -189,7 +189,7 @@ class TestGenericCuts:
         mapping = lut_map(xmg, k=4, selection="area")
         covered = mapping.network
         assert covered.network_type == "xmg"
-        tables = covered.node_truth_tables()
+        tables = node_truth_tables(covered)
         for root, (leaves, truth) in mapping.luts.items():
             for minterm in range(1 << covered.num_pis()):
                 index = 0

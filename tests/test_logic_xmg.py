@@ -1,14 +1,18 @@
 """Unit tests for the XMG data structure and AIG-to-XMG mapping."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.logic import node_truth_tables, simulate_minterm
 from repro.logic.aig import Aig
 from repro.logic.aig import lit_not as aig_lit_not
 from repro.logic.truth_table import tt_mask
 from repro.logic.xmg import Xmg, lit_not
 from repro.logic.xmg_mapping import aig_to_xmg, synthesize_lut_into_xmg
+from repro.verify.fuzz import random_xmg
 
 
 class TestXmgConstruction:
@@ -28,7 +32,7 @@ class TestXmgConstruction:
         xmg.add_po(or_lit, "or")
         for x in range(4):
             va, vb = x & 1, (x >> 1) & 1
-            word = xmg.simulate_minterm(x)
+            word = simulate_minterm(xmg, x)
             assert (word >> 0) & 1 == (va & vb)
             assert (word >> 1) & 1 == (va | vb)
 
@@ -64,7 +68,7 @@ class TestXmgConstruction:
         xmg.add_po(xmg.create_maj(a, b, c))
         for x in range(8):
             bits = [(x >> i) & 1 for i in range(3)]
-            assert xmg.simulate_minterm(x) == int(sum(bits) >= 2)
+            assert simulate_minterm(xmg, x) == int(sum(bits) >= 2)
 
     def test_ite(self):
         xmg = Xmg()
@@ -72,7 +76,7 @@ class TestXmgConstruction:
         xmg.add_po(xmg.create_ite(s, t, e))
         for x in range(8):
             vs, vt, ve = x & 1, (x >> 1) & 1, (x >> 2) & 1
-            assert xmg.simulate_minterm(x) == (vt if vs else ve)
+            assert simulate_minterm(xmg, x) == (vt if vs else ve)
 
     def test_counts_levels_cleanup(self):
         xmg = Xmg()
@@ -91,6 +95,51 @@ class TestXmgConstruction:
         xmg = Xmg()
         with pytest.raises(ValueError):
             xmg.create_xor(40, 0)
+
+
+class TestXmgSimulation:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_output_columns_match_node_tables(self, seed):
+        xmg = random_xmg(seed, num_pis=5, num_gates=25, num_pos=4)
+        tables = node_truth_tables(xmg)
+        mask = tt_mask(5)
+        assert xmg.output_columns() == [
+            tables[po >> 1] ^ (mask if po & 1 else 0) for po in xmg.pos()
+        ]
+
+    def test_dangling_and_constant_fanins(self):
+        xmg = Xmg()
+        a, b, c = xmg.add_pi(), xmg.add_pi(), xmg.add_pi()
+        xmg.create_xor(a, c)  # dangling
+        xmg.add_po(xmg.create_and(a, b))  # MAJ(a, b, 0)
+        xmg.add_po(lit_not(xmg.create_or(b, c)))  # NOT MAJ(b, c, 1)
+        xmg.add_po(Xmg.CONST1)
+        assert xmg.simulate_words([0b1010, 0b1100, 0b0001], 4) == [
+            0b1000, 0b0010, 0b1111
+        ]
+
+    def test_long_chain_keeps_few_tables_alive(self):
+        # Over 1,000 gates over 16 inputs: every table is 2**16 bits
+        # (8 KiB), so holding all of them would take about 8 MB; a table
+        # dropped after its last fanout leaves a few dozen alive.
+        xmg = Xmg()
+        pis = [xmg.add_pi() for _ in range(16)]
+        chain = pis[0]
+        for i in range(500):
+            term = xmg.create_maj(pis[i % 16], pis[(i + 1) % 16], chain)
+            chain = xmg.create_xor(chain, term)
+            if i % 50 == 49:
+                xmg.add_po(chain)
+        assert xmg.num_gates() > 990
+        tracemalloc.start()
+        try:
+            columns = xmg.output_columns()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        tables = node_truth_tables(xmg)
+        assert columns == [tables[po >> 1] ^ (po & 1) * tt_mask(16) for po in xmg.pos()]
 
 
 class TestLutSynthesis:

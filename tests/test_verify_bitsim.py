@@ -1,15 +1,16 @@
 """Unit tests for the bit-parallel simulation core (repro.verify.bitsim).
 
 The load-bearing property is exact agreement with the per-minterm reference
-semantics of every structure (``Aig.simulate_minterm``,
-``Xmg.simulate_minterm``, ``ReversibleCircuit.evaluate``/``final_state``,
-``TruthTable.evaluate``) — the acceptance criterion of the subsystem is
-"identical verdicts to the legacy per-input paths".
+semantics of every structure (the network walks of :mod:`oracles.logic`,
+``ReversibleCircuit.evaluate``/``final_state``, ``TruthTable.evaluate``) —
+the acceptance criterion of the subsystem is "identical verdicts to the
+legacy per-input paths".
 """
 
 import numpy as np
 import pytest
 
+from oracles.logic import simulate_minterm
 from repro.core.flows import run_flow
 from repro.logic.truth_table import TruthTable
 from repro.reversible.circuit import ReversibleCircuit
@@ -18,36 +19,17 @@ from repro.verify import bitsim
 from repro.verify.bitsim import (
     PatternBatch,
     exhaustive_batch,
-    pack_bits,
+    exhaustive_chunks,
     random_batch,
-    simulate_aig,
     simulate_reversible,
     simulate_reversible_states,
     simulate_truth_table,
-    simulate_xmg,
-    unpack_bits,
 )
 from repro.verify.fuzz import random_aig, random_truth_table, random_xmg
 
 
-class TestPacking:
-    @pytest.mark.parametrize("num_patterns", [1, 7, 63, 64, 65, 130, 256])
-    def test_pack_unpack_roundtrip(self, num_patterns):
-        rng = np.random.default_rng(num_patterns)
-        bits = rng.integers(0, 2, size=(3, num_patterns)).astype(bool)
-        words = pack_bits(bits)
-        assert words.dtype == np.uint64
-        assert words.shape == (3, (num_patterns + 63) // 64)
-        assert np.array_equal(unpack_bits(words, num_patterns), bits)
-
-    def test_pack_pads_tail_with_zeros(self):
-        bits = np.ones((1, 3), dtype=bool)
-        words = pack_bits(bits)
-        assert int(words[0, 0]) == 0b111
-
-    def test_pack_single_row_vector(self):
-        words = pack_bits(np.array([True, False, True]))
-        assert int(words[0, 0]) == 0b101
+def _simulate(network, batch):
+    return network.simulate_words(batch.inputs, batch.num_patterns)
 
 
 class TestBatches:
@@ -61,52 +43,86 @@ class TestBatches:
     def test_exhaustive_batch_rejects_huge_inputs(self):
         with pytest.raises(ValueError):
             exhaustive_batch(31)
+        with pytest.raises(ValueError):
+            next(exhaustive_chunks(31))
+
+    @pytest.mark.parametrize("num_inputs", [0, 2, 3, 5])
+    def test_chunks_enumerate_every_minterm_in_order(self, monkeypatch, num_inputs):
+        monkeypatch.setattr(bitsim, "CHUNK_INPUTS", 3)
+        chunks = list(exhaustive_chunks(num_inputs))
+        assert len(chunks) == 1 << max(num_inputs - 3, 0)
+        assert all(chunk.exhaustive for chunk in chunks)
+        assert all(chunk.num_patterns == 1 << min(num_inputs, 3) for chunk in chunks)
+        minterms = [x for chunk in chunks for x in chunk.minterms()]
+        assert minterms == list(range(1 << num_inputs))
+
+    def test_one_chunk_up_to_sixteen_inputs(self):
+        (chunk,) = exhaustive_chunks(16)
+        assert chunk.num_patterns == 1 << 16
+        assert chunk.inputs == exhaustive_batch(16).inputs
+
+    def test_seventeen_inputs_take_two_chunks(self):
+        low, high = exhaustive_chunks(17)
+        assert low.num_patterns == high.num_patterns == 1 << 16
+        assert low.inputs[16] == 0 and high.inputs[16] == high.mask
+        assert high.minterm(0) == 1 << 16
+        assert high.minterm(5) == (1 << 16) + 5
 
     def test_random_batch_is_seed_deterministic(self):
         a = random_batch(5, 100, seed=7)
         b = random_batch(5, 100, seed=7)
         c = random_batch(5, 100, seed=8)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert not np.array_equal(a.inputs, c.inputs)
+        assert a.inputs == b.inputs
+        assert a.inputs != c.inputs
         assert not a.exhaustive
+
+    def test_random_batch_reads_the_uint64_draw_bit_for_bit(self):
+        # Pattern t of input i is bit t % 64 of word t // 64 of row i of
+        # the seeded (inputs, words) uint64 matrix.
+        batch = random_batch(4, 130, seed=3)
+        rng = np.random.default_rng(3)
+        matrix = rng.integers(0, 1 << 64, size=(4, 3), dtype=np.uint64)
+        for i, pattern in enumerate(batch.inputs):
+            for t in range(130):
+                word = int(matrix[i, t // 64])
+                assert (pattern >> t) & 1 == (word >> (t % 64)) & 1
 
     def test_random_batch_masks_tail_bits(self):
         batch = random_batch(4, 70, seed=3)
-        tail = batch.inputs[:, -1]
-        assert np.all(tail >> np.uint64(70 - 64) == 0)
+        assert batch.mask == (1 << 70) - 1
+        assert all(0 <= pattern <= batch.mask for pattern in batch.inputs)
+        assert any(pattern >> 64 for pattern in batch.inputs)
 
-    def test_tail_mask(self):
-        batch = random_batch(2, 70, seed=1)
-        mask = batch.tail_mask()
-        assert int(mask[0]) == (1 << 64) - 1
-        assert int(mask[1]) == (1 << 6) - 1
+    def test_minterm_reads_bit_t_of_each_input(self):
+        batch = PatternBatch(3, 4, [0b0110, 0b1100, 0b1000], exhaustive=False)
+        assert batch.minterms() == [0b000, 0b001, 0b011, 0b110]
 
     def test_minterm_out_of_range(self):
         batch = exhaustive_batch(3)
         with pytest.raises(ValueError):
             batch.minterm(8)
 
-    def test_shape_validation(self):
+    def test_input_count_validation(self):
         with pytest.raises(ValueError):
-            PatternBatch(2, 64, np.zeros((2, 2), dtype=np.uint64), False)
+            PatternBatch(2, 64, [0], False)
+        with pytest.raises(ValueError):
+            PatternBatch(2, 0, [0, 0], False)
 
 
 class TestStructureSimulators:
     @pytest.mark.parametrize("seed", range(5))
     def test_aig_matches_per_minterm_reference(self, seed):
         aig = random_aig(seed, num_pis=5, num_gates=15, num_pos=3)
-        batch = exhaustive_batch(5)
-        outputs = simulate_aig(aig, batch)
+        outputs = _simulate(aig, exhaustive_batch(5))
         for x in range(32):
-            assert bitsim.output_word_at(outputs, x) == aig.simulate_minterm(x)
+            assert bitsim.output_word_at(outputs, x) == simulate_minterm(aig, x)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_xmg_matches_per_minterm_reference(self, seed):
         xmg = random_xmg(seed, num_pis=5, num_gates=12, num_pos=3)
-        batch = exhaustive_batch(5)
-        outputs = simulate_xmg(xmg, batch)
+        outputs = _simulate(xmg, exhaustive_batch(5))
         for x in range(32):
-            assert bitsim.output_word_at(outputs, x) == xmg.simulate_minterm(x)
+            assert bitsim.output_word_at(outputs, x) == simulate_minterm(xmg, x)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_truth_table_random_batch_matches_evaluate(self, seed):
@@ -136,48 +152,51 @@ class TestStructureSimulators:
             assert bitsim.output_word_at(outputs, x) == circuit.evaluate(x)
             reference = circuit.final_state(x)
             for line in range(circuit.num_lines()):
-                got = (int(states[line, 0]) >> x) & 1
-                assert got == (reference >> line) & 1
+                assert (states[line] >> x) & 1 == (reference >> line) & 1
 
-    def test_zero_output_circuit_keeps_word_axis(self):
-        # Regression: outputs_from_states built np.array([]) for circuits
-        # with no primary outputs, collapsing (0, W) to (0,) and breaking
-        # downstream masking/first-difference scans on the word axis.
+    def test_zero_output_circuit(self):
         circuit = ReversibleCircuit("no-outputs")
         x0 = circuit.add_input_line(0)
         x1 = circuit.add_input_line(1)
         circuit.append(ToffoliGate.cnot(x0, x1))
-        batch = random_batch(2, 70, seed=9)  # 2 words wide
-        outputs = simulate_reversible(circuit, batch)
-        assert outputs.shape == (0, batch.num_words)
-        assert outputs.dtype == np.uint64
-        # Empty-output comparisons must still work along the word axis.
-        assert bitsim.first_difference(outputs, outputs.copy(), batch) is None
+        outputs = simulate_reversible(circuit, random_batch(2, 70, seed=9))
+        assert outputs == []
+        assert bitsim.first_difference(outputs, list(outputs)) is None
 
-    def test_network_simulators_chunk_correctly(self, monkeypatch):
-        # The network simulators process word columns in memory-bounded
-        # chunks; force tiny chunks so a small batch crosses many
-        # boundaries and the stitched output must still be exact.
-        monkeypatch.setattr(bitsim, "_CHUNK_WORDS", 2)
-        batch = exhaustive_batch(9)  # 8 words -> 4 chunks
+    def test_networks_agree_across_chunks(self, monkeypatch):
+        # Tiny chunks: a 9-input space crosses 31 chunk boundaries, and
+        # every chunk's outputs must match the per-minterm walk.
+        monkeypatch.setattr(bitsim, "CHUNK_INPUTS", 4)
         aig = random_aig(3, num_pis=9, num_gates=20, num_pos=3)
-        outputs = simulate_aig(aig, batch)
         xmg = random_xmg(4, num_pis=9, num_gates=15, num_pos=2)
-        xmg_outputs = simulate_xmg(xmg, batch)
-        for x in range(0, 512, 7):
-            assert bitsim.output_word_at(outputs, x) == aig.simulate_minterm(x)
-            assert bitsim.output_word_at(xmg_outputs, x) == xmg.simulate_minterm(x)
+        for chunk in exhaustive_chunks(9):
+            aig_outputs = _simulate(aig, chunk)
+            xmg_outputs = _simulate(xmg, chunk)
+            for t in range(0, chunk.num_patterns, 3):
+                x = chunk.minterm(t)
+                assert bitsim.output_word_at(aig_outputs, t) == simulate_minterm(aig, x)
+                assert bitsim.output_word_at(xmg_outputs, t) == simulate_minterm(xmg, x)
+
+    def test_truth_table_chunk_reads_its_own_minterms(self, monkeypatch):
+        monkeypatch.setattr(bitsim, "CHUNK_INPUTS", 3)
+        table = random_truth_table(5, num_inputs=6, num_outputs=3)
+        for chunk in exhaustive_chunks(6):
+            outputs = simulate_truth_table(table, chunk)
+            for t, minterm in enumerate(chunk.minterms()):
+                assert bitsim.output_word_at(outputs, t) == table.evaluate(minterm)
 
     def test_input_count_mismatch_rejected(self):
         aig = random_aig(0, num_pis=4)
         with pytest.raises(ValueError):
-            simulate_aig(aig, exhaustive_batch(3))
+            _simulate(aig, exhaustive_batch(3))
         xmg = random_xmg(0, num_pis=4)
         with pytest.raises(ValueError):
-            simulate_xmg(xmg, exhaustive_batch(3))
+            _simulate(xmg, exhaustive_batch(3))
         table = random_truth_table(0, num_inputs=4)
         with pytest.raises(ValueError):
             simulate_truth_table(table, exhaustive_batch(3))
+        with pytest.raises(ValueError):
+            aig.simulate_words([0] * 4, 0)
 
 
 class TestDifferenceHelpers:
@@ -189,15 +208,17 @@ class TestDifferenceHelpers:
         batch = exhaustive_batch(7)
         a = simulate_truth_table(table, batch)
         b = simulate_truth_table(mutated, batch)
-        index = bitsim.first_difference(a, b, batch)
+        index = bitsim.first_difference(a, b)
         assert index == 100
         assert bitsim.output_word_at(a, 100) ^ bitsim.output_word_at(b, 100) == 0b10
 
+    def test_first_difference_is_the_lowest_pattern_over_all_outputs(self):
+        assert bitsim.first_difference([0b1000, 0b0], [0b0, 0b0100]) == 2
+
     def test_first_difference_none_on_equal(self):
         table = random_truth_table(2, num_inputs=5, num_outputs=2)
-        batch = exhaustive_batch(5)
-        a = simulate_truth_table(table, batch)
-        assert bitsim.first_difference(a, a.copy(), batch) is None
+        a = simulate_truth_table(table, exhaustive_batch(5))
+        assert bitsim.first_difference(a, list(a)) is None
 
 
 class TestLegacyAgreement:

@@ -8,11 +8,15 @@ bit-blasted AIG ↔ synthesised reversible circuit, and (where the mapped
 circuit stays small) reversible circuit ↔ Clifford+T expansion.
 """
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.flows import run_flow
 from repro.hdl.synthesize import synthesize_verilog
+from repro.logic.aig import Aig, lit_not
 from repro.logic.truth_table import TruthTable
 from repro.logic.xmg_mapping import aig_to_xmg
 from repro.quantum.mapping import map_to_clifford_t
@@ -320,3 +324,107 @@ class TestReversibleCircuitChecks:
         dirty.append(ToffoliGate.cnot(input_line, anc))
         dirty.set_garbage(anc)
         assert check_equivalent(spec, dirty, mode="full")
+
+
+class TestChunkedExhaustiveChecks:
+    """Exhaustive checks above 16 inputs run chunk by chunk, in order."""
+
+    SPIKE = (1 << 16) + 5
+
+    @staticmethod
+    def _aig(num_inputs, spike=None):
+        """Two outputs over ``num_inputs`` PIs; output 0 flips on ``spike``."""
+        aig = Aig()
+        pis = [aig.add_pi() for _ in range(num_inputs)]
+        parity = aig.create_xor_multi(pis[::3])
+        if spike is not None:
+            detector = aig.create_and_multi(
+                [pi if (spike >> i) & 1 else lit_not(pi) for i, pi in enumerate(pis)]
+            )
+            parity = aig.create_xor(parity, detector)
+        aig.add_po(parity)
+        aig.add_po(aig.create_or(aig.create_and(pis[0], pis[-1]), pis[7]))
+        return aig
+
+    @pytest.mark.parametrize("num_inputs", [17, 18])
+    def test_only_difference_past_the_first_chunk(self, num_inputs):
+        spec = self._aig(num_inputs)
+        impl = self._aig(num_inputs, spike=self.SPIKE)
+        result = check_equivalent(spec, impl, mode="full")
+        spike_bits = [(self.SPIKE >> i) & 1 for i in range(num_inputs)]
+        spec_outputs = spec.simulate_words(spike_bits, 1)
+        assert not result.equivalent
+        assert result.complete
+        assert result.num_patterns == 1 << num_inputs
+        assert result.counterexample == self.SPIKE
+        assert result.spec_word == spec_outputs[0] | spec_outputs[1] << 1
+        assert result.impl_word == result.spec_word ^ 0b01
+        assert check_equivalent(spec, spec.cleanup(), mode="full").num_patterns == (
+            1 << num_inputs
+        )
+
+    def test_cascade_dirty_only_in_the_second_chunk(self):
+        spec = Aig()
+        for pi in [spec.add_pi() for _ in range(17)]:
+            spec.add_po(pi)
+        circuit = ReversibleCircuit()
+        for i in range(17):
+            circuit.set_output(circuit.add_input_line(i), i)
+        assert check_equivalent(spec, circuit, mode="full")
+        ancilla = circuit.add_constant_line(0)
+        circuit.append(ToffoliGate(((16, True), (2, True)), ancilla))
+        result = check_equivalent(spec, circuit, mode="full")
+        assert not result.equivalent
+        assert result.complete
+        assert result.num_patterns == 1 << 17
+        assert result.counterexample == (1 << 16) + 4
+        assert result.message == (
+            f"ancilla line {ancilla} not restored on input {(1 << 16) + 4}"
+        )
+
+    @staticmethod
+    def _wide_aig(num_inputs=18, width=300, seed=5):
+        """``width`` ANDs of random input pairs, all live, XOR-reduced to 4 POs."""
+        rng = random.Random(seed)
+        aig = Aig()
+        pis = [aig.add_pi() for _ in range(num_inputs)]
+        layer = [
+            aig.create_and(pis[a] ^ rng.randrange(2), pis[b])
+            for a, b in (rng.sample(range(num_inputs), 2) for _ in range(width))
+        ]
+        for j in range(4):
+            aig.add_po(aig.create_xor_multi(layer[j::4]))
+        return aig
+
+    @staticmethod
+    def _peak_live_values(aig):
+        """Most node values the reference-counted walk holds at once."""
+        remaining = aig.fanout_counts()
+        live = peak = 1 + aig.num_pis()
+        for node in aig.nodes():
+            if not aig.is_and(node):
+                continue
+            for fanin in aig.fanins(node):
+                remaining[fanin >> 1] -= 1
+                live -= not remaining[fanin >> 1]
+            live += bool(remaining[node])
+            peak = max(peak, live)
+        return peak
+
+    def test_wide_check_memory_follows_width_times_chunk(self):
+        aig = self._wide_aig()
+        width = self._peak_live_values(aig)
+        assert width > 200
+        # Each live value is one 2**16-bit chunk (8 KB).  Besides the walk,
+        # a check holds the batch inputs, the spec side's outputs and a few
+        # temporaries; twice that is the bound.
+        bound = 2 * (width + aig.num_pis() + 2 * aig.num_pos() + 8) * 8 * 1024
+        tracemalloc.start()
+        try:
+            result = check_equivalent(aig, aig.cleanup(), mode="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.equivalent and result.complete
+        assert result.num_patterns == 1 << 18
+        assert peak < bound, (peak, bound)

@@ -2,7 +2,7 @@
 
 :func:`repro.verify.bitsim.simulate_reversible_states` keeps each line's
 state across the batch as one Python int.  It must return exactly the
-``(num_lines, W)`` ``uint64`` matrix the per-gate NumPy replay of
+line states the per-gate NumPy replay on ``uint64`` word rows of
 :mod:`oracles.circuits` returns — on random cascades with negative
 controls, uncontrolled NOTs, constant-1 and unbound lines, for batch
 sizes on both sides of every word boundary, and on the Table II cascade.
@@ -10,7 +10,6 @@ sizes on both sides of every word boundary, and on the Table II cascade.
 
 import random
 
-import numpy as np
 import pytest
 
 from oracles.circuits import simulate_reversible_states_reference
@@ -75,10 +74,8 @@ CASES = _cases()
 
 def _assert_matches_oracle(circuit, batch):
     states = simulate_reversible_states(circuit, batch)
-    expected = simulate_reversible_states_reference(circuit, batch)
-    assert states.dtype == np.uint64
-    assert states.shape == (circuit.num_lines(), batch.num_words)
-    assert np.array_equal(states, expected)
+    assert len(states) == circuit.num_lines()
+    assert states == simulate_reversible_states_reference(circuit, batch)
     return states
 
 
@@ -106,27 +103,19 @@ def test_random_cascade_matches_oracle(index):
 
 
 def test_bits_beyond_the_batch_are_ignored():
-    # A hand-built batch may carry set bits past num_patterns; both
-    # simulators must clear them, NOT gates included.
+    # A hand-built batch may carry set bits past num_patterns; the batch
+    # masks them off, and the states stay within it, NOT gates included.
     rng = random.Random(7)
     circuit = _random_cascade(rng, 3, 6, 40)
     circuit.append(ToffoliGate.x(5))
-    inputs = np.full((3, 2), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    batch = PatternBatch(3, 70, inputs, exhaustive=False)
+    batch = PatternBatch(3, 70, [(1 << 128) - 1] * 3, exhaustive=False)
+    assert batch.inputs == [batch.mask] * 3
     states = _assert_matches_oracle(circuit, batch)
-    assert not (states[:, 1] >> np.uint64(6)).any()
+    assert all(0 <= state <= batch.mask for state in states)
 
 
-def test_empty_circuit_keeps_the_word_axis():
-    states = _assert_matches_oracle(ReversibleCircuit(), exhaustive_batch(0))
-    assert states.shape == (0, 1)
-
-
-def test_result_is_writable():
-    circuit, batch = CASES[0]
-    states = simulate_reversible_states(circuit, batch)
-    states &= np.uint64(0)
-    assert not states.any()
+def test_empty_circuit_has_no_states():
+    assert _assert_matches_oracle(ReversibleCircuit(), exhaustive_batch(0)) == []
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
