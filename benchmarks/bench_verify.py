@@ -42,7 +42,7 @@ def test_bit_parallel_vs_per_input(benchmark):
     circuit = flow_result.circuit
     aig = flow_result.context["aig"]
     num_patterns = 1 << circuit.num_inputs()
-    batch = bitsim.exhaustive_batch(circuit.num_inputs())
+    (batch,) = bitsim.exhaustive_chunks(circuit.num_inputs())
 
     loop_seconds, loop_words = _best_of(
         REPEATS, lambda: [circuit.evaluate(x) for x in range(num_patterns)]

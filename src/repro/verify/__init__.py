@@ -28,7 +28,6 @@ first-class, fast subsystem shared by every layer of the reproduction:
 
 from repro.verify.bitsim import (
     PatternBatch,
-    exhaustive_batch,
     exhaustive_chunks,
     random_batch,
     simulate_reversible,
@@ -54,7 +53,6 @@ __all__ = [
     "PatternBatch",
     "check_equivalent",
     "check_quantum_equivalent",
-    "exhaustive_batch",
     "exhaustive_chunks",
     "mapped_circuit_simulator",
     "random_aig",

@@ -14,7 +14,7 @@ Two batch constructors cover the two verification regimes of the paper's
 
 * :func:`exhaustive_chunks` enumerates all ``2**n`` minterms in ascending
   order, at most ``2**CHUNK_INPUTS`` per batch (complete checking with a
-  memory bound), and :func:`exhaustive_batch` all of them in one batch,
+  memory bound),
 * :func:`random_batch` draws seeded random patterns (falsification for
   input counts where exhaustion is impossible).
 """
@@ -31,7 +31,6 @@ from repro.reversible.circuit import ReversibleCircuit
 __all__ = [
     "CHUNK_INPUTS",
     "PatternBatch",
-    "exhaustive_batch",
     "exhaustive_chunks",
     "first_difference",
     "outputs_from_states",
@@ -55,19 +54,19 @@ class PatternBatch:
 
     Bit ``t`` of ``inputs[i]`` is input ``i`` in pattern ``t``; ``mask``
     is ``(1 << num_patterns) - 1`` and the inputs are masked to it.
-    ``exhaustive`` records whether the batch is (a chunk of) the
-    enumeration of all minterms in natural order, which is what lets a
-    differential check report completeness.
+    ``first_minterm`` is set on a chunk of the exhaustive enumeration,
+    whose pattern ``t`` is minterm ``first_minterm + t``, and is ``None``
+    on any other batch.
     """
 
-    __slots__ = ("num_inputs", "num_patterns", "mask", "inputs", "exhaustive")
+    __slots__ = ("num_inputs", "num_patterns", "mask", "inputs", "first_minterm")
 
     def __init__(
         self,
         num_inputs: int,
         num_patterns: int,
         inputs: Sequence[int],
-        exhaustive: bool,
+        first_minterm: Optional[int] = None,
     ):
         if num_patterns <= 0:
             raise ValueError("num_patterns must be positive")
@@ -79,7 +78,7 @@ class PatternBatch:
         self.num_patterns = num_patterns
         self.mask = (1 << num_patterns) - 1
         self.inputs: List[int] = [int(pattern) & self.mask for pattern in inputs]
-        self.exhaustive = exhaustive
+        self.first_minterm = first_minterm
 
     def minterm(self, pattern_index: int) -> int:
         """The input minterm of one pattern position (bit ``i`` = input ``i``)."""
@@ -95,45 +94,28 @@ class PatternBatch:
         return [self.minterm(t) for t in range(self.num_patterns)]
 
 
-def _check_exhaustive(num_inputs: int) -> None:
-    if num_inputs < 0:
-        raise ValueError("num_inputs must be non-negative")
-    if num_inputs > _MAX_EXHAUSTIVE_INPUTS:
-        raise ValueError(
-            f"exhaustive batch over {num_inputs} inputs is not tractable"
-        )
-
-
-def exhaustive_batch(num_inputs: int) -> PatternBatch:
-    """All ``2**num_inputs`` minterms in natural order, in one batch.
-
-    Input ``i``'s pattern is the truth table of variable ``i``.
-    """
-    _check_exhaustive(num_inputs)
-    return PatternBatch(
-        num_inputs,
-        1 << num_inputs,
-        [tt_var(i, num_inputs) for i in range(num_inputs)],
-        exhaustive=True,
-    )
-
-
 def exhaustive_chunks(num_inputs: int) -> Iterator[PatternBatch]:
     """All ``2**num_inputs`` minterms in ascending order, chunk by chunk.
 
     Each chunk enumerates the lowest :data:`CHUNK_INPUTS` inputs in full
     and holds the inputs above constant, so chunk ``c`` covers minterms
-    ``c * 2**16`` to ``(c + 1) * 2**16 - 1``.  Up to 16 inputs the one
-    chunk is :func:`exhaustive_batch`.
+    ``c * 2**16`` to ``(c + 1) * 2**16 - 1``; input ``i < 16``'s pattern
+    is the truth table of variable ``i``.  Up to 16 inputs there is one
+    chunk.
     """
-    _check_exhaustive(num_inputs)
+    if num_inputs < 0:
+        raise ValueError("num_inputs must be non-negative")
+    if num_inputs > _MAX_EXHAUSTIVE_INPUTS:
+        raise ValueError(
+            f"exhaustive enumeration of {num_inputs} inputs is not tractable"
+        )
     low = min(num_inputs, CHUNK_INPUTS)
     size = 1 << low
     ones = (1 << size) - 1
     patterns = [tt_var(i, low) for i in range(low)]
     for chunk in range(1 << (num_inputs - low)):
         high = [ones if (chunk >> j) & 1 else 0 for j in range(num_inputs - low)]
-        yield PatternBatch(num_inputs, size, patterns + high, exhaustive=True)
+        yield PatternBatch(num_inputs, size, patterns + high, chunk * size)
 
 
 def random_batch(num_inputs: int, num_patterns: int, seed: int = 1) -> PatternBatch:
@@ -153,7 +135,7 @@ def random_batch(num_inputs: int, num_patterns: int, seed: int = 1) -> PatternBa
     inputs = [
         int.from_bytes(row.astype("<u8").tobytes(), "little") for row in matrix
     ]
-    return PatternBatch(num_inputs, num_patterns, inputs, exhaustive=False)
+    return PatternBatch(num_inputs, num_patterns, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +199,29 @@ def simulate_reversible(circuit: ReversibleCircuit, batch: PatternBatch) -> List
 
 
 def simulate_truth_table(table: TruthTable, batch: PatternBatch) -> List[int]:
-    """Evaluate an explicit truth table on a batch; one int per output."""
+    """Evaluate an explicit truth table on a batch; one int per output.
+
+    An exhaustive chunk reads its slice of the table's rows; any other
+    batch gathers the rows of its patterns' minterms.
+    """
     if batch.num_inputs != table.num_inputs:
         raise ValueError(
             f"batch has {batch.num_inputs} inputs, table has "
             f"{table.num_inputs}"
         )
-    num_bytes = (batch.num_patterns + 7) // 8
-    minterms = np.zeros(batch.num_patterns, dtype=np.int64)
-    for i, pattern in enumerate(batch.inputs):
-        raw = np.frombuffer(pattern.to_bytes(num_bytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[: batch.num_patterns]
-        minterms |= bits.astype(np.int64) << i
-    selected = table.words[minterms]
+    first = batch.first_minterm
+    if first is not None:
+        selected = table.words[first : first + batch.num_patterns]
+    else:
+        num_bytes = (batch.num_patterns + 7) // 8
+        minterms = np.zeros(batch.num_patterns, dtype=np.int64)
+        for i, pattern in enumerate(batch.inputs):
+            raw = np.frombuffer(
+                pattern.to_bytes(num_bytes, "little"), dtype=np.uint8
+            )
+            bits = np.unpackbits(raw, bitorder="little")[: batch.num_patterns]
+            minterms |= bits.astype(np.int64) << i
+        selected = table.words[minterms]
     columns = []
     for j in range(table.num_outputs):
         bits = ((selected >> np.uint64(j)) & np.uint64(1)).astype(np.uint8)

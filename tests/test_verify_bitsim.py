@@ -12,13 +12,12 @@ import pytest
 
 from oracles.logic import simulate_minterm
 from repro.core.flows import run_flow
-from repro.logic.truth_table import TruthTable
+from repro.logic.truth_table import TruthTable, tt_var
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
 from repro.verify import bitsim
 from repro.verify.bitsim import (
     PatternBatch,
-    exhaustive_batch,
     exhaustive_chunks,
     random_batch,
     simulate_reversible,
@@ -34,32 +33,35 @@ def _simulate(network, batch):
 
 class TestBatches:
     @pytest.mark.parametrize("num_inputs", [0, 1, 3, 5, 6, 7, 9])
-    def test_exhaustive_batch_enumerates_all_minterms(self, num_inputs):
-        batch = exhaustive_batch(num_inputs)
-        assert batch.exhaustive
+    def test_one_chunk_enumerates_all_minterms(self, num_inputs):
+        (batch,) = exhaustive_chunks(num_inputs)
+        assert batch.first_minterm == 0
         assert batch.num_patterns == 1 << num_inputs
         assert batch.minterms() == list(range(1 << num_inputs))
 
-    def test_exhaustive_batch_rejects_huge_inputs(self):
-        with pytest.raises(ValueError):
-            exhaustive_batch(31)
+    def test_exhaustive_chunks_reject_huge_and_negative_inputs(self):
         with pytest.raises(ValueError):
             next(exhaustive_chunks(31))
+        with pytest.raises(ValueError):
+            next(exhaustive_chunks(-1))
 
     @pytest.mark.parametrize("num_inputs", [0, 2, 3, 5])
     def test_chunks_enumerate_every_minterm_in_order(self, monkeypatch, num_inputs):
         monkeypatch.setattr(bitsim, "CHUNK_INPUTS", 3)
         chunks = list(exhaustive_chunks(num_inputs))
         assert len(chunks) == 1 << max(num_inputs - 3, 0)
-        assert all(chunk.exhaustive for chunk in chunks)
-        assert all(chunk.num_patterns == 1 << min(num_inputs, 3) for chunk in chunks)
+        size = 1 << min(num_inputs, 3)
+        assert all(chunk.num_patterns == size for chunk in chunks)
+        assert [chunk.first_minterm for chunk in chunks] == [
+            c * size for c in range(len(chunks))
+        ]
         minterms = [x for chunk in chunks for x in chunk.minterms()]
         assert minterms == list(range(1 << num_inputs))
 
     def test_one_chunk_up_to_sixteen_inputs(self):
         (chunk,) = exhaustive_chunks(16)
         assert chunk.num_patterns == 1 << 16
-        assert chunk.inputs == exhaustive_batch(16).inputs
+        assert chunk.inputs == [tt_var(i, 16) for i in range(16)]
 
     def test_seventeen_inputs_take_two_chunks(self):
         low, high = exhaustive_chunks(17)
@@ -67,6 +69,7 @@ class TestBatches:
         assert low.inputs[16] == 0 and high.inputs[16] == high.mask
         assert high.minterm(0) == 1 << 16
         assert high.minterm(5) == (1 << 16) + 5
+        assert (low.first_minterm, high.first_minterm) == (0, 1 << 16)
 
     def test_random_batch_is_seed_deterministic(self):
         a = random_batch(5, 100, seed=7)
@@ -74,7 +77,7 @@ class TestBatches:
         c = random_batch(5, 100, seed=8)
         assert a.inputs == b.inputs
         assert a.inputs != c.inputs
-        assert not a.exhaustive
+        assert a.first_minterm is None
 
     def test_random_batch_reads_the_uint64_draw_bit_for_bit(self):
         # Pattern t of input i is bit t % 64 of word t // 64 of row i of
@@ -94,33 +97,33 @@ class TestBatches:
         assert any(pattern >> 64 for pattern in batch.inputs)
 
     def test_minterm_reads_bit_t_of_each_input(self):
-        batch = PatternBatch(3, 4, [0b0110, 0b1100, 0b1000], exhaustive=False)
+        batch = PatternBatch(3, 4, [0b0110, 0b1100, 0b1000])
         assert batch.minterms() == [0b000, 0b001, 0b011, 0b110]
 
     def test_minterm_out_of_range(self):
-        batch = exhaustive_batch(3)
+        batch = next(exhaustive_chunks(3))
         with pytest.raises(ValueError):
             batch.minterm(8)
 
     def test_input_count_validation(self):
         with pytest.raises(ValueError):
-            PatternBatch(2, 64, [0], False)
+            PatternBatch(2, 64, [0])
         with pytest.raises(ValueError):
-            PatternBatch(2, 0, [0, 0], False)
+            PatternBatch(2, 0, [0, 0])
 
 
 class TestStructureSimulators:
     @pytest.mark.parametrize("seed", range(5))
     def test_aig_matches_per_minterm_reference(self, seed):
         aig = random_aig(seed, num_pis=5, num_gates=15, num_pos=3)
-        outputs = _simulate(aig, exhaustive_batch(5))
+        outputs = _simulate(aig, next(exhaustive_chunks(5)))
         for x in range(32):
             assert bitsim.output_word_at(outputs, x) == simulate_minterm(aig, x)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_xmg_matches_per_minterm_reference(self, seed):
         xmg = random_xmg(seed, num_pis=5, num_gates=12, num_pos=3)
-        outputs = _simulate(xmg, exhaustive_batch(5))
+        outputs = _simulate(xmg, next(exhaustive_chunks(5)))
         for x in range(32):
             assert bitsim.output_word_at(outputs, x) == simulate_minterm(xmg, x)
 
@@ -145,7 +148,7 @@ class TestStructureSimulators:
         circuit.append(ToffoliGate.cnot(anc, out))
         circuit.append(ToffoliGate.x(anc))
         circuit.append(ToffoliGate.toffoli(x0, x1, out))
-        batch = exhaustive_batch(2)
+        batch = next(exhaustive_chunks(2))
         outputs = simulate_reversible(circuit, batch)
         states = simulate_reversible_states(circuit, batch)
         for x in range(4):
@@ -178,23 +181,27 @@ class TestStructureSimulators:
                 assert bitsim.output_word_at(xmg_outputs, t) == simulate_minterm(xmg, x)
 
     def test_truth_table_chunk_reads_its_own_minterms(self, monkeypatch):
+        # A chunk slices the table's rows from its first minterm; the same
+        # patterns without a first minterm take the gather and agree.
         monkeypatch.setattr(bitsim, "CHUNK_INPUTS", 3)
         table = random_truth_table(5, num_inputs=6, num_outputs=3)
         for chunk in exhaustive_chunks(6):
             outputs = simulate_truth_table(table, chunk)
             for t, minterm in enumerate(chunk.minterms()):
                 assert bitsim.output_word_at(outputs, t) == table.evaluate(minterm)
+            gathered = PatternBatch(6, chunk.num_patterns, chunk.inputs)
+            assert simulate_truth_table(table, gathered) == outputs
 
     def test_input_count_mismatch_rejected(self):
         aig = random_aig(0, num_pis=4)
         with pytest.raises(ValueError):
-            _simulate(aig, exhaustive_batch(3))
+            _simulate(aig, next(exhaustive_chunks(3)))
         xmg = random_xmg(0, num_pis=4)
         with pytest.raises(ValueError):
-            _simulate(xmg, exhaustive_batch(3))
+            _simulate(xmg, next(exhaustive_chunks(3)))
         table = random_truth_table(0, num_inputs=4)
         with pytest.raises(ValueError):
-            simulate_truth_table(table, exhaustive_batch(3))
+            simulate_truth_table(table, next(exhaustive_chunks(3)))
         with pytest.raises(ValueError):
             aig.simulate_words([0] * 4, 0)
 
@@ -205,7 +212,7 @@ class TestDifferenceHelpers:
         words = np.array(table.words)
         words[100] ^= np.uint64(0b10)  # flip output 1 of minterm 100
         mutated = TruthTable(7, 3, words)
-        batch = exhaustive_batch(7)
+        batch = next(exhaustive_chunks(7))
         a = simulate_truth_table(table, batch)
         b = simulate_truth_table(mutated, batch)
         index = bitsim.first_difference(a, b)
@@ -217,7 +224,7 @@ class TestDifferenceHelpers:
 
     def test_first_difference_none_on_equal(self):
         table = random_truth_table(2, num_inputs=5, num_outputs=2)
-        a = simulate_truth_table(table, exhaustive_batch(5))
+        a = simulate_truth_table(table, next(exhaustive_chunks(5)))
         assert bitsim.first_difference(a, list(a)) is None
 
 
@@ -239,7 +246,7 @@ class TestLegacyAgreement:
     ):
         result = run_flow(flow, design, bitwidth, verify=False, **parameters)
         circuit = result.circuit
-        batch = exhaustive_batch(circuit.num_inputs())
+        batch = next(exhaustive_chunks(circuit.num_inputs()))
         outputs = simulate_reversible(circuit, batch)
         for x in range(batch.num_patterns):
             assert bitsim.output_word_at(outputs, x) == circuit.evaluate(x)

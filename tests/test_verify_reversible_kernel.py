@@ -17,7 +17,7 @@ from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
 from repro.verify.bitsim import (
     PatternBatch,
-    exhaustive_batch,
+    exhaustive_chunks,
     random_batch,
     simulate_reversible_states,
 )
@@ -57,7 +57,7 @@ def _cases():
             num_inputs = num_patterns.bit_length() - 1
             if 1 << num_inputs != num_patterns:
                 num_inputs = rng.randint(0, 6)
-            batch = exhaustive_batch(num_inputs)
+            batch = next(exhaustive_chunks(num_inputs))
         else:
             num_inputs = rng.randint(0, 8)
             batch = random_batch(num_inputs, num_patterns, seed=index)
@@ -80,7 +80,9 @@ def _assert_matches_oracle(circuit, batch):
 
 
 def test_cases_cover_every_batch_size_and_line_role():
-    sizes = {(batch.num_patterns, batch.exhaustive) for _, batch in CASES}
+    sizes = {
+        (batch.num_patterns, batch.first_minterm is not None) for _, batch in CASES
+    }
     assert {size for size, _ in sizes} >= set(BATCH_SIZES)
     assert {(1, True), (64, True), (256, True), (4096, True)} <= sizes
     assert {(size, False) for size in BATCH_SIZES} <= sizes
@@ -108,14 +110,14 @@ def test_bits_beyond_the_batch_are_ignored():
     rng = random.Random(7)
     circuit = _random_cascade(rng, 3, 6, 40)
     circuit.append(ToffoliGate.x(5))
-    batch = PatternBatch(3, 70, [(1 << 128) - 1] * 3, exhaustive=False)
+    batch = PatternBatch(3, 70, [(1 << 128) - 1] * 3)
     assert batch.inputs == [batch.mask] * 3
     states = _assert_matches_oracle(circuit, batch)
     assert all(0 <= state <= batch.mask for state in states)
 
 
 def test_empty_circuit_has_no_states():
-    assert _assert_matches_oracle(ReversibleCircuit(), exhaustive_batch(0)) == []
+    assert _assert_matches_oracle(ReversibleCircuit(), next(exhaustive_chunks(0))) == []
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -124,7 +126,7 @@ def test_intdiv8_symbolic_cascade_matches_oracle(
 ):
     circuit = intdiv8_symbolic_cascade
     batch = (
-        exhaustive_batch(circuit.num_inputs())
+        next(exhaustive_chunks(circuit.num_inputs()))
         if exhaustive
         else random_batch(circuit.num_inputs(), 70, seed=3)
     )
