@@ -33,8 +33,9 @@ the target is line ``k``), and the executor places it on the *current*
 leaf lines at every step: under a bounded schedule a fanin LUT may have
 been evicted and recomputed onto a different line between a compute and
 its matching uncompute, so a gate list recorded per LUT would read stale
-lines.  A placed block is a pure function of the truth table and its
-lines, so it is memoized per run on exactly those.
+lines.  Within one run, a block is built once per ``(truth table,
+arity)`` and placed once per ``(truth table, leaf lines, target)``: a
+placed block is a pure function of exactly those.
 
 :func:`hierarchical_synthesis` plays the same game over an XMG, one "LUT"
 per gate (:func:`xmg_gate_mapping`), with the ``"xmg"`` blocks.
@@ -206,16 +207,22 @@ def synthesize_schedule(
     for i, (pi, pi_name) in enumerate(zip(network.pis(), network.pi_names())):
         node_line[lit_node(pi)] = circuit.add_input_line(i, name=pi_name)
 
-    # An uncompute on unchanged lines, or a recompute landing on them
-    # again, reuses the placed block.
+    # Each function's block is built once; an uncompute on unchanged
+    # lines, or a recompute landing on them again, reuses the placed block.
+    blocks: Dict[Tuple[int, int], List[_Masks]] = {}
     placements: Dict[Tuple[int, ...], List[_Masks]] = {}
 
     def block_masks(node: int, target: int) -> List[_Masks]:
         leaves, truth = mapping.luts[node]
         key = (truth, *[node_line[leaf] for leaf in leaves], target)
-        if key not in placements:
-            placements[key] = _place(build_block(truth, len(leaves)), key[1:])
-        return placements[key]
+        placed = placements.get(key)
+        if placed is None:
+            function = (truth, len(leaves))
+            block = blocks.get(function)
+            if block is None:
+                block = blocks[function] = build_block(*function)
+            placed = placements[key] = _place(block, key[1:])
+        return placed
 
     cascade: List[_Masks] = []
     for step in schedule.steps:

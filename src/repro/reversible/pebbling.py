@@ -40,8 +40,9 @@ are left dirty at the end.  The executor
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.aig import lit_node
 from repro.logic.cuts import LutMapping
@@ -158,43 +159,58 @@ def validate_schedule(schedule: PebbleSchedule) -> ScheduleStats:
     twice, exceeds the declared ``max_pebbles`` budget, misses an output,
     or leaves pebbles (dirty ancillas) at the end.  Returns the replay
     statistics on success.
+
+    The replay keeps the pebbled LUTs as positions of the mapping's
+    :func:`_pebble_memo` index, so a step costs one position lookup and
+    one subset test of its fanin positions.
     """
     mapping = schedule.mapping
+    memo = _pebble_memo(mapping)
+    position = memo["position"]
+    fanins = memo["fanins"]
+    budget = schedule.max_pebbles
     pebbled: Set[int] = set()
     copied: Set[int] = set()
     pos = mapping.aig.pos()
     peak = 0
     computes = uncomputes = copies = 0
 
-    def _require_fanins(step: PebbleStep) -> None:
-        missing = [d for d in mapping.dependencies(step.node) if d not in pebbled]
-        if missing:
+    def _require_fanins(step: PebbleStep, at: int) -> None:
+        if not pebbled.issuperset(fanins[at]):
+            missing = [
+                d for d in mapping.dependencies(step.node)
+                if position[d] not in pebbled
+            ]
             raise InvalidScheduleError(
                 f"step {step} requires pebbles on fanin LUTs {missing}"
             )
 
     for index, step in enumerate(schedule.steps):
-        if step.op == COMPUTE:
-            if step.node not in mapping.luts:
+        op = step.op
+        if op == COMPUTE:
+            at = position.get(step.node)
+            if at is None:
                 raise InvalidScheduleError(f"step {index}: {step.node} is not a LUT root")
-            if step.node in pebbled:
+            if at in pebbled:
                 raise InvalidScheduleError(f"step {index}: {step} is already pebbled")
-            _require_fanins(step)
-            pebbled.add(step.node)
-            peak = max(peak, len(pebbled))
+            _require_fanins(step, at)
+            pebbled.add(at)
             computes += 1
-            if schedule.max_pebbles is not None and len(pebbled) > schedule.max_pebbles:
-                raise InvalidScheduleError(
-                    f"step {index}: {len(pebbled)} pebbles exceed the declared "
-                    f"budget of {schedule.max_pebbles}"
-                )
-        elif step.op == UNCOMPUTE:
-            if step.node not in pebbled:
+            if len(pebbled) > peak:
+                peak = len(pebbled)
+                if budget is not None and peak > budget:
+                    raise InvalidScheduleError(
+                        f"step {index}: {peak} pebbles exceed the declared "
+                        f"budget of {budget}"
+                    )
+        elif op == UNCOMPUTE:
+            at = position.get(step.node)
+            if at not in pebbled:
                 raise InvalidScheduleError(f"step {index}: {step} is not pebbled")
-            _require_fanins(step)
-            pebbled.discard(step.node)
+            _require_fanins(step, at)
+            pebbled.discard(at)
             uncomputes += 1
-        elif step.op == COPY:
+        elif op == COPY:
             if step.output is None or not 0 <= step.output < len(pos):
                 raise InvalidScheduleError(
                     f"step {index}: {step} names no valid primary output"
@@ -209,7 +225,8 @@ def validate_schedule(schedule: PebbleSchedule) -> ScheduleStats:
                     f"step {index}: {step} does not match the output driver "
                     f"node {driver}"
                 )
-            if driver in mapping.luts and driver not in pebbled:
+            at = position.get(driver)
+            if at is not None and at not in pebbled:
                 raise InvalidScheduleError(
                     f"step {index}: output {step.output} copied while its "
                     f"driver LUT {driver} is unpebbled"
@@ -220,9 +237,10 @@ def validate_schedule(schedule: PebbleSchedule) -> ScheduleStats:
             raise InvalidScheduleError(f"step {index}: unknown op {step.op!r}")
 
     if pebbled:
+        order = mapping.order
         raise InvalidScheduleError(
             f"{len(pebbled)} ancillas left dirty at the end of the schedule: "
-            f"{sorted(pebbled)}"
+            f"{sorted(order[at] for at in pebbled)}"
         )
     missing_outputs = sorted(set(range(len(pos))) - copied)
     if missing_outputs:
@@ -270,92 +288,93 @@ class _BoundedScheduler:
     (un)computed from eviction; a budget that cannot accommodate the pinned
     recursion path is infeasible and raises :class:`ValueError`.
 
-    The DAG structure a run reads — every LUT's fanins in recursion order
-    and its fanout LUTs — is computed once per mapping by
-    :func:`_pebble_memo` and shared by all runs.  The run keeps, for every
-    LUT, the number of its fanins that are not pebbled, and the *ready*
-    set of pebbled LUTs whose count is zero; :meth:`_add` and
-    :meth:`_drop`, the only places that change :attr:`live`, update both,
-    so an eviction picks its victim from the ready set without testing the
-    fanins of any pebble.  The victim is the highest-index ready, unpinned
-    pebble, popped from a lazy max-heap beside the ready set:
-    :meth:`_add` pushes every LUT it makes ready, :meth:`_drop` only
-    discards from the set, and :meth:`_make_room` skips stale entries, so
+    A run plays on the LUT positions of :func:`_pebble_memo`'s index (and
+    :func:`_scheduler_index`'s), which every run of a mapping shares.
+    Positions ascend with node index, so "highest position" below means
+    "highest node index".  The state is dense: :attr:`live` and
+    :attr:`ready` are bytearrays over positions, :attr:`missing` counts
+    each LUT's unpebbled fanins and :attr:`pins` its pins.  :meth:`_add`
+    and :meth:`_drop`, the only places that change :attr:`live`, keep
+    *ready* (pebbled, no fanin missing) up to date, so an eviction picks
+    its victim without testing the fanins of any pebble.  The victim is
+    the highest ready, unpinned pebble, popped from a lazy max-heap of
+    positions: :meth:`_add` pushes every LUT it makes ready, :meth:`_drop`
+    only clears the flag, and :meth:`_make_room` skips stale entries, so
     an eviction costs O(log n) plus the pinned entries it sets aside.
+    Steps are recorded as int codes (see :func:`_by_code`); only the
+    schedule :func:`bounded_schedule` returns is decoded into
+    :class:`PebbleStep` objects.
     """
 
-    def __init__(self, mapping: LutMapping, max_pebbles: int):
+    def __init__(self, memo: Dict, max_pebbles: int):
         if max_pebbles < 1:
             raise ValueError("max_pebbles must be at least 1")
-        memo = _pebble_memo(mapping)
-        self.mapping = mapping
+        deps = memo["deps"]
         self.budget = max_pebbles
-        self.steps: List[PebbleStep] = []
-        self.live: Set[int] = set()
-        self.pins: Dict[int, int] = {}
-        self._deps: Dict[int, Tuple[int, ...]] = memo["deps"]
-        self._parents: Dict[int, List[int]] = memo["parents"]
-        self._missing = {root: len(deps) for root, deps in self._deps.items()}
-        self.ready: Set[int] = set()
-        self._heap: List[int] = []  # negated ids; may hold stale entries
+        self.deps: List[Tuple[int, ...]] = deps
+        self.parents: List[List[int]] = memo["parents"]
+        self.drivers: List[Optional[int]] = memo["drivers"]
+        self.steps: List[int] = []
+        self.live = bytearray(len(deps))
+        self.num_live = 0
+        self.ready = bytearray(len(deps))
+        self.missing = [len(fanins) for fanins in deps]
+        self.pins = [0] * len(deps)
+        self.heap: List[int] = []  # negated positions; may hold stale entries
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _pin(self, node: int) -> None:
-        self.pins[node] = self.pins.get(node, 0) + 1
+    def _add(self, at: int) -> None:
+        """Pebble ``at``; parents whose last missing fanin it was turn ready."""
+        live, ready, missing = self.live, self.ready, self.missing
+        live[at] = 1
+        self.num_live += 1
+        if not missing[at]:
+            ready[at] = 1
+            heapq.heappush(self.heap, -at)
+        for parent in self.parents[at]:
+            missing[parent] -= 1
+            if not missing[parent] and live[parent]:
+                ready[parent] = 1
+                heapq.heappush(self.heap, -parent)
 
-    def _unpin(self, node: int) -> None:
-        self.pins[node] -= 1
-        if not self.pins[node]:
-            del self.pins[node]
-
-    def _add(self, node: int) -> None:
-        """Pebble ``node``; parents whose last missing fanin it was turn ready."""
-        self.live.add(node)
-        if not self._missing[node]:
-            self.ready.add(node)
-            heapq.heappush(self._heap, -node)
-        for parent in self._parents[node]:
-            self._missing[parent] -= 1
-            if not self._missing[parent] and parent in self.live:
-                self.ready.add(parent)
-                heapq.heappush(self._heap, -parent)
-
-    def _drop(self, node: int) -> None:
-        """Unpebble ``node``; its pebbled parents become orphans."""
-        self.live.discard(node)
-        self.ready.discard(node)
-        for parent in self._parents[node]:
-            self._missing[parent] += 1
-            self.ready.discard(parent)
+    def _drop(self, at: int) -> None:
+        """Unpebble ``at``; its pebbled parents become orphans."""
+        ready, missing = self.ready, self.missing
+        self.live[at] = 0
+        self.num_live -= 1
+        ready[at] = 0
+        for parent in self.parents[at]:
+            missing[parent] += 1
+            ready[parent] = 0
 
     # -- the game -------------------------------------------------------------
 
     def _make_room(self) -> None:
-        while len(self.live) >= self.budget:
+        heap, ready, pins = self.heap, self.ready, self.pins
+        while self.num_live >= self.budget:
             # Evict the highest-index (deepest) candidate: it is the
             # furthest from the inputs and therefore the least likely to be
             # needed as a fanin of upcoming computations.
-            heap = self._heap
             pinned: List[int] = []
-            victim = None
+            victim = -1
             while heap:
-                node = -heapq.heappop(heap)
-                if node not in self.ready:
+                at = -heapq.heappop(heap)
+                if not ready[at]:
                     continue
-                if node in self.pins:
-                    pinned.append(node)
+                if pins[at]:
+                    pinned.append(at)
                     continue
-                victim = node
+                victim = at
                 break
-            for node in pinned:
-                heapq.heappush(heap, -node)
-            if victim is None:
+            for at in pinned:
+                heapq.heappush(heap, -at)
+            if victim < 0:
                 raise ValueError(
                     f"max_pebbles={self.budget} is too small for this LUT "
-                    f"DAG: {len(self.live)} pebbles are pinned or orphaned"
+                    f"DAG: {self.num_live} pebbles are pinned or orphaned"
                 )
-            self.steps.append(PebbleStep(UNCOMPUTE, victim))
+            self.steps.append(~victim)
             self._drop(victim)
 
     def _ensure(self, root: int) -> None:
@@ -366,60 +385,64 @@ class _BoundedScheduler:
         Python recursion limit.  Each frame pins the fanins it has secured
         so far; a fanin is pinned when its own frame completes.
         """
-        if root in self.live:
+        live, deps, pins, steps = self.live, self.deps, self.pins, self.steps
+        if live[root]:
             return
-        # frame: [node, iterator over remaining deps, deps pinned so far]
-        stack = [[root, iter(self._deps[root]), []]]
+        # frame: [position, iterator over remaining deps, deps pinned so far]
+        stack = [[root, iter(deps[root]), []]]
         while stack:
-            node, deps, pinned = stack[-1]
-            for dep in deps:
-                if dep in self.live:
-                    self._pin(dep)
+            at, fanins, pinned = stack[-1]
+            for dep in fanins:
+                if live[dep]:
+                    pins[dep] += 1
                     pinned.append(dep)
                     continue
-                stack.append([dep, iter(self._deps[dep]), []])
+                stack.append([dep, iter(deps[dep]), []])
                 break
             else:
-                self._make_room()
-                self.steps.append(PebbleStep(COMPUTE, node))
-                self._add(node)
+                if self.num_live >= self.budget:
+                    self._make_room()
+                steps.append(at)
+                self._add(at)
                 for dep in pinned:
-                    self._unpin(dep)
+                    pins[dep] -= 1
                 stack.pop()
                 if stack:
-                    self._pin(node)
-                    stack[-1][2].append(node)
+                    pins[at] += 1
+                    stack[-1][2].append(at)
 
-    def _release(self, node: int) -> None:
-        """Remove the pebble from ``node``, recomputing fanins if needed."""
-        # Pin the node itself: the eviction inside _ensure could otherwise
-        # pick it as a victim and uncompute it twice.
-        self._pin(node)
-        pinned: List[int] = [node]
-        try:
-            for dep in self._deps[node]:
-                self._ensure(dep)
-                self._pin(dep)
-                pinned.append(dep)
-            self.steps.append(PebbleStep(UNCOMPUTE, node))
-            self._drop(node)
-        finally:
-            for dep in pinned:
-                self._unpin(dep)
+    def _release(self, at: int) -> None:
+        """Remove the pebble from ``at``, recomputing fanins if needed."""
+        # Pin the LUT itself: the eviction inside _ensure could otherwise
+        # pick it as a victim and uncompute it twice.  A run that raises
+        # is discarded, so its pins need no unwinding.
+        pins = self.pins
+        pins[at] += 1
+        for dep in self.deps[at]:
+            self._ensure(dep)
+            pins[dep] += 1
+        self.steps.append(~at)
+        self._drop(at)
+        pins[at] -= 1
+        for dep in self.deps[at]:
+            pins[dep] -= 1
 
-    def run(self) -> List[PebbleStep]:
-        mapping = self.mapping
-        for j, po in enumerate(mapping.aig.pos()):
-            driver = lit_node(po)
-            if driver in mapping.luts:
+    def run(self) -> List[int]:
+        steps, live = self.steps, self.live
+        for j, driver in enumerate(self.drivers):
+            if driver is not None:
                 self._ensure(driver)
-            self.steps.append(_copy_step(mapping, j))
-        # Final cleanup: uncompute the remaining pebbles top-down.  Node
-        # indices are topological, so the highest-index pebble never has a
-        # pebbled parent; its fanins are recomputed on demand.
-        while self.live:
-            self._release(max(self.live))
-        return self.steps
+            steps.append(len(live) + j)
+        # Final cleanup: uncompute the remaining pebbles top-down.  Positions
+        # are topological, so the highest pebble never has a pebbled parent;
+        # its fanins are recomputed on demand, below it, so the scan for
+        # the next highest pebble continues downward from it.
+        at = len(live) - 1
+        while self.num_live:
+            while not live[at]:
+                at -= 1
+            self._release(at)
+        return steps
 
 
 #: Growth factor of the anchor-budget ladder evaluated by
@@ -428,46 +451,80 @@ _ANCHOR_GROWTH = 1.25
 
 
 def _pebble_memo(mapping: LutMapping) -> Dict:
-    """Per-mapping memo of greedy runs (attached to the mapping object).
+    """Per-mapping index of the LUT DAG and memo of greedy runs.
 
-    Also holds the LUT DAG structure every greedy run reads: ``"deps"``
-    maps each LUT to its fanin LUTs in recursion order and ``"parents"``
-    to its fanout LUTs.  The recursion order is by descending cone size
-    (then node index): computing the largest sub-cone first holds the
-    fewest sibling pins while the deepest recursion is in flight.  Cone
-    sizes come from one topological pass over big-int bitsets, one bit per
-    LUT.
+    Attached to the mapping object on first use and shared by every
+    greedy run and every :func:`validate_schedule` call on it.  A LUT is
+    indexed by its *position* in ``mapping.order``, which is topological
+    and ascends with node index.  The index holds ``"position"`` (LUT root
+    -> position), ``"fanins"`` (each position's fanin positions, in
+    :meth:`~repro.logic.cuts.LutMapping.dependencies` order) and
+    ``"drivers"`` (each primary output's driver position, ``None`` for an
+    input or constant driver).  The first greedy run adds what only the
+    scheduler reads (see :func:`_scheduler_index`).
+
+    The memo holds the int-coded greedy run of every budget tried
+    (``"greedy"``, ``None`` when infeasible), its ranking (``"cost"``) and,
+    once a run is ranked, the per-code gate costs (``"step_gates"``).
     """
     memo = getattr(mapping, "_pebble_memo", None)
     if memo is None:
-        deps: Dict[int, Tuple[int, ...]] = {}
-        parents: Dict[int, List[int]] = {root: [] for root in mapping.order}
-        cones: Dict[int, int] = {}
-        cone_size: Dict[int, int] = {}
-        for index, root in enumerate(mapping.order):
-            fanins = mapping.dependencies(root)
-            cone = 1 << index
-            for dep in fanins:
-                cone |= cones[dep]
-                parents[dep].append(root)
-            cones[root] = cone
-            cone_size[root] = popcount(cone)
-            deps[root] = tuple(
-                sorted(fanins, key=lambda dep: (-cone_size[dep], dep))
-            )
+        position = {root: at for at, root in enumerate(mapping.order)}
         memo = {
             "greedy": {},
             "cost": {},
-            "block_gates": {},
-            "deps": deps,
-            "parents": parents,
+            "position": position,
+            "fanins": [
+                tuple(position[dep] for dep in mapping.dependencies(root))
+                for root in mapping.order
+            ],
+            "drivers": [position.get(lit_node(po)) for po in mapping.aig.pos()],
         }
         mapping._pebble_memo = memo
     return memo
 
 
-def _greedy_steps(mapping: LutMapping, budget: int) -> Optional[List[PebbleStep]]:
-    """The greedy run for one budget, or ``None`` when it is infeasible.
+def _scheduler_index(memo: Dict) -> Dict:
+    """Add the greedy scheduler's view of the DAG to a :func:`_pebble_memo`.
+
+    ``"deps"`` holds each position's fanins in recursion order and
+    ``"parents"`` its fanout positions.  The recursion order is by
+    descending cone size (then position): computing the largest sub-cone
+    first holds the fewest sibling pins while the deepest recursion is in
+    flight.  Cone sizes come from one topological pass over big-int
+    bitsets, one bit per LUT.
+    """
+    if "deps" not in memo:
+        fanins = memo["fanins"]
+        deps: List[Tuple[int, ...]] = []
+        parents: List[List[int]] = [[] for _ in fanins]
+        cones: List[int] = []
+        cone_size: List[int] = []
+        for at, ins in enumerate(fanins):
+            cone = 1 << at
+            for dep in ins:
+                cone |= cones[dep]
+                parents[dep].append(at)
+            cones.append(cone)
+            cone_size.append(popcount(cone))
+            deps.append(tuple(sorted(ins, key=lambda dep: (-cone_size[dep], dep))))
+        memo["deps"], memo["parents"] = deps, parents
+    return memo
+
+
+def _by_code(per_lut: List, per_output: List, per_lut_undo: List) -> List:
+    """A table indexed by the int step codes of a greedy run.
+
+    A run codes ``compute`` of position ``at`` as ``at``, ``copy`` of
+    output ``j`` as ``num_luts + j`` and ``uncompute`` of ``at`` as
+    ``~at``; with the undo entries appended in reverse, the negative code
+    ``~at`` indexes ``per_lut_undo[at]`` from the end of the table.
+    """
+    return per_lut + per_output + per_lut_undo[::-1]
+
+
+def _greedy_run(mapping: LutMapping, budget: int) -> Optional[List[int]]:
+    """The int-coded greedy run for one budget, or ``None`` when infeasible.
 
     Greedy feasibility is *not* monotone in the budget (the eviction choice
     changes with the budget, and an unlucky choice can strand the
@@ -475,51 +532,50 @@ def _greedy_steps(mapping: LutMapping, budget: int) -> Optional[List[PebbleStep]
     infeasible budget as skippable rather than as a lower bound.
     """
     memo = _pebble_memo(mapping)
-    if budget not in memo["greedy"]:
+    runs = memo["greedy"]
+    if budget not in runs:
         try:
-            memo["greedy"][budget] = _BoundedScheduler(mapping, budget).run()
+            runs[budget] = _BoundedScheduler(_scheduler_index(memo), budget).run()
         except ValueError:
-            memo["greedy"][budget] = None
-    return memo["greedy"][budget]
+            runs[budget] = None
+    return runs[budget]
 
 
-def _lut_gate_costs(mapping: LutMapping, nodes: Iterable[int]) -> List[int]:
-    """ESOP cube counts per LUT — the executor's per-block gate estimate.
-
-    Uses the same :func:`~repro.logic.esop.psdkro_cubes` primitive as the
-    executor's blocks, so the estimate cannot drift from the synthesised
-    gate count.  Memoized per LUT on the mapping.
-    """
-    from repro.logic.esop import psdkro_cubes
-
-    block_gates = _pebble_memo(mapping)["block_gates"]
-    costs = []
-    for node in nodes:
-        if node not in block_gates:
-            leaves, truth = mapping.luts[node]
-            block_gates[node] = len(psdkro_cubes(truth, len(leaves)))
-        costs.append(block_gates[node])
-    return costs
+def _greedy_steps(mapping: LutMapping, budget: int) -> Optional[List[PebbleStep]]:
+    """The greedy run for one budget as steps, or ``None`` when infeasible."""
+    run = _greedy_run(mapping, budget)
+    if run is None:
+        return None
+    step_of = _by_code(
+        [PebbleStep(COMPUTE, root) for root in mapping.order],
+        [_copy_step(mapping, j) for j in range(mapping.aig.num_pos())],
+        [PebbleStep(UNCOMPUTE, root) for root in mapping.order],
+    )
+    return [step_of[code] for code in run]
 
 
-def _estimated_gates(mapping: LutMapping, steps: Sequence[PebbleStep]) -> int:
-    """Gate count of the default (ESOP) executor for a step list.
+def _estimated_gates(mapping: LutMapping, run: Sequence[int]) -> int:
+    """Gate count of the default (ESOP) executor for an int-coded run.
 
     Deterministic in the schedule alone, so it can rank candidate schedules
-    without synthesising circuits.
+    without synthesising circuits.  A LUT block costs its PSDKRO cube
+    count, the :func:`~repro.logic.esop.psdkro_cubes` primitive of the
+    executor's blocks, so the estimate cannot drift from the synthesised
+    gate count; a copy costs a CNOT unless the driver is constant, plus a
+    NOT for a complemented output.
     """
-    total = 0
-    lut_steps = []
-    for step in steps:
-        if step.op == COPY:
-            po = mapping.aig.pos()[step.output]
-            if lit_node(po) != 0:
-                total += 1
-            if po & 1:
-                total += 1
-        else:
-            lut_steps.append(step.node)
-    return total + sum(_lut_gate_costs(mapping, lut_steps))
+    memo = _pebble_memo(mapping)
+    gates = memo.get("step_gates")
+    if gates is None:
+        from repro.logic.esop import psdkro_cubes
+
+        blocks = [
+            len(psdkro_cubes(truth, len(leaves)))
+            for leaves, truth in map(mapping.luts.__getitem__, mapping.order)
+        ]
+        copies = [(lit_node(po) != 0) + (po & 1) for po in mapping.aig.pos()]
+        gates = memo["step_gates"] = _by_code(blocks, copies, blocks)
+    return sum(map(gates.__getitem__, run))
 
 
 def _anchor_budgets(maximum: int) -> List[int]:
@@ -537,9 +593,9 @@ def _schedule_cost(mapping: LutMapping, budget: int) -> Optional[Tuple[int, int]
     """Memoized (estimated gates, steps) of one greedy run; ``None`` if infeasible."""
     memo = _pebble_memo(mapping)
     if budget not in memo["cost"]:
-        steps = _greedy_steps(mapping, budget)
+        run = _greedy_run(mapping, budget)
         memo["cost"][budget] = (
-            None if steps is None else (_estimated_gates(mapping, steps), len(steps))
+            None if run is None else (_estimated_gates(mapping, run), len(run))
         )
     return memo["cost"][budget]
 
@@ -552,9 +608,11 @@ def _resolve_budget(mapping: LutMapping, max_pebbles) -> int:
             int(round(max_pebbles * mapping.num_luts())),
         )
     # Outside input (a service payload, a ``--sweep`` value) may carry a
-    # word or a boolean where a number belongs.
-    if isinstance(max_pebbles, (str, bool)) or (
-        max_pebbles >= 1 and max_pebbles != int(max_pebbles)
+    # word, a boolean or a non-finite float where a count belongs.
+    if (
+        isinstance(max_pebbles, (str, bool))
+        or (isinstance(max_pebbles, float) and not math.isfinite(max_pebbles))
+        or (max_pebbles >= 1 and max_pebbles != int(max_pebbles))
     ):
         raise ValueError(
             f"max_pebbles must be an integer pebble count or a fraction in "
@@ -589,8 +647,7 @@ def bounded_schedule(mapping: LutMapping, max_pebbles) -> PebbleSchedule:
     user budget is never refused on the ladder's account.
     """
     max_pebbles = _resolve_budget(mapping, max_pebbles)
-    memo = _pebble_memo(mapping)
-    best: Optional[List[PebbleStep]] = None
+    best: Optional[int] = None
     best_cost: Optional[Tuple[int, int]] = None
     for anchor in _anchor_budgets(max(1, mapping.num_luts())):
         if anchor > max_pebbles:
@@ -599,20 +656,22 @@ def bounded_schedule(mapping: LutMapping, max_pebbles) -> PebbleSchedule:
         if cost is None:
             continue
         if best_cost is None or cost < best_cost:
-            best, best_cost = memo["greedy"][anchor], cost
+            best, best_cost = anchor, cost
     if best is None:
         # No feasible anchor at or below the budget: probe the budget
         # itself before giving up (feasibility is not monotone, so a
         # non-anchor budget may still work).
-        if _schedule_cost(mapping, max_pebbles) is not None:
-            best = memo["greedy"][max_pebbles]
-        else:
+        if _greedy_run(mapping, max_pebbles) is None:
             raise ValueError(
                 f"max_pebbles={max_pebbles} is below the scheduler's "
                 f"minimum of {minimum_pebbles(mapping)} for this LUT DAG"
             )
+        best = max_pebbles
     return PebbleSchedule(
-        mapping, list(best), strategy="bounded", max_pebbles=max_pebbles
+        mapping,
+        _greedy_steps(mapping, best),
+        strategy="bounded",
+        max_pebbles=max_pebbles,
     )
 
 
@@ -629,7 +688,7 @@ def minimum_pebbles(mapping: LutMapping) -> int:
     memo = _pebble_memo(mapping)
     if "minimum" not in memo:
         for anchor in _anchor_budgets(max(1, mapping.num_luts())):
-            if _greedy_steps(mapping, anchor) is not None:
+            if _greedy_run(mapping, anchor) is not None:
                 memo["minimum"] = anchor
                 break
         else:  # pragma: no cover - the full-DAG budget never evicts

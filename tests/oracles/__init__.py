@@ -15,5 +15,5 @@ mask-native).  The property tests compare the two on random inputs:
 * :mod:`oracles.circuits` — T-count, depth and resource sweeps, the
   reversible peephole passes, cascade simulation on ``uint64`` word rows,
   transformation-based synthesis and the greedy bounded pebbling
-  scheduler.
+  scheduler with its budget ladder.
 """

@@ -10,13 +10,17 @@ word rows, the way ``bitsim`` did before it kept each line as one big
 int, and reads each row back as the int ``bitsim`` returns.  The pebbling
 oracle walks every LUT cone and re-tests every live pebble on each
 eviction, the way the greedy scheduler did before it kept the DAG
-structure per mapping and the evictable pebbles incrementally.
+structure per mapping and the evictable pebbles incrementally; its
+budget ladder ranks :class:`~repro.reversible.pebbling.PebbleStep` lists
+step by step, the way the bounded strategy did before it ranked int-coded
+runs over dense LUT positions.
 """
 
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.logic.esop import psdkro_cubes
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.resources import ResourceEstimate
 from repro.logic.aig import lit_node
@@ -24,7 +28,7 @@ from repro.logic.cuts import LutMapping
 from repro.quantum.tcount import mct_t_count
 from repro.reversible.circuit import ReversibleCircuit
 from repro.reversible.gates import ToffoliGate
-from repro.reversible.pebbling import COMPUTE, UNCOMPUTE, PebbleStep, _copy_step
+from repro.reversible.pebbling import COMPUTE, COPY, UNCOMPUTE, PebbleStep, _copy_step
 from repro.reversible.tbs import _mct_cost
 from repro.verify.bitsim import PatternBatch
 
@@ -424,3 +428,69 @@ def bounded_steps_reference(mapping: LutMapping, budget: int) -> Optional[List[P
         return _BoundedSchedulerReference(mapping, budget).run()
     except ValueError:
         return None
+
+
+class BoundedLadderReference:
+    """The bounded strategy's budget ladder over :func:`bounded_steps_reference`.
+
+    Anchors grow geometrically by 1.25 from 1 to the LUT count; a budget
+    keeps, among the feasible anchors at or below it, the run with the
+    fewest (estimated gates, steps), where a LUT step costs its PSDKRO
+    cube count and a copy a CNOT (unless constant) plus a NOT (if
+    complemented).  Reference runs are memoized per budget.
+    """
+
+    def __init__(self, mapping: LutMapping):
+        self.mapping = mapping
+        self.num_luts = max(1, mapping.num_luts())
+        self.anchors = [1]
+        while self.anchors[-1] < self.num_luts:
+            budget = self.anchors[-1]
+            self.anchors.append(max(budget + 1, int(round(budget * 1.25))))
+        self.anchors[-1] = self.num_luts
+        self._runs: Dict[int, Optional[List[PebbleStep]]] = {}
+
+    def run(self, budget: int) -> Optional[List[PebbleStep]]:
+        if budget not in self._runs:
+            self._runs[budget] = bounded_steps_reference(self.mapping, budget)
+        return self._runs[budget]
+
+    def estimated_gates(self, steps: List[PebbleStep]) -> int:
+        total = 0
+        for step in steps:
+            if step.op == COPY:
+                po = self.mapping.aig.pos()[step.output]
+                total += (lit_node(po) != 0) + (po & 1)
+            else:
+                leaves, truth = self.mapping.luts[step.node]
+                total += len(psdkro_cubes(truth, len(leaves)))
+        return total
+
+    def budgets(self) -> list:
+        """Every integer budget up to the LUT count, then the sweep fractions."""
+        return [*range(1, self.num_luts + 1), 0.25, 0.5, 0.75]
+
+    def minimum(self) -> int:
+        """The first anchor whose run is feasible."""
+        return next(a for a in self.anchors if self.run(a) is not None)
+
+    def resolve(self, max_pebbles) -> int:
+        """The absolute budget of a count or a fraction in (0, 1)."""
+        if isinstance(max_pebbles, float):
+            return max(self.minimum(), int(round(max_pebbles * self.mapping.num_luts())))
+        return max_pebbles
+
+    def schedule(self, max_pebbles) -> Optional[List[PebbleStep]]:
+        """The steps ``bounded_schedule`` returns, or ``None`` if it must raise."""
+        budget = self.resolve(max_pebbles)
+        best, best_cost = None, None
+        for anchor in self.anchors:
+            if anchor > budget:
+                break
+            steps = self.run(anchor)
+            if steps is None:
+                continue
+            cost = (self.estimated_gates(steps), len(steps))
+            if best_cost is None or cost < best_cost:
+                best, best_cost = steps, cost
+        return self.run(budget) if best is None else best

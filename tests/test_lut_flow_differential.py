@@ -156,3 +156,49 @@ class TestLutFlowMetrics:
             circuit.num_lines()
             <= circuit.num_inputs() + circuit.num_outputs() + schedule.max_pebbles
         )
+
+
+#: The nine cascades of the ``lut`` benchmark workload (INTDIV(8)'s default
+#: lut sweep, then NEWTON(6) bounded at half its LUTs), pinned gate for
+#: gate: (design, bitwidth, parameters) -> (gates, lines, cascade digest).
+#: The digests were taken before the bounded scheduler moved to int-coded
+#: runs over dense LUT positions and the executor to per-function blocks.
+WORKLOAD_CASCADES = [
+    ("intdiv", 8, {"strategy": "bennett"}, 784, 148,
+     "59d6a0672bce9deec0c800a6a76b73a571c740eaf46f8127bfbc936ef26eee04"),
+    ("intdiv", 8, {"strategy": "bennett", "xmg_opt": "xmg-default"}, 710, 130,
+     "1155f7cf90eaf53498e0a24250ee2ef4012fe70f4f0e208f837a0cf5f9fe74e3"),
+    ("intdiv", 8, {"strategy": "bennett", "rev_opt": "rev-default"}, 782, 148,
+     "4a1db805746ef6375221edb41cdefb7a0aa99fc2729458205a62ecf1a25fe36f"),
+    ("intdiv", 8, {"strategy": "eager"}, 3268, 141,
+     "7f891eaf4c8a8488bc7f166175d61c32a72ab9d42c96f7dd566786d55d237c98"),
+    ("intdiv", 8, {"strategy": "bounded", "max_pebbles": 0.25}, 3486, 76,
+     "f89710f44e0f09cebd0184f7356445ed1a96a2ac78339048e1b374c4b61601e6"),
+    ("intdiv", 8, {"strategy": "bounded", "max_pebbles": 0.5}, 3486, 76,
+     "f89710f44e0f09cebd0184f7356445ed1a96a2ac78339048e1b374c4b61601e6"),
+    ("intdiv", 8, {"strategy": "bounded", "max_pebbles": 0.75}, 1796, 110,
+     "e0a42da61534bf326c01192a77bc0601efbd38a1397ddbdf4db5855cd1982ef9"),
+    ("intdiv", 8, {"strategy": "bounded", "max_pebbles": 0.5, "lut_synth": "exact"},
+     3432, 76, "a133e2e4f87879aa49ae158b97035b23e92c081a2e0d583c24e4c82f71f27659"),
+    ("newton", 6, {"strategy": "bounded", "max_pebbles": 0.5}, 16064, 463,
+     "775dd7fe6e0d78237ad72818a43f344fc37deb4057740597b530ecc407002346"),
+]
+
+
+def cascade_digest(circuit):
+    """SHA-256 of the gate columns and the line roles of a circuit."""
+    import hashlib
+
+    text = repr((circuit.gate_store().columns(), circuit.lines()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "design, bitwidth, parameters, gates, lines, digest",
+    WORKLOAD_CASCADES,
+    ids=[f"{d}{n}-" + "-".join(map(str, p.values())) for d, n, p, *_ in WORKLOAD_CASCADES],
+)
+def test_workload_cascades_unchanged(design, bitwidth, parameters, gates, lines, digest):
+    circuit = run_flow("lut", design, bitwidth, verify=False, **parameters).circuit
+    assert (circuit.num_gates(), circuit.num_lines()) == (gates, lines)
+    assert cascade_digest(circuit) == digest

@@ -10,7 +10,8 @@ strategy-level invariants promised by the module:
 * ``bounded`` — the pebble peak never exceeds the budget, infeasible
   budgets are rejected, and the gate count degrades monotonically as the
   budget shrinks; every greedy run matches the plain oracle scheduler of
-  :mod:`oracles.circuits` step for step.
+  :mod:`oracles.circuits` step for step, and so do ``minimum_pebbles``
+  and the schedule ``bounded_schedule`` picks off the budget ladder.
 
 It also pins the strategy dispatch of :func:`make_schedule`: aliases,
 did-you-mean errors, one message per misplaced option whether the call
@@ -25,7 +26,7 @@ import re
 
 import pytest
 
-from oracles.circuits import bounded_steps_reference
+from oracles.circuits import BoundedLadderReference, bounded_steps_reference
 from repro.cli import main
 from repro.core.flows import run_flow
 from repro.logic.aig import lit_node
@@ -354,6 +355,38 @@ class TestBoundedMatchesOracle:
         ]
 
 
+def assert_ladder_matches(mapping):
+    """``minimum_pebbles`` and ``bounded_schedule`` equal the oracle ladder's."""
+    reference = BoundedLadderReference(mapping)
+    assert minimum_pebbles(mapping) == reference.minimum()
+    for budget in reference.budgets():
+        expected = reference.schedule(budget)
+        if expected is None:
+            with pytest.raises(ValueError, match="minimum"):
+                bounded_schedule(mapping, budget)
+            continue
+        schedule = bounded_schedule(mapping, budget)
+        assert (schedule.max_pebbles, schedule.steps) == (
+            reference.resolve(budget), expected
+        ), f"budget {budget}"
+
+
+class TestBoundedLadderMatchesOracle:
+    """The ranking of the greedy runs, not only the runs themselves, is
+    pinned to the oracle ladder of :mod:`oracles.circuits`."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", LUT_SIZES)
+    def test_random_mappings(self, seed, k):
+        assert_ladder_matches(mapping_for(seed, k=k))
+
+    @pytest.mark.parametrize("seed, k", [(585, 2), (21, 3)])
+    def test_non_monotone_corpora(self, seed, k):
+        aig = random_aig(seed, num_pis=5, num_gates=30 if seed == 585 else 25,
+                         num_pos=4)
+        assert_ladder_matches(lut_map(aig, k=k, max_cuts=4))
+
+
 class TestScheduleExecution:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_strategy_synthesises_equivalently(self, seed):
@@ -437,6 +470,23 @@ class TestStrategyDispatch:
     def test_word_or_bool_budget_is_a_value_error(self, budget):
         with pytest.raises(ValueError, match="max_pebbles must be an integer"):
             make_schedule(mapping_for(1), "bounded", max_pebbles=budget)
+
+    @pytest.mark.parametrize("budget", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_budget_is_a_value_error(self, budget):
+        # A JSON payload or a --max-pebbles value can spell these.
+        with pytest.raises(ValueError) as info:
+            make_schedule(mapping_for(1), "bounded", max_pebbles=budget)
+        assert str(info.value) == (
+            "max_pebbles must be an integer pebble count or a fraction in "
+            f"(0, 1), got {budget!r}"
+        )
+
+    @pytest.mark.parametrize("budget", ["inf", "-inf", "nan"])
+    def test_non_finite_budget_exits_2_on_the_command_line(self, budget, capsys):
+        code = main(["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",
+                     "--strategy", "bounded", f"--max-pebbles={budget}"])
+        assert code == 2
+        assert "max_pebbles must be an integer pebble count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("strategy", [["bennett"], {"name": "exact"}, 3, None])
     def test_non_string_strategy_is_a_value_error(self, strategy):

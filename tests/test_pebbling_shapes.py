@@ -10,7 +10,9 @@ ones are all exercised.  For every corpus entry it checks:
   budget from :func:`minimum_pebbles` up to the LUT count) survives
   :func:`validate_schedule`,
 * the greedy runs equal the plain oracle scheduler of
-  :mod:`oracles.circuits` step for step,
+  :mod:`oracles.circuits` step for step, and ``minimum_pebbles`` and
+  ``bounded_schedule`` (at every budget up to the LUT count and at the
+  fractions 0.25, 0.5 and 0.75) equal its budget ladder,
 * the pebble peaks are ordered: ``eager`` and ``bounded`` never peak above
   ``bennett``, which holds one pebble per LUT,
 * every schedule synthesises a circuit equivalent to the AIG,
@@ -24,7 +26,7 @@ its id alone.
 
 import pytest
 
-from oracles.circuits import bounded_steps_reference
+from oracles.circuits import BoundedLadderReference, bounded_steps_reference
 from repro.logic.cuts import lut_map
 from repro.reversible.lut_synth import synthesize_schedule
 from repro.reversible.pebbling import (
@@ -87,6 +89,23 @@ def test_greedy_runs_match_the_oracle_at_every_budget(shape):
     for budget in range(1, max(1, mapping.num_luts()) + 1):
         assert _greedy_steps(mapping, budget) == bounded_steps_reference(
             mapping, budget
+        ), f"budget {budget}"
+
+
+@shapes
+def test_bounded_ladder_matches_the_oracle(shape):
+    _, mapping = build(shape)
+    reference = BoundedLadderReference(mapping)
+    assert minimum_pebbles(mapping) == reference.minimum()
+    for budget in reference.budgets():
+        expected = reference.schedule(budget)
+        if expected is None:
+            with pytest.raises(ValueError, match="minimum"):
+                bounded_schedule(mapping, budget)
+            continue
+        schedule = bounded_schedule(mapping, budget)
+        assert (schedule.max_pebbles, schedule.steps) == (
+            reference.resolve(budget), expected
         ), f"budget {budget}"
 
 

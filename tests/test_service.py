@@ -360,6 +360,33 @@ class TestJobManager:
         finally:
             shutdown_manager(manager)
 
+    def test_non_finite_pebble_budget_fails_its_configurations(self):
+        # Python's json reads Infinity and NaN, so a payload can carry them.
+        # They pass the declared number type; the scheduler rejects them
+        # with its budget message instead of an OverflowError.
+        payload = json.loads(
+            '{"designs": ["intdiv"], "bitwidths": [3], "verify": "off",'
+            ' "configurations": ['
+            '{"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": Infinity}},'
+            '{"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": -Infinity}},'
+            '{"flow": "lut", "parameters": {"strategy": "bounded", "max_pebbles": NaN}}]}'
+        )
+        manager = JobManager(workers=1)
+        try:
+            job = manager.submit(payload)
+            assert job.wait(timeout=60)
+            assert job.state == DONE
+            assert job.failed == job.num_tasks == 3
+            events, _ = job.events_since(0)
+            errors = [e["error"] for e in events if e["type"] == "outcome"]
+            assert sorted(errors) == sorted(
+                "ValueError: max_pebbles must be an integer pebble count or a "
+                f"fraction in (0, 1), got {value}"
+                for value in ("inf", "-inf", "nan")
+            )
+        finally:
+            shutdown_manager(manager)
+
     def test_submit_validation_precedes_job_creation(self):
         manager = JobManager(workers=1)
         try:
