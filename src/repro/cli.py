@@ -352,9 +352,10 @@ def _command_flow(args: argparse.Namespace) -> int:
             args.flow, args.design, args.bitwidth, cost_model=args.cost_model,
             **parameters,
         )
-    except ValueError as exc:
-        # Bad user input (unknown strategy, infeasible pebble budget, ...):
-        # report it like the explore command does instead of a traceback.
+    except (ValueError, OSError) as exc:
+        # Bad user input (unknown strategy, infeasible pebble budget, bad
+        # or unreadable Verilog, ...): report it like the explore command
+        # does instead of a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = result.report

@@ -5,8 +5,12 @@ from __future__ import annotations
 __all__ = ["HdlError", "LexerError", "ParserError", "ElaborationError"]
 
 
-class HdlError(Exception):
-    """Base class for all front-end errors."""
+class HdlError(ValueError):
+    """Base class for all front-end errors.
+
+    A :class:`ValueError`: a design the front-end rejects is bad user
+    input, so callers that report bad input (``repro flow``) report it.
+    """
 
 
 class LexerError(HdlError):

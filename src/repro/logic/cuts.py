@@ -22,32 +22,28 @@ node's list lives only until its last gate fanout has merged it, so
 enumeration and covering hold the cuts of the network's frontier, not of
 the whole network.
 
-Truth-table extraction (:func:`cut_truth_tables`) simulates *all* cuts of
-a batch column-parallel over the whole network in one NumPy value matrix:
-the per-cut cones of a priority-cut enumeration are tiny (a handful of
-nodes), so the fixed per-cut Python overhead of a cone walk, not the walk
-itself, would dominate.  Extraction flattens :class:`~repro.logic.aig.Aig`
-and :class:`~repro.logic.xmg.Xmg` networks and rejects any other class
-with :class:`TypeError`.
+Truth-table extraction (:func:`cut_truth_table`) walks one cut's cone,
+root to leaves, and evaluates it on big-int truth tables over the leaves;
+:func:`lut_map` runs it once per chosen LUT, so extraction is linear in
+the cover.  It reads :class:`~repro.logic.aig.Aig` and
+:class:`~repro.logic.xmg.Xmg` networks and rejects any other class with
+:class:`TypeError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.logic.lits import lit_node
 from repro.logic.network import LogicNetwork
-from repro.logic.truth_table import tt_mask, tt_var, tt_var_words
+from repro.logic.truth_table import tt_mask, tt_var
 from repro.utils.bitops import bit_count
 
 __all__ = [
     "Cut",
     "enumerate_cuts",
     "cut_truth_table",
-    "cut_truth_tables",
     "cut_enumeration_cache_stats",
     "LutMapping",
     "lut_map",
@@ -246,350 +242,66 @@ def enumerate_cuts(
 
 
 # ---------------------------------------------------------------------------
-# Vectorised cut simulation
+# Cut simulation
 #
-# A priority-cut enumeration yields thousands of cuts whose cones average
-# only a few nodes each, so per-cut Python overhead — dict walks, big-int
-# boxing, eval_gate dispatch — dominates extraction cost.  The kernel below
-# removes it by simulating *all* cuts of a batch at once: one value matrix
-# of shape (nodes × cuts) holds, per column, the network simulated in the
-# cut's leaf space.  Rows are permuted level-contiguously so each
-# (level, gate kind) group is evaluated with three or four whole-matrix
-# NumPy ops (gather fanin rows, apply complement masks, combine); before a
-# level's consumers run, the leaf rows of every cut whose leaves sit at the
-# previous level are overwritten with the projection patterns.  Because all
-# columns share the width of the widest cut, complement masks are uniform
-# words; each result is truncated to its own cut's 2**num_leaves bits at
-# extraction.  Non-cone rows compute garbage, which is harmless: extraction
-# reads only root rows, and every path from a root stops at overridden
-# leaf rows.
+# A cut's function is read off its cone: the nodes between the root and the
+# leaves, walked root to leaves and evaluated bottom-up on big-int truth
+# tables over the cut's leaves.  The cones of priority cuts are a handful of
+# nodes, so one walk per chosen LUT costs time and memory linear in the
+# cover, never in the size of the whole network.
 # ---------------------------------------------------------------------------
-
-_KIND_AND, _KIND_XOR, _KIND_MAJ = 0, 1, 2
-
-#: Soft bound on the value-matrix size of one simulation chunk; batches
-#: whose (nodes × cuts × words) matrix would exceed it are split.
-_BATCH_BYTES_LIMIT = 1 << 26
-
-_KERNEL_CACHE_ATTR = "_cut_kernel_cache"
-
-
-class _NetworkKernel:
-    """Flattened, simulation-ready view of one AIG/XMG, cached per network.
-
-    Built once per network (node count keyed — networks are append-only,
-    so an unchanged count means unchanged structure) and reused across
-    batches; the per-``k`` level/group metadata is cached lazily inside.
-    """
-
-    __slots__ = (
-        "num_nodes", "max_level", "lvl", "perm", "order",
-        "kind_list", "fanin_lits", "_meta",
-    )
-
-    def __init__(self, network: LogicNetwork, num: int) -> None:
-        self._meta: Dict[int, Any] = {}
-        self.num_nodes = num
-        kind_list = [-1] * num
-        fanin_lits: List[Tuple[int, ...]] = [()] * num
-        is_xmg = network.network_type == "xmg"
-        for node in range(num):
-            if not network.is_gate(node):
-                continue
-            if not is_xmg:
-                kind = _KIND_AND
-            elif network.is_maj(node):
-                kind = _KIND_MAJ
-            else:
-                kind = _KIND_XOR
-            kind_list[node] = kind
-            fanin_lits[node] = tuple(network.fanins(node))
-
-        lvl = np.zeros(num, dtype=np.int64)
-        for node, level in network.levels().items():
-            lvl[node] = level
-        # Rows sorted by (level, kind): levels are contiguous and, within
-        # a level, each gate kind forms one contiguous slice.
-        kind_arr = np.array(kind_list, dtype=np.int64)
-        order = np.lexsort((kind_arr, lvl))
-        perm = np.empty(num, dtype=np.int64)
-        perm[order] = np.arange(num)
-
-        self.lvl = lvl
-        self.order = order
-        self.perm = perm
-        self.max_level = int(lvl.max()) if num else 0
-        self.kind_list = kind_list
-        self.fanin_lits = fanin_lits
-
-    # -- per-k simulation metadata ------------------------------------------
-
-    @staticmethod
-    def _dtype_for(kmax: int) -> Tuple[Any, int]:
-        """Narrowest word dtype holding a 2**kmax-bit table (+ word count)."""
-        if kmax <= 3:
-            return np.uint8, 1
-        if kmax == 4:
-            return np.uint16, 1
-        if kmax == 5:
-            return np.uint32, 1
-        return np.uint64, max(1, 1 << (kmax - 6))
-
-    def _sim_meta(self, kmax: int) -> Any:
-        meta = self._meta.get(kmax)
-        if meta is not None:
-            return meta
-        dtype, width = self._dtype_for(kmax)
-        full = dtype(~dtype(0))
-        lvl_sorted = self.lvl[self.order]
-        kind_sorted = np.array(self.kind_list, dtype=np.int64)[self.order]
-        groups: List[List[Tuple[int, int, int, List[np.ndarray], List[Any]]]] = [
-            [] for _ in range(self.max_level + 1)
-        ]
-        max_group = 0
-        gate_rows = np.nonzero(kind_sorted >= 0)[0]
-        if gate_rows.size:
-            # Split the sorted gate rows into maximal runs of equal
-            # (level, kind); each run becomes one vectorised group.
-            keys_lvl = lvl_sorted[gate_rows]
-            keys_kind = kind_sorted[gate_rows]
-            breaks = np.nonzero(
-                (np.diff(keys_lvl) != 0) | (np.diff(keys_kind) != 0)
-            )[0] + 1
-            starts = np.concatenate(([0], breaks))
-            ends = np.concatenate((breaks, [gate_rows.size]))
-            for s, e in zip(starts, ends):
-                rows = gate_rows[s:e]
-                start, end = int(rows[0]), int(rows[-1]) + 1
-                level = int(keys_lvl[s])
-                kind = int(keys_kind[s])
-                nodes = self.order[start:end]
-                arity = 3 if kind == _KIND_MAJ else 2
-                idx: List[np.ndarray] = []
-                cmask: List[Any] = []
-                for slot in range(arity):
-                    lits = np.array(
-                        [self.fanin_lits[n][slot] for n in nodes],
-                        dtype=np.int64,
-                    )
-                    idx.append(self.perm[lits >> 1])
-                    cmask.append(
-                        ((lits & 1).astype(dtype) * full)[:, None]
-                    )
-                groups[level].append((kind, start, end, idx, cmask))
-                max_group = max(max_group, end - start)
-        # Leaf projection patterns: row i is variable i of the kmax-space,
-        # as `width` words of `dtype`.
-        if width == 1:
-            vars_rows = np.array(
-                [tt_var(i, kmax) for i in range(kmax)], dtype=dtype
-            ).reshape(kmax, 1)
-        else:
-            vars_rows = np.stack(
-                [tt_var_words(i, kmax) for i in range(kmax)]
-            )
-        # Truncation masks indexed by leaf count: a cut with ``nv`` leaves
-        # keeps only its low ``2^nv`` table bits.  Single-word tables mask
-        # vectorised (the dtype always fits ``tt_mask(kmax)``); multi-word
-        # tables mask after big-int reassembly.
-        if width == 1:
-            masks: Any = np.array(
-                [tt_mask(nv) for nv in range(kmax + 1)], dtype=dtype
-            )
-        else:
-            masks = [tt_mask(nv) for nv in range(kmax + 1)]
-        meta = (dtype, width, groups, max_group, vars_rows, masks)
-        self._meta[kmax] = meta
-        return meta
-
-    # -- batch simulation ----------------------------------------------------
-
-    def truth_tables(self, cuts: Sequence[Cut]) -> List[int]:
-        num_cuts = len(cuts)
-        if not num_cuts:
-            return []
-        counts = np.fromiter(
-            (len(cut.leaves) for cut in cuts), np.int64, num_cuts
-        )
-        kmax = max(int(counts.max()), 1)
-        dtype, width, _, _, _, _ = self._sim_meta(kmax)
-        row_bytes = max(1, self.num_nodes) * width * np.dtype(dtype).itemsize
-        chunk = max(1, _BATCH_BYTES_LIMIT // row_bytes)
-        results: List[int] = []
-        for start in range(0, num_cuts, chunk):
-            results.extend(
-                self._simulate(
-                    cuts[start:start + chunk],
-                    counts[start:start + chunk],
-                    kmax,
-                )
-            )
-        return results
-
-    def _simulate(
-        self, cuts: Sequence[Cut], counts: np.ndarray, kmax: int
-    ) -> List[int]:
-        dtype, width, groups, max_group, vars_rows, masks = self._sim_meta(
-            kmax
-        )
-        num_cuts = len(cuts)
-        roots = np.fromiter((cut.root for cut in cuts), np.int64, num_cuts)
-        total = int(counts.sum())
-
-        # One scatter triple (row, cut, pattern) per leaf instance, sorted
-        # by leaf level so each level's overrides form a slice.
-        leaf_node = np.fromiter(
-            (leaf for cut in cuts for leaf in cut.leaves), np.int64, total
-        )
-        leaf_cut = np.repeat(np.arange(num_cuts), counts)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        leaf_pos = np.arange(total) - offsets  # variable index per instance
-        leaf_row = self.perm[leaf_node] if total else leaf_node
-        leaf_lvl = self.lvl[leaf_node] if total else leaf_node
-        by_level = np.argsort(leaf_lvl, kind="stable")
-        leaf_row = leaf_row[by_level]
-        leaf_cut = leaf_cut[by_level]
-        leaf_pos = leaf_pos[by_level]
-        bounds = np.searchsorted(
-            leaf_lvl[by_level], np.arange(self.max_level + 2)
-        )
-
-        value = np.zeros((self.num_nodes, num_cuts * width), dtype=dtype)
-        scratch = [
-            np.empty((max_group, num_cuts * width), dtype=dtype)
-            for _ in range(3)
-        ] if max_group else []
-        word_cols = np.arange(width)
-
-        def scatter(level: int) -> None:
-            s, e = bounds[level], bounds[level + 1]
-            if e <= s:
-                return
-            if width == 1:
-                value[leaf_row[s:e], leaf_cut[s:e]] = vars_rows[leaf_pos[s:e], 0]
-            else:
-                cols = leaf_cut[s:e, None] * width + word_cols
-                value[leaf_row[s:e, None], cols] = vars_rows[leaf_pos[s:e]]
-
-        scatter(0)
-        for level in range(1, self.max_level + 1):
-            for kind, start, end, idx, cmask in groups[level]:
-                size = end - start
-                out = value[start:end]
-                np.take(value, idx[0], axis=0, out=out)
-                out ^= cmask[0]
-                op1 = scratch[0][:size]
-                np.take(value, idx[1], axis=0, out=op1)
-                op1 ^= cmask[1]
-                if kind == _KIND_AND:
-                    out &= op1
-                elif kind == _KIND_XOR:
-                    out ^= op1
-                else:  # MAJ(a, b, c) == (a & (b ^ c)) ^ (b & c)
-                    op2 = scratch[1][:size]
-                    np.take(value, idx[2], axis=0, out=op2)
-                    op2 ^= cmask[2]
-                    mix = scratch[2][:size]
-                    np.bitwise_xor(op1, op2, out=mix)
-                    out &= mix
-                    op1 &= op2
-                    out ^= op1
-            scatter(level)
-
-        root_rows = self.perm[roots]
-        if width == 1:
-            words = value[root_rows, np.arange(num_cuts)]
-            words &= masks[counts]
-            return words.tolist()
-        cols = np.arange(num_cuts)[:, None] * width + word_cols
-        rows = np.ascontiguousarray(value[root_rows[:, None], cols], dtype="<u8")
-        return [
-            int.from_bytes(rows[ci].tobytes(), "little") & masks[nv]
-            for ci, nv in enumerate(counts.tolist())
-        ]
-
-
-def _network_kernel(network: LogicNetwork) -> _NetworkKernel:
-    """The cached :class:`_NetworkKernel` of an AIG or XMG."""
-    if getattr(network, "network_type", None) not in ("aig", "xmg"):
-        raise TypeError(
-            f"cut truth tables need an Aig or Xmg, got {type(network).__name__}"
-        )
-    num = len(network.nodes())
-    cached = getattr(network, _KERNEL_CACHE_ATTR, None)
-    if isinstance(cached, _NetworkKernel) and cached.num_nodes == num:
-        return cached
-    kernel = _NetworkKernel(network, num)
-    setattr(network, _KERNEL_CACHE_ATTR, kernel)
-    return kernel
 
 
 def cut_truth_table(network: LogicNetwork, cut: Cut) -> int:
     """Integer truth table of the cut root expressed over its leaves.
 
     Leaf ``i`` of the cut corresponds to variable ``i`` of the truth
-    table; an improper cut (leaves that do not cut the root's cone)
-    raises :class:`ValueError`.  Single-cut extraction walks the cone over
-    the flattened kernel arrays; use :func:`cut_truth_tables` to evaluate
-    many cuts of one network — the LUT covering's inner loop —
-    column-parallel.
+    table.  ``network`` must be an :class:`~repro.logic.aig.Aig` or an
+    :class:`~repro.logic.xmg.Xmg` (anything else raises
+    :class:`TypeError`); an improper cut (leaves that do not cut the
+    root's cone) raises :class:`ValueError`.
     """
-    kernel = _network_kernel(network)
+    network_type = getattr(network, "network_type", None)
+    if network_type not in ("aig", "xmg"):
+        raise TypeError(
+            f"cut truth tables need an Aig or Xmg, got {type(network).__name__}"
+        )
+    and_gates = network_type == "aig"
+    num_nodes = len(network.nodes())
     num_vars = len(cut.leaves)
     mask = tt_mask(num_vars)
     tables: Dict[int, int] = {0: 0}
     for i, leaf in enumerate(cut.leaves):
         tables[leaf] = tt_var(i, num_vars)
 
-    kind_list = kernel.kind_list
-    fanin_lits = kernel.fanin_lits
-    num_nodes = kernel.num_nodes
     stack = [cut.root]
     while stack:
         node = stack[-1]
         if node in tables:
             stack.pop()
             continue
-        kind = kind_list[node] if 0 <= node < num_nodes else -1
-        if kind < 0:
+        if not (0 <= node < num_nodes and network.is_gate(node)):
             raise ValueError(
                 f"node {node} is not inside the cone of cut {cut}: "
                 "cut leaves do not form a proper cut"
             )
-        fanins = fanin_lits[node]
+        fanins = network.fanins(node)
         pending = [f >> 1 for f in fanins if f >> 1 not in tables]
         if pending:
             stack.extend(pending)
             continue
         a = tables[fanins[0] >> 1] ^ (mask if fanins[0] & 1 else 0)
         b = tables[fanins[1] >> 1] ^ (mask if fanins[1] & 1 else 0)
-        if kind == _KIND_AND:
-            tables[node] = a & b
-        elif kind == _KIND_XOR:
-            tables[node] = a ^ b
-        else:
+        if len(fanins) == 3:  # MAJ(a, b, c) == (a & (b ^ c)) ^ (b & c)
             c = tables[fanins[2] >> 1] ^ (mask if fanins[2] & 1 else 0)
             tables[node] = (a & (b ^ c)) ^ (b & c)
+        elif and_gates:
+            tables[node] = a & b
+        else:
+            tables[node] = a ^ b
         stack.pop()
 
     return tables[cut.root]
-
-
-def cut_truth_tables(network: LogicNetwork, cuts: Sequence[Cut]) -> List[int]:
-    """Truth tables of many cuts of one network, simulated column-parallel.
-
-    Equivalent to ``[cut_truth_table(network, c) for c in cuts]`` but the
-    whole batch is evaluated in one NumPy value matrix (see the module
-    notes), which is what makes :func:`lut_map` fast: per-cut cost drops
-    from a big-int cone walk to a few matrix-column operations.  Cuts must
-    be proper (as produced by :func:`enumerate_cuts`); unlike the
-    single-cut entry point, the batch path does not diagnose improper
-    cuts.
-    """
-    cuts = list(cuts)
-    if not cuts:
-        return []
-    return _network_kernel(network).truth_tables(cuts)
 
 
 @dataclass
@@ -702,9 +414,10 @@ def lut_map(
       pebbling flow and for the cut-based XMG refactoring pass.
 
     The enumeration streams into the cover: only the leaves of each
-    gate's best cut outlive the sweep, and :class:`Cut` objects are built
-    for the chosen LUTs only, so covering memory follows the network's
-    frontier (see the module notes).
+    gate's best cut outlive the sweep, and each chosen LUT's table comes
+    from one walk of its own cone (:func:`cut_truth_table`), so covering
+    memory follows the network's frontier and the cover, never nodes ×
+    LUTs (see the module notes).
 
     ``cleanup=False`` skips the initial dead-node sweep; callers passing an
     already-cleaned network (the XMG refactoring pass) avoid rebuilding it.
@@ -732,23 +445,16 @@ def lut_map(
             )
         best_leaves[node] = leaves
 
-    required: Set[int] = set()
+    # One cone walk per chosen LUT: extraction is linear in the cover.
+    luts: Dict[int, Tuple[Tuple[int, ...], int]] = {}
     stack = [lit_node(po) for po in network.pos()]
-    chosen: List[Cut] = []
     while stack:
         node = stack.pop()
-        if node in required or node == 0 or network.is_pi(node):
+        if node in luts or node == 0 or network.is_pi(node):
             continue
-        required.add(node)
         leaves = best_leaves[node]
-        chosen.append(Cut(node, leaves))
+        luts[node] = (leaves, cut_truth_table(network, Cut(node, leaves)))
         stack.extend(leaves)
-
-    # One column-parallel batch instead of one big-int cone walk per LUT.
-    tables = cut_truth_tables(network, chosen)
-    luts: Dict[int, Tuple[Tuple[int, ...], int]] = {
-        cut.root: (cut.leaves, truth) for cut, truth in zip(chosen, tables)
-    }
 
     order = [node for node in network.nodes() if node in luts]
     return LutMapping(k=k, aig=network, luts=luts, order=order)

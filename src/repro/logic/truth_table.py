@@ -10,9 +10,7 @@ Two representations are used throughout the package:
 * plain Python integers as *single-output* truth tables for small functions
   (bit ``i`` of the integer is the function value on minterm ``i``).  These
   are used for cut functions, ISOP computation and XMG resynthesis; the
-  ``tt_*`` helpers below operate on them.  Only the projection functions
-  also exist as packed ``uint64`` words (:func:`tt_var_words`), which seed
-  the batch cut simulation of :mod:`repro.logic.cuts`.
+  ``tt_*`` helpers below operate on them.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ __all__ = [
     "tt_cofactor1",
     "tt_support",
     "tt_popcount",
-    "tt_num_words",
-    "tt_var_words",
 ]
 
 
@@ -121,41 +117,6 @@ def tt_support(func: int, num_vars: int) -> List[int]:
 def tt_popcount(func: int) -> int:
     """Number of minterms on which the function is 1."""
     return bit_count(func)
-
-
-# ---------------------------------------------------------------------------
-# Projection functions as packed uint64 word arrays
-#
-# The batch cut simulation of :mod:`repro.logic.cuts` holds wide truth
-# tables as little-endian numpy uint64 arrays (word ``w`` covers minterms
-# ``64*w .. 64*w + 63``) and seeds them with these projection patterns.
-# ---------------------------------------------------------------------------
-
-def tt_num_words(num_vars: int) -> int:
-    """Number of uint64 words of a packed ``num_vars``-variable table."""
-    return 1 if num_vars <= 6 else 1 << (num_vars - 6)
-
-
-#: In-word projection patterns of variables 0..5 (variable ``v`` alternates
-#: in blocks of ``2**v`` bits, so for ``v < 6`` the pattern repeats in every
-#: 64-bit word).
-_WORD_VAR_PATTERNS = tuple(
-    np.uint64(tt_var(v, 6)) for v in range(6)
-)
-
-
-def tt_var_words(index: int, num_vars: int) -> np.ndarray:
-    """Projection function of variable ``index`` as a packed word array."""
-    if not 0 <= index < num_vars:
-        raise ValueError(f"variable index {index} out of range for {num_vars} vars")
-    num_words = tt_num_words(num_vars)
-    if index < 6:
-        pattern = (_WORD_VAR_PATTERNS[index] if num_vars >= 6
-                   else np.uint64(tt_var(index, num_vars)))
-        return np.full(num_words, pattern, dtype=np.uint64)
-    # Word w is all-ones exactly when bit (index - 6) of w is set.
-    high = (np.arange(num_words, dtype=np.uint64) >> np.uint64(index - 6)) & np.uint64(1)
-    return high * np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------

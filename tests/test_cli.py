@@ -96,6 +96,25 @@ class TestCommands:
         assert exit_code == 0
         assert "qubits" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source, message", [
+        ("module top (input [1:0] a, output [1:0] y); assign y = a & bb; "
+         "endmodule\n", "unknown identifier 'bb'"),
+        ("module top (input clk, input a, output reg y); "
+         "always @(posedge clk) y <= a; endmodule\n", "unexpected character"),
+        (None, "No such file"),
+    ])
+    def test_flow_command_reports_bad_verilog(self, source, message, tmp_path,
+                                              capsys):
+        path = tmp_path / "top.v"
+        if source is not None:
+            path.write_text(source)
+        exit_code = main(["flow", "--flow", "lut", "--design", "top",
+                          "--verilog", str(path)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
     def test_flow_command_lut_bounded(self, capsys):
         exit_code = main(
             ["flow", "--flow", "lut", "--design", "intdiv", "-n", "4",

@@ -1,10 +1,9 @@
-"""Property tests pinning the vectorised kernels to their big-int oracles.
+"""Property tests pinning the fast kernels to their big-int oracles.
 
-The cut truth-table kernel (:func:`repro.logic.cuts.cut_truth_tables`), the
-packed projection words (:func:`repro.logic.truth_table.tt_var_words`) and
-the memoised PSDKRO extractor (:func:`repro.logic.esop.psdkro_cubes`) are
+The cut cone walk (:func:`repro.logic.cuts.cut_truth_table`) and the
+memoised PSDKRO extractor (:func:`repro.logic.esop.psdkro_cubes`) are
 cross-checked against the oracles of :mod:`oracles.logic` on *random*
-inputs — random AIG/XMG cones through the cut kernel, random and wide
+inputs — random AIG/XMG cones through the cone walk, random and wide
 structured truth tables through PSDKRO, and XOR-of-cubes reconstruction —
 so the kernels are oracle-pinned, not just golden-pinned on the benchmark
 designs.
@@ -17,14 +16,9 @@ from hypothesis import strategies as st
 from oracles.logic import cut_truth_table_reference, psdkro_cubes_reference
 from repro.logic.aig import Aig
 from repro.logic.cube import Cube
-from repro.logic.cuts import (
-    Cut,
-    cut_truth_table,
-    cut_truth_tables,
-    enumerate_cuts,
-)
+from repro.logic.cuts import Cut, cut_truth_table, enumerate_cuts
 from repro.logic.esop import psdkro_cubes
-from repro.logic.truth_table import tt_mask, tt_var, tt_var_words
+from repro.logic.truth_table import tt_mask, tt_var
 from repro.logic.xmg import Xmg
 
 
@@ -93,86 +87,47 @@ def _cube_truth_table(cube: Cube, num_vars: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed projection words vs the big-int projections
+# cut cone walk vs the protocol cone walk
 # ---------------------------------------------------------------------------
 
-def _words_to_int(words, num_vars):
-    value = int.from_bytes(words.astype("<u8").tobytes(), "little")
-    return value & tt_mask(num_vars)
+def _assert_cuts_match_reference(network, k):
+    """Every enumerated cut, plus the constant and each trivial cut."""
+    cuts = enumerate_cuts(network, k=k)
+    batch = [c for node_cuts in cuts.values() for c in node_cuts]
+    batch.append(Cut(0, ()))
+    batch.extend(Cut(node, (node,)) for node in network.nodes() if node)
+    for cut in batch:
+        assert cut_truth_table(network, cut) == cut_truth_table_reference(
+            network, cut
+        ), cut
 
-
-class TestWordHelpers:
-    def test_var_projections(self):
-        for num_vars in (1, 3, 6, 7, 8, 10):
-            for var in range(num_vars):
-                assert _words_to_int(
-                    tt_var_words(var, num_vars), num_vars
-                ) == tt_var(var, num_vars)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            tt_var_words(3, 3)
-        with pytest.raises(ValueError):
-            tt_var_words(-1, 3)
-
-    def test_word_layout_is_little_endian(self):
-        # Variable 6 is 0 on minterms 0..63 (word 0), 1 on 64..127 (word 1).
-        assert tt_var_words(6, 7).tolist() == [0, (1 << 64) - 1]
-
-
-# ---------------------------------------------------------------------------
-# cut truth-table kernel vs the protocol cone walk
-# ---------------------------------------------------------------------------
 
 class TestCutKernelProperties:
     @settings(max_examples=40, deadline=None)
     @given(num_pis=st.integers(2, 6), gates=_AIG_GATES)
     def test_random_aig_cones(self, num_pis, gates):
-        aig = _random_aig(num_pis, gates)
-        cuts = enumerate_cuts(aig, k=4)
-        batch = [c for node_cuts in cuts.values() for c in node_cuts]
-        reference = [cut_truth_table_reference(aig, c) for c in batch]
-        assert cut_truth_tables(aig, batch) == reference
-        for cut, expected in zip(batch, reference):
-            assert cut_truth_table(aig, cut) == expected
+        _assert_cuts_match_reference(_random_aig(num_pis, gates), 4)
 
     @settings(max_examples=30, deadline=None)
     @given(num_pis=st.integers(2, 5), gates=_XMG_GATES)
     def test_random_xmg_cones(self, num_pis, gates):
-        xmg = _random_xmg(num_pis, gates)
-        cuts = enumerate_cuts(xmg, k=4)
-        batch = [c for node_cuts in cuts.values() for c in node_cuts]
-        reference = [cut_truth_table_reference(xmg, c) for c in batch]
-        assert cut_truth_tables(xmg, batch) == reference
-        for cut, expected in zip(batch, reference):
-            assert cut_truth_table(xmg, cut) == expected
+        _assert_cuts_match_reference(_random_xmg(num_pis, gates), 4)
 
     @settings(max_examples=20, deadline=None)
     @given(num_pis=st.integers(7, 9), gates=_AIG_GATES)
     def test_wide_cuts_use_multiword_tables(self, num_pis, gates):
-        # k > 6 forces the multi-uint64-word columns of the batch kernel.
-        aig = _random_aig(num_pis, gates)
-        cuts = enumerate_cuts(aig, k=min(9, num_pis + 1))
-        batch = [c for node_cuts in cuts.values() for c in node_cuts]
-        assert cut_truth_tables(aig, batch) == [
-            cut_truth_table_reference(aig, c) for c in batch
-        ]
+        # k > 6: tables wider than one 64-bit word.
+        _assert_cuts_match_reference(
+            _random_aig(num_pis, gates), min(9, num_pis + 1)
+        )
 
-    def test_chunked_batches_match_unchunked(self, monkeypatch):
-        # Shrinking the byte budget to nothing forces one chunk per cut;
-        # the results must not depend on the chunking boundaries.
-        import repro.logic.cuts as cuts_module
-
-        aig = _random_aig(4, [(0, 1, False, True), (2, 3, True, False),
-                              (4, 5, False, False), (5, 6, True, True)])
-        cuts = enumerate_cuts(aig, k=4)
-        batch = [c for node_cuts in cuts.values() for c in node_cuts]
-        expected = cut_truth_tables(aig, batch)
-        monkeypatch.setattr(cuts_module, "_BATCH_BYTES_LIMIT", 1)
-        assert cut_truth_tables(aig, batch) == expected
+    @settings(max_examples=15, deadline=None)
+    @given(num_pis=st.integers(7, 8), gates=_XMG_GATES)
+    def test_wide_xmg_cuts_use_multiword_tables(self, num_pis, gates):
+        _assert_cuts_match_reference(_random_xmg(num_pis, gates), num_pis)
 
     def test_unknown_network_class_rejected(self):
-        # Only AIGs and XMGs can be flattened; anything else fails loudly.
+        # Only AIGs and XMGs are read; anything else fails loudly.
         class Wrapped:
             network_type = "custom"
 
@@ -186,9 +141,16 @@ class TestCutKernelProperties:
         cuts = enumerate_cuts(aig, k=3)
         batch = [c for node_cuts in cuts.values() for c in node_cuts]
         with pytest.raises(TypeError, match="Aig or Xmg"):
-            cut_truth_tables(Wrapped(aig), batch)
-        with pytest.raises(TypeError, match="Aig or Xmg"):
             cut_truth_table(Wrapped(aig), batch[0])
+
+    def test_network_keeps_no_cache_attribute(self):
+        aig = _random_aig(4, [(0, 1, False, True), (2, 3, True, False),
+                              (4, 5, False, False)])
+        before = dict(vars(aig))
+        for node_cuts in enumerate_cuts(aig, k=4).values():
+            for cut in node_cuts:
+                cut_truth_table(aig, cut)
+        assert vars(aig).keys() == before.keys()
 
 
 # ---------------------------------------------------------------------------

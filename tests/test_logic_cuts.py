@@ -24,7 +24,6 @@ from repro.logic.cuts import (
     Cut,
     cut_enumeration_cache_stats,
     cut_truth_table,
-    cut_truth_tables,
     enumerate_cuts,
     lut_map,
 )
@@ -353,13 +352,16 @@ class TestSignatureEnumerationMatchesReference:
 
 
 class TestCutTruthTableKernel:
-    def test_batch_matches_reference_on_all_cuts(self):
+    def test_all_cuts_match_reference(self):
+        from repro.logic.xmg_mapping import aig_to_xmg
+
         aig = build_adder_aig(4)
-        cuts = enumerate_cuts(aig, k=4)
-        batch = [c for node_cuts in cuts.values() for c in node_cuts]
-        assert cut_truth_tables(aig, batch) == [
-            cut_truth_table_reference(aig, c) for c in batch
-        ]
+        for network in (aig, aig_to_xmg(aig)):
+            cuts = enumerate_cuts(network, k=4)
+            for node_cuts in cuts.values():
+                for cut in node_cuts:
+                    assert cut_truth_table(network, cut) == \
+                        cut_truth_table_reference(network, cut)
 
     def test_single_cut_matches_reference(self):
         aig = build_adder_aig(3)
@@ -370,24 +372,22 @@ class TestCutTruthTableKernel:
                     aig, cut
                 )
 
-    def test_batch_handles_trivial_and_constant_cuts(self):
+    def test_trivial_and_constant_cuts(self):
         aig = build_adder_aig(2)
         gate = next(n for n in aig.nodes() if aig.is_and(n))
-        batch = [Cut(0, ()), Cut(gate, (gate,))]
-        assert cut_truth_tables(aig, batch) == [0, 0b10]
-
-    def test_empty_batch(self):
-        assert cut_truth_tables(build_adder_aig(2), []) == []
+        assert cut_truth_table(aig, Cut(0, ())) == 0
+        assert cut_truth_table(aig, Cut(gate, (gate,))) == 0b10
 
     def test_improper_cut_still_raises(self):
         aig = build_adder_aig(2)
         top = lit_node(aig.pos()[0])
         with pytest.raises(ValueError):
             cut_truth_table(aig, Cut(top, ()))
+        with pytest.raises(ValueError, match="proper cut"):
+            cut_truth_table(aig, Cut(len(aig.nodes()), ()))
 
     def test_multiword_cut_beyond_six_leaves(self):
-        # An 8-leaf cut needs a 256-bit table: four uint64 words per
-        # column in the batch kernel.
+        # An 8-leaf cut needs a 256-bit table, four 64-bit words wide.
         aig = Aig()
         pis = [aig.add_pi() for _ in range(8)]
         lit = pis[0]
@@ -397,23 +397,7 @@ class TestCutTruthTableKernel:
         cut = Cut(lit_node(lit), tuple(lit_node(pi) for pi in pis))
         expected = cut_truth_table_reference(aig, cut)
         assert expected == 1 << 255  # AND of 8 inputs
-        assert cut_truth_tables(aig, [cut]) == [expected]
         assert cut_truth_table(aig, cut) == expected
-
-    def test_kernel_cache_invalidates_on_growth(self):
-        aig = build_adder_aig(2)
-        cuts = enumerate_cuts(aig, k=2)
-        batch = [c for node_cuts in cuts.values() for c in node_cuts]
-        first = cut_truth_tables(aig, batch)
-        # Growing the network must rebuild the cached kernel, not reuse
-        # stale arrays.
-        a, b = aig.add_pi(), aig.add_pi()
-        new_gate = aig.create_xor(a, b)
-        aig.add_po(new_gate)
-        new_cut = Cut(lit_node(new_gate), (lit_node(a), lit_node(b)))
-        assert cut_truth_tables(aig, batch + [new_cut]) == first + [
-            cut_truth_table_reference(aig, new_cut)
-        ]
 
 
 class TestAreaSelection:
@@ -605,8 +589,8 @@ def test_paper_design_covers_unchanged(design, bitwidth, monkeypatch):
 
 
 #: Traced bytes still attributed to ``repro/logic/cuts.py`` after a NEWTON(6)
-#: covering is dropped; run in a fresh interpreter, so no earlier test's
-#: networks or mappings are alive.
+#: covering is dropped, then the traced peak of a second covering; run in a
+#: fresh interpreter, so no earlier test's networks or mappings are alive.
 HELD_AFTER_LUT_MAP = """
 import gc, tracemalloc
 import repro.logic.cuts as cuts_module
@@ -622,12 +606,18 @@ gc.collect()
 held = tracemalloc.take_snapshot().filter_traces(
     [tracemalloc.Filter(True, cuts_module.__file__)])
 print(sum(stat.size for stat in held.statistics("filename")))
+tracemalloc.stop()
+tracemalloc.start()
+mapping = cuts_module.lut_map(aig, k=4, selection="depth")
+print(tracemalloc.get_traced_memory()[1])
 """
 
 
 def test_lut_map_keeps_no_cuts_after_it_returns():
     # Cut lists live only while the enumeration runs: a module-level cut
-    # store would keep megabytes here.
+    # store would keep megabytes here.  Truth tables come from one cone
+    # walk per LUT, so the peak follows the cover, not nodes x LUTs (a
+    # whole-network simulation matrix peaks at about 6.5 MB here).
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-c", HELD_AFTER_LUT_MAP],
@@ -635,4 +625,6 @@ def test_lut_map_keeps_no_cuts_after_it_returns():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 64 * 1024
+    held, peak = map(int, result.stdout.split())
+    assert held < 64 * 1024
+    assert peak < 2 * 1024 * 1024
