@@ -399,6 +399,33 @@ class TestCutTruthTableKernel:
         assert expected == 1 << 255  # AND of 8 inputs
         assert cut_truth_table(aig, cut) == expected
 
+    def test_tables_follow_network_growth(self):
+        aig = build_adder_aig(2)
+        cuts = enumerate_cuts(aig, k=2)
+        batch = [c for node_cuts in cuts.values() for c in node_cuts]
+        first = [cut_truth_table(aig, c) for c in batch]
+        # Gates added after a walk are read by the next one; the tables of
+        # the old cuts are unchanged.
+        a, b = aig.add_pi(), aig.add_pi()
+        new_gate = aig.create_xor(a, b)
+        aig.add_po(new_gate)
+        new_cut = Cut(lit_node(new_gate), (lit_node(a), lit_node(b)))
+        assert [cut_truth_table(aig, c) for c in batch] == first
+        assert cut_truth_table(aig, new_cut) == cut_truth_table_reference(
+            aig, new_cut
+        )
+
+    def test_gateless_network_maps_to_no_luts(self):
+        # Outputs driven by inputs and constants need no LUT and no table.
+        aig = Aig()
+        a = aig.add_pi()
+        aig.add_po(a)
+        aig.add_po(lit_not(a))
+        aig.add_po(Aig.CONST0)
+        mapping = lut_map(aig, k=4)
+        assert mapping.num_luts() == 0
+        assert mapping.luts == {} and mapping.order == []
+
 
 class TestAreaSelection:
     def test_area_mapping_never_needs_more_luts(self):
